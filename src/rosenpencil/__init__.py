@@ -24,6 +24,7 @@ from .errors import (
     InterpolationResidual,
     IrregularWarning,
     NonConvergence,
+    NumericalFailure,
     ParseError,
     PoleError,
     SingularInput,
@@ -109,6 +110,7 @@ __all__ = [
     "HoldoutResidual",
     "NonConvergence",
     "AllSamplesSingular",
+    "NumericalFailure",
     "ParseError",
     "DimensionError",
     "IrregularWarning",

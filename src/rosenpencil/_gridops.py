@@ -15,7 +15,7 @@ class Grid:
     __slots__ = ("cells", "rsz", "csz", "a_r", "a_c")
 
     def __init__(self, cells, rsz, csz, a_r, a_c):
-        self.cells = cells  # list of lists of blocks (ndarray or MatrixPolynomial)
+        self.cells = cells  # list of lists of blocks (ndarray, MatrixPolynomial or None)
         self.rsz = list(rsz)
         self.csz = list(csz)
         self.a_r = a_r  # leading block rows belonging to the A side
@@ -35,7 +35,8 @@ def splice(prev: Grid, row_map, new_rsz, col_map, new_csz, extra, zero, a_r, a_c
 
     row_map/col_map give the new position of each old block row/col; cells
     not covered by the remap or by ``extra`` (a list of (row, col, block)
-    entries) are zero blocks from the ``zero(rows, cols)`` factory.
+    entries) are zero blocks from the ``zero(rows, cols)`` factory, or stay
+    None (an unallocated zero block) when ``zero`` is None.
     """
     nr, nc = len(new_rsz), len(new_csz)
     cells = [[None] * nc for _ in range(nr)]
@@ -45,9 +46,10 @@ def splice(prev: Grid, row_map, new_rsz, col_map, new_csz, extra, zero, a_r, a_c
             cells[nk][nj] = old_row[j]
     for rr, cc, val in extra:
         cells[rr][cc] = val
-    for rr in range(nr):
-        row = cells[rr]
-        for cc in range(nc):
-            if row[cc] is None:
-                row[cc] = zero(new_rsz[rr], new_csz[cc])
+    if zero is not None:
+        for rr in range(nr):
+            row = cells[rr]
+            for cc in range(nc):
+                if row[cc] is None:
+                    row[cc] = zero(new_rsz[rr], new_csz[cc])
     return Grid(cells, new_rsz, new_csz, a_r, a_c)

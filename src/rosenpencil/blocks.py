@@ -112,6 +112,11 @@ class Pencil:
     def eval(self, z: complex) -> np.ndarray:
         return z * self.lead - self.tail
 
+    def eval_stack(self, zs) -> np.ndarray:
+        """``(P, rows, cols)`` stack of ``eval`` at every point of ``zs``, bit for bit."""
+        zc = np.asarray(zs, dtype=complex).reshape(-1, 1, 1)
+        return zc * self.lead - self.tail
+
     def as_matrix_polynomial(self) -> MatrixPolynomial:
         return MatrixPolynomial(np.stack([-self.tail, self.lead]))
 
@@ -145,6 +150,9 @@ class PolyBlockMatrix:
 
     def eval(self, z: complex) -> np.ndarray:
         return self.poly.eval(z)
+
+    def eval_stack(self, zs) -> np.ndarray:
+        return self.poly.eval_stack(zs)
 
     def block(self, i: int, j: int) -> MatrixPolynomial:
         """Sub-polynomial at 1-based block position (i, j), trailing zeros trimmed."""

@@ -1,6 +1,8 @@
 """Command-line interface: build pencils, verify them, inspect spectra, fuzz.
 
-Exit codes: 0 on success, 1 when a verification fails, 2 on input errors.
+Exit codes: 0 on success, 1 when a verification fails, 2 on input errors
+and on numerical failures (a routine that did not converge or could not
+certify its result); either kind of error prints one ``error: ...`` line.
 Reports are line-delimited JSON records; identical inputs, seed, and flags
 produce byte-identical report streams (timing is kept out of the records
 for exactly that reason).
@@ -17,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import equivalence, fiedler, spectral
-from .errors import DimensionError, ParseError
+from .errors import DimensionError, NumericalFailure, ParseError
 from .rsmp import Rsmp
 from .sampling import random_rsmp
 from .serialization import emit_pencil, parse_rsmp
@@ -69,10 +71,8 @@ def _sigma_for(r: Rsmp, text: str) -> SigmaSeq:
     return parse_sigma(text, degree=r.degree)
 
 
-def _check_sizes_and_structure(r: Rsmp, s: SigmaSeq) -> tuple[bool, bool]:
-    if r.degree < 2:
-        return True, True
-    ws = fiedler.build_w_sequence(r, s)
+def _check_sizes_and_structure(r: Rsmp, s: SigmaSeq, ws) -> tuple[bool, bool]:
+    """Size laws and block-structure claims of every step of the W sequence ``ws``."""
     sizes_ok = all(
         w.shape == fiedler.expected_size(r.n, r.p, r.m, r.d_a, r.d_d, s, i)
         for i, w in enumerate(ws)
@@ -85,9 +85,16 @@ def _check_sizes_and_structure(r: Rsmp, s: SigmaSeq) -> tuple[bool, bool]:
 
 def _verify_one(r: Rsmp, s: SigmaSeq, instance: dict, trials: int, tol: float, rng) -> RunReport:
     t0 = time.perf_counter()
-    pencil, u, v = equivalence.linearization_with_witnesses(r, s)
+    if r.degree >= 2:
+        # one W recursion serves both the pencil (its last step) and the checks
+        ws = fiedler.build_w_sequence(r, s)
+        pencil = fiedler.pencil_from_tail(r, ws[-1])
+        u, v = equivalence.unimodular_pair(r, s)
+        sizes_ok, structure_ok = _check_sizes_and_structure(r, s, ws)
+    else:
+        pencil, u, v = equivalence.linearization_with_witnesses(r, s)
+        sizes_ok = structure_ok = True
     report = equivalence.verify_theorem(r, s, pencil, u, v, points=trials, tol=tol, rng=rng)
-    sizes_ok, structure_ok = _check_sizes_and_structure(r, s)
     ok = report.verdict and sizes_ok and structure_ok
     return RunReport(
         instance=instance,
@@ -273,7 +280,7 @@ def main(argv=None) -> int:
     try:
         args = ap.parse_args(argv)
         return _COMMANDS[args.command](args)
-    except (ParseError, DimensionError, ValueError, OSError) as exc:
+    except (ParseError, DimensionError, ValueError, OSError, NumericalFailure) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

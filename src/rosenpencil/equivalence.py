@@ -16,6 +16,7 @@ agreement at more than degree-many random points plus a holdout.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -42,16 +43,16 @@ __all__ = [
 # -- small matrix-polynomial helpers (internal) -----------------------------
 
 
+# Matrix polynomials are immutable, so every grid shares one zero block per
+# shape and one identity per size instead of building a fresh one per cell.
+@lru_cache(maxsize=256)
 def _mp_zero(rows: int, cols: int) -> MatrixPolynomial:
     return MatrixPolynomial.zero(rows, cols)
 
 
+@lru_cache(maxsize=256)
 def _mp_eye(k: int) -> MatrixPolynomial:
     return MatrixPolynomial.identity(k)
-
-
-def _mp_const(m) -> MatrixPolynomial:
-    return MatrixPolynomial.constant(m)
 
 
 def _lam(p: MatrixPolynomial) -> MatrixPolynomial:
@@ -445,6 +446,20 @@ def linearization_with_witnesses(r: Rsmp, s: SigmaSeq):
 
 # -- verification ------------------------------------------------------------
 
+# Sample points are taken in chunks holding at most about this many complex
+# entries per stacked array, which bounds the temporaries of one chunk.
+_CHUNK_ENTRIES = 8192
+
+
+def _chunk_points(rows: int, cols: int) -> int:
+    """Points per chunk for stacks of rows-by-cols and square witness matrices."""
+    return max(1, _CHUNK_ENTRIES // max(rows, cols, 1) ** 2)
+
+
+def _fro(stack: np.ndarray) -> np.ndarray:
+    """Frobenius norm of every matrix of a ``(P, rows, cols)`` stack."""
+    return np.linalg.norm(stack, axis=(1, 2))
+
 
 def sample_points(count: int, rng) -> np.ndarray:
     """Random points in the annulus 0.5 <= |z| <= 2 (away from origin and overflow)."""
@@ -456,8 +471,7 @@ def sample_points(count: int, rng) -> np.ndarray:
 def is_unimodular(u, points: int = 10, tol: float = 1e-8, rng=None) -> bool:
     """Sampled unimodularity: determinant nonzero and constant across points."""
     rng = np.random.default_rng(0) if rng is None else rng
-    zs = sample_points(points, rng)
-    dets = np.array([np.linalg.det(u.eval(z)) for z in zs])
+    dets = np.linalg.det(u.eval_stack(sample_points(points, rng)))
     return abs(dets[0]) > tol and bool(np.all(np.abs(dets - dets[0]) <= tol * (1 + abs(dets[0]))))
 
 
@@ -472,18 +486,10 @@ def _padding_sizes(r: Rsmp, s: SigmaSeq) -> tuple[int, int]:
     return alpha_prime, alpha
 
 
-def _target_at(r: Rsmp, alpha_prime: int, alpha: int, z: complex) -> np.ndarray:
-    n, p, m = r.n, r.p, r.m
-    rows = alpha_prime + n + alpha + p
-    cols = alpha_prime + n + alpha + m
-    t = np.zeros((rows, cols), dtype=complex)
-    t[:alpha_prime, :alpha_prime] = np.eye(alpha_prime)
-    t[alpha_prime : alpha_prime + n, alpha_prime : alpha_prime + n] = r.A.eval(z)
-    t[alpha_prime : alpha_prime + n, alpha_prime + n + alpha :] = -r.B
-    t[alpha_prime + n : alpha_prime + n + alpha, alpha_prime + n : alpha_prime + n + alpha] = np.eye(alpha)
-    t[alpha_prime + n + alpha :, alpha_prime : alpha_prime + n] = r.C
-    t[alpha_prime + n + alpha :, alpha_prime + n + alpha :] = r.D.eval(z)
-    return t
+def _sub_eye(stack: np.ndarray, row: int, col: int, size: int) -> None:
+    """Subtract a size-by-size identity at (row, col) of every matrix of the stack, in place."""
+    idx = np.arange(size)
+    stack[:, row + idx, col + idx] -= 1.0
 
 
 @dataclass
@@ -492,7 +498,8 @@ class EquivalenceReport:
 
     ``block_residuals`` maps 1-based positions of the four-block target
     partition (state padding, state, feedthrough padding, feedthrough) to
-    their worst relative residual over the sample points.
+    their worst relative residual over the sample points.  A figure that is
+    not finite (overflow, NaN) fails the verdict whatever the tolerance.
     """
 
     max_residual: float
@@ -504,12 +511,8 @@ class EquivalenceReport:
 
     @property
     def verdict(self) -> bool:
-        return (
-            self.max_residual <= self.tol
-            and self.corollary_residual <= self.tol
-            and self.u_unimodularity <= self.tol
-            and self.v_unimodularity <= self.tol
-        )
+        figures = (self.max_residual, self.corollary_residual, self.u_unimodularity, self.v_unimodularity)
+        return all(np.isfinite(x) and x <= self.tol for x in figures)
 
 
 def verify_theorem(
@@ -524,11 +527,15 @@ def verify_theorem(
 ) -> EquivalenceReport:
     """Sampled check that U L V equals the padded system matrix.
 
-    At each sample point the product U(z) (z lead - tail) V(z) is compared
-    against the four-block target, and, after explicit row/column
-    permutations, against blkdiag(identity, S(z), identity).  Residuals are
-    relative to the product's magnitude.  Unimodularity of U and V is
-    checked by determinant sampling at the same points.
+    The sample points are evaluated in chunks, each as one stack: U(z),
+    z lead - tail and V(z) by stacked Horner, their products by one
+    batched matrix product.  Every product is compared against the
+    four-block target, subtracted in place, and, after explicit row/column
+    permutations, against blkdiag(identity, S(z), identity) with S from
+    ``assemble_s``.  Residuals are Frobenius norms relative to
+    max(1, |U(z)| |L(z)| |V(z)|); at a point where that scale overflows no
+    residual can be certified and it is reported as infinite.  Unimodularity
+    of U and V is checked by determinant sampling at the same points.
     """
     rng = np.random.default_rng(0) if rng is None else rng
     alpha_prime, alpha = _padding_sizes(r, s)
@@ -540,6 +547,8 @@ def verify_theorem(
             f"witness/pencil dimensions {u.shape}/{pencil.shape}/{v.shape} do not conform "
             f"to the {rows}x{cols} target"
         )
+    if points < 1:
+        raise ValueError("the sampled check needs at least one point")
     rcuts = np.cumsum([0, alpha_prime, n, alpha, p])
     ccuts = np.cumsum([0, alpha_prime, n, alpha, m])
     # permutation to the block-diagonal corollary form
@@ -547,50 +556,67 @@ def verify_theorem(
                      rcuts[3] : rcuts[4], rcuts[2] : rcuts[3]].astype(int)
     col_perm = np.r_[0:alpha_prime, alpha_prime : alpha_prime + n,
                      ccuts[3] : ccuts[4], ccuts[2] : ccuts[3]].astype(int)
+    state = slice(alpha_prime, alpha_prime + n)
 
     zs = sample_points(points, rng)
-    max_res = 0.0
-    cor_res = 0.0
-    block_res: dict[tuple[int, int], float] = {}
-    u_dets = []
-    v_dets = []
     s_poly = r.assemble_s()
-    for z in zs:
-        uz = u.eval(z)
-        vz = v.eval(z)
-        lz = pencil.eval(z)
-        prod = uz @ lz @ vz
-        t = _target_at(r, alpha_prime, alpha, z)
-        scale = max(
-            1.0,
-            float(np.linalg.norm(uz) * np.linalg.norm(lz) * np.linalg.norm(vz)),
-        )
-        diff = prod - t
-        max_res = max(max_res, float(np.linalg.norm(diff)) / scale)
-        for bi in range(4):
-            for bj in range(4):
-                sub = diff[rcuts[bi] : rcuts[bi + 1], ccuts[bj] : ccuts[bj + 1]]
-                if sub.size:
-                    key = (bi + 1, bj + 1)
-                    block_res[key] = max(
-                        block_res.get(key, 0.0), float(np.max(np.abs(sub))) / scale
-                    )
-        cor = prod[np.ix_(row_perm, col_perm)]
-        cor_target = np.zeros_like(cor)
-        cor_target[:alpha_prime, :alpha_prime] = np.eye(alpha_prime)
-        cor_target[alpha_prime : alpha_prime + n + p, alpha_prime : alpha_prime + n + m] = s_poly.eval(z)
-        cor_target[alpha_prime + n + p :, alpha_prime + n + m :] = np.eye(alpha)
-        cor_res = max(cor_res, float(np.linalg.norm(cor - cor_target)) / scale)
-        u_dets.append(np.linalg.det(uz))
-        v_dets.append(np.linalg.det(vz))
+    res = np.empty(points)
+    cor_res = np.empty(points)
+    u_dets = np.empty(points, dtype=complex)
+    v_dets = np.empty(points, dtype=complex)
+    worst = np.zeros((rows, cols))  # entrywise worst relative residual
+    step = _chunk_points(rows, cols)
+    # an overflowing point is reported as an infinite residual, not as a warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        for lo in range(0, points, step):
+            hi = min(lo + step, points)
+            z = zs[lo:hi]
+            uz = u.eval_stack(z)
+            lz = pencil.eval_stack(z)
+            vz = v.eval_stack(z)
+            prod = uz @ lz @ vz
+            scale = np.maximum(1.0, _fro(uz) * _fro(lz) * _fro(vz))
+            overflow = ~np.isfinite(scale)
+            u_dets[lo:hi] = np.linalg.det(uz)
+            v_dets[lo:hi] = np.linalg.det(vz)
+
+            cor = prod[:, row_perm[:, None], col_perm]
+            _sub_eye(cor, 0, 0, alpha_prime)
+            cor[:, alpha_prime : alpha_prime + n + p, alpha_prime : alpha_prime + n + m] -= s_poly.eval_stack(z)
+            _sub_eye(cor, alpha_prime + n + p, alpha_prime + n + m, alpha)
+            cor_res[lo:hi] = _fro(cor) / scale
+
+            # prod becomes U L V minus the four-block target
+            _sub_eye(prod, 0, 0, alpha_prime)
+            prod[:, state, state] -= r.A.eval_stack(z)
+            prod[:, state, ccuts[3] :] += r.B
+            _sub_eye(prod, rcuts[2], ccuts[2], alpha)
+            prod[:, rcuts[3] :, state] -= r.C
+            prod[:, rcuts[3] :, ccuts[3] :] -= r.D.eval_stack(z)
+            res[lo:hi] = _fro(prod) / scale
+            rel = np.abs(prod) / scale[:, None, None]
+            if overflow.any():
+                res[lo:hi][overflow] = np.inf
+                cor_res[lo:hi][overflow] = np.inf
+                rel[overflow] = np.inf
+            np.maximum(worst, rel.max(axis=0), out=worst)
+
+    rows_used = [k for k in range(4) if rcuts[k + 1] > rcuts[k]]
+    cols_used = [k for k in range(4) if ccuts[k + 1] > ccuts[k]]
+    per_block = np.maximum.reduceat(worst, rcuts[rows_used], axis=0)
+    per_block = np.maximum.reduceat(per_block, ccuts[cols_used], axis=1)
+    block_res = {
+        (bi + 1, bj + 1): float(per_block[a, b])
+        for a, bi in enumerate(rows_used)
+        for b, bj in enumerate(cols_used)
+    }
 
     def _dev(dets):
-        dets = np.asarray(dets)
-        return float(max(np.max(np.abs(np.abs(dets) - 1.0)), np.max(np.abs(dets - dets[0]))))
+        return float(np.maximum(np.max(np.abs(np.abs(dets) - 1.0)), np.max(np.abs(dets - dets[0]))))
 
     return EquivalenceReport(
-        max_residual=max_res,
-        corollary_residual=cor_res,
+        max_residual=float(np.max(res)),
+        corollary_residual=float(np.max(cor_res)),
         block_residuals=block_res,
         u_unimodularity=_dev(u_dets),
         v_unimodularity=_dev(v_dets),
@@ -622,16 +648,14 @@ def system_equivalence_check(s1, s2, transforms, points: int = 12, tol: float = 
             return False
     nu = u.shape[0]
     nv = v.shape[0]
-    for z in sample_points(points, rng):
-        left = np.zeros((r1, r1), dtype=complex)
-        left[:nu, :nu] = u.eval(z)
-        left[nu:, nu:] = ut.eval(z)
-        right = np.zeros((c1, c1), dtype=complex)
-        right[:nv, :nv] = v.eval(z)
-        right[nv:, nv:] = vt.eval(z)
-        got = left @ s1.eval(z) @ right
-        want = s2.eval(z)
-        scale = max(1.0, float(np.linalg.norm(got)), float(np.linalg.norm(want)))
-        if np.linalg.norm(got - want) > tol * scale:
-            return False
-    return True
+    zs = sample_points(points, rng)
+    left = np.zeros((zs.size, r1, r1), dtype=complex)
+    left[:, :nu, :nu] = u.eval_stack(zs)
+    left[:, nu:, nu:] = ut.eval_stack(zs)
+    right = np.zeros((zs.size, c1, c1), dtype=complex)
+    right[:, :nv, :nv] = v.eval_stack(zs)
+    right[:, nv:, nv:] = vt.eval_stack(zs)
+    got = left @ s1.eval_stack(zs) @ right
+    want = s2.eval_stack(zs)
+    scale = np.maximum(1.0, np.maximum(_fro(got), _fro(want)))
+    return bool(np.all(_fro(got - want) <= tol * scale))

@@ -9,19 +9,23 @@ class SingularInput(ValueError):
     """An operation that needs a regular (det not identically zero) input got a singular one."""
 
 
-class InterpolationResidual(RuntimeError):
+class NumericalFailure(RuntimeError):
+    """A numerical routine did not converge or could not certify its result."""
+
+
+class InterpolationResidual(NumericalFailure):
     """Sampled values do not agree with a polynomial of the expected degree bound."""
 
 
-class HoldoutResidual(RuntimeError):
+class HoldoutResidual(NumericalFailure):
     """Interpolated determinant failed its holdout-point consistency check."""
 
 
-class NonConvergence(RuntimeError):
+class NonConvergence(NumericalFailure):
     """Simultaneous root iteration did not converge within the sweep budget."""
 
 
-class AllSamplesSingular(RuntimeError):
+class AllSamplesSingular(NumericalFailure):
     """Every sample point of an evaluable matrix function failed to evaluate."""
 
 

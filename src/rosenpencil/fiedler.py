@@ -32,6 +32,7 @@ __all__ = [
     "square_fiedler_pencil",
     "build_w_sequence",
     "fiedler_pencil_rect",
+    "pencil_from_tail",
     "expected_size",
     "check_block_structure",
     "StructureReport",
@@ -313,7 +314,7 @@ def _w_mixed_step(g: Grid, consec: bool, a_next: np.ndarray, d_next: np.ndarray,
             (ar + 1, ac + 1, -d_next),
             (ar + 2, ac + 1, _eye(m)),
         ]
-    return splice(g, row_map, new_rsz, col_map, new_csz, extra, _zeros, ar + 1, ac + 1)
+    return splice(g, row_map, new_rsz, col_map, new_csz, extra, None, ar + 1, ac + 1)
 
 
 def _w_state_step(g: Grid, consec: bool, a_next: np.ndarray, n) -> Grid:
@@ -330,7 +331,7 @@ def _w_state_step(g: Grid, consec: bool, a_next: np.ndarray, n) -> Grid:
         row_map = [0] + [k + 1 for k in range(1, g.nrows)]
         new_rsz = [g.rsz[0], n] + g.rsz[1:]
         extra = [(0, 0, -a_next), (1, 0, _eye(n))]
-    return splice(g, row_map, new_rsz, col_map, new_csz, extra, _zeros, g.a_r + 1, g.a_c + 1)
+    return splice(g, row_map, new_rsz, col_map, new_csz, extra, None, g.a_r + 1, g.a_c + 1)
 
 
 def _w_feed_step(g: Grid, consec: bool, d_next: np.ndarray, p, m) -> Grid:
@@ -348,7 +349,7 @@ def _w_feed_step(g: Grid, consec: bool, d_next: np.ndarray, p, m) -> Grid:
         row_map = [k if k <= ar else k + 1 for k in range(g.nrows)]
         new_rsz = g.rsz[: ar + 1] + [m] + g.rsz[ar + 1 :]
         extra = [(ar, ac, -d_next), (ar + 1, ac, _eye(m))]
-    return splice(g, row_map, new_rsz, col_map, new_csz, extra, _zeros, ar, ac)
+    return splice(g, row_map, new_rsz, col_map, new_csz, extra, None, ar, ac)
 
 
 def _w_grids(r: Rsmp, s: SigmaSeq) -> list[Grid]:
@@ -379,7 +380,16 @@ def _w_grids(r: Rsmp, s: SigmaSeq) -> list[Grid]:
 
 
 def _grid_to_blockmatrix(g: Grid) -> BlockMatrix:
-    return BlockMatrix(np.block(g.cells), g.rsz, g.csz)
+    data = _zeros(sum(g.rsz), sum(g.csz))
+    r0 = 0
+    for row, rs in zip(g.cells, g.rsz):
+        c0 = 0
+        for cell, cs in zip(row, g.csz):
+            if cell is not None:
+                data[r0 : r0 + rs, c0 : c0 + cs] = cell
+            c0 += cs
+        r0 += rs
+    return BlockMatrix(data, g.rsz, g.csz)
 
 
 def build_w_sequence(r: Rsmp, s: SigmaSeq) -> list[BlockMatrix]:
@@ -436,10 +446,12 @@ def fiedler_pencil_rect(r: Rsmp, s: SigmaSeq) -> Pencil:
             ]
         )
         return Pencil(lead, tail, (n, p), (n, m))
-    tail = _w_grids(r, s)[-1]
-    bm = _grid_to_blockmatrix(tail)
-    lead = _rect_lead(r, bm.row_sizes, bm.col_sizes)
-    return Pencil(lead, bm.data, bm.row_sizes, bm.col_sizes)
+    return pencil_from_tail(r, _grid_to_blockmatrix(_w_grids(r, s)[-1]))
+
+
+def pencil_from_tail(r: Rsmp, w: BlockMatrix) -> Pencil:
+    """The pencil whose tail is the last matrix of ``build_w_sequence`` (degree >= 2)."""
+    return Pencil(_rect_lead(r, w.row_sizes, w.col_sizes), w.data, w.row_sizes, w.col_sizes)
 
 
 # ---------------------------------------------------------------------------

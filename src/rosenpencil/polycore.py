@@ -134,6 +134,20 @@ class MatrixPolynomial:
             acc = z * acc + self.coeffs[k]
         return acc
 
+    def eval_stack(self, zs) -> np.ndarray:
+        """Evaluate at every point of ``zs`` by stacked Horner: a ``(P, rows, cols)`` stack.
+
+        Slice ``k`` equals ``eval(zs[k])`` bit for bit: each step multiplies
+        with the point on the left and adds the coefficient, as ``eval`` does.
+        """
+        zc = np.asarray(zs, dtype=complex).reshape(-1, 1, 1)
+        acc = np.empty((zc.shape[0], self.rows, self.cols), dtype=complex)
+        acc[...] = self.coeffs[-1]
+        for k in range(self.degree - 1, -1, -1):
+            np.multiply(zc, acc, out=acc)
+            acc += self.coeffs[k]
+        return acc
+
     def horner_shift(self, k: int) -> "MatrixPolynomial":
         """Degree-k tail polynomial ``C_{d-k} + lambda C_{d-k+1} + ... + lambda^k C_d``.
 

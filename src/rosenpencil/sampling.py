@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from .errors import NumericalFailure
 from .polycore import MatrixPolynomial, is_regular
 from .rsmp import Rsmp
 from .sigma import SigmaSeq
@@ -26,7 +27,7 @@ def random_rsmp(rng, n, p, m, d_a, d_d, lo: int = -3, hi: int = 3) -> Rsmp:
         if is_regular(a):
             break
     else:
-        raise RuntimeError("could not draw a regular state polynomial")
+        raise NumericalFailure("could not draw a regular state polynomial")
     d = MatrixPolynomial([draw(p, m) for _ in range(d_d + 1)])
     return Rsmp(a, draw(n, m), draw(p, n), d, check_regular=False)
 

@@ -18,5 +18,18 @@ def worked_example() -> Rsmp:
 
 
 @pytest.fixture
+def overflowing_example() -> Rsmp:
+    """A 2x2 system matrix of degree 3 with coefficients near 1e160.
+
+    The norm product |U||L||V| overflows at every sample point, so no
+    residual can be certified in floating point.
+    """
+    big = 1e160
+    a = MatrixPolynomial([[[2.0 * big]], [[-1.0 * big]], [[3.0 * big]], [[1.0 * big]]])
+    d = MatrixPolynomial([[[1.0 * big]], [[2.0 * big]], [[-2.0 * big]], [[1.0 * big]]])
+    return Rsmp(a, [[1.0 * big]], [[-3.0 * big]], d)
+
+
+@pytest.fixture
 def rng():
     return np.random.default_rng(20240809)

@@ -82,3 +82,81 @@ def witness_sizes(n, p, m, da, dd, s, i):
     if i <= da - 2:
         return a_part + (p + p * c_i + m * i_i), a_part + (m + p * c_i + m * i_i)
     return da * n + (p + p * c_i + m * i_i), da * n + (m + p * c_i + m * i_i)
+
+
+def target_at(r, alpha_prime, alpha, z):
+    """The four-block padded system matrix at one point z."""
+    n, p, m = r.n, r.p, r.m
+    rows = alpha_prime + n + alpha + p
+    cols = alpha_prime + n + alpha + m
+    t = np.zeros((rows, cols), dtype=complex)
+    t[:alpha_prime, :alpha_prime] = np.eye(alpha_prime)
+    t[alpha_prime : alpha_prime + n, alpha_prime : alpha_prime + n] = r.A.eval(z)
+    t[alpha_prime : alpha_prime + n, alpha_prime + n + alpha :] = -r.B
+    t[alpha_prime + n : alpha_prime + n + alpha, alpha_prime + n : alpha_prime + n + alpha] = np.eye(alpha)
+    t[alpha_prime + n + alpha :, alpha_prime : alpha_prime + n] = r.C
+    t[alpha_prime + n + alpha :, alpha_prime + n + alpha :] = r.D.eval(z)
+    return t
+
+
+def verify_theorem_pointwise(r, s, pencil, u, v, points=20, tol=1e-8, rng=None):
+    """Reference for ``verify_theorem``: one sample point at a time, scalar evaluation.
+
+    Draws the same points from ``rng`` and returns the same report fields;
+    the batched engine must agree with it up to the rounding of its norms.
+    """
+    from rosenpencil.equivalence import EquivalenceReport, _padding_sizes, sample_points
+
+    rng = np.random.default_rng(0) if rng is None else rng
+    alpha_prime, alpha = _padding_sizes(r, s)
+    n, p, m = r.n, r.p, r.m
+    rcuts = np.cumsum([0, alpha_prime, n, alpha, p])
+    ccuts = np.cumsum([0, alpha_prime, n, alpha, m])
+    row_perm = np.r_[0:alpha_prime, alpha_prime : alpha_prime + n,
+                     rcuts[3] : rcuts[4], rcuts[2] : rcuts[3]].astype(int)
+    col_perm = np.r_[0:alpha_prime, alpha_prime : alpha_prime + n,
+                     ccuts[3] : ccuts[4], ccuts[2] : ccuts[3]].astype(int)
+
+    zs = sample_points(points, rng)
+    max_res = 0.0
+    cor_res = 0.0
+    block_res = {}
+    u_dets = []
+    v_dets = []
+    s_poly = r.assemble_s()
+    for z in zs:
+        uz = u.eval(z)
+        vz = v.eval(z)
+        lz = pencil.eval(z)
+        prod = uz @ lz @ vz
+        t = target_at(r, alpha_prime, alpha, z)
+        scale = max(1.0, float(np.linalg.norm(uz) * np.linalg.norm(lz) * np.linalg.norm(vz)))
+        diff = prod - t
+        max_res = max(max_res, float(np.linalg.norm(diff)) / scale)
+        for bi in range(4):
+            for bj in range(4):
+                sub = diff[rcuts[bi] : rcuts[bi + 1], ccuts[bj] : ccuts[bj + 1]]
+                if sub.size:
+                    key = (bi + 1, bj + 1)
+                    block_res[key] = max(block_res.get(key, 0.0), float(np.max(np.abs(sub))) / scale)
+        cor = prod[np.ix_(row_perm, col_perm)]
+        cor_target = np.zeros_like(cor)
+        cor_target[:alpha_prime, :alpha_prime] = np.eye(alpha_prime)
+        cor_target[alpha_prime : alpha_prime + n + p, alpha_prime : alpha_prime + n + m] = s_poly.eval(z)
+        cor_target[alpha_prime + n + p :, alpha_prime + n + m :] = np.eye(alpha)
+        cor_res = max(cor_res, float(np.linalg.norm(cor - cor_target)) / scale)
+        u_dets.append(np.linalg.det(uz))
+        v_dets.append(np.linalg.det(vz))
+
+    def _dev(dets):
+        dets = np.asarray(dets)
+        return float(max(np.max(np.abs(np.abs(dets) - 1.0)), np.max(np.abs(dets - dets[0]))))
+
+    return EquivalenceReport(
+        max_residual=max_res,
+        corollary_residual=cor_res,
+        block_residuals=block_res,
+        u_unimodularity=_dev(u_dets),
+        v_unimodularity=_dev(v_dets),
+        tol=tol,
+    )

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from rosenpencil import emit_rsmp, parse_pencil
+from rosenpencil import NonConvergence, emit_rsmp, parse_pencil, spectral
 from rosenpencil.cli import main
 from rosenpencil.sampling import random_rsmp
 
@@ -96,8 +96,28 @@ class TestVerifyCommand:
         path.write_text("{")
         assert main(["verify", str(path), "--all"]) == 2
 
+    def test_overflowing_instance_fails(self, tmp_path, overflowing_example, capsys):
+        # the residual scale overflows, which must fail the verdict rather
+        # than read as a zero residual
+        path = tmp_path / "big.json"
+        path.write_text(emit_rsmp(overflowing_example))
+        assert main(["verify", str(path), "--all"]) == 1
+        records = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+        assert len(records) == 4
+        assert all(rec["verdict"] == "fail" for rec in records)
+
 
 class TestEigCommand:
+    def test_nonconvergence_is_exit_two(self, example_file, capsys, monkeypatch):
+        def no_convergence(*args, **kwargs):
+            raise NonConvergence("root iteration did not converge in 500 sweeps")
+
+        monkeypatch.setattr(spectral, "poly_roots", no_convergence)
+        assert main(["eig", example_file]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: root iteration did not converge")
+        assert "Traceback" not in err
+
     def test_worked_example_narrative(self, example_file, capsys):
         assert main(["eig", example_file]) == 0
         out = capsys.readouterr().out
@@ -115,6 +135,13 @@ class TestInfoCommand:
 
 
 class TestFuzzCommand:
+    def test_sampling_failure_is_exit_two(self, capsys, monkeypatch):
+        import rosenpencil.sampling
+
+        monkeypatch.setattr(rosenpencil.sampling, "is_regular", lambda poly: False)
+        assert main(["fuzz", "--max-dim", "1", "--max-deg", "1"]) == 2
+        assert capsys.readouterr().err == "error: could not draw a regular state polynomial\n"
+
     def test_small_sweep_passes_and_repeats(self, tmp_path, capsys):
         args = [
             "fuzz", "--seed", "5", "--max-dim", "2", "--max-deg", "2",

@@ -3,6 +3,7 @@ import pytest
 
 from rosenpencil import (
     DimensionError,
+    EquivalenceReport,
     MatrixPolynomial,
     SigmaSeq,
     all_decision_strings,
@@ -17,9 +18,11 @@ from rosenpencil import (
     verify_theorem,
 )
 from rosenpencil.blocks import Pencil, PolyBlockMatrix
+from rosenpencil.equivalence import _chunk_points
 from rosenpencil.sampling import random_rsmp
 
 
+import oracles
 from oracles import witness_sizes
 
 
@@ -327,13 +330,13 @@ class TestSystemEquivalence:
         u1, u2 = cut(u, n_top)
         v1, v2 = cut(v, n_top)
         # target: the four-block reduced form, built coefficientwise
-        from rosenpencil.equivalence import _padding_sizes, _target_at
+        from rosenpencil.equivalence import _padding_sizes
 
         ap, al = _padding_sizes(r, s)
         deg = r.degree
         n = r.n
         coeffs = np.zeros((deg + 1, rows, cols), dtype=complex)
-        coeffs[0] = _target_at(r, ap, al, 0.0)
+        coeffs[0] = oracles.target_at(r, ap, al, 0.0)
         for k in range(1, deg + 1):
             coeffs[k][ap : ap + n, ap : ap + n] = r.A.coeff(k)
             coeffs[k][ap + n + al :, ap + n + al :] = r.D.coeff(k)
@@ -358,3 +361,94 @@ class TestSystemEquivalence:
         eye3 = PolyBlockMatrix(MatrixPolynomial.identity(3), (3,), (3,))
         with pytest.raises(DimensionError):
             system_equivalence_check(s_poly, s_poly, (eye3, eye3, eye3, eye3), rng=rng)
+
+
+class TestBatchedVerify:
+    """The chunked, stacked engine against the one-point-at-a-time reference."""
+
+    @staticmethod
+    def assert_same_report(got, want):
+        assert got.verdict == want.verdict
+        assert list(got.block_residuals) == list(want.block_residuals)
+        pairs = [
+            (got.max_residual, want.max_residual),
+            (got.corollary_residual, want.corollary_residual),
+            (got.u_unimodularity, want.u_unimodularity),
+            (got.v_unimodularity, want.v_unimodularity),
+        ] + [(got.block_residuals[k], want.block_residuals[k]) for k in want.block_residuals]
+        for a, b in pairs:
+            assert abs(a - b) <= 1e-15
+
+    def test_matches_pointwise_reference_on_grid_sample(self, rng):
+        shapes = [(1, 1, 1), (1, 2, 3), (2, 3, 1), (3, 1, 2), (2, 2, 2)]
+        degrees = [(1, 1), (1, 3), (3, 1), (2, 4), (4, 2), (3, 3)]
+        for n, p, m in shapes:
+            for d_a, d_d in degrees:
+                r = random_rsmp(rng, n, p, m, d_a, d_d)
+                for s in all_decision_strings(max(d_a, d_d)):
+                    pencil, u, v = linearization_with_witnesses(r, s)
+                    seed = int(rng.integers(2**32))
+                    got = verify_theorem(r, s, pencil, u, v, rng=np.random.default_rng(seed))
+                    want = oracles.verify_theorem_pointwise(r, s, pencil, u, v, rng=np.random.default_rng(seed))
+                    self.assert_same_report(got, want)
+
+    def test_stacks_match_scalar_eval(self, rng):
+        r = random_rsmp(rng, 2, 1, 3, 3, 2)
+        s = SigmaSeq("CI")
+        pencil, u, v = linearization_with_witnesses(r, s)
+        zs = 2.0 * (rng.standard_normal(9) + 1j * rng.standard_normal(9))
+        for obj in (pencil, u, v):
+            stack = obj.eval_stack(zs)
+            assert stack.shape == (zs.size,) + obj.shape
+            for k, z in enumerate(zs):
+                assert np.array_equal(stack[k], obj.eval(z))
+
+    def test_point_counts_across_chunk_boundaries(self, rng):
+        r = random_rsmp(rng, 3, 2, 3, 4, 3)
+        s = SigmaSeq("CIC")
+        pencil, u, v = linearization_with_witnesses(r, s)
+        chunk = _chunk_points(*pencil.shape)
+        assert 1 < chunk < 41  # so that the counts below straddle chunk boundaries
+        for points in (1, 41, chunk - 1, chunk, chunk + 1):
+            got = verify_theorem(r, s, pencil, u, v, points=points, rng=np.random.default_rng(points))
+            want = oracles.verify_theorem_pointwise(
+                r, s, pencil, u, v, points=points, rng=np.random.default_rng(points)
+            )
+            assert got.verdict
+            self.assert_same_report(got, want)
+
+    def test_perturbed_pencil_fails_like_reference(self, rng):
+        r = random_rsmp(rng, 2, 3, 1, 3, 2)
+        s = SigmaSeq("IC")
+        pencil, u, v = linearization_with_witnesses(r, s)
+        tail = pencil.tail.copy()
+        tail[-1, 0] += 1e-3
+        bad = Pencil(pencil.lead, tail, pencil.row_sizes, pencil.col_sizes)
+        got = verify_theorem(r, s, bad, u, v, points=7, rng=np.random.default_rng(3))
+        want = oracles.verify_theorem_pointwise(r, s, bad, u, v, points=7, rng=np.random.default_rng(3))
+        assert not got.verdict
+        self.assert_same_report(got, want)
+
+    def test_no_points_rejected(self, rng):
+        r = random_rsmp(rng, 1, 1, 1, 2, 2)
+        s = SigmaSeq("C")
+        pencil, u, v = linearization_with_witnesses(r, s)
+        with pytest.raises(ValueError):
+            verify_theorem(r, s, pencil, u, v, points=0)
+
+
+class TestNonFiniteResiduals:
+    def test_overflowing_instance_fails_every_string(self, overflowing_example):
+        r = overflowing_example
+        for s in all_decision_strings(3):
+            pencil, u, v = linearization_with_witnesses(r, s)
+            rep = verify_theorem(r, s, pencil, u, v)
+            assert not rep.verdict
+            assert rep.max_residual == np.inf
+            assert rep.corollary_residual == np.inf
+
+    def test_non_finite_figure_fails_any_tolerance(self):
+        for tol in (1e-8, np.inf):
+            for bad in (np.nan, np.inf):
+                assert not EquivalenceReport(max_residual=bad, corollary_residual=0.0, tol=tol).verdict
+                assert not EquivalenceReport(0.0, 0.0, u_unimodularity=bad, tol=tol).verdict

@@ -38,6 +38,29 @@ class TestEval:
             assert np.max(np.abs(p.eval(z) - naive_eval(p, z))) <= tol
 
 
+class TestEvalStack:
+    def test_each_slice_is_scalar_eval_bit_for_bit(self, rng):
+        for _ in range(100):
+            deg = int(rng.integers(0, 6))
+            rows = int(rng.integers(1, 5))
+            cols = int(rng.integers(1, 5))
+            p = MatrixPolynomial(
+                rng.standard_normal((deg + 1, rows, cols))
+                + 1j * rng.standard_normal((deg + 1, rows, cols))
+            )
+            zs = 2.0 * (rng.standard_normal(7) + 1j * rng.standard_normal(7))
+            stack = p.eval_stack(zs)
+            assert stack.shape == (7, rows, cols)
+            for k, z in enumerate(zs):
+                assert np.array_equal(stack[k], p.eval(z))
+                assert np.array_equal(stack[k], p.eval(complex(z)))
+
+    def test_single_point_and_real_points(self):
+        p = MatrixPolynomial([[[-1.0]], [[1.0]]])  # lambda - 1
+        assert p.eval_stack([1.0]).shape == (1, 1, 1)
+        assert np.array_equal(p.eval_stack([1.0, 3.0])[:, 0, 0], [0.0, 2.0])
+
+
 class TestHornerShift:
     def test_shift_zero_is_leading_coefficient(self, rng):
         p = MatrixPolynomial(rng.standard_normal((5, 2, 2)) + 0j)
