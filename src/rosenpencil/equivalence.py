@@ -1,8 +1,11 @@
 """Unimodular witnesses that certify Fiedler pencils as linearizations.
 
-Two companion recursions produce, step by step, a left witness sequence and
-a right witness sequence of block matrix polynomials.  Their final elements
-U and V satisfy, for the pencil L of the same decision sequence,
+A companion recursion produces, step by step, the left witness sequence N
+of block matrix polynomials.  The right witness sequence H is the same
+recursion run on the transposed system (A^T, -C^T, -B^T, D^T) under the
+flipped decisions (C and I swapped), each element transposed: the
+transpose relation between Fiedler pencils of P and P^T.  The final
+elements U and V satisfy, for the pencil L of the same decision sequence,
 
     U(z) L(z) V(z) = [[I, 0, 0, 0], [0, A(z), 0, -B], [0, 0, I, 0], [0, C, 0, D(z)]]
 
@@ -20,7 +23,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from ._gridops import Grid, splice
+from ._gridops import Grid, schedule, splice
 from .blocks import Pencil, PolyBlockMatrix
 from .errors import DimensionError
 from .polycore import MatrixPolynomial
@@ -131,62 +134,11 @@ def _n_seed(r: Rsmp, consec: bool) -> Grid:
     return Grid(cells, [n, n, m, p], [n, n, p, m], 2, 2)
 
 
-def _h_seed(r: Rsmp, consec: bool) -> Grid:
-    n, p, m = r.n, r.p, r.m
-    pa = r.A.horner_shift(r.d_a - 1)
-    if r.d_a >= r.d_d:
-        if r.d_d == 1:
-            if consec:
-                cells = [
-                    [_mp_zero(n, n), _mp_eye(n), _mp_zero(n, m)],
-                    [_neg(_mp_eye(n)), pa, _mp_zero(n, m)],
-                    [_mp_zero(m, n), _mp_zero(m, n), _mp_eye(m)],
-                ]
-            else:
-                cells = [
-                    [_mp_eye(n), _lam(_mp_eye(n)), _mp_zero(n, m)],
-                    [_mp_zero(n, n), _mp_eye(n), _mp_zero(n, m)],
-                    [_mp_zero(m, n), _mp_zero(m, n), _mp_eye(m)],
-                ]
-            return Grid(cells, [n, n, m], [n, n, m], 2, 2)
-    elif r.d_a == 1:
-        qd = r.D.horner_shift(r.d_d - 1)
-        if consec:
-            cells = [
-                [_mp_eye(n), _mp_zero(n, p), _mp_zero(n, m)],
-                [_mp_zero(m, n), _mp_zero(m, p), _mp_eye(m)],
-                [_mp_zero(p, n), _neg(_mp_eye(p)), qd],
-            ]
-            return Grid(cells, [n, m, p], [n, p, m], 1, 1)
-        cells = [
-            [_mp_eye(n), _mp_zero(n, m), _mp_zero(n, m)],
-            [_mp_zero(m, n), _mp_eye(m), _lam(_mp_eye(m))],
-            [_mp_zero(m, n), _mp_zero(m, m), _mp_eye(m)],
-        ]
-        return Grid(cells, [n, m, m], [n, m, m], 1, 1)
-
-    qd = r.D.horner_shift(r.d_d - 1)
-    if consec:
-        cells = [
-            [_mp_zero(n, n), _mp_eye(n), _mp_zero(n, p), _mp_zero(n, m)],
-            [_neg(_mp_eye(n)), pa, _mp_zero(n, p), _mp_zero(n, m)],
-            [_mp_zero(m, n), _mp_zero(m, n), _mp_zero(m, p), _mp_eye(m)],
-            [_mp_zero(p, n), _mp_zero(p, n), _neg(_mp_eye(p)), qd],
-        ]
-        return Grid(cells, [n, n, m, p], [n, n, p, m], 2, 2)
-    cells = [
-        [_mp_eye(n), _lam(_mp_eye(n)), _mp_zero(n, m), _mp_zero(n, m)],
-        [_mp_zero(n, n), _mp_eye(n), _mp_zero(n, m), _mp_zero(n, m)],
-        [_mp_zero(m, n), _mp_zero(m, n), _mp_eye(m), _lam(_mp_eye(m))],
-        [_mp_zero(m, n), _mp_zero(m, n), _mp_zero(m, m), _mp_eye(m)],
-    ]
-    return Grid(cells, [n, n, m, m], [n, n, m, m], 2, 2)
-
-
 # -- recursion steps ---------------------------------------------------------
 
 
-def _n_mixed_step(g: Grid, consec: bool, pa: MatrixPolynomial, qd: MatrixPolynomial, n, p, m) -> Grid:
+def _n_mixed_step(g: Grid, consec: bool, r: Rsmp, i: int) -> Grid:
+    n, p, m = r.n, r.p, r.m
     ar, ac = g.a_r, g.a_c
     if consec:
         row_map = [k + 1 if k < ar else k + 2 for k in range(g.nrows)]
@@ -199,6 +151,7 @@ def _n_mixed_step(g: Grid, consec: bool, pa: MatrixPolynomial, qd: MatrixPolynom
         for k in range(ar, g.nrows):
             extra.append((k + 2, ac + 1, _lam(g.cells[k][ac])))
     else:
+        pa, qd = r.A.horner_shift(r.d_a - i - 1), r.D.horner_shift(r.d_d - i - 1)
         row_map = [k + 1 if k < ar else k + 2 for k in range(g.nrows)]
         new_rsz = [n] + g.rsz[:ar] + [m] + g.rsz[ar:]
         col_map = (
@@ -215,7 +168,8 @@ def _n_mixed_step(g: Grid, consec: bool, pa: MatrixPolynomial, qd: MatrixPolynom
     return splice(g, row_map, new_rsz, col_map, new_csz, extra, _mp_zero, ar + 1, ac + 1)
 
 
-def _n_state_step(g: Grid, consec: bool, pa: MatrixPolynomial, n) -> Grid:
+def _n_state_step(g: Grid, consec: bool, r: Rsmp, i: int) -> Grid:
+    n = r.n
     if consec:
         row_map = [k + 1 for k in range(g.nrows)]
         new_rsz = [n] + g.rsz
@@ -225,6 +179,7 @@ def _n_state_step(g: Grid, consec: bool, pa: MatrixPolynomial, n) -> Grid:
         for k in range(g.nrows):
             extra.append((k + 1, 0, _lam(g.cells[k][0])))
     else:
+        pa = r.A.horner_shift(r.d_a - i - 1)
         row_map = [k + 1 for k in range(g.nrows)]
         new_rsz = [n] + g.rsz
         col_map = [0] + [j + 1 for j in range(1, g.ncols)]
@@ -235,7 +190,8 @@ def _n_state_step(g: Grid, consec: bool, pa: MatrixPolynomial, n) -> Grid:
     return splice(g, row_map, new_rsz, col_map, new_csz, extra, _mp_zero, g.a_r + 1, g.a_c + 1)
 
 
-def _n_feed_step(g: Grid, consec: bool, qd: MatrixPolynomial, p, m) -> Grid:
+def _n_feed_step(g: Grid, consec: bool, r: Rsmp, i: int) -> Grid:
+    p, m = r.p, r.m
     ar, ac = g.a_r, g.a_c
     if consec:
         row_map = [k if k < ar else k + 1 for k in range(g.nrows)]
@@ -246,6 +202,7 @@ def _n_feed_step(g: Grid, consec: bool, qd: MatrixPolynomial, p, m) -> Grid:
         for k in range(ar, g.nrows):
             extra.append((k + 1, ac, _lam(g.cells[k][ac])))
     else:
+        qd = r.D.horner_shift(r.d_d - i - 1)
         row_map = [k if k < ar else k + 1 for k in range(g.nrows)]
         new_rsz = g.rsz[:ar] + [m] + g.rsz[ar:]
         col_map = [j if j <= ac else j + 1 for j in range(g.ncols)]
@@ -256,162 +213,28 @@ def _n_feed_step(g: Grid, consec: bool, qd: MatrixPolynomial, p, m) -> Grid:
     return splice(g, row_map, new_rsz, col_map, new_csz, extra, _mp_zero, ar, ac)
 
 
-def _h_mixed_step(g: Grid, consec: bool, pa: MatrixPolynomial, qd: MatrixPolynomial, n, p, m) -> Grid:
-    ar, ac = g.a_r, g.a_c
-    if consec:
-        row_map = (
-            [0]
-            + [k + 1 for k in range(1, ar + 1)]
-            + [k + 2 for k in range(ar + 1, g.nrows)]
-        )
-        new_rsz = [g.rsz[0], n] + g.rsz[1 : ar + 1] + [p] + g.rsz[ar + 1 :]
-        col_map = [j + 1 if j < ac else j + 2 for j in range(g.ncols)]
-        new_csz = [n] + g.csz[:ac] + [p] + g.csz[ac:]
-        extra = [(1, 0, _neg(_mp_eye(n))), (ar + 2, ac + 1, _neg(_mp_eye(p)))]
-        for j in range(ac):
-            extra.append((1, j + 1, _mul(pa, g.cells[0][j])))
-        for j in range(ac, g.ncols):
-            extra.append((ar + 2, j + 2, _mul(qd, g.cells[ar][j])))
-    else:
-        row_map = [k + 1 if k < ar else k + 2 for k in range(g.nrows)]
-        new_rsz = [n] + g.rsz[:ar] + [m] + g.rsz[ar:]
-        col_map = [j + 1 if j < ac else j + 2 for j in range(g.ncols)]
-        new_csz = [n] + g.csz[:ac] + [m] + g.csz[ac:]
-        extra = [(0, 0, _mp_eye(n)), (ar + 1, ac + 1, _mp_eye(m))]
-        for j in range(ac):
-            extra.append((0, j + 1, _lam(g.cells[0][j])))
-        for j in range(ac, g.ncols):
-            extra.append((ar + 1, j + 2, _lam(g.cells[ar][j])))
-    return splice(g, row_map, new_rsz, col_map, new_csz, extra, _mp_zero, ar + 1, ac + 1)
-
-
-def _h_state_step(g: Grid, consec: bool, pa: MatrixPolynomial, n) -> Grid:
-    if consec:
-        row_map = [0] + [k + 1 for k in range(1, g.nrows)]
-        new_rsz = [g.rsz[0], n] + g.rsz[1:]
-        col_map = [j + 1 for j in range(g.ncols)]
-        new_csz = [n] + g.csz
-        extra = [(1, 0, _neg(_mp_eye(n)))]
-        for j in range(g.ncols):
-            extra.append((1, j + 1, _mul(pa, g.cells[0][j])))
-    else:
-        row_map = [k + 1 for k in range(g.nrows)]
-        new_rsz = [n] + g.rsz
-        col_map = [j + 1 for j in range(g.ncols)]
-        new_csz = [n] + g.csz
-        extra = [(0, 0, _mp_eye(n))]
-        for j in range(g.ncols):
-            extra.append((0, j + 1, _lam(g.cells[0][j])))
-    return splice(g, row_map, new_rsz, col_map, new_csz, extra, _mp_zero, g.a_r + 1, g.a_c + 1)
-
-
-def _h_feed_step(g: Grid, consec: bool, qd: MatrixPolynomial, p, m) -> Grid:
-    ar, ac = g.a_r, g.a_c
-    if consec:
-        row_map = [k if k <= ar else k + 1 for k in range(g.nrows)]
-        new_rsz = g.rsz[: ar + 1] + [p] + g.rsz[ar + 1 :]
-        col_map = [j if j < ac else j + 1 for j in range(g.ncols)]
-        new_csz = g.csz[:ac] + [p] + g.csz[ac:]
-        extra = [(ar + 1, ac, _neg(_mp_eye(p)))]
-        for j in range(ac, g.ncols):
-            extra.append((ar + 1, j + 1, _mul(qd, g.cells[ar][j])))
-    else:
-        row_map = [k if k < ar else k + 1 for k in range(g.nrows)]
-        new_rsz = g.rsz[:ar] + [m] + g.rsz[ar:]
-        col_map = [j if j < ac else j + 1 for j in range(g.ncols)]
-        new_csz = g.csz[:ac] + [m] + g.csz[ac:]
-        extra = [(ar, ac, _mp_eye(m))]
-        for j in range(ac, g.ncols):
-            extra.append((ar, j + 1, _lam(g.cells[ar][j])))
-    return splice(g, row_map, new_rsz, col_map, new_csz, extra, _mp_zero, ar, ac)
-
-
 # -- sequence builders -------------------------------------------------------
 
 
-def _check_degree(r: Rsmp, s: SigmaSeq):
-    d = r.degree
-    if len(s) != d - 1:
-        raise DimensionError(f"need {d - 1} decisions for degree {d}, got {len(s)}")
-    if d < 2:
-        raise DimensionError("witness sequences need pencil degree >= 2")
-
-
-def _grid_to_pbm(g: Grid) -> PolyBlockMatrix:
+def _grid_to_pbm(g: Grid, transpose: bool = False) -> PolyBlockMatrix:
+    """The grid as one block matrix polynomial, or as its transpose with the partitions swapped."""
     deg = max(cell.degree for row in g.cells for cell in row)
-    rows_total, cols_total = sum(g.rsz), sum(g.csz)
-    coeffs = np.zeros((deg + 1, rows_total, cols_total), dtype=complex)
+    rsz, csz = (g.csz, g.rsz) if transpose else (g.rsz, g.csz)
+    coeffs = np.zeros((deg + 1, sum(rsz), sum(csz)), dtype=complex)
+    fill = coeffs.transpose(0, 2, 1) if transpose else coeffs
     r0 = 0
     for rr, rs in enumerate(g.rsz):
         c0 = 0
         for cc, cs in enumerate(g.csz):
             cell = g.cells[rr][cc]
-            coeffs[: cell.degree + 1, r0 : r0 + rs, c0 : c0 + cs] = cell.coeffs
+            fill[: cell.degree + 1, r0 : r0 + rs, c0 : c0 + cs] = cell.coeffs
             c0 += cs
         r0 += rs
-    return PolyBlockMatrix(MatrixPolynomial(coeffs), g.rsz, g.csz)
+    return PolyBlockMatrix(MatrixPolynomial(coeffs), rsz, csz)
 
 
 def _n_grids(r: Rsmp, s: SigmaSeq) -> list[Grid]:
-    _check_degree(r, s)
-    n, p, m = r.n, r.p, r.m
-    grids = [_n_seed(r, s.has_consecution(0))]
-    if r.d_a >= r.d_d:
-        for i in range(1, r.d_d - 1):
-            grids.append(
-                _n_mixed_step(
-                    grids[-1], s.has_consecution(i),
-                    r.A.horner_shift(r.d_a - i - 1), r.D.horner_shift(r.d_d - i - 1), n, p, m,
-                )
-            )
-        for i in range(max(1, r.d_d - 1), r.d_a - 1):
-            grids.append(
-                _n_state_step(grids[-1], s.has_consecution(i), r.A.horner_shift(r.d_a - i - 1), n)
-            )
-    else:
-        for i in range(1, r.d_a - 1):
-            grids.append(
-                _n_mixed_step(
-                    grids[-1], s.has_consecution(i),
-                    r.A.horner_shift(r.d_a - i - 1), r.D.horner_shift(r.d_d - i - 1), n, p, m,
-                )
-            )
-        for i in range(max(1, r.d_a - 1), r.d_d - 1):
-            grids.append(
-                _n_feed_step(grids[-1], s.has_consecution(i), r.D.horner_shift(r.d_d - i - 1), p, m)
-            )
-    return grids
-
-
-def _h_grids(r: Rsmp, s: SigmaSeq) -> list[Grid]:
-    _check_degree(r, s)
-    n, p, m = r.n, r.p, r.m
-    grids = [_h_seed(r, s.has_consecution(0))]
-    if r.d_a >= r.d_d:
-        for i in range(1, r.d_d - 1):
-            grids.append(
-                _h_mixed_step(
-                    grids[-1], s.has_consecution(i),
-                    r.A.horner_shift(r.d_a - i - 1), r.D.horner_shift(r.d_d - i - 1), n, p, m,
-                )
-            )
-        for i in range(max(1, r.d_d - 1), r.d_a - 1):
-            grids.append(
-                _h_state_step(grids[-1], s.has_consecution(i), r.A.horner_shift(r.d_a - i - 1), n)
-            )
-    else:
-        for i in range(1, r.d_a - 1):
-            grids.append(
-                _h_mixed_step(
-                    grids[-1], s.has_consecution(i),
-                    r.A.horner_shift(r.d_a - i - 1), r.D.horner_shift(r.d_d - i - 1), n, p, m,
-                )
-            )
-        for i in range(max(1, r.d_a - 1), r.d_d - 1):
-            grids.append(
-                _h_feed_step(grids[-1], s.has_consecution(i), r.D.horner_shift(r.d_d - i - 1), p, m)
-            )
-    return grids
+    return schedule(r, s, _n_seed, _n_mixed_step, _n_state_step, _n_feed_step)
 
 
 def build_n_sequence(r: Rsmp, s: SigmaSeq) -> list[PolyBlockMatrix]:
@@ -420,15 +243,19 @@ def build_n_sequence(r: Rsmp, s: SigmaSeq) -> list[PolyBlockMatrix]:
 
 
 def build_h_sequence(r: Rsmp, s: SigmaSeq) -> list[PolyBlockMatrix]:
-    """Right witness sequence; the final element is the right equivalence matrix."""
-    return [_grid_to_pbm(g) for g in _h_grids(r, s)]
+    """Right witness sequence; the final element is the right equivalence matrix.
+
+    Each element is the transpose of the left witness of the same step for
+    the transposed system under the flipped decisions.
+    """
+    return [_grid_to_pbm(g, transpose=True) for g in _n_grids(r.transpose(), s.flipped())]
 
 
 def unimodular_pair(r: Rsmp, s: SigmaSeq) -> tuple[PolyBlockMatrix, PolyBlockMatrix]:
     """Final (U, V) witnesses for the decision sequence; needs degree >= 2."""
-    if r.degree < 2:
-        raise DimensionError("witnesses are defined for pencil degree >= 2")
-    return _grid_to_pbm(_n_grids(r, s)[-1]), _grid_to_pbm(_h_grids(r, s)[-1])
+    u = _grid_to_pbm(_n_grids(r, s)[-1])
+    v = _grid_to_pbm(_n_grids(r.transpose(), s.flipped())[-1], transpose=True)
+    return u, v
 
 
 def linearization_with_witnesses(r: Rsmp, s: SigmaSeq):

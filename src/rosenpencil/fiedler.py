@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._gridops import Grid, splice
+from ._gridops import Grid, schedule, splice
 from .blocks import BlockMatrix, Pencil
 from .errors import DimensionError
 from .rsmp import Rsmp
@@ -289,8 +289,10 @@ def _seed_grid(r: Rsmp, consec: bool) -> Grid:
     return Grid(cells, [n, n, p, m], [n, n, m, m], 2, 2)
 
 
-def _w_mixed_step(g: Grid, consec: bool, a_next: np.ndarray, d_next: np.ndarray, n, p, m) -> Grid:
+def _w_mixed_step(g: Grid, consec: bool, r: Rsmp, i: int) -> Grid:
     """Both-sides growth step (runs while both degrees still have coefficients left)."""
+    n, p, m = r.n, r.p, r.m
+    a_next, d_next = r.A.coeff(i + 1), r.D.coeff(i + 1)
     ar, ac = g.a_r, g.a_c
     if consec:
         row_map = [k + 1 if k < ar else k + 2 for k in range(g.nrows)]
@@ -317,8 +319,9 @@ def _w_mixed_step(g: Grid, consec: bool, a_next: np.ndarray, d_next: np.ndarray,
     return splice(g, row_map, new_rsz, col_map, new_csz, extra, None, ar + 1, ac + 1)
 
 
-def _w_state_step(g: Grid, consec: bool, a_next: np.ndarray, n) -> Grid:
+def _w_state_step(g: Grid, consec: bool, r: Rsmp, i: int) -> Grid:
     """State-side-only growth (feedthrough degree exhausted)."""
+    n, a_next = r.n, r.A.coeff(i + 1)
     if consec:
         row_map = [k + 1 for k in range(g.nrows)]
         new_rsz = [n] + g.rsz
@@ -334,8 +337,9 @@ def _w_state_step(g: Grid, consec: bool, a_next: np.ndarray, n) -> Grid:
     return splice(g, row_map, new_rsz, col_map, new_csz, extra, None, g.a_r + 1, g.a_c + 1)
 
 
-def _w_feed_step(g: Grid, consec: bool, d_next: np.ndarray, p, m) -> Grid:
+def _w_feed_step(g: Grid, consec: bool, r: Rsmp, i: int) -> Grid:
     """Feedthrough-side-only growth (state degree exhausted)."""
+    p, m, d_next = r.p, r.m, r.D.coeff(i + 1)
     ar, ac = g.a_r, g.a_c
     if consec:
         row_map = [k if k < ar else k + 1 for k in range(g.nrows)]
@@ -353,30 +357,7 @@ def _w_feed_step(g: Grid, consec: bool, d_next: np.ndarray, p, m) -> Grid:
 
 
 def _w_grids(r: Rsmp, s: SigmaSeq) -> list[Grid]:
-    d = r.degree
-    if len(s) != d - 1:
-        raise DimensionError(
-            f"need {d - 1} decisions for degree {d}, got {len(s)}"
-        )
-    if d < 2:
-        raise DimensionError("the recursion needs pencil degree >= 2")
-    n, p, m = r.n, r.p, r.m
-    grids = [_seed_grid(r, s.has_consecution(0))]
-    if r.d_a >= r.d_d:
-        for i in range(1, r.d_d - 1):
-            grids.append(
-                _w_mixed_step(grids[-1], s.has_consecution(i), r.A.coeff(i + 1), r.D.coeff(i + 1), n, p, m)
-            )
-        for i in range(max(1, r.d_d - 1), r.d_a - 1):
-            grids.append(_w_state_step(grids[-1], s.has_consecution(i), r.A.coeff(i + 1), n))
-    else:
-        for i in range(1, r.d_a - 1):
-            grids.append(
-                _w_mixed_step(grids[-1], s.has_consecution(i), r.A.coeff(i + 1), r.D.coeff(i + 1), n, p, m)
-            )
-        for i in range(max(1, r.d_a - 1), r.d_d - 1):
-            grids.append(_w_feed_step(grids[-1], s.has_consecution(i), r.D.coeff(i + 1), p, m))
-    return grids
+    return schedule(r, s, _seed_grid, _w_mixed_step, _w_state_step, _w_feed_step)
 
 
 def _grid_to_blockmatrix(g: Grid) -> BlockMatrix:

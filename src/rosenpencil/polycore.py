@@ -168,19 +168,20 @@ def is_regular(p: MatrixPolynomial, trials: int = 8, rng_seed: int = 0) -> bool:
     """Probabilistic regularity test: does det p(lambda) vanish identically?
 
     Samples ``trials`` points from the disc of radius 2 and reports True as
-    soon as one determinant clears a scale-aware tolerance
-    ``1e-10 * (1-norm)^n``.  For a regular polynomial this succeeds with
-    probability one; for det identically zero it is False for every seed.
+    soon as the determinant of p(z) scaled to unit 1-norm exceeds 1e-10
+    (scaling first keeps large coefficients from overflowing the test; a
+    point where p(z) is zero is skipped).  For a regular polynomial this
+    succeeds with probability one; for det identically zero it is False
+    for every seed.
     """
     if p.rows != p.cols:
         raise DimensionError("regularity is defined for square matrix polynomials")
-    n = p.rows
     rng = np.random.default_rng(rng_seed)
     for _ in range(max(1, trials)):
         z = 2.0 * np.sqrt(rng.uniform()) * np.exp(2j * np.pi * rng.uniform())
         m = p.eval(z)
-        norm1 = np.max(np.abs(m).sum(axis=0)) if m.size else 0.0
-        if abs(np.linalg.det(m)) > 1e-10 * norm1**n:
+        norm1 = np.max(np.abs(m).sum(axis=0)) if m.size else 1.0
+        if norm1 > 0 and abs(np.linalg.det(m / norm1)) > 1e-10:
             return True
     return False
 

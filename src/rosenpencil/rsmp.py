@@ -32,7 +32,7 @@ class Rsmp:
     to run.
     """
 
-    __slots__ = ("A", "B", "C", "D", "a_regular")
+    __slots__ = ("A", "B", "C", "D", "a_regular", "_transposed")
 
     def __init__(self, A: MatrixPolynomial, B, C, D: MatrixPolynomial, check_regular: bool = True):
         B = as_matrix(B)
@@ -53,6 +53,7 @@ class Rsmp:
         self.B = B
         self.C = C
         self.D = D
+        self._transposed = None
         if check_regular:
             self.a_regular = is_regular(A)
             if not self.a_regular:
@@ -94,12 +95,30 @@ class Rsmp:
             f"Rsmp(n={self.n}, p={self.p}, m={self.m}, d_A={self.d_a}, d_D={self.d_d})"
         )
 
+    def transpose(self) -> "Rsmp":
+        """The system (A^T, -C^T, -B^T, D^T), whose system matrix is S(lambda)^T.
+
+        Built once and kept, since instances are immutable; its own
+        transpose is this instance.
+        """
+        if self._transposed is None:
+            t = Rsmp(_transpose(self.A), -self.C.T, -self.B.T, _transpose(self.D), check_regular=False)
+            t.a_regular = self.a_regular
+            t._transposed = self
+            self._transposed = t
+        return self._transposed
+
     # method forms of the module operations
     def assemble_s(self) -> MatrixPolynomial:
         return assemble_s(self)
 
     def transfer_eval(self, z: complex) -> np.ndarray:
         return transfer_eval(self, z)
+
+
+def _transpose(p: MatrixPolynomial) -> MatrixPolynomial:
+    """p(lambda)^T, its coefficients copied back to row-major layout."""
+    return MatrixPolynomial(p.coeffs.transpose(0, 2, 1).copy())
 
 
 def assemble_s(r: Rsmp) -> MatrixPolynomial:

@@ -17,6 +17,7 @@ __all__ = ["SigmaSeq", "all_decision_strings", "parse_sigma"]
 
 CONSECUTION = "C"
 INVERSION = "I"
+_FLIP = str.maketrans("CI", "IC")
 
 
 class SigmaSeq:
@@ -61,6 +62,10 @@ class SigmaSeq:
     def degree(self) -> int:
         """Pencil degree d implied by the sequence length."""
         return len(self.decisions) + 1
+
+    def flipped(self) -> "SigmaSeq":
+        """The decisions with every consecution and inversion swapped."""
+        return SigmaSeq(self.decisions.translate(_FLIP))
 
     def has_consecution(self, i: int) -> bool:
         return self.decisions[i] == CONSECUTION

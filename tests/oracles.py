@@ -8,6 +8,8 @@ separate from the package's interpolation-based routines.
 import numpy as np
 import scipy.optimize
 
+from rosenpencil import MatrixPolynomial, Rsmp
+
 
 def poly_mul(a, b):
     out = [0j] * (len(a) + len(b) - 1)
@@ -64,6 +66,18 @@ def multisets_match(a, b, tol):
     cost = np.abs(np.subtract.outer(np.array(a), np.array(b)))
     ri, ci = scipy.optimize.linear_sum_assignment(cost)
     return float(cost[ri, ci].max()) <= tol
+
+
+def spread_rsmp(rng, n, p, m, d_a, d_d, decades=4):
+    """Random complex instance with entry magnitudes spread over 1e-decades..1e+decades."""
+
+    def draw(rows, cols):
+        mag = 10.0 ** rng.uniform(-decades, decades, size=(rows, cols))
+        return mag * np.exp(2j * np.pi * rng.uniform(size=(rows, cols)))
+
+    a = MatrixPolynomial([draw(n, n) for _ in range(d_a + 1)])
+    d = MatrixPolynomial([draw(p, m) for _ in range(d_d + 1)])
+    return Rsmp(a, draw(n, m), draw(p, n), d, check_regular=False)
 
 
 def witness_sizes(n, p, m, da, dd, s, i):

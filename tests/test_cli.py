@@ -106,6 +106,20 @@ class TestVerifyCommand:
         assert len(records) == 4
         assert all(rec["verdict"] == "fail" for rec in records)
 
+    def test_overflowing_record_is_strict_json(self, tmp_path, overflowing_example, capsys):
+        # a non-finite residual is written as null, not as the token Infinity
+        def reject(token):
+            raise ValueError(f"non-standard JSON token {token}")
+
+        path = tmp_path / "big.json"
+        path.write_text(emit_rsmp(overflowing_example))
+        assert main(["verify", str(path), "--sigma", "CC"]) == 1
+        (line,) = capsys.readouterr().out.splitlines()
+        rec = json.loads(line, parse_constant=reject)
+        assert rec["max_residual"] is None
+        assert rec["corollary_residual"] is None
+        assert rec["verdict"] == "fail"
+
 
 class TestEigCommand:
     def test_nonconvergence_is_exit_two(self, example_file, capsys, monkeypatch):

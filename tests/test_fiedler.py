@@ -191,6 +191,39 @@ class TestWSequence:
             build_w_sequence(r, SigmaSeq("C"))
 
 
+def _grid_sample():
+    """Every fifth cell of the acceptance grid with pencil degree >= 2."""
+    cells = [
+        (n, p, m, da, dd)
+        for n in (1, 2, 3)
+        for p in (1, 2, 3)
+        for m in (1, 2, 3)
+        for da in range(1, 6)
+        for dd in range(1, 6)
+        if max(da, dd) >= 2
+    ]
+    return cells[::5]
+
+
+class TestTransposeDuality:
+    @pytest.mark.parametrize("data", ["integer", "spread"])
+    def test_w_sequence_is_self_dual(self, data):
+        # W(r, s) is W(r^T, s with C and I swapped) transposed, bit for bit:
+        # this ties each written-out inversion branch to its consecution twin
+        rng = np.random.default_rng(20240917)
+        draw = random_rsmp if data == "integer" else oracles.spread_rsmp
+        for cell in _grid_sample():
+            r = draw(rng, *cell)
+            rt = r.transpose()
+            for s in all_decision_strings(r.degree):
+                ws = build_w_sequence(r, s)
+                wts = build_w_sequence(rt, s.flipped())
+                assert len(ws) == len(wts)
+                for w, wt in zip(ws, wts):
+                    assert wt.row_sizes == w.col_sizes and wt.col_sizes == w.row_sizes
+                    assert np.ascontiguousarray(wt.data.T).tobytes() == w.data.tobytes(), (cell, s.decisions)
+
+
 class TestRectPencil:
     def test_size_formula_example(self):
         # n=2, p=1, m=3, all-consecution decisions, state degree 4:

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -13,6 +15,8 @@ from rosenpencil import (
     transfer_eval,
 )
 from rosenpencil.sampling import random_rsmp
+
+import oracles
 
 
 class TestAssemble:
@@ -54,6 +58,31 @@ class TestAssemble:
             assert np.array_equal(s.coeffs[k][:n, :n], r.A.coeff(k))
         for k in range(r.d_d + 1):
             assert np.array_equal(s.coeffs[k][n:, n:], r.D.coeff(k))
+
+
+class TestTranspose:
+    @pytest.mark.parametrize("data", ["integer", "spread"])
+    def test_system_matrix_is_transposed(self, rng, data):
+        draw = random_rsmp if data == "integer" else oracles.spread_rsmp
+        for n, p, m, da, dd in [(2, 3, 1, 3, 2), (1, 2, 3, 1, 4), (3, 1, 2, 2, 2)]:
+            r = draw(rng, n, p, m, da, dd)
+            rt = r.transpose()
+            assert (rt.n, rt.p, rt.m, rt.d_a, rt.d_d) == (n, m, p, da, dd)
+            want = assemble_s(r).coeffs.transpose(0, 2, 1)
+            got = assemble_s(rt).coeffs
+            assert np.ascontiguousarray(want).tobytes() == got.tobytes()
+
+    def test_kept_and_involutive(self, rng):
+        r = random_rsmp(rng, 2, 3, 1, 3, 2)
+        assert r.transpose() is r.transpose()
+        assert r.transpose().transpose() is r
+
+    def test_carries_regularity_flag(self):
+        a = MatrixPolynomial(np.zeros((2, 2, 2)))
+        d = MatrixPolynomial(np.ones((2, 1, 1)))
+        with pytest.warns(IrregularWarning):
+            r = Rsmp(a, np.zeros((2, 1)), np.zeros((1, 2)), d)
+        assert not r.transpose().a_regular
 
 
 class TestTransfer:
@@ -100,6 +129,19 @@ class TestIrregular:
             transfer_eval(r, 0.5)
         with pytest.raises(SingularInput):
             clear_denominator(r, [1.0])
+
+    def test_large_coefficients_are_regular(self):
+        # a 2x2 state of degree 3 with coefficients near 1e160: det A(z) and
+        # (1-norm)^2 both overflow unless A(z) is scaled before the determinant
+        big = 1e160
+        a = MatrixPolynomial(
+            big * np.array([[[2, 1], [0, -1]], [[1, 0], [3, 1]], [[0, 2], [1, 0]], [[1, 0], [0, 1]]])
+        )
+        d = MatrixPolynomial(big * np.ones((4, 2, 2)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            r = Rsmp(a, big * np.eye(2), -big * np.eye(2), d)
+        assert r.a_regular
 
 
 class TestClearDenominator:

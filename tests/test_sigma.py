@@ -26,6 +26,17 @@ class TestFromBijection:
         assert s.degree == 1
 
 
+class TestFlipped:
+    def test_swaps_every_decision(self):
+        assert SigmaSeq("CCICI").flipped() == SigmaSeq("IICIC")
+        assert SigmaSeq("").flipped() == SigmaSeq("")
+
+    def test_involution(self):
+        for s in all_decision_strings(5):
+            assert s.flipped().flipped() == s
+            assert s.flipped().c_count(0, 3) == s.i_count(0, 3)
+
+
 class TestCounts:
     def test_full_range_counts(self):
         s = SigmaSeq.from_bijection((1, 2, 4, 3, 6, 5))
