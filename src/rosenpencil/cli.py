@@ -13,6 +13,7 @@ kept out of the records for exactly that reason).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -126,10 +127,14 @@ def _emit_lines(lines, out_path):
         sys.stdout.write(text)
 
 
+def _fmt_value(z: complex) -> str:
+    """A complex value to 6 significant digits, as ``a`` or ``a+bi``."""
+    return f"{z.real:.6g}" if abs(z.imag) < 1e-9 else f"{z.real:.6g}{z.imag:+.6g}i"
+
+
 def _fmt_eigs(eigs) -> str:
     def one(z, k):
-        zs = f"{z.real:.6g}" if abs(z.imag) < 1e-9 else f"{z.real:.6g}{z.imag:+.6g}i"
-        return zs if k == 1 else f"{zs} (x{k})"
+        return _fmt_value(z) if k == 1 else f"{_fmt_value(z)} (x{k})"
 
     return "{" + ", ".join(one(z, k) for z, k in eigs) + "}"
 
@@ -176,10 +181,9 @@ def cmd_eig(args) -> int:
     print(f"system matrix eigenvalues: {_fmt_eigs(rep.s_eigenvalues)}")
     print(f"state polynomial eigenvalues (pole candidates): {_fmt_eigs(rep.pole_points)}")
     for z, status in rep.transfer_tests:
-        zs = f"{z.real:.6g}" if abs(z.imag) < 1e-9 else f"{z:.6g}"
-        print(f"transfer function at {zs}: {status}")
+        print(f"transfer function at {_fmt_value(z)}: {status}")
     print(f"cleared-denominator eigenvalues: {_fmt_eigs(rep.cleared_eigenvalues)}")
-    extra = ", ".join(f"{z.real:.6g}" if abs(z.imag) < 1e-9 else str(z) for z in rep.cleared_minus_s)
+    extra = ", ".join(_fmt_value(z) for z in rep.cleared_minus_s)
     print(f"extra eigenvalues created by clearing: {{{extra}}}")
     return 0
 
@@ -280,8 +284,14 @@ _COMMANDS = {
 }
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built once per process: parsing leaves it unchanged."""
+    return _build_parser()
+
+
 def main(argv=None) -> int:
-    ap = _build_parser()
+    ap = _parser()
     try:
         args = ap.parse_args(argv)
         return _COMMANDS[args.command](args)

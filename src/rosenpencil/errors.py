@@ -22,7 +22,7 @@ class HoldoutResidual(NumericalFailure):
 
 
 class NonConvergence(NumericalFailure):
-    """Simultaneous root iteration did not converge within the sweep budget."""
+    """An iterative eigenvalue or root computation did not converge."""
 
 
 class AllSamplesSingular(NumericalFailure):

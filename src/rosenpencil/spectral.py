@@ -1,8 +1,9 @@
 """Eigenvalue and pole machinery at desk scale.
 
 Determinants of matrix polynomials are interpolated from point evaluations
-(Fourier nodes, holdout-certified); roots come from a simultaneous
-Aberth-style iteration; ranks from column-pivoted QR.  Eigenvalues of
+(Fourier nodes, holdout-certified); their roots are the eigenvalues of the
+companion matrix, found by LAPACK in one call, so nothing iterates in
+Python; ranks come from column-pivoted QR.  Eigenvalues of
 rectangular problems are exposed only as rank-drop tests at candidate
 points, since extracting them outright needs staircase machinery outside
 this package's scope.
@@ -83,7 +84,7 @@ def det_poly(x, tol: float = 1e-8) -> np.ndarray:
         rho = 1.0 + 0.15 * attempt
         phase = rng.uniform(0.0, 2.0 * np.pi)
         zs = rho * np.exp(1j * (2.0 * np.pi * np.arange(npts) / npts + phase))
-        vals = np.array([np.linalg.det(p.eval(z)) for z in zs])
+        vals = np.linalg.det(p.eval_stack(zs))
         ks = np.arange(npts)
         coeffs = np.fft.fft(vals) / npts / (rho**ks * np.exp(1j * ks * phase))
         scale = max(1.0, float(np.max(np.abs(vals))), float(np.max(np.abs(coeffs))))
@@ -99,61 +100,44 @@ def det_poly(x, tol: float = 1e-8) -> np.ndarray:
     raise HoldoutResidual("determinant interpolation failed its holdout check")
 
 
-def poly_roots(coeffs, max_sweeps: int = 500, rng_seed: int = 11) -> list[tuple[complex, int]]:
-    """All complex roots by simultaneous (Aberth-style) iteration, clustered.
+def poly_roots(coeffs) -> list[tuple[complex, int]]:
+    """All complex roots as companion-matrix eigenvalues, clustered.
 
-    Starts from a randomly perturbed disc of initial guesses, applies the
-    coupled Newton correction until every residual |p(z)| clears
-    1e-12 times its local scale, and groups the converged points into
-    clusters of radius 1e-6 whose sizes are the reported multiplicities.
+    The roots are the eigenvalues of the balanced companion matrix
+    (``np.roots``, LAPACK ``geev``; Edelman & Murakami, Math. Comp. 64,
+    1995), so nothing iterates in Python.  They are grouped into clusters
+    of radius 1e-6 whose sizes are the reported multiplicities.  Raises
+    NonConvergence if LAPACK's QR iteration does not converge.
     """
     c = scalar_poly_trim(coeffs, rel_tol=1e-12)
-    k = c.size - 1
-    if k < 1:
+    if c.size < 2:
         raise ValueError("root finding needs effective degree >= 1")
-    c = c / c[-1]
-    dc = c[1:] * np.arange(1, k + 1)
-    rng = np.random.default_rng(rng_seed)
-    radius = 1.0 + float(np.max(np.abs(c[:-1])))  # Cauchy bound on root moduli
-    angles = 2.0 * np.pi * (np.arange(k) + 0.35 + 0.1 * rng.uniform(size=k)) / k
-    z = 0.7 * radius * np.exp(1j * angles)
-    norm_c = float(np.max(np.abs(c)))
-    for _ in range(max_sweeps):
-        pv = np.array([scalar_poly_eval(c, zi) for zi in z])
-        scale = norm_c * np.maximum(1.0, np.abs(z)) ** k
-        if np.all(np.abs(pv) <= 1e-12 * scale):
-            break
-        dv = np.array([scalar_poly_eval(dc, zi) for zi in z])
-        tiny = dv == 0
-        if np.any(tiny):
-            z[tiny] += 1e-8 * (1 + np.abs(z[tiny])) * np.exp(2j * np.pi * rng.uniform(size=int(tiny.sum())))
-            continue
-        w = pv / dv
-        diff = z[:, None] - z[None, :]
-        np.fill_diagonal(diff, 1.0)
-        inv = 1.0 / diff
-        np.fill_diagonal(inv, 0.0)
-        denom = 1.0 - w * inv.sum(axis=1)
-        near_zero = np.abs(denom) < 1e-14
-        denom[near_zero] = 1.0
-        z = z - w / denom
-    else:
-        raise NonConvergence(f"root iteration did not converge in {max_sweeps} sweeps")
+    try:
+        z = np.roots(c[::-1])
+    except np.linalg.LinAlgError as exc:
+        raise NonConvergence(f"companion eigenvalues: {exc}") from exc
     return cluster_roots(z, radius=1e-6)
 
 
 def cluster_roots(points, radius: float = 1e-6) -> list[tuple[complex, int]]:
-    """Group points into clusters of the given radius; centers are cluster means."""
-    pts = list(np.asarray(points, dtype=complex))
-    clusters: list[list[complex]] = []
-    for z in sorted(pts, key=lambda w: (w.real, w.imag)):
-        for cl in clusters:
-            if abs(z - np.mean(cl)) <= radius:
-                cl.append(z)
+    """Group points into clusters of the given radius; centers are cluster means.
+
+    Points are taken in (real, imag) order, and each joins the first
+    cluster whose running mean lies within the radius.
+    """
+    pts = np.asarray(points, dtype=complex).ravel()
+    sums: list[complex] = []
+    counts: list[int] = []
+    for z in pts[np.lexsort((pts.imag, pts.real))].tolist():
+        for j, (total, k) in enumerate(zip(sums, counts)):
+            if abs(z - total / k) <= radius:
+                sums[j] += z
+                counts[j] += 1
                 break
         else:
-            clusters.append([z])
-    out = [(complex(np.mean(cl)), len(cl)) for cl in clusters]
+            sums.append(z)
+            counts.append(1)
+    out = [(total / k, k) for total, k in zip(sums, counts)]
     out.sort(key=lambda t: (t[0].real, t[0].imag))
     return out
 

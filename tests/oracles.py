@@ -2,13 +2,18 @@
 
 Exact polynomial arithmetic on Python complex numbers (integer-valued
 inputs stay exact) and a cofactor-expansion determinant, kept deliberately
-separate from the package's interpolation-based routines.
+separate from the package's interpolation-based routines; QZ on a
+companion pencil; and an Aberth root iteration and a clustering that
+recomputes each cluster mean, as references for ``poly_roots`` and
+``cluster_roots``.
 """
 
 import numpy as np
+import scipy.linalg
 import scipy.optimize
 
-from rosenpencil import MatrixPolynomial, Rsmp
+from rosenpencil import MatrixPolynomial, NonConvergence, Rsmp
+from rosenpencil.polycore import scalar_poly_eval, scalar_poly_trim
 
 
 def poly_mul(a, b):
@@ -174,3 +179,107 @@ def verify_theorem_pointwise(r, s, pencil, u, v, points=20, tol=1e-8, rng=None):
         v_unimodularity=_dev(v_dets),
         tol=tol,
     )
+
+
+def poly_roots_aberth(coeffs, max_sweeps: int = 500, rng_seed: int = 11) -> list[tuple[complex, int]]:
+    """All complex roots by simultaneous (Aberth-style) iteration, clustered.
+
+    Starts from a randomly perturbed disc of initial guesses, applies the
+    coupled Newton correction until every residual |p(z)| clears
+    1e-12 times its local scale, and groups the converged points into
+    clusters of radius 1e-6 whose sizes are the reported multiplicities.
+    """
+    c = scalar_poly_trim(coeffs, rel_tol=1e-12)
+    k = c.size - 1
+    if k < 1:
+        raise ValueError("root finding needs effective degree >= 1")
+    c = c / c[-1]
+    dc = c[1:] * np.arange(1, k + 1)
+    rng = np.random.default_rng(rng_seed)
+    radius = 1.0 + float(np.max(np.abs(c[:-1])))  # Cauchy bound on root moduli
+    angles = 2.0 * np.pi * (np.arange(k) + 0.35 + 0.1 * rng.uniform(size=k)) / k
+    z = 0.7 * radius * np.exp(1j * angles)
+    norm_c = float(np.max(np.abs(c)))
+    for _ in range(max_sweeps):
+        pv = np.array([scalar_poly_eval(c, zi) for zi in z])
+        scale = norm_c * np.maximum(1.0, np.abs(z)) ** k
+        if np.all(np.abs(pv) <= 1e-12 * scale):
+            break
+        dv = np.array([scalar_poly_eval(dc, zi) for zi in z])
+        tiny = dv == 0
+        if np.any(tiny):
+            z[tiny] += 1e-8 * (1 + np.abs(z[tiny])) * np.exp(2j * np.pi * rng.uniform(size=int(tiny.sum())))
+            continue
+        w = pv / dv
+        diff = z[:, None] - z[None, :]
+        np.fill_diagonal(diff, 1.0)
+        inv = 1.0 / diff
+        np.fill_diagonal(inv, 0.0)
+        denom = 1.0 - w * inv.sum(axis=1)
+        near_zero = np.abs(denom) < 1e-14
+        denom[near_zero] = 1.0
+        z = z - w / denom
+    else:
+        raise NonConvergence(f"root iteration did not converge in {max_sweeps} sweeps")
+    return cluster_roots_mean(z, radius=1e-6)
+
+
+def cluster_roots_mean(points, radius: float = 1e-6) -> list[tuple[complex, int]]:
+    """Reference for ``cluster_roots``: the cluster mean recomputed for every point."""
+    pts = list(np.asarray(points, dtype=complex))
+    clusters: list[list[complex]] = []
+    for z in sorted(pts, key=lambda w: (w.real, w.imag)):
+        for cl in clusters:
+            if abs(z - np.mean(cl)) <= radius:
+                cl.append(z)
+                break
+        else:
+            clusters.append([z])
+    out = [(complex(np.mean(cl)), len(cl)) for cl in clusters]
+    out.sort(key=lambda t: (t[0].real, t[0].imag))
+    return out
+
+
+def qz_finite_eigenvalues(pencil, infinite_modulus=1e3):
+    """Finite eigenvalues of ``lambda * lead - tail`` by QZ.
+
+    A value of modulus ``infinite_modulus`` or more counts as infinite: a
+    k-fold infinite eigenvalue splits into values of modulus about
+    eps^(-1/k).
+    """
+    alpha, beta = scipy.linalg.eigvals(pencil.tail, pencil.lead, homogeneous_eigvals=True)
+    finite = np.abs(alpha) < infinite_modulus * np.abs(beta)
+    return alpha[finite] / beta[finite]
+
+
+def clusters_match(eigs, values, rtol=2e-5, cluster_rtol=1e-2):
+    """Do clustered eigenvalues ``eigs`` ((value, multiplicity) pairs) agree with ``values``?
+
+    Both sides are grouped by single linkage within ``cluster_rtol``; each
+    group's size and mean must match.  The points of a k-fold eigenvalue
+    spread like (residual)^(1/k), but their mean is as well conditioned as
+    a simple eigenvalue.
+    """
+    def groups(points):
+        points = list(points)
+        label = list(range(len(points)))
+        for i in range(len(points)):
+            for j in range(i + 1, len(points)):
+                if abs(points[i] - points[j]) <= cluster_rtol * max(1.0, abs(points[i]), abs(points[j])):
+                    old, new = label[j], label[i]
+                    label = [new if g == old else g for g in label]
+        members = {}
+        for g, v in zip(label, points):
+            members.setdefault(g, []).append(v)
+        return [(complex(np.mean(vs)), len(vs)) for vs in members.values()]
+
+    left = groups([z for z, k in eigs for _ in range(k)])
+    right = groups(values)
+    if sum(k for _, k in left) != sum(k for _, k in right):
+        return False
+    for c, k in right:
+        hits = [i for i, (z, kz) in enumerate(left) if kz == k and abs(z - c) <= rtol * max(1.0, abs(c))]
+        if not hits:
+            return False
+        left.pop(hits[0])
+    return True

@@ -1,9 +1,15 @@
 import json
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from rosenpencil import NonConvergence, emit_rsmp, parse_pencil, spectral
+import oracles
+from rosenpencil import NonConvergence, companion_first, emit_rsmp, parse_pencil, spectral
 from rosenpencil.cli import main
 from rosenpencil.sampling import random_rsmp
 
@@ -21,6 +27,28 @@ def rect_file(tmp_path, rng):
     path = tmp_path / "deg6.json"
     path.write_text(emit_rsmp(r))
     return str(path)
+
+
+def _fresh_process(argv):
+    """stdout and exit code of ``argv`` run by a new interpreter."""
+    src = str(Path(spectral.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-m", "rosenpencil.cli", *argv], capture_output=True, text=True, env=env, check=False
+    )
+    return proc.stdout, proc.returncode
+
+
+class TestParserReuse:
+    def test_calls_in_one_process_print_what_fresh_processes_print(self, tmp_path, rng, capsys):
+        # the parser is built once per process; no call may leak into the
+        # next (a leaked --all would run all four decision strings)
+        path = tmp_path / "inst.json"
+        path.write_text(emit_rsmp(random_rsmp(rng, 2, 2, 2, 3, 2)))
+        calls = [["verify", str(path), "--all"], ["verify", str(path), "--sigma", "CI"], ["eig", str(path)]]
+        for argv in calls:
+            code = main(argv)
+            assert (capsys.readouterr().out, code) == _fresh_process(argv)
 
 
 class TestPencilCommand:
@@ -121,6 +149,21 @@ class TestVerifyCommand:
         assert rec["verdict"] == "fail"
 
 
+_NUM = r"(?:\d+(?:\.\d*)?(?:e[-+]\d+)?)"
+_EIG = re.compile(rf"(?P<re>[-+]?{_NUM})(?:(?P<im>[-+]{_NUM})i)?(?: \(x(?P<k>\d+)\))?")
+
+
+def _printed_eigs(out, head):
+    """The (value, multiplicity) pairs of one ``{...}`` line of the eig report."""
+    (line,) = [ln for ln in out.splitlines() if ln.startswith(head + ": ")]
+    body = line.split(": ", 1)[1][1:-1]
+    eigs = []
+    for tok in filter(None, body.split(", ")):
+        m = _EIG.fullmatch(tok)
+        eigs.append((complex(float(m["re"]), float(m["im"] or 0.0)), int(m["k"] or 1)))
+    return eigs
+
+
 class TestEigCommand:
     def test_nonconvergence_is_exit_two(self, example_file, capsys, monkeypatch):
         def no_convergence(*args, **kwargs):
@@ -138,6 +181,38 @@ class TestEigCommand:
         assert "system matrix eigenvalues: {1}" in out
         assert "transfer function at 1: pole" in out
         assert "cleared-denominator eigenvalues: {1 (x2)}" in out
+        assert "extra eigenvalues created by clearing: {1}" in out
+
+    def test_degree_sixty_determinant(self, tmp_path, capsys):
+        # a (3,3,3,5,5) instance whose cleared polynomial has a determinant of
+        # degree 60, on which oracles.poly_roots_aberth does not converge
+        r = random_rsmp(np.random.default_rng(0), 3, 3, 3, 5, 5)
+        path = tmp_path / "deg60.json"
+        path.write_text(emit_rsmp(r))
+        assert main(["eig", str(path)]) == 0
+        out = capsys.readouterr().out
+        qz = oracles.qz_finite_eigenvalues(companion_first(r))
+        assert oracles.clusters_match(_printed_eigs(out, "system matrix eigenvalues"), qz)
+        assert sum(k for _, k in _printed_eigs(out, "cleared-denominator eigenvalues")) == 60
+
+    def test_values_print_in_one_format(self, tmp_path, rng, capsys):
+        # every value of the report, the transfer and extra lines included,
+        # is written as a or a+bi to 6 significant digits
+        done = 0
+        while done < 5:
+            r = random_rsmp(rng, 2, 2, 2, 2, 1)
+            path = tmp_path / "inst.json"
+            path.write_text(emit_rsmp(r))
+            if main(["eig", str(path)]) != 0:
+                capsys.readouterr()
+                continue
+            done += 1
+            for line in capsys.readouterr().out.splitlines():
+                head, _, body = line.partition(": ")
+                if head.startswith("transfer function at "):
+                    assert _EIG.fullmatch(head[len("transfer function at "):])
+                else:
+                    assert all(_EIG.fullmatch(tok) for tok in filter(None, body[1:-1].split(", ")))
 
 
 class TestInfoCommand:

@@ -25,6 +25,7 @@ from rosenpencil import (
 )
 from rosenpencil.polycore import scalar_poly_trim
 from rosenpencil.sampling import random_bijection, random_rsmp
+from rosenpencil.spectral import cluster_roots
 
 
 class TestDetPoly:
@@ -79,7 +80,23 @@ class TestPolyRoots:
         got = [z for z, k in poly_roots(coeffs) for _ in range(k)]
         assert oracles.multisets_match(got, list(want), 1e-8)
 
-    def test_agrees_with_companion_solver(self, rng):
+    def test_known_gaussian_integer_roots(self, rng):
+        # products of (x - r) over integer and Gaussian-integer roots, some
+        # doubled; a double root splits by about sqrt(eps * condition), up to
+        # ~2e-6 on such products, so the tolerance is 1e-5
+        grid = np.array([complex(a, b) for a in range(-3, 4) for b in range(-2, 3)])
+        for deg in (1, 2, 3, 5, 8, 12, 17, 23, 30):
+            for _ in range(3):
+                doubles = int(rng.integers(0, min(3, deg // 2) + 1))
+                distinct = rng.choice(grid, size=deg - doubles, replace=False)
+                want = list(distinct) + list(distinct[:doubles])
+                coeffs = np.array([1.0 + 0.0j])
+                for w in want:
+                    coeffs = np.convolve(coeffs, [-w, 1.0])
+                got = [z for z, k in poly_roots(coeffs) for _ in range(k)]
+                assert oracles.multisets_match(got, want, 1e-5), (deg, want)
+
+    def test_agrees_with_aberth_iteration(self, rng):
         # random integer polynomials can carry multiple roots, where both
         # methods are limited to ~1e-6; the clustering radius reflects that
         for _ in range(20):
@@ -87,12 +104,30 @@ class TestPolyRoots:
             c = rng.integers(-4, 5, size=deg + 1).astype(complex)
             c[-1] = c[-1] if c[-1] != 0 else 1.0
             got = [z for z, k in poly_roots(c) for _ in range(k)]
-            want = list(np.roots(c[::-1]))
+            want = [z for z, k in oracles.poly_roots_aberth(c) for _ in range(k)]
             assert oracles.multisets_match(got, want, 2e-6)
 
     def test_degree_zero_rejected(self):
         with pytest.raises(ValueError):
             poly_roots([3.0])
+
+
+class TestClusterRoots:
+    def test_multiplicities_match_the_mean_rule(self, rng):
+        # near-duplicates straddle the radius, so the greedy order matters
+        radius = 1e-6
+        for _ in range(300):
+            centers = rng.integers(-2, 3, size=int(rng.integers(1, 6))) + 1j * rng.integers(-2, 3, size=1)
+            pts = np.repeat(centers, rng.integers(1, 5, size=centers.size))
+            pts = pts + radius * rng.uniform(-1.2, 1.2, size=pts.size) * np.exp(2j * np.pi * rng.uniform(size=pts.size))
+            got = cluster_roots(pts, radius)
+            want = oracles.cluster_roots_mean(pts, radius)
+            assert [k for _, k in got] == [k for _, k in want]
+            assert np.allclose([z for z, _ in got], [z for z, _ in want], rtol=0.0, atol=1e-15)
+
+    def test_single_points_and_empty(self):
+        assert cluster_roots([]) == []
+        assert cluster_roots([2.0, 1.0]) == [(1.0, 1), (2.0, 1)]
 
 
 class TestEigenvaluesSquare:
