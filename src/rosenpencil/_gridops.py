@@ -3,10 +3,11 @@
 A grid is a 2-D list of blocks plus block-size lists and a record of how
 many leading block rows/cols belong to the state (A) side.  Each recursion
 step is a splice: old blocks land at remapped positions, new rows/cols are
-zero except for a handful of prescribed entries.  ``schedule`` is the one
-driver of every recursion: it checks the degree and the decision count,
-then runs a seed and, per remaining decision, one of three steps (both
-sides grow, only the state side, only the feedthrough side).
+zero except for a handful of prescribed entries.  Zero blocks stay
+unallocated (None).  ``schedule`` is the one driver of every recursion: it
+checks the degree and the decision count, then grows the degree-1 grid
+with a state step per decision while the state degree has coefficients
+left, and a feedthrough step while the feedthrough degree has.
 """
 
 from __future__ import annotations
@@ -35,13 +36,12 @@ class Grid:
         return len(self.csz)
 
 
-def splice(prev: Grid, row_map, new_rsz, col_map, new_csz, extra, zero, a_r, a_c) -> Grid:
+def splice(prev: Grid, row_map, new_rsz, col_map, new_csz, extra, a_r, a_c) -> Grid:
     """Remap ``prev`` into a larger grid.
 
     row_map/col_map give the new position of each old block row/col; cells
     not covered by the remap or by ``extra`` (a list of (row, col, block)
-    entries) are zero blocks from the ``zero(rows, cols)`` factory, or stay
-    None (an unallocated zero block) when ``zero`` is None.
+    entries) stay None, an unallocated zero block.
     """
     nr, nc = len(new_rsz), len(new_csz)
     cells = [[None] * nc for _ in range(nr)]
@@ -51,21 +51,14 @@ def splice(prev: Grid, row_map, new_rsz, col_map, new_csz, extra, zero, a_r, a_c
             cells[nk][nj] = old_row[j]
     for rr, cc, val in extra:
         cells[rr][cc] = val
-    if zero is not None:
-        for rr in range(nr):
-            row = cells[rr]
-            for cc in range(nc):
-                if row[cc] is None:
-                    row[cc] = zero(new_rsz[rr], new_csz[cc])
     return Grid(cells, new_rsz, new_csz, a_r, a_c)
 
 
-def schedule(r, s, seed, mixed, state, feed) -> list[Grid]:
+def schedule(r, s, base, state, feed) -> list[Grid]:
     """Grids of steps 0..d-2 of one recursion for system ``r`` and decisions ``s``.
 
-    Step 0 is ``seed(r, consec)``.  Step i >= 1 is ``mixed`` while both
-    declared degrees have coefficients left (i < min(d_A, d_D) - 1), then
-    ``state`` if d_A >= d_D and ``feed`` otherwise; each is called as
+    Starts from ``base(r)``, the degree-1 grid.  Step i applies ``state``
+    while i < d_A - 1 and then ``feed`` while i < d_D - 1; each is called as
     ``step(previous_grid, consec, r, i)`` with ``consec`` the decision at i.
     """
     d = r.degree
@@ -73,10 +66,13 @@ def schedule(r, s, seed, mixed, state, feed) -> list[Grid]:
         raise DimensionError(f"need {d - 1} decisions for degree {d}, got {len(s)}")
     if d < 2:
         raise DimensionError("the recursions need pencil degree >= 2")
-    both = min(r.d_a, r.d_d) - 1
-    tail = state if r.d_a >= r.d_d else feed
-    grids = [seed(r, s.has_consecution(0))]
-    for i in range(1, d - 1):
-        step = mixed if i < both else tail
-        grids.append(step(grids[-1], s.has_consecution(i), r, i))
+    g = base(r)
+    grids = []
+    for i in range(d - 1):
+        consec = s.has_consecution(i)
+        if i < r.d_a - 1:
+            g = state(g, consec, r, i)
+        if i < r.d_d - 1:
+            g = feed(g, consec, r, i)
+        grids.append(g)
     return grids

@@ -46,26 +46,25 @@ __all__ = [
 # -- small matrix-polynomial helpers (internal) -----------------------------
 
 
-# Matrix polynomials are immutable, so every grid shares one zero block per
-# shape and one identity per size instead of building a fresh one per cell.
-@lru_cache(maxsize=256)
-def _mp_zero(rows: int, cols: int) -> MatrixPolynomial:
-    return MatrixPolynomial.zero(rows, cols)
-
-
+# Matrix polynomials are immutable, so every grid shares one identity per
+# size instead of building a fresh one per cell; zero blocks are None.
 @lru_cache(maxsize=256)
 def _mp_eye(k: int) -> MatrixPolynomial:
     return MatrixPolynomial.identity(k)
 
 
-def _lam(p: MatrixPolynomial) -> MatrixPolynomial:
-    """Multiply by lambda (shift coefficients up one degree)."""
+def _lam(p: MatrixPolynomial | None) -> MatrixPolynomial | None:
+    """Multiply by lambda (shift coefficients up one degree); a zero block stays None."""
+    if p is None:
+        return None
     z = np.zeros((1, p.rows, p.cols), dtype=complex)
     return MatrixPolynomial(np.concatenate([z, p.coeffs]))
 
 
-def _mul(p: MatrixPolynomial, q: MatrixPolynomial) -> MatrixPolynomial:
-    """Matrix product with polynomial entries (coefficient convolution)."""
+def _mul(p: MatrixPolynomial | None, q: MatrixPolynomial) -> MatrixPolynomial | None:
+    """Matrix product with polynomial entries (coefficient convolution); a zero ``p`` stays None."""
+    if p is None:
+        return None
     if p.cols != q.rows:
         raise DimensionError(f"cannot multiply {p.shape} by {q.shape}")
     out = np.zeros((p.degree + q.degree + 1, p.rows, q.cols), dtype=complex)
@@ -79,96 +78,17 @@ def _neg(p: MatrixPolynomial) -> MatrixPolynomial:
     return MatrixPolynomial(-p.coeffs)
 
 
-# -- seeds -------------------------------------------------------------------
-
-
-def _n_seed(r: Rsmp, consec: bool) -> Grid:
-    n, p, m = r.n, r.p, r.m
-    pa = r.A.horner_shift(r.d_a - 1)
-    if r.d_a >= r.d_d:
-        if r.d_d == 1:
-            if consec:
-                cells = [
-                    [_mp_eye(n), _mp_zero(n, n), _mp_zero(n, p)],
-                    [_lam(_mp_eye(n)), _mp_eye(n), _mp_zero(n, p)],
-                    [_mp_zero(p, n), _mp_zero(p, n), _mp_eye(p)],
-                ]
-            else:
-                cells = [
-                    [_mp_zero(n, n), _neg(_mp_eye(n)), _mp_zero(n, p)],
-                    [_mp_eye(n), pa, _mp_zero(n, p)],
-                    [_mp_zero(p, n), _mp_zero(p, n), _mp_eye(p)],
-                ]
-            return Grid(cells, [n, n, p], [n, n, p], 2, 2)
-    elif r.d_a == 1:
-        qd = r.D.horner_shift(r.d_d - 1)
-        if consec:
-            cells = [
-                [_mp_eye(n), _mp_zero(n, p), _mp_zero(n, p)],
-                [_mp_zero(p, n), _mp_eye(p), _mp_zero(p, p)],
-                [_mp_zero(p, n), _lam(_mp_eye(p)), _mp_eye(p)],
-            ]
-            return Grid(cells, [n, p, p], [n, p, p], 1, 1)
-        cells = [
-            [_mp_eye(n), _mp_zero(n, p), _mp_zero(n, m)],
-            [_mp_zero(m, n), _mp_zero(m, p), _neg(_mp_eye(m))],
-            [_mp_zero(p, n), _mp_eye(p), qd],
-        ]
-        return Grid(cells, [n, m, p], [n, p, m], 1, 1)
-
-    qd = r.D.horner_shift(r.d_d - 1)
-    if consec:
-        cells = [
-            [_mp_eye(n), _mp_zero(n, n), _mp_zero(n, p), _mp_zero(n, p)],
-            [_lam(_mp_eye(n)), _mp_eye(n), _mp_zero(n, p), _mp_zero(n, p)],
-            [_mp_zero(p, n), _mp_zero(p, n), _mp_eye(p), _mp_zero(p, p)],
-            [_mp_zero(p, n), _mp_zero(p, n), _lam(_mp_eye(p)), _mp_eye(p)],
-        ]
-        return Grid(cells, [n, n, p, p], [n, n, p, p], 2, 2)
-    cells = [
-        [_mp_zero(n, n), _neg(_mp_eye(n)), _mp_zero(n, p), _mp_zero(n, m)],
-        [_mp_eye(n), pa, _mp_zero(n, p), _mp_zero(n, m)],
-        [_mp_zero(m, n), _mp_zero(m, n), _mp_zero(m, p), _neg(_mp_eye(m))],
-        [_mp_zero(p, n), _mp_zero(p, n), _mp_eye(p), qd],
-    ]
-    return Grid(cells, [n, n, m, p], [n, n, p, m], 2, 2)
-
-
 # -- recursion steps ---------------------------------------------------------
 
 
-def _n_mixed_step(g: Grid, consec: bool, r: Rsmp, i: int) -> Grid:
-    n, p, m = r.n, r.p, r.m
-    ar, ac = g.a_r, g.a_c
-    if consec:
-        row_map = [k + 1 if k < ar else k + 2 for k in range(g.nrows)]
-        new_rsz = [n] + g.rsz[:ar] + [p] + g.rsz[ar:]
-        col_map = [j + 1 if j < ac else j + 2 for j in range(g.ncols)]
-        new_csz = [n] + g.csz[:ac] + [p] + g.csz[ac:]
-        extra = [(0, 0, _mp_eye(n)), (ar + 1, ac + 1, _mp_eye(p))]
-        for k in range(ar):
-            extra.append((k + 1, 0, _lam(g.cells[k][0])))
-        for k in range(ar, g.nrows):
-            extra.append((k + 2, ac + 1, _lam(g.cells[k][ac])))
-    else:
-        pa, qd = r.A.horner_shift(r.d_a - i - 1), r.D.horner_shift(r.d_d - i - 1)
-        row_map = [k + 1 if k < ar else k + 2 for k in range(g.nrows)]
-        new_rsz = [n] + g.rsz[:ar] + [m] + g.rsz[ar:]
-        col_map = (
-            [0]
-            + [j + 1 for j in range(1, ac + 1)]
-            + [j + 2 for j in range(ac + 1, g.ncols)]
-        )
-        new_csz = [g.csz[0], n] + g.csz[1 : ac + 1] + [m] + g.csz[ac + 1 :]
-        extra = [(0, 1, _neg(_mp_eye(n))), (ar + 1, ac + 2, _neg(_mp_eye(m)))]
-        for k in range(ar):
-            extra.append((k + 1, 1, _mul(g.cells[k][0], pa)))
-        for k in range(ar, g.nrows):
-            extra.append((k + 2, ac + 2, _mul(g.cells[k][ac], qd)))
-    return splice(g, row_map, new_rsz, col_map, new_csz, extra, _mp_zero, ar + 1, ac + 1)
+def _n_base(r: Rsmp) -> Grid:
+    """The degree-1 left witness blkdiag(I_n, I_p), which every recursion grows."""
+    return Grid([[_mp_eye(r.n), None], [None, _mp_eye(r.p)]], [r.n, r.p], [r.n, r.p], 1, 1)
 
 
 def _n_state_step(g: Grid, consec: bool, r: Rsmp, i: int) -> Grid:
+    # N is block diagonal over the state and feedthrough sides, so only the
+    # state rows (k < a_r) have a nonzero block in column 0
     n = r.n
     if consec:
         row_map = [k + 1 for k in range(g.nrows)]
@@ -176,7 +96,7 @@ def _n_state_step(g: Grid, consec: bool, r: Rsmp, i: int) -> Grid:
         col_map = [j + 1 for j in range(g.ncols)]
         new_csz = [n] + g.csz
         extra = [(0, 0, _mp_eye(n))]
-        for k in range(g.nrows):
+        for k in range(g.a_r):
             extra.append((k + 1, 0, _lam(g.cells[k][0])))
     else:
         pa = r.A.horner_shift(r.d_a - i - 1)
@@ -185,9 +105,9 @@ def _n_state_step(g: Grid, consec: bool, r: Rsmp, i: int) -> Grid:
         col_map = [0] + [j + 1 for j in range(1, g.ncols)]
         new_csz = [g.csz[0], n] + g.csz[1:]
         extra = [(0, 1, _neg(_mp_eye(n)))]
-        for k in range(g.nrows):
+        for k in range(g.a_r):
             extra.append((k + 1, 1, _mul(g.cells[k][0], pa)))
-    return splice(g, row_map, new_rsz, col_map, new_csz, extra, _mp_zero, g.a_r + 1, g.a_c + 1)
+    return splice(g, row_map, new_rsz, col_map, new_csz, extra, g.a_r + 1, g.a_c + 1)
 
 
 def _n_feed_step(g: Grid, consec: bool, r: Rsmp, i: int) -> Grid:
@@ -210,7 +130,7 @@ def _n_feed_step(g: Grid, consec: bool, r: Rsmp, i: int) -> Grid:
         extra = [(ar, ac + 1, _neg(_mp_eye(m)))]
         for k in range(ar, g.nrows):
             extra.append((k + 1, ac + 1, _mul(g.cells[k][ac], qd)))
-    return splice(g, row_map, new_rsz, col_map, new_csz, extra, _mp_zero, ar, ac)
+    return splice(g, row_map, new_rsz, col_map, new_csz, extra, ar, ac)
 
 
 # -- sequence builders -------------------------------------------------------
@@ -218,7 +138,7 @@ def _n_feed_step(g: Grid, consec: bool, r: Rsmp, i: int) -> Grid:
 
 def _grid_to_pbm(g: Grid, transpose: bool = False) -> PolyBlockMatrix:
     """The grid as one block matrix polynomial, or as its transpose with the partitions swapped."""
-    deg = max(cell.degree for row in g.cells for cell in row)
+    deg = max(cell.degree for row in g.cells for cell in row if cell is not None)
     rsz, csz = (g.csz, g.rsz) if transpose else (g.rsz, g.csz)
     coeffs = np.zeros((deg + 1, sum(rsz), sum(csz)), dtype=complex)
     fill = coeffs.transpose(0, 2, 1) if transpose else coeffs
@@ -227,14 +147,15 @@ def _grid_to_pbm(g: Grid, transpose: bool = False) -> PolyBlockMatrix:
         c0 = 0
         for cc, cs in enumerate(g.csz):
             cell = g.cells[rr][cc]
-            fill[: cell.degree + 1, r0 : r0 + rs, c0 : c0 + cs] = cell.coeffs
+            if cell is not None:
+                fill[: cell.degree + 1, r0 : r0 + rs, c0 : c0 + cs] = cell.coeffs
             c0 += cs
         r0 += rs
     return PolyBlockMatrix(MatrixPolynomial(coeffs), rsz, csz)
 
 
 def _n_grids(r: Rsmp, s: SigmaSeq) -> list[Grid]:
-    return schedule(r, s, _n_seed, _n_mixed_step, _n_state_step, _n_feed_step)
+    return schedule(r, s, _n_base, _n_state_step, _n_feed_step)
 
 
 def build_n_sequence(r: Rsmp, s: SigmaSeq) -> list[PolyBlockMatrix]:

@@ -2,9 +2,12 @@
 
 For a square system (p == m) the pencil is an explicit product of
 elementary factors, one per coefficient, ordered by a bijection.  In the
-rectangular case the product is replaced by a block recursion that appends
-block rows and columns step by step; the two agree entrywise whenever both
-apply, differing only in how the identity/zero blocks are sized.
+rectangular case the product is replaced by a block recursion that grows
+the degree-1 system matrix [[-A_0, B], [-C, -D_0]]: each decision adds a
+state block row and column while A has coefficients left, then a
+feedthrough block row and column while D has.  The two agree entrywise
+whenever both apply, differing only in how the identity/zero blocks are
+sized.
 
 Block-size conventions for the rectangular recursion: every identity block
 living in state rows is n-by-n; identities created on the feedthrough side
@@ -232,95 +235,17 @@ def square_fiedler_pencil(r: Rsmp, s) -> Pencil:
 # ---------------------------------------------------------------------------
 
 
-def _seed_grid(r: Rsmp, consec: bool) -> Grid:
-    """Step-0 matrix of the recursion, including the short-degree variants.
-
-    When min(d_A, d_D) == 1 the printed four-block seed would duplicate a
-    leading coefficient that already lives in the pencil's lead, so the
-    corresponding block row/column is dropped; the reduced seeds below are
-    the ones the square product actually produces.
-    """
-    n, p, m = r.n, r.p, r.m
-    A, B, C, D = r.A, r.B, r.C, r.D
-    if r.d_a >= r.d_d:
-        if r.d_d == 1:
-            if consec:
-                cells = [
-                    [-A.coeff(1), _eye(n), _zeros(n, m)],
-                    [-A.coeff(0), _zeros(n, n), B.astype(complex)],
-                    [-C.astype(complex), _zeros(p, n), -D.coeff(0)],
-                ]
-            else:
-                cells = [
-                    [-A.coeff(1), -A.coeff(0), B.astype(complex)],
-                    [_eye(n), _zeros(n, n), _zeros(n, m)],
-                    [_zeros(p, n), -C.astype(complex), -D.coeff(0)],
-                ]
-            return Grid(cells, [n, n, p], [n, n, m], 2, 2)
-    elif r.d_a == 1:
-        if consec:
-            cells = [
-                [-A.coeff(0), B.astype(complex), _zeros(n, p)],
-                [_zeros(p, n), -D.coeff(1), _eye(p)],
-                [-C.astype(complex), -D.coeff(0), _zeros(p, p)],
-            ]
-            return Grid(cells, [n, p, p], [n, m, p], 1, 1)
-        cells = [
-            [-A.coeff(0), _zeros(n, m), B.astype(complex)],
-            [-C.astype(complex), -D.coeff(1), -D.coeff(0)],
-            [_zeros(m, n), _eye(m), _zeros(m, m)],
-        ]
-        return Grid(cells, [n, p, m], [n, m, m], 1, 1)
-
-    if consec:
-        cells = [
-            [-A.coeff(1), _eye(n), _zeros(n, m), _zeros(n, p)],
-            [-A.coeff(0), _zeros(n, n), B.astype(complex), _zeros(n, p)],
-            [_zeros(p, n), _zeros(p, n), -D.coeff(1), _eye(p)],
-            [-C.astype(complex), _zeros(p, n), -D.coeff(0), _zeros(p, p)],
-        ]
-        return Grid(cells, [n, n, p, p], [n, n, m, p], 2, 2)
+def _w_base(r: Rsmp) -> Grid:
+    """The degree-1 system matrix [[-A_0, B], [-C, -D_0]], which every recursion grows."""
     cells = [
-        [-A.coeff(1), -A.coeff(0), _zeros(n, m), B.astype(complex)],
-        [_eye(n), _zeros(n, n), _zeros(n, m), _zeros(n, m)],
-        [_zeros(p, n), -C.astype(complex), -D.coeff(1), -D.coeff(0)],
-        [_zeros(m, n), _zeros(m, n), _eye(m), _zeros(m, m)],
+        [-r.A.coeff(0), r.B.astype(complex)],
+        [-r.C.astype(complex), -r.D.coeff(0)],
     ]
-    return Grid(cells, [n, n, p, m], [n, n, m, m], 2, 2)
-
-
-def _w_mixed_step(g: Grid, consec: bool, r: Rsmp, i: int) -> Grid:
-    """Both-sides growth step (runs while both degrees still have coefficients left)."""
-    n, p, m = r.n, r.p, r.m
-    a_next, d_next = r.A.coeff(i + 1), r.D.coeff(i + 1)
-    ar, ac = g.a_r, g.a_c
-    if consec:
-        row_map = [k + 1 if k < ar else k + 2 for k in range(g.nrows)]
-        new_rsz = [n] + g.rsz[:ar] + [p] + g.rsz[ar:]
-        col_map = [0] + [j + 1 for j in range(1, ac + 1)] + [j + 2 for j in range(ac + 1, g.ncols)]
-        new_csz = [g.csz[0], n] + g.csz[1 : ac + 1] + [p] + g.csz[ac + 1 :]
-        extra = [
-            (0, 0, -a_next),
-            (0, 1, _eye(n)),
-            (ar + 1, ac + 1, -d_next),
-            (ar + 1, ac + 2, _eye(p)),
-        ]
-    else:
-        col_map = [j + 1 if j < ac else j + 2 for j in range(g.ncols)]
-        new_csz = [n] + g.csz[:ac] + [m] + g.csz[ac:]
-        row_map = [0] + [k + 1 for k in range(1, ar + 1)] + [k + 2 for k in range(ar + 1, g.nrows)]
-        new_rsz = [g.rsz[0], n] + g.rsz[1 : ar + 1] + [m] + g.rsz[ar + 1 :]
-        extra = [
-            (0, 0, -a_next),
-            (1, 0, _eye(n)),
-            (ar + 1, ac + 1, -d_next),
-            (ar + 2, ac + 1, _eye(m)),
-        ]
-    return splice(g, row_map, new_rsz, col_map, new_csz, extra, None, ar + 1, ac + 1)
+    return Grid(cells, [r.n, r.p], [r.n, r.m], 1, 1)
 
 
 def _w_state_step(g: Grid, consec: bool, r: Rsmp, i: int) -> Grid:
-    """State-side-only growth (feedthrough degree exhausted)."""
+    """State-side growth: a block row and column carrying -A_{i+1} and an n-identity."""
     n, a_next = r.n, r.A.coeff(i + 1)
     if consec:
         row_map = [k + 1 for k in range(g.nrows)]
@@ -334,11 +259,11 @@ def _w_state_step(g: Grid, consec: bool, r: Rsmp, i: int) -> Grid:
         row_map = [0] + [k + 1 for k in range(1, g.nrows)]
         new_rsz = [g.rsz[0], n] + g.rsz[1:]
         extra = [(0, 0, -a_next), (1, 0, _eye(n))]
-    return splice(g, row_map, new_rsz, col_map, new_csz, extra, None, g.a_r + 1, g.a_c + 1)
+    return splice(g, row_map, new_rsz, col_map, new_csz, extra, g.a_r + 1, g.a_c + 1)
 
 
 def _w_feed_step(g: Grid, consec: bool, r: Rsmp, i: int) -> Grid:
-    """Feedthrough-side-only growth (state degree exhausted)."""
+    """Feedthrough-side growth: a block row and column carrying -D_{i+1} and an identity."""
     p, m, d_next = r.p, r.m, r.D.coeff(i + 1)
     ar, ac = g.a_r, g.a_c
     if consec:
@@ -353,11 +278,11 @@ def _w_feed_step(g: Grid, consec: bool, r: Rsmp, i: int) -> Grid:
         row_map = [k if k <= ar else k + 1 for k in range(g.nrows)]
         new_rsz = g.rsz[: ar + 1] + [m] + g.rsz[ar + 1 :]
         extra = [(ar, ac, -d_next), (ar + 1, ac, _eye(m))]
-    return splice(g, row_map, new_rsz, col_map, new_csz, extra, None, ar, ac)
+    return splice(g, row_map, new_rsz, col_map, new_csz, extra, ar, ac)
 
 
 def _w_grids(r: Rsmp, s: SigmaSeq) -> list[Grid]:
-    return schedule(r, s, _seed_grid, _w_mixed_step, _w_state_step, _w_feed_step)
+    return schedule(r, s, _w_base, _w_state_step, _w_feed_step)
 
 
 def _grid_to_blockmatrix(g: Grid) -> BlockMatrix:
@@ -376,10 +301,10 @@ def _grid_to_blockmatrix(g: Grid) -> BlockMatrix:
 def build_w_sequence(r: Rsmp, s: SigmaSeq) -> list[BlockMatrix]:
     """The recursion's intermediate matrices, steps 0..d-2; the last is the pencil tail.
 
-    Each step inserts one or two block rows/columns into its predecessor:
-    while both declared degrees have coefficients left, a step adds a state
-    row/col pair and a feedthrough row/col pair; afterwards only the side
-    with remaining coefficients grows.  The decision at each step picks
+    Each step inserts block rows/columns into its predecessor, step 0 into
+    the degree-1 system matrix: a state row/col pair while the declared
+    state degree has coefficients left, then a feedthrough row/col pair
+    while the feedthrough degree has.  The decision at each step picks
     which of the two printed layouts is spliced in.
     """
     return [_grid_to_blockmatrix(g) for g in _w_grids(r, s)]
@@ -418,20 +343,12 @@ def fiedler_pencil_rect(r: Rsmp, s: SigmaSeq) -> Pencil:
     if r.degree == 1:
         if len(s) != 0:
             raise DimensionError("degree-1 systems take an empty decision sequence")
-        n, p, m = r.n, r.p, r.m
-        lead = _block_diag(r.A.coeff(1), r.D.coeff(1))
-        tail = np.block(
-            [
-                [-r.A.coeff(0), r.B.astype(complex)],
-                [-r.C.astype(complex), -r.D.coeff(0)],
-            ]
-        )
-        return Pencil(lead, tail, (n, p), (n, m))
+        return pencil_from_tail(r, _grid_to_blockmatrix(_w_base(r)))
     return pencil_from_tail(r, _grid_to_blockmatrix(_w_grids(r, s)[-1]))
 
 
 def pencil_from_tail(r: Rsmp, w: BlockMatrix) -> Pencil:
-    """The pencil whose tail is the last matrix of ``build_w_sequence`` (degree >= 2)."""
+    """The pencil whose tail is the last matrix of ``build_w_sequence``, or the degree-1 grid."""
     return Pencil(_rect_lead(r, w.row_sizes, w.col_sizes), w.data, w.row_sizes, w.col_sizes)
 
 

@@ -69,7 +69,8 @@ def det_poly(x, tol: float = 1e-8) -> np.ndarray:
     Evaluates the determinant at size*degree + 1 Fourier nodes and inverts
     the transform; a holdout point certifies the interpolant and the whole
     procedure retries with fresh nodes up to three times before raising
-    HoldoutResidual.  Desk-scale guard: size * degree <= 64.
+    HoldoutResidual.  An attempt whose node values, coefficients or holdout
+    residual are not finite fails.  Desk-scale guard: size * degree <= 64.
     """
     p = _as_poly(x)
     if p.rows != p.cols:
@@ -84,17 +85,23 @@ def det_poly(x, tol: float = 1e-8) -> np.ndarray:
         rho = 1.0 + 0.15 * attempt
         phase = rng.uniform(0.0, 2.0 * np.pi)
         zs = rho * np.exp(1j * (2.0 * np.pi * np.arange(npts) / npts + phase))
-        vals = np.linalg.det(p.eval_stack(zs))
-        ks = np.arange(npts)
-        coeffs = np.fft.fft(vals) / npts / (rho**ks * np.exp(1j * ks * phase))
-        scale = max(1.0, float(np.max(np.abs(vals))), float(np.max(np.abs(coeffs))))
-        ok = True
-        for _ in range(2):
-            zh = (0.6 + rng.uniform()) * np.exp(2j * np.pi * rng.uniform())
-            res = abs(scalar_poly_eval(coeffs, zh) - np.linalg.det(p.eval(zh)))
-            if res > tol * scale * max(1.0, abs(zh)) ** bound:
-                ok = False
-                break
+        # an overflowing or NaN determinant fails the attempt, not as a warning
+        with np.errstate(over="ignore", invalid="ignore"):
+            vals = np.linalg.det(p.eval_stack(zs))
+            ks = np.arange(npts)
+            coeffs = np.fft.fft(vals) / npts / (rho**ks * np.exp(1j * ks * phase))
+            # the constant term is the mean of the node values, so this catches those too
+            if not np.all(np.isfinite(coeffs)):
+                continue
+            scale = max(1.0, float(np.max(np.abs(vals))), float(np.max(np.abs(coeffs))))
+            ok = True
+            for _ in range(2):
+                zh = (0.6 + rng.uniform()) * np.exp(2j * np.pi * rng.uniform())
+                res = abs(scalar_poly_eval(coeffs, zh) - np.linalg.det(p.eval(zh)))
+                # written so that a NaN residual fails too
+                if not res <= tol * scale * max(1.0, abs(zh)) ** bound:
+                    ok = False
+                    break
         if ok:
             return coeffs
     raise HoldoutResidual("determinant interpolation failed its holdout check")

@@ -175,6 +175,14 @@ class TestEigCommand:
         assert err.startswith("error: root iteration did not converge")
         assert "Traceback" not in err
 
+    def test_overflowing_determinant_is_exit_two(self, tmp_path, overflowing_example, capsys):
+        path = tmp_path / "big.json"
+        path.write_text(emit_rsmp(overflowing_example))
+        assert main(["eig", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: determinant interpolation failed its holdout check\n"
+
     def test_worked_example_narrative(self, example_file, capsys):
         assert main(["eig", example_file]) == 0
         out = capsys.readouterr().out

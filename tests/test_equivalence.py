@@ -109,6 +109,37 @@ class TestConformability:
                                     assert hh.shape == (right, right)
 
 
+class TestBlockDiagonal:
+    def test_witnesses_do_not_couple_state_and_feedthrough(self, rng):
+        # every N and H element, and the final U and V, is block diagonal
+        # over the state side (the leading min(i + 2, d_A) n-blocks at step
+        # i, d_A n-blocks at the end) and the feedthrough side; the N state
+        # step relies on this and grows only the state rows
+        # a fifth of the acceptance grid, every degree pair included
+        shapes = [
+            (n, p, m, da, dd)
+            for n in (1, 2, 3)
+            for p in (1, 2, 3)
+            for m in (1, 2, 3)
+            for da in range(1, 6)
+            for dd in range(1, 6)
+            if (n + p + m + da + dd) % 5 == 0 and max(da, dd) >= 2
+        ]
+        for n, p, m, da, dd in shapes:
+            r = random_rsmp(rng, n, p, m, da, dd)
+            for s in all_decision_strings(max(da, dd)):
+                split = [
+                    (w, min(i + 2, da) * n)
+                    for seq in (build_n_sequence(r, s), build_h_sequence(r, s))
+                    for i, w in enumerate(seq)
+                ]
+                split += [(w, da * n) for w in unimodular_pair(r, s)]
+                for w, k in split:
+                    c = w.poly.coeffs
+                    assert not np.any(c[:, :k, k:]), (n, p, m, da, dd, s.decisions, k)
+                    assert not np.any(c[:, k:, :k]), (n, p, m, da, dd, s.decisions, k)
+
+
 class TestUnimodularity:
     def test_final_pair_determinants(self, rng):
         for _ in range(8):

@@ -172,6 +172,68 @@ class TestWSequence:
         product = square_fiedler_pencil(r, (1, 3, 2)).tail
         assert np.array_equal(recursion, product)
 
+    @pytest.mark.parametrize(
+        "d_a, d_d, decision",
+        [(2, 2, "C"), (2, 2, "I"), (2, 1, "C"), (2, 1, "I"), (1, 2, "C"), (1, 2, "I")],
+    )
+    def test_step_zero_layouts_rectangular(self, d_a, d_d, decision):
+        # p != m, so every block is told apart by its shape: the four-block
+        # seeds, and the reduced three-block seeds of d_D = 1 and d_A = 1
+        n, p, m = 2, 3, 1
+        r = random_rsmp(np.random.default_rng(6), n, p, m, d_a, d_d)
+        a0, a1 = r.A.coeff(0), r.A.coeff(1)
+        d0, d1 = r.D.coeff(0), r.D.coeff(1)
+        b, c = r.B, r.C
+
+        def z(rows, cols):
+            return np.zeros((rows, cols))
+
+        i_n, i_p, i_m = np.eye(n), np.eye(p), np.eye(m)
+        layouts = {
+            (2, 2, "C"): (
+                [[-a1, i_n, z(n, m), z(n, p)],
+                 [-a0, z(n, n), b, z(n, p)],
+                 [z(p, n), z(p, n), -d1, i_p],
+                 [-c, z(p, n), -d0, z(p, p)]],
+                (n, n, p, p), (n, n, m, p),
+            ),
+            (2, 2, "I"): (
+                [[-a1, -a0, z(n, m), b],
+                 [i_n, z(n, n), z(n, m), z(n, m)],
+                 [z(p, n), -c, -d1, -d0],
+                 [z(m, n), z(m, n), i_m, z(m, m)]],
+                (n, n, p, m), (n, n, m, m),
+            ),
+            (2, 1, "C"): (
+                [[-a1, i_n, z(n, m)],
+                 [-a0, z(n, n), b],
+                 [-c, z(p, n), -d0]],
+                (n, n, p), (n, n, m),
+            ),
+            (2, 1, "I"): (
+                [[-a1, -a0, b],
+                 [i_n, z(n, n), z(n, m)],
+                 [z(p, n), -c, -d0]],
+                (n, n, p), (n, n, m),
+            ),
+            (1, 2, "C"): (
+                [[-a0, b, z(n, p)],
+                 [z(p, n), -d1, i_p],
+                 [-c, -d0, z(p, p)]],
+                (n, p, p), (n, m, p),
+            ),
+            (1, 2, "I"): (
+                [[-a0, z(n, m), b],
+                 [-c, -d1, -d0],
+                 [z(m, n), i_m, z(m, m)]],
+                (n, p, m), (n, m, m),
+            ),
+        }
+        blocks, row_sizes, col_sizes = layouts[d_a, d_d, decision]
+        w0 = build_w_sequence(r, SigmaSeq(decision))[0]
+        assert (w0.row_sizes, w0.col_sizes) == (row_sizes, col_sizes)
+        assert np.array_equal(w0.data, np.block(blocks))
+
     def test_matches_square_product_all_regimes(self, rng):
         for _ in range(20):
             n, pm = int(rng.integers(1, 3)), int(rng.integers(1, 3))

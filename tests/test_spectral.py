@@ -5,6 +5,7 @@ import oracles
 from rosenpencil import (
     AllSamplesSingular,
     DimensionError,
+    HoldoutResidual,
     MatrixPolynomial,
     PoleError,
     Rsmp,
@@ -56,6 +57,12 @@ class TestDetPoly:
         p = MatrixPolynomial(np.ones((10, 9, 9)).astype(complex))
         with pytest.raises(DimensionError):
             det_poly(p)
+
+    def test_overflowing_determinant_fails_the_holdout(self, overflowing_example):
+        # the node determinants overflow and the coefficients come out NaN,
+        # which no holdout check may certify
+        with pytest.raises(HoldoutResidual):
+            det_poly(assemble_s(overflowing_example))
 
 
 class TestPolyRoots:
