@@ -1,20 +1,21 @@
 """Internal block-grid plumbing for the pencil recursions.
 
 A grid is a 2-D list of blocks plus block-size lists and a record of how
-many leading block rows/cols belong to the state (A) side.  Each recursion
-step is a splice: old blocks land at remapped positions, new rows/cols are
-zero except for a handful of prescribed entries.  Zero blocks stay
-unallocated (None).  ``schedule`` is the one driver of every recursion: it
-checks the degree and the decision count, then grows the degree-1 grid
-with a state step per decision while the state degree has coefficients
-left, and a feedthrough step while the feedthrough degree has.
+many leading block rows/cols belong to the state (A) side.  Every
+recursion step is one ``insert``: a zero block row and a zero block column
+of one size go in, and a handful of prescribed blocks are written into
+them.  Zero blocks stay unallocated (None).  ``schedule`` runs every
+recursion: it checks the degree and the decision count, then grows the
+degree-1 grid per decision with the state step while the state degree has
+coefficients left, and with the feedthrough step while the feedthrough
+degree has.
 """
 
 from __future__ import annotations
 
 from .errors import DimensionError
 
-__all__ = ["Grid", "splice", "schedule"]
+__all__ = ["Grid", "insert", "schedule"]
 
 
 class Grid:
@@ -36,30 +37,31 @@ class Grid:
         return len(self.csz)
 
 
-def splice(prev: Grid, row_map, new_rsz, col_map, new_csz, extra, a_r, a_c) -> Grid:
-    """Remap ``prev`` into a larger grid.
+def insert(prev: Grid, at_row: int, at_col: int, size: int, extra, grown: bool) -> Grid:
+    """``prev`` with a zero block row at ``at_row`` and a zero block column at ``at_col``.
 
-    row_map/col_map give the new position of each old block row/col; cells
-    not covered by the remap or by ``extra`` (a list of (row, col, block)
-    entries) stay None, an unallocated zero block.
+    Both new blocks are ``size`` wide; old blocks at or past the insertion
+    shift by one.  ``extra`` lists (row, col, block) entries, in the new
+    positions, written over the result; every other new cell stays None.
+    ``grown`` marks a state step, whose new row and column join the state
+    side.
     """
-    nr, nc = len(new_rsz), len(new_csz)
-    cells = [[None] * nc for _ in range(nr)]
-    for k, nk in enumerate(row_map):
-        old_row = prev.cells[k]
-        for j, nj in enumerate(col_map):
-            cells[nk][nj] = old_row[j]
+    cells = [row[:at_col] + [None] + row[at_col:] for row in prev.cells]
+    cells.insert(at_row, [None] * (prev.ncols + 1))
     for rr, cc, val in extra:
         cells[rr][cc] = val
-    return Grid(cells, new_rsz, new_csz, a_r, a_c)
+    rsz = prev.rsz[:at_row] + [size] + prev.rsz[at_row:]
+    csz = prev.csz[:at_col] + [size] + prev.csz[at_col:]
+    return Grid(cells, rsz, csz, prev.a_r + grown, prev.a_c + grown)
 
 
-def schedule(r, s, base, state, feed) -> list[Grid]:
+def schedule(r, s, base, step) -> list[Grid]:
     """Grids of steps 0..d-2 of one recursion for system ``r`` and decisions ``s``.
 
-    Starts from ``base(r)``, the degree-1 grid.  Step i applies ``state``
-    while i < d_A - 1 and then ``feed`` while i < d_D - 1; each is called as
-    ``step(previous_grid, consec, r, i)`` with ``consec`` the decision at i.
+    Starts from ``base(r)``, the degree-1 grid.  Step i grows the state side
+    while i < d_A - 1 and then the feedthrough side while i < d_D - 1, each
+    as ``step(previous_grid, consec, r, i, state)`` with ``consec`` the
+    decision at i and ``state`` naming the side.
     """
     d = r.degree
     if len(s) != d - 1:
@@ -71,8 +73,8 @@ def schedule(r, s, base, state, feed) -> list[Grid]:
     for i in range(d - 1):
         consec = s.has_consecution(i)
         if i < r.d_a - 1:
-            g = state(g, consec, r, i)
+            g = step(g, consec, r, i, True)
         if i < r.d_d - 1:
-            g = feed(g, consec, r, i)
+            g = step(g, consec, r, i, False)
         grids.append(g)
     return grids

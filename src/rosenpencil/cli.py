@@ -153,6 +153,8 @@ def cmd_pencil(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    if args.all and args.sigma is not None:
+        raise ParseError("--all and --sigma are mutually exclusive")
     r = _read_instance(args.file)
     instance = {"file": args.file, "n": r.n, "p": r.p, "m": r.m, "d_A": r.d_a, "d_D": r.d_d}
     if args.all:
@@ -207,6 +209,8 @@ def cmd_info(args) -> int:
 
 
 def cmd_fuzz(args) -> int:
+    if args.max_dim < 1 or args.max_deg < 1:
+        raise ParseError("--max-dim and --max-deg must be at least 1")
     rng_master = np.random.default_rng(args.seed)
     lines = []
     failures = 0

@@ -23,7 +23,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from ._gridops import Grid, schedule, splice
+from ._gridops import Grid, insert, schedule
 from .blocks import Pencil, PolyBlockMatrix
 from .errors import DimensionError
 from .polycore import MatrixPolynomial
@@ -86,51 +86,34 @@ def _n_base(r: Rsmp) -> Grid:
     return Grid([[_mp_eye(r.n), None], [None, _mp_eye(r.p)]], [r.n, r.p], [r.n, r.p], 1, 1)
 
 
-def _n_state_step(g: Grid, consec: bool, r: Rsmp, i: int) -> Grid:
-    # N is block diagonal over the state and feedthrough sides, so only the
-    # state rows (k < a_r) have a nonzero block in column 0
-    n = r.n
-    if consec:
-        row_map = [k + 1 for k in range(g.nrows)]
-        new_rsz = [n] + g.rsz
-        col_map = [j + 1 for j in range(g.ncols)]
-        new_csz = [n] + g.csz
-        extra = [(0, 0, _mp_eye(n))]
-        for k in range(g.a_r):
-            extra.append((k + 1, 0, _lam(g.cells[k][0])))
-    else:
-        pa = r.A.horner_shift(r.d_a - i - 1)
-        row_map = [k + 1 for k in range(g.nrows)]
-        new_rsz = [n] + g.rsz
-        col_map = [0] + [j + 1 for j in range(1, g.ncols)]
-        new_csz = [g.csz[0], n] + g.csz[1:]
-        extra = [(0, 1, _neg(_mp_eye(n)))]
-        for k in range(g.a_r):
-            extra.append((k + 1, 1, _mul(g.cells[k][0], pa)))
-    return splice(g, row_map, new_rsz, col_map, new_csz, extra, g.a_r + 1, g.a_c + 1)
+def _n_step(g: Grid, consec: bool, r: Rsmp, i: int, state: bool) -> Grid:
+    """One side's growth: a block row at the anchor and a column at or after it.
 
-
-def _n_feed_step(g: Grid, consec: bool, r: Rsmp, i: int) -> Grid:
-    p, m = r.p, r.m
-    ar, ac = g.a_r, g.a_c
-    if consec:
-        row_map = [k if k < ar else k + 1 for k in range(g.nrows)]
-        new_rsz = g.rsz[:ar] + [p] + g.rsz[ar:]
-        col_map = [j if j < ac else j + 1 for j in range(g.ncols)]
-        new_csz = g.csz[:ac] + [p] + g.csz[ac:]
-        extra = [(ar, ac, _mp_eye(p))]
-        for k in range(ar, g.nrows):
-            extra.append((k + 1, ac, _lam(g.cells[k][ac])))
+    The state step (n-sized, rows [0, a_r)) is anchored at block (0, 0), the
+    feedthrough step (p-sized after a consecution, m-sized after an
+    inversion, rows [a_r, nrows)) at (a_r, a_c).  N is block diagonal over
+    the two sides, so only those rows have a nonzero block in the anchor
+    column.  A consecution puts the new column at the anchor, holding I
+    and lambda times the anchor column below it; an inversion puts it after
+    the anchor, holding -I and the anchor column times the Horner shift.
+    """
+    if state:
+        ar = ac = 0
+        rows, size = range(g.a_r), r.n
     else:
-        qd = r.D.horner_shift(r.d_d - i - 1)
-        row_map = [k if k < ar else k + 1 for k in range(g.nrows)]
-        new_rsz = g.rsz[:ar] + [m] + g.rsz[ar:]
-        col_map = [j if j <= ac else j + 1 for j in range(g.ncols)]
-        new_csz = g.csz[: ac + 1] + [m] + g.csz[ac + 1 :]
-        extra = [(ar, ac + 1, _neg(_mp_eye(m)))]
-        for k in range(ar, g.nrows):
-            extra.append((k + 1, ac + 1, _mul(g.cells[k][ac], qd)))
-    return splice(g, row_map, new_rsz, col_map, new_csz, extra, ar, ac)
+        ar, ac = g.a_r, g.a_c
+        rows, size = range(g.a_r, g.nrows), (r.p if consec else r.m)
+    if consec:
+        col = ac
+        extra = [(ar, col, _mp_eye(size))]
+        extra += [(k + 1, col, _lam(g.cells[k][ac])) for k in rows]
+    else:
+        poly = r.A if state else r.D
+        shift = poly.horner_shift(poly.degree - i - 1)
+        col = ac + 1
+        extra = [(ar, col, _neg(_mp_eye(size)))]
+        extra += [(k + 1, col, _mul(g.cells[k][ac], shift)) for k in rows]
+    return insert(g, ar, col, size, extra, state)
 
 
 # -- sequence builders -------------------------------------------------------
@@ -155,7 +138,7 @@ def _grid_to_pbm(g: Grid, transpose: bool = False) -> PolyBlockMatrix:
 
 
 def _n_grids(r: Rsmp, s: SigmaSeq) -> list[Grid]:
-    return schedule(r, s, _n_base, _n_state_step, _n_feed_step)
+    return schedule(r, s, _n_base, _n_step)
 
 
 def build_n_sequence(r: Rsmp, s: SigmaSeq) -> list[PolyBlockMatrix]:

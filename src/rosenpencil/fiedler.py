@@ -5,9 +5,15 @@ elementary factors, one per coefficient, ordered by a bijection.  In the
 rectangular case the product is replaced by a block recursion that grows
 the degree-1 system matrix [[-A_0, B], [-C, -D_0]]: each decision adds a
 state block row and column while A has coefficients left, then a
-feedthrough block row and column while D has.  The two agree entrywise
-whenever both apply, differing only in how the identity/zero blocks are
-sized.
+feedthrough block row and column while D has.  The product and the
+recursion agree entrywise whenever both apply, differing only in how the
+identity/zero blocks are sized.
+
+Both sides grow by one step, anchored at block (0, 0) for the state side
+and at the first feedthrough block for the feedthrough side; the decision
+only picks where the new row and column go.  The closed-form size law and
+structure claims state one rule for both degree orders: a side stops
+growing once its degree has no coefficients left.
 
 Block-size conventions for the rectangular recursion: every identity block
 living in state rows is n-by-n; identities created on the feedthrough side
@@ -22,7 +28,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._gridops import Grid, schedule, splice
+from ._gridops import Grid, insert, schedule
 from .blocks import BlockMatrix, Pencil
 from .errors import DimensionError
 from .rsmp import Rsmp
@@ -244,45 +250,29 @@ def _w_base(r: Rsmp) -> Grid:
     return Grid(cells, [r.n, r.p], [r.n, r.m], 1, 1)
 
 
-def _w_state_step(g: Grid, consec: bool, r: Rsmp, i: int) -> Grid:
-    """State-side growth: a block row and column carrying -A_{i+1} and an n-identity."""
-    n, a_next = r.n, r.A.coeff(i + 1)
-    if consec:
-        row_map = [k + 1 for k in range(g.nrows)]
-        new_rsz = [n] + g.rsz
-        col_map = [0] + [j + 1 for j in range(1, g.ncols)]
-        new_csz = [g.csz[0], n] + g.csz[1:]
-        extra = [(0, 0, -a_next), (0, 1, _eye(n))]
-    else:
-        col_map = [j + 1 for j in range(g.ncols)]
-        new_csz = [n] + g.csz
-        row_map = [0] + [k + 1 for k in range(1, g.nrows)]
-        new_rsz = [g.rsz[0], n] + g.rsz[1:]
-        extra = [(0, 0, -a_next), (1, 0, _eye(n))]
-    return splice(g, row_map, new_rsz, col_map, new_csz, extra, g.a_r + 1, g.a_c + 1)
+def _w_step(g: Grid, consec: bool, r: Rsmp, i: int, state: bool) -> Grid:
+    """One side's growth: a block row and column carrying -P_{i+1} and an identity.
 
-
-def _w_feed_step(g: Grid, consec: bool, r: Rsmp, i: int) -> Grid:
-    """Feedthrough-side growth: a block row and column carrying -D_{i+1} and an identity."""
-    p, m, d_next = r.p, r.m, r.D.coeff(i + 1)
-    ar, ac = g.a_r, g.a_c
-    if consec:
-        row_map = [k if k < ar else k + 1 for k in range(g.nrows)]
-        new_rsz = g.rsz[:ar] + [p] + g.rsz[ar:]
-        col_map = [j if j <= ac else j + 1 for j in range(g.ncols)]
-        new_csz = g.csz[: ac + 1] + [p] + g.csz[ac + 1 :]
-        extra = [(ar, ac, -d_next), (ar, ac + 1, _eye(p))]
+    The state step (P = A, n-identity) is anchored at block (0, 0), the
+    feedthrough step (P = D, p-identity after a consecution, m-identity
+    after an inversion) at the first feedthrough block (a_r, a_c).
+    -P_{i+1} lands on the anchor and the identity where the new row meets
+    the new column: a consecution inserts the row at the anchor and the
+    column after it, an inversion the column at the anchor and the row
+    after it.
+    """
+    if state:
+        ar = ac = 0
+        coeff, size = r.A.coeff(i + 1), r.n
     else:
-        col_map = [j if j < ac else j + 1 for j in range(g.ncols)]
-        new_csz = g.csz[:ac] + [m] + g.csz[ac:]
-        row_map = [k if k <= ar else k + 1 for k in range(g.nrows)]
-        new_rsz = g.rsz[: ar + 1] + [m] + g.rsz[ar + 1 :]
-        extra = [(ar, ac, -d_next), (ar + 1, ac, _eye(m))]
-    return splice(g, row_map, new_rsz, col_map, new_csz, extra, ar, ac)
+        ar, ac = g.a_r, g.a_c
+        coeff, size = r.D.coeff(i + 1), (r.p if consec else r.m)
+    new_r, new_c = (ar, ac + 1) if consec else (ar + 1, ac)
+    return insert(g, new_r, new_c, size, [(ar, ac, -coeff), (new_r, new_c, _eye(size))], state)
 
 
 def _w_grids(r: Rsmp, s: SigmaSeq) -> list[Grid]:
-    return schedule(r, s, _w_base, _w_state_step, _w_feed_step)
+    return schedule(r, s, _w_base, _w_step)
 
 
 def _grid_to_blockmatrix(g: Grid) -> BlockMatrix:
@@ -305,7 +295,7 @@ def build_w_sequence(r: Rsmp, s: SigmaSeq) -> list[BlockMatrix]:
     the degree-1 system matrix: a state row/col pair while the declared
     state degree has coefficients left, then a feedthrough row/col pair
     while the feedthrough degree has.  The decision at each step picks
-    which of the two printed layouts is spliced in.
+    which of the two printed layouts is inserted.
     """
     return [_grid_to_blockmatrix(g) for g in _w_grids(r, s)]
 
@@ -360,31 +350,19 @@ def pencil_from_tail(r: Rsmp, w: BlockMatrix) -> Pencil:
 def expected_size(n, p, m, d_a, d_d, s: SigmaSeq, i: int) -> tuple[int, int]:
     """Closed-form dimensions of recursion step i, per the size law.
 
-    While both sides grow (i up to min degree - 2) the size is
-    (n + n*c + n*i) + (p + p*c + m*i) rows by (n + n*c + n*i) + (m + p*c + m*i)
-    columns with counts over decisions 0..i; afterwards the exhausted
-    side's counts freeze (state side caps at d_A*n total).
+    The state side is n*(min(i, d_A - 2) + 2) square: it stops growing at
+    d_A*n.  The feedthrough side is (p + p*c + m*i) by (m + p*c + m*i), with
+    c/i counting consecutions/inversions among decisions
+    0..min(i, d_D - 2), the ones that grew it.  One rule for both degree
+    orders.
     """
     d = max(d_a, d_d)
     if not 0 <= i <= d - 2:
         raise DimensionError(f"step {i} out of range 0..{d - 2}")
-    c_i, i_i = s.c_count(0, i), s.i_count(0, i)
-    if d_a >= d_d:
-        if i <= d_d - 2:
-            rows = (n + n * c_i + n * i_i) + (p + p * c_i + m * i_i)
-            cols = (n + n * c_i + n * i_i) + (m + p * c_i + m * i_i)
-        else:
-            c0, i0 = s.c_count(0, d_d - 2), s.i_count(0, d_d - 2)
-            rows = (n + n * c_i + n * i_i) + (p + p * c0 + m * i0)
-            cols = (n + n * c_i + n * i_i) + (m + p * c0 + m * i0)
-    else:
-        if i <= d_a - 2:
-            rows = (n + n * c_i + n * i_i) + (p + p * c_i + m * i_i)
-            cols = (n + n * c_i + n * i_i) + (m + p * c_i + m * i_i)
-        else:
-            rows = d_a * n + (p + p * c_i + m * i_i)
-            cols = d_a * n + (m + p * c_i + m * i_i)
-    return rows, cols
+    state = n * (min(i, d_a - 2) + 2)
+    hi = min(i, d_d - 2)
+    c, inv = s.c_count(0, hi), s.i_count(0, hi)
+    return state + p + p * c + m * inv, state + m + p * c + m * inv
 
 
 @dataclass
@@ -412,7 +390,10 @@ def check_block_structure(w: BlockMatrix, i: int, r: Rsmp, s: SigmaSeq) -> Struc
     feedthrough coefficient), the square zero blocks along the diagonal
     (n-sized on the state side, p- or m-sized per decision on the
     feedthrough side), and the zero coupling block created by the step
-    (p-by-n after a consecution, n-by-m after an inversion).
+    (p-by-n after a consecution, n-by-m after an inversion).  One rule
+    serves both degree orders: each side's counts and coefficient indices
+    stop where its degree runs out, and the coupling zero meets state
+    block 2 when the step grew the state side, block 1 otherwise.
     """
     n, p, m, da, dd = r.n, r.p, r.m, r.d_a, r.d_d
     rep = StructureReport()
@@ -420,18 +401,11 @@ def check_block_structure(w: BlockMatrix, i: int, r: Rsmp, s: SigmaSeq) -> Struc
     def is_zero(block):
         return block.size == 0 or not np.any(block)
 
-    if da >= dd:
-        a_blocks = i + 2  # state-side block count at step i
-        d_pos = i + 3  # 1-based block position of the mixed diagonal block
-        d_idx = min(i + 1, dd - 1)  # coefficient index sitting there
-        trailing_decisions = min(i, dd - 2)  # decisions that grew the feedthrough side
-    else:
-        a_blocks = min(i + 2, da)
-        d_pos = a_blocks + 1
-        d_idx = i + 1
-        trailing_decisions = i
-
-    a_idx = min(i + 1, da - 1) if da < dd else i + 1
+    a_blocks = min(i + 2, da)  # state-side block count at step i
+    d_pos = a_blocks + 1  # 1-based block position of the mixed diagonal block
+    a_idx = min(i + 1, da - 1)  # state coefficient on the (1,1) anchor
+    d_idx = min(i + 1, dd - 1)  # feedthrough coefficient on the mixed diagonal block
+    trailing = min(i, dd - 2)  # last decision that grew the feedthrough side
     b11 = w.block(1, 1)
     rep.add(
         "(1,1) block is -A_{i+1}",
@@ -446,7 +420,7 @@ def check_block_structure(w: BlockMatrix, i: int, r: Rsmp, s: SigmaSeq) -> Struc
         blk = w.block(k, k)
         rep.add(f"state diagonal block {k} is 0_n", blk.shape == (n, n) and is_zero(blk))
     total = w.nblock_rows
-    for j in range(trailing_decisions + 1):
+    for j in range(trailing + 1):
         pos = total - j
         if pos <= d_pos:
             break
@@ -457,16 +431,12 @@ def check_block_structure(w: BlockMatrix, i: int, r: Rsmp, s: SigmaSeq) -> Struc
             blk.shape == (want, want) and is_zero(blk),
         )
     # coupling zero created by this step
+    # block 2 is the state row/column this step added, when it grew the state side
+    near = 2 if i <= da - 2 else 1
     if s.has_consecution(i):
-        if da >= dd or i <= da - 2:
-            blk = w.block(d_pos, 2)
-        else:
-            blk = w.block(d_pos, 1)
+        blk = w.block(d_pos, near)
         rep.add("consecution coupling zero is 0_{p x n}", blk.shape == (p, n) and is_zero(blk))
     else:
-        if da < dd and i >= da - 1:
-            blk = w.block(1, d_pos)  # fresh feedthrough column under the state row
-        else:
-            blk = w.block(2, d_pos)  # fresh identity row meets the feedthrough column
+        blk = w.block(near, d_pos)
         rep.add("inversion coupling zero is 0_{n x m}", blk.shape == (n, m) and is_zero(blk))
     return rep

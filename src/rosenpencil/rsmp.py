@@ -187,7 +187,9 @@ def clear_denominator(r: Rsmp, s, tol: float = 1e-8) -> MatrixPolynomial:
             spec = np.fft.fft(vals, axis=0) / npts  # nodes carry positive angles
             ks = np.arange(npts)
             coeffs = spec / (rho**ks * np.exp(1j * ks * phase))[:, None, None]
-            scale = max(1.0, float(np.max(np.abs(vals))))
+            # relative to the samples alone: an absolute floor would trim the
+            # whole polynomial of a small-scale system
+            scale = float(np.max(np.abs(vals)))
             # trim trailing numerically-zero coefficient matrices
             top = bound
             while top > 0 and np.max(np.abs(coeffs[top])) <= 1e-9 * scale:

@@ -22,6 +22,7 @@ from .errors import (
     DimensionError,
     HoldoutResidual,
     NonConvergence,
+    NumericalFailure,
     PoleError,
     SingularInput,
 )
@@ -153,7 +154,8 @@ def eigenvalues_square(x, tol: float = 1e-8) -> Spectrum:
     """Finite eigenvalues of a square pencil or matrix polynomial.
 
     Roots of the interpolated determinant; raises SingularInput when the
-    determinant is identically zero (probabilistic precheck).
+    determinant is identically zero (probabilistic precheck), and
+    NumericalFailure when it underflows to zero at full sampled rank.
     """
     p = _as_poly(x)
     if p.rows != p.cols:
@@ -168,6 +170,11 @@ def eigenvalues_square(x, tol: float = 1e-8) -> Spectrum:
     if not full:
         raise SingularInput("determinant vanishes identically; no discrete spectrum")
     detc = det_poly(p, tol=tol)
+    if not np.any(detc):
+        # full rank at the samples, so the determinant is not identically zero
+        raise NumericalFailure(
+            "determinant underflowed to zero at full sampled rank; the input's scale is too small"
+        )
     trimmed = scalar_poly_trim(detc, rel_tol=1e-9)
     if trimmed.size <= 1:
         eigs: list[tuple[complex, int]] = []

@@ -9,7 +9,15 @@ import numpy as np
 import pytest
 
 import oracles
-from rosenpencil import NonConvergence, companion_first, emit_rsmp, parse_pencil, spectral
+from rosenpencil import (
+    MatrixPolynomial,
+    NonConvergence,
+    Rsmp,
+    companion_first,
+    emit_rsmp,
+    parse_pencil,
+    spectral,
+)
 from rosenpencil.cli import main
 from rosenpencil.sampling import random_rsmp
 
@@ -111,6 +119,13 @@ class TestVerifyCommand:
     def test_missing_sigma_is_input_error(self, example_file, capsys):
         assert main(["verify", example_file]) == 2
 
+    def test_all_with_sigma_is_input_error(self, rect_file, capsys):
+        # --all used to run every string and drop --sigma without a word
+        assert main(["verify", rect_file, "--all", "--sigma", "CCCCC"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: --all and --sigma are mutually exclusive\n"
+
     def test_verification_failure_exits_one(self, rect_file, capsys):
         # float rounding keeps the residual of a degree-six instance strictly
         # positive, so an absurdly tight tolerance must flip the verdict
@@ -183,6 +198,37 @@ class TestEigCommand:
         assert captured.out == ""
         assert captured.err == "error: determinant interpolation failed its holdout check\n"
 
+    @pytest.mark.parametrize("scale", [1e-5, 1e-20])
+    def test_small_scale_prints_the_unscaled_spectra(self, tmp_path, capsys, scale):
+        # scaling A, B, C and D by one factor leaves every eigenvalue in place;
+        # an absolute trimming floor once printed an empty cleared spectrum
+        r = random_rsmp(np.random.default_rng(0), 2, 2, 2, 2, 2)
+        small = Rsmp(MatrixPolynomial(r.A.coeffs * scale), r.B * scale, r.C * scale,
+                     MatrixPolynomial(r.D.coeffs * scale))
+        outs = []
+        for inst in (r, small):
+            path = tmp_path / "inst.json"
+            path.write_text(emit_rsmp(inst))
+            assert main(["eig", str(path)]) == 0
+            outs.append(capsys.readouterr().out)
+        for head in ("system matrix eigenvalues", "cleared-denominator eigenvalues",
+                     "extra eigenvalues created by clearing"):
+            want = [z for z, k in _printed_eigs(outs[0], head) for _ in range(k)]
+            got = _printed_eigs(outs[1], head)
+            assert want and oracles.clusters_match(got, want), head
+
+    def test_underflowing_determinant_is_exit_two(self, tmp_path, capsys):
+        r = random_rsmp(np.random.default_rng(0), 2, 2, 2, 2, 2)
+        tiny = Rsmp(MatrixPolynomial(r.A.coeffs * 1e-100), r.B * 1e-100, r.C * 1e-100,
+                    MatrixPolynomial(r.D.coeffs * 1e-100))
+        path = tmp_path / "tiny.json"
+        path.write_text(emit_rsmp(tiny))
+        assert main(["eig", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: determinant underflowed to zero")
+        assert captured.err.count("\n") == 1
+
     def test_worked_example_narrative(self, example_file, capsys):
         assert main(["eig", example_file]) == 0
         out = capsys.readouterr().out
@@ -238,6 +284,14 @@ class TestFuzzCommand:
         monkeypatch.setattr(rosenpencil.sampling, "is_regular", lambda poly: False)
         assert main(["fuzz", "--max-dim", "1", "--max-deg", "1"]) == 2
         assert capsys.readouterr().err == "error: could not draw a regular state polynomial\n"
+
+    @pytest.mark.parametrize("flag", ["--max-dim", "--max-deg"])
+    def test_empty_sweep_is_input_error(self, capsys, flag):
+        # a sweep over no instance once printed "overall: 0/0 runs passed" and exited 0
+        assert main(["fuzz", flag, "0"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: --max-dim and --max-deg must be at least 1\n"
 
     def test_small_sweep_passes_and_repeats(self, tmp_path, capsys):
         args = [

@@ -423,6 +423,50 @@ class TestBlockStructure:
         assert not rep.passed
         assert any("(1,1)" in f for f in rep.failures())
 
+    # Every claim of the last step (i = 2) of a degree-4 recursion, with the
+    # 1-based block it reads, for both degree orders and both decisions at i.
+    # With d_A > d_D the step grew the state side, so the coupling zero meets
+    # the fresh state block 2; with d_A < d_D it meets the state anchor block 1.
+    @pytest.mark.parametrize(
+        "d_a, d_d, decisions, claims",
+        [
+            (4, 2, "CIC", {"(1,1) block is -A_{i+1}": (1, 1), "mixed diagonal block is -D_k": (5, 5),
+                           "state diagonal block 2 is 0_n": (2, 2), "state diagonal block 3 is 0_n": (3, 3),
+                           "state diagonal block 4 is 0_n": (4, 4),
+                           "feedthrough diagonal block 6 is 0 of decision size (j=0)": (6, 6),
+                           "consecution coupling zero is 0_{p x n}": (5, 2)}),
+            (4, 2, "CII", {"(1,1) block is -A_{i+1}": (1, 1), "mixed diagonal block is -D_k": (5, 5),
+                           "state diagonal block 2 is 0_n": (2, 2), "state diagonal block 3 is 0_n": (3, 3),
+                           "state diagonal block 4 is 0_n": (4, 4),
+                           "feedthrough diagonal block 6 is 0 of decision size (j=0)": (6, 6),
+                           "inversion coupling zero is 0_{n x m}": (2, 5)}),
+            (2, 4, "CIC", {"(1,1) block is -A_{i+1}": (1, 1), "mixed diagonal block is -D_k": (3, 3),
+                           "state diagonal block 2 is 0_n": (2, 2),
+                           "feedthrough diagonal block 6 is 0 of decision size (j=0)": (6, 6),
+                           "feedthrough diagonal block 5 is 0 of decision size (j=1)": (5, 5),
+                           "feedthrough diagonal block 4 is 0 of decision size (j=2)": (4, 4),
+                           "consecution coupling zero is 0_{p x n}": (3, 1)}),
+            (2, 4, "CII", {"(1,1) block is -A_{i+1}": (1, 1), "mixed diagonal block is -D_k": (3, 3),
+                           "state diagonal block 2 is 0_n": (2, 2),
+                           "feedthrough diagonal block 6 is 0 of decision size (j=0)": (6, 6),
+                           "feedthrough diagonal block 5 is 0 of decision size (j=1)": (5, 5),
+                           "feedthrough diagonal block 4 is 0 of decision size (j=2)": (4, 4),
+                           "inversion coupling zero is 0_{n x m}": (1, 3)}),
+        ],
+    )
+    def test_each_claim_fails_alone_when_its_block_is_mutated(self, rng, d_a, d_d, decisions, claims):
+        r = random_rsmp(rng, 2, 1, 3, d_a, d_d)
+        s = SigmaSeq(decisions)
+        w = build_w_sequence(r, s)[2]
+        clean = check_block_structure(w, 2, r, s)
+        assert clean.passed, clean.failures()
+        assert [name for name, _ in clean.checks] == list(claims)
+        for name, (bi, bj) in claims.items():
+            data = w.data.copy()
+            data[w.row_cuts[bi - 1] : w.row_cuts[bi], w.col_cuts[bj - 1] : w.col_cuts[bj]] += 1.0
+            bad = BlockMatrix(data, w.row_sizes, w.col_sizes)
+            assert check_block_structure(bad, 2, r, s).failures() == [name]
+
     def test_equal_degree_feedthrough_anchor(self, rng):
         # cubic on both sides: the mixed diagonal block of step i holds the
         # (i+1)-st feedthrough coefficient
