@@ -1,10 +1,11 @@
 """Internal block-grid plumbing for the pencil recursions.
 
-A grid is a 2-D list of blocks plus block-size lists and a record of how
-many leading block rows/cols belong to the state (A) side.  Every
-recursion step is one ``insert``: a zero block row and a zero block column
-of one size go in, and a handful of prescribed blocks are written into
-them.  Zero blocks stay unallocated (None).  ``schedule`` runs every
+A grid is a 2-D list of blocks plus block-size lists and the count ``a``
+of leading block rows, and equally many leading block columns, that belong
+to the state (A) side, so block (a, a) is the first feedthrough block.
+Every recursion step is one ``insert``: a zero block row and a zero block
+column of one size go in, and a handful of prescribed blocks are written
+into them.  Zero blocks stay unallocated (None).  ``schedule`` runs every
 recursion: it checks the degree and the decision count, then grows the
 degree-1 grid per decision with the state step while the state degree has
 coefficients left, and with the feedthrough step while the feedthrough
@@ -19,14 +20,13 @@ __all__ = ["Grid", "insert", "schedule"]
 
 
 class Grid:
-    __slots__ = ("cells", "rsz", "csz", "a_r", "a_c")
+    __slots__ = ("cells", "rsz", "csz", "a")
 
-    def __init__(self, cells, rsz, csz, a_r, a_c):
+    def __init__(self, cells, rsz, csz, a):
         self.cells = cells  # list of lists of blocks (ndarray, MatrixPolynomial or None)
         self.rsz = list(rsz)
         self.csz = list(csz)
-        self.a_r = a_r  # leading block rows belonging to the A side
-        self.a_c = a_c
+        self.a = a  # leading block rows, and block cols, belonging to the A side
 
     @property
     def nrows(self):
@@ -52,7 +52,7 @@ def insert(prev: Grid, at_row: int, at_col: int, size: int, extra, grown: bool) 
         cells[rr][cc] = val
     rsz = prev.rsz[:at_row] + [size] + prev.rsz[at_row:]
     csz = prev.csz[:at_col] + [size] + prev.csz[at_col:]
-    return Grid(cells, rsz, csz, prev.a_r + grown, prev.a_c + grown)
+    return Grid(cells, rsz, csz, prev.a + grown)
 
 
 def schedule(r, s, base, step) -> list[Grid]:

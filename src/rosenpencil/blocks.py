@@ -46,13 +46,6 @@ class BlockMatrix:
         self.row_cuts = _cuts(row_sizes)
         self.col_cuts = _cuts(col_sizes)
 
-    @classmethod
-    def from_blocks(cls, rows) -> "BlockMatrix":
-        """Assemble from a 2-D grid (list of lists) of conforming blocks."""
-        row_sizes = [r[0].shape[0] for r in rows]
-        col_sizes = [b.shape[1] for b in rows[0]]
-        return cls(np.block([[np.asarray(b) for b in r] for r in rows]), row_sizes, col_sizes)
-
     @property
     def shape(self) -> tuple[int, int]:
         return self.data.shape

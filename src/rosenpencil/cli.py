@@ -1,8 +1,9 @@
 """Command-line interface: build pencils, verify them, inspect spectra, fuzz.
 
 Exit codes: 0 on success, 1 when a verification fails, 2 on input errors
-and on numerical failures (a routine that did not converge or could not
-certify its result); either kind of error prints one ``error: ...`` line.
+(a malformed command line included) and on numerical failures (a routine
+that did not converge or could not certify its result); either kind of
+error prints one ``error: ...`` line.
 Reports are line-delimited strict JSON records: a figure that is not
 finite (an overflowing or NaN residual, whose verdict is "fail") is written
 as null, never as the non-standard tokens Infinity or NaN.  Identical
@@ -199,10 +200,12 @@ def cmd_info(args) -> int:
     print(f"state polynomial regular: {r.a_regular}")
     print(f"system matrix normal rank: {spectral.normal_rank(s)}")
     if r.degree >= 2:
-        sizes = set()
-        for seq in all_decision_strings(r.degree):
-            rows, cols = fiedler.expected_size(r.n, r.p, r.m, r.d_a, r.d_d, seq, r.degree - 2)
-            sizes.add((rows, cols))
+        # the size depends only on how many consecutions fall among the
+        # decisions that grew the feedthrough side, so the d strings with
+        # c = 0..d-1 leading consecutions reach every size
+        d = r.degree
+        seqs = (SigmaSeq("C" * c + "I" * (d - 1 - c)) for c in range(d))
+        sizes = {fiedler.expected_size(r.n, r.p, r.m, r.d_a, r.d_d, seq, d - 2) for seq in seqs}
         menu = ", ".join(f"{a}x{b}" for a, b in sorted(sizes))
         print(f"pencil sizes over all decision strings: {menu}")
     return 0
@@ -242,8 +245,15 @@ def cmd_fuzz(args) -> int:
     return 1 if failures else 0
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    """A parser whose usage errors raise ParseError; its subparsers share the class."""
+
+    def error(self, message):
+        raise ParseError(message)
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
+    ap = _ArgumentParser(
         prog="rosenpencil",
         description="Fiedler pencils of Rosenbrock system matrix polynomials",
     )

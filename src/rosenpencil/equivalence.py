@@ -83,37 +83,35 @@ def _neg(p: MatrixPolynomial) -> MatrixPolynomial:
 
 def _n_base(r: Rsmp) -> Grid:
     """The degree-1 left witness blkdiag(I_n, I_p), which every recursion grows."""
-    return Grid([[_mp_eye(r.n), None], [None, _mp_eye(r.p)]], [r.n, r.p], [r.n, r.p], 1, 1)
+    return Grid([[_mp_eye(r.n), None], [None, _mp_eye(r.p)]], [r.n, r.p], [r.n, r.p], 1)
 
 
 def _n_step(g: Grid, consec: bool, r: Rsmp, i: int, state: bool) -> Grid:
     """One side's growth: a block row at the anchor and a column at or after it.
 
-    The state step (n-sized, rows [0, a_r)) is anchored at block (0, 0), the
+    The state step (n-sized, rows [0, a)) is anchored at block (0, 0), the
     feedthrough step (p-sized after a consecution, m-sized after an
-    inversion, rows [a_r, nrows)) at (a_r, a_c).  N is block diagonal over
-    the two sides, so only those rows have a nonzero block in the anchor
+    inversion, rows [a, nrows)) at (a, a).  N is block diagonal over the
+    two sides, so only those rows have a nonzero block in the anchor
     column.  A consecution puts the new column at the anchor, holding I
     and lambda times the anchor column below it; an inversion puts it after
     the anchor, holding -I and the anchor column times the Horner shift.
     """
     if state:
-        ar = ac = 0
-        rows, size = range(g.a_r), r.n
+        a, rows, size = 0, range(g.a), r.n
     else:
-        ar, ac = g.a_r, g.a_c
-        rows, size = range(g.a_r, g.nrows), (r.p if consec else r.m)
+        a, rows, size = g.a, range(g.a, g.nrows), (r.p if consec else r.m)
     if consec:
-        col = ac
-        extra = [(ar, col, _mp_eye(size))]
-        extra += [(k + 1, col, _lam(g.cells[k][ac])) for k in rows]
+        col = a
+        extra = [(a, col, _mp_eye(size))]
+        extra += [(k + 1, col, _lam(g.cells[k][a])) for k in rows]
     else:
         poly = r.A if state else r.D
         shift = poly.horner_shift(poly.degree - i - 1)
-        col = ac + 1
-        extra = [(ar, col, _neg(_mp_eye(size)))]
-        extra += [(k + 1, col, _mul(g.cells[k][ac], shift)) for k in rows]
-    return insert(g, ar, col, size, extra, state)
+        col = a + 1
+        extra = [(a, col, _neg(_mp_eye(size)))]
+        extra += [(k + 1, col, _mul(g.cells[k][a], shift)) for k in rows]
+    return insert(g, a, col, size, extra, state)
 
 
 # -- sequence builders -------------------------------------------------------

@@ -7,7 +7,9 @@ the degree-1 system matrix [[-A_0, B], [-C, -D_0]]: each decision adds a
 state block row and column while A has coefficients left, then a
 feedthrough block row and column while D has.  The product and the
 recursion agree entrywise whenever both apply, differing only in how the
-identity/zero blocks are sized.
+identity/zero blocks are sized.  The first and second companion forms are
+the Fiedler pencils of the all-inversion and all-consecution decision
+strings, so the recursion builds them too.
 
 Both sides grow by one step, anchored at block (0, 0) for the state side
 and at the first feedthrough block for the feedthrough side; the decision
@@ -64,71 +66,17 @@ def _eye(k: int) -> np.ndarray:
 def companion_first(r: Rsmp) -> Pencil:
     """First companion form: state block column-compressed, feedthrough rows m-sized.
 
-    Returned as lambda*lead - tail where lead carries the leading
-    coefficients and tail is the negated constant block layout.
+    The Fiedler pencil of the all-inversion decision string.
     """
-    n, p, m, da, dd = r.n, r.p, r.m, r.d_a, r.d_d
-    row_sizes = [n] * da + [p] + [m] * (dd - 1)
-    col_sizes = [n] * da + [m] * dd
-    lead = _zeros(sum(row_sizes), sum(col_sizes))
-    y = _zeros(sum(row_sizes), sum(col_sizes))
-    rc = np.concatenate(([0], np.cumsum(row_sizes)))
-    cc = np.concatenate(([0], np.cumsum(col_sizes)))
-
-    def put(mat, i, j, val):
-        mat[rc[i] : rc[i + 1], cc[j] : cc[j + 1]] = val
-
-    put(lead, 0, 0, r.A.coeff(da))
-    for k in range(1, da):
-        put(lead, k, k, _eye(n))
-    put(lead, da, da, r.D.coeff(dd))
-    for k in range(1, dd):
-        put(lead, da + k, da + k, _eye(m))
-
-    for k in range(da):
-        put(y, 0, k, r.A.coeff(da - 1 - k))
-    put(y, 0, da + dd - 1, -r.B)
-    for k in range(1, da):
-        put(y, k, k - 1, -_eye(n))
-    put(y, da, da - 1, r.C)
-    for k in range(dd):
-        put(y, da, da + k, r.D.coeff(dd - 1 - k))
-    for k in range(1, dd):
-        put(y, da + k, da + k - 1, -_eye(m))
-    return Pencil(lead, -y, row_sizes, col_sizes)
+    return fiedler_pencil_rect(r, SigmaSeq("I" * (r.degree - 1)))
 
 
 def companion_second(r: Rsmp) -> Pencil:
-    """Second companion form: state block row-compressed, feedthrough cols p-sized."""
-    n, p, m, da, dd = r.n, r.p, r.m, r.d_a, r.d_d
-    row_sizes = [n] * da + [p] * dd
-    col_sizes = [n] * da + [m] + [p] * (dd - 1)
-    lead = _zeros(sum(row_sizes), sum(col_sizes))
-    y = _zeros(sum(row_sizes), sum(col_sizes))
-    rc = np.concatenate(([0], np.cumsum(row_sizes)))
-    cc = np.concatenate(([0], np.cumsum(col_sizes)))
+    """Second companion form: state block row-compressed, feedthrough cols p-sized.
 
-    def put(mat, i, j, val):
-        mat[rc[i] : rc[i + 1], cc[j] : cc[j + 1]] = val
-
-    put(lead, 0, 0, r.A.coeff(da))
-    for k in range(1, da):
-        put(lead, k, k, _eye(n))
-    put(lead, da, da, r.D.coeff(dd))
-    for k in range(1, dd):
-        put(lead, da + k, da + k, _eye(p))
-
-    for k in range(da):
-        put(y, k, 0, r.A.coeff(da - 1 - k))
-    for k in range(da - 1):
-        put(y, k, k + 1, -_eye(n))
-    put(y, da - 1, da, -r.B)
-    for k in range(dd):
-        put(y, da + k, da, r.D.coeff(dd - 1 - k))
-    for k in range(dd - 1):
-        put(y, da + k, da + k + 1, -_eye(p))
-    put(y, da + dd - 1, 0, r.C)
-    return Pencil(lead, -y, row_sizes, col_sizes)
+    The Fiedler pencil of the all-consecution decision string.
+    """
+    return fiedler_pencil_rect(r, SigmaSeq("C" * (r.degree - 1)))
 
 
 # ---------------------------------------------------------------------------
@@ -136,30 +84,15 @@ def companion_second(r: Rsmp) -> Pencil:
 # ---------------------------------------------------------------------------
 
 
-def _state_factor(r: Rsmp, i: int) -> np.ndarray:
-    """Elementary factor of the state polynomial alone, size d_A*n."""
-    n, da = r.n, r.d_a
-    if i == da:
-        return _block_diag(r.A.coeff(da), _eye((da - 1) * n))
+def _factor(poly, k: int, i: int) -> np.ndarray:
+    """Elementary factor i of one side alone: ``poly`` with k-sized blocks, size degree*k."""
+    d = poly.degree
+    if i == d:
+        return _block_diag(poly.coeff(d), _eye((d - 1) * k))
     if i == 0:
-        return _block_diag(_eye((da - 1) * n), -r.A.coeff(0))
-    mid = np.block(
-        [[-r.A.coeff(i), _eye(n)], [_eye(n), _zeros(n, n)]]
-    )
-    return _block_diag(_eye((da - i - 1) * n), mid, _eye((i - 1) * n))
-
-
-def _feedthrough_factor(r: Rsmp, i: int) -> np.ndarray:
-    """Elementary factor of the feedthrough polynomial alone, size d_D*m (square case)."""
-    m, dd = r.m, r.d_d
-    if i == dd:
-        return _block_diag(r.D.coeff(dd), _eye((dd - 1) * m))
-    if i == 0:
-        return _block_diag(_eye((dd - 1) * m), -r.D.coeff(0))
-    mid = np.block(
-        [[-r.D.coeff(i), _eye(m)], [_eye(m), _zeros(m, m)]]
-    )
-    return _block_diag(_eye((dd - i - 1) * m), mid, _eye((i - 1) * m))
+        return _block_diag(_eye((d - 1) * k), -poly.coeff(0))
+    mid = np.block([[-poly.coeff(i), _eye(k)], [_eye(k), _zeros(k, k)]])
+    return _block_diag(_eye((d - i - 1) * k), mid, _eye((i - 1) * k))
 
 
 def _block_diag(*mats) -> np.ndarray:
@@ -192,22 +125,20 @@ def square_fiedler_matrix(r: Rsmp, i: int) -> BlockMatrix:
     row_sizes = [n] * da + [m] * dd
 
     if i == 0:
-        top = _state_factor(r, 0)
-        bot = _feedthrough_factor(r, 0)
-        data = _block_diag(top, bot)
+        data = _block_diag(_factor(r.A, n, 0), _factor(r.D, m, 0))
         # couplings sit on the blocks holding -A_0 and -D_0
         data[(da - 1) * n : da * n, da * n + (dd - 1) * m :] = r.B
         data[da * n + (dd - 1) * m :, (da - 1) * n : da * n] = -r.C
         return BlockMatrix(data, row_sizes, row_sizes)
     if i == d:
-        data = _block_diag(_state_factor(r, da), _feedthrough_factor(r, dd))
+        data = _block_diag(_factor(r.A, n, da), _factor(r.D, m, dd))
         return BlockMatrix(data, row_sizes, row_sizes)
     if i < min(da, dd):
-        data = _block_diag(_state_factor(r, i), _feedthrough_factor(r, i))
+        data = _block_diag(_factor(r.A, n, i), _factor(r.D, m, i))
     elif da > dd:  # dd <= i <= da-1
-        data = _block_diag(_state_factor(r, i), _eye(dd * m))
+        data = _block_diag(_factor(r.A, n, i), _eye(dd * m))
     else:  # da <= i <= dd-1
-        data = _block_diag(_eye(da * n), _feedthrough_factor(r, i))
+        data = _block_diag(_eye(da * n), _factor(r.D, m, i))
     return BlockMatrix(data, row_sizes, row_sizes)
 
 
@@ -247,7 +178,7 @@ def _w_base(r: Rsmp) -> Grid:
         [-r.A.coeff(0), r.B.astype(complex)],
         [-r.C.astype(complex), -r.D.coeff(0)],
     ]
-    return Grid(cells, [r.n, r.p], [r.n, r.m], 1, 1)
+    return Grid(cells, [r.n, r.p], [r.n, r.m], 1)
 
 
 def _w_step(g: Grid, consec: bool, r: Rsmp, i: int, state: bool) -> Grid:
@@ -255,20 +186,17 @@ def _w_step(g: Grid, consec: bool, r: Rsmp, i: int, state: bool) -> Grid:
 
     The state step (P = A, n-identity) is anchored at block (0, 0), the
     feedthrough step (P = D, p-identity after a consecution, m-identity
-    after an inversion) at the first feedthrough block (a_r, a_c).
-    -P_{i+1} lands on the anchor and the identity where the new row meets
-    the new column: a consecution inserts the row at the anchor and the
-    column after it, an inversion the column at the anchor and the row
-    after it.
+    after an inversion) at the first feedthrough block (a, a).  -P_{i+1}
+    lands on the anchor and the identity where the new row meets the new
+    column: a consecution inserts the row at the anchor and the column
+    after it, an inversion the column at the anchor and the row after it.
     """
     if state:
-        ar = ac = 0
-        coeff, size = r.A.coeff(i + 1), r.n
+        a, coeff, size = 0, r.A.coeff(i + 1), r.n
     else:
-        ar, ac = g.a_r, g.a_c
-        coeff, size = r.D.coeff(i + 1), (r.p if consec else r.m)
-    new_r, new_c = (ar, ac + 1) if consec else (ar + 1, ac)
-    return insert(g, new_r, new_c, size, [(ar, ac, -coeff), (new_r, new_c, _eye(size))], state)
+        a, coeff, size = g.a, r.D.coeff(i + 1), (r.p if consec else r.m)
+    new_r, new_c = (a, a + 1) if consec else (a + 1, a)
+    return insert(g, new_r, new_c, size, [(a, a, -coeff), (new_r, new_c, _eye(size))], state)
 
 
 def _w_grids(r: Rsmp, s: SigmaSeq) -> list[Grid]:

@@ -13,8 +13,10 @@ from rosenpencil import (
     MatrixPolynomial,
     NonConvergence,
     Rsmp,
+    all_decision_strings,
     companion_first,
     emit_rsmp,
+    fiedler,
     parse_pencil,
     spectral,
 )
@@ -269,12 +271,57 @@ class TestEigCommand:
                     assert all(_EIG.fullmatch(tok) for tok in filter(None, body[1:-1].split(", ")))
 
 
+class TestUsageErrors:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            [],
+            ["fuzz", "--max-dim", "x"],
+            ["verify"],
+            ["eig"],
+            ["nosuch"],
+            ["verify", "f.json", "--trials", "1.5"],
+        ],
+    )
+    def test_one_error_line_and_exit_two(self, argv, capsys):
+        # argparse once raised SystemExit(2) here and printed a usage block
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert re.fullmatch(r"error: [^\n]+\n", captured.err)
+
+    @pytest.mark.parametrize("argv", [["--help"], ["verify", "--help"]])
+    def test_help_exits_zero(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 0
+        assert "usage: rosenpencil" in capsys.readouterr().out
+
+
 class TestInfoCommand:
     def test_reports_dimensions(self, example_file, capsys):
         assert main(["info", example_file]) == 0
         out = capsys.readouterr().out
         assert "d_A = 1, d_D = 1" in out
         assert "state polynomial regular: True" in out
+
+    def test_size_menu_needs_one_string_per_consecution_count(self, tmp_path, rng, capsys, monkeypatch):
+        # the menu once called expected_size for all 2^(d-1) decision strings
+        n, p, m, d_a, d_d = 1, 2, 1, 5, 12
+        path = tmp_path / "deg12.json"
+        path.write_text(emit_rsmp(random_rsmp(rng, n, p, m, d_a, d_d)))
+        brute = {fiedler.expected_size(n, p, m, d_a, d_d, s, d_d - 2) for s in all_decision_strings(d_d)}
+        want = ", ".join(f"{a}x{b}" for a, b in sorted(brute))
+        size_law, calls = fiedler.expected_size, []
+
+        def counted(*args):
+            calls.append(args)
+            return size_law(*args)
+
+        monkeypatch.setattr(fiedler, "expected_size", counted)
+        assert main(["info", str(path)]) == 0
+        assert len(calls) <= d_d
+        assert f"pencil sizes over all decision strings: {want}\n" in capsys.readouterr().out
 
 
 class TestFuzzCommand:

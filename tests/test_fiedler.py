@@ -62,6 +62,107 @@ class TestCompanionForms:
         assert c1.shape == (da * n + p + (dd - 1) * m, da * n + dd * m)
         assert c2.shape == (da * n + dd * p, da * n + m + (dd - 1) * p)
 
+    def test_literal_layouts_rectangular(self):
+        # p != m in both degree orders, so every block is told apart by its
+        # shape; A = 2 + 3l + 5l^2 (+ 7l^3), D_k and B, C all distinct
+        # (1, 2, 1, 3, 2): A cubic, D quadratic 2x1, B 1x1, C 2x1
+        a = MatrixPolynomial([[[2]], [[3]], [[5]], [[7]]])
+        d = MatrixPolynomial([[[19], [23]], [[29], [31]], [[37], [41]]])
+        r = Rsmp(a, [[11]], [[13], [17]], d, check_regular=False)
+        first = companion_first(r)
+        assert np.array_equal(
+            first.tail,
+            np.block([
+                [-5, -3, -2, 0, 11],
+                [1, 0, 0, 0, 0],
+                [0, 1, 0, 0, 0],
+                [np.array([[0, 0, -13, -29, -19], [0, 0, -17, -31, -23]])],
+                [0, 0, 0, 1, 0],
+            ]),
+        )
+        assert np.array_equal(
+            first.lead,
+            np.block([
+                [7, 0, 0, 0, 0],
+                [0, 1, 0, 0, 0],
+                [0, 0, 1, 0, 0],
+                [np.array([[0, 0, 0, 37, 0], [0, 0, 0, 41, 0]])],
+                [0, 0, 0, 0, 1],
+            ]),
+        )
+        assert (first.row_sizes, first.col_sizes) == ((1, 1, 1, 2, 1), (1, 1, 1, 1, 1))
+        second = companion_second(r)
+        assert np.array_equal(
+            second.tail,
+            np.block([
+                [-5, 1, 0, 0, 0, 0],
+                [-3, 0, 1, 0, 0, 0],
+                [-2, 0, 0, 11, 0, 0],
+                [np.array([[0, 0, 0, -29, 1, 0], [0, 0, 0, -31, 0, 1]])],
+                [np.array([[-13, 0, 0, -19, 0, 0], [-17, 0, 0, -23, 0, 0]])],
+            ]),
+        )
+        assert np.array_equal(
+            second.lead,
+            np.block([
+                [7, 0, 0, 0, 0, 0],
+                [0, 1, 0, 0, 0, 0],
+                [0, 0, 1, 0, 0, 0],
+                [np.array([[0, 0, 0, 37, 0, 0], [0, 0, 0, 41, 0, 0]])],
+                [np.array([[0, 0, 0, 0, 1, 0], [0, 0, 0, 0, 0, 1]])],
+            ]),
+        )
+        assert (second.row_sizes, second.col_sizes) == ((1, 1, 1, 2, 2), (1, 1, 1, 1, 2))
+
+        # (1, 1, 2, 2, 3): A quadratic, D cubic 1x2, B 1x2, C 1x1
+        a = MatrixPolynomial([[[2]], [[3]], [[5]]])
+        d = MatrixPolynomial([[[17, 19]], [[23, 29]], [[31, 37]], [[41, 43]]])
+        r = Rsmp(a, [[7, 11]], [[13]], d, check_regular=False)
+        first = companion_first(r)
+        assert np.array_equal(
+            first.tail,
+            np.block([
+                [-3, -2, 0, 0, 0, 0, 7, 11],
+                [1, 0, 0, 0, 0, 0, 0, 0],
+                [0, -13, -31, -37, -23, -29, -17, -19],
+                [np.array([[0, 0, 1, 0, 0, 0, 0, 0], [0, 0, 0, 1, 0, 0, 0, 0]])],
+                [np.array([[0, 0, 0, 0, 1, 0, 0, 0], [0, 0, 0, 0, 0, 1, 0, 0]])],
+            ]),
+        )
+        assert np.array_equal(
+            first.lead,
+            np.block([
+                [5, 0, 0, 0, 0, 0, 0, 0],
+                [0, 1, 0, 0, 0, 0, 0, 0],
+                [0, 0, 41, 43, 0, 0, 0, 0],
+                [np.array([[0, 0, 0, 0, 1, 0, 0, 0], [0, 0, 0, 0, 0, 1, 0, 0]])],
+                [np.array([[0, 0, 0, 0, 0, 0, 1, 0], [0, 0, 0, 0, 0, 0, 0, 1]])],
+            ]),
+        )
+        assert (first.row_sizes, first.col_sizes) == ((1, 1, 1, 2, 2), (1, 1, 2, 2, 2))
+        second = companion_second(r)
+        assert np.array_equal(
+            second.tail,
+            np.block([
+                [-3, 1, 0, 0, 0, 0],
+                [-2, 0, 7, 11, 0, 0],
+                [0, 0, -31, -37, 1, 0],
+                [0, 0, -23, -29, 0, 1],
+                [-13, 0, -17, -19, 0, 0],
+            ]),
+        )
+        assert np.array_equal(
+            second.lead,
+            np.block([
+                [5, 0, 0, 0, 0, 0],
+                [0, 1, 0, 0, 0, 0],
+                [0, 0, 41, 43, 0, 0],
+                [0, 0, 0, 0, 1, 0],
+                [0, 0, 0, 0, 0, 1],
+            ]),
+        )
+        assert (second.row_sizes, second.col_sizes) == ((1, 1, 1, 1, 1), (1, 1, 2, 1, 1))
+
     def test_eigenvalues_match_determinant_roots(self, rng):
         for _ in range(12):
             n, pm = int(rng.integers(1, 3)), int(rng.integers(1, 3))
