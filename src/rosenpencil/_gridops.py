@@ -9,7 +9,12 @@ into them.  Zero blocks stay unallocated (None).  ``schedule`` runs every
 recursion: it checks the degree and the decision count, then grows the
 degree-1 grid per decision with the state step while the state degree has
 coefficients left, and with the feedthrough step while the feedthrough
-degree has.
+degree has.  Step i depends only on decisions 0..i, so ``schedule`` keeps
+each grid in a memo under its system, step function and decision prefix:
+the public builders pass a fresh memo, and a caller that walks many
+decision strings of one system passes one memo for all of them and builds
+each prefix once.  Grids are never changed after they are built, so a
+memoised grid can be shared.
 """
 
 from __future__ import annotations
@@ -55,26 +60,36 @@ def insert(prev: Grid, at_row: int, at_col: int, size: int, extra, grown: bool) 
     return Grid(cells, rsz, csz, prev.a + grown)
 
 
-def schedule(r, s, base, step) -> list[Grid]:
+def schedule(r, s, base, step, memo: dict) -> list[Grid]:
     """Grids of steps 0..d-2 of one recursion for system ``r`` and decisions ``s``.
 
     Starts from ``base(r)``, the degree-1 grid.  Step i grows the state side
     while i < d_A - 1 and then the feedthrough side while i < d_D - 1, each
     as ``step(previous_grid, consec, r, i, state)`` with ``consec`` the
-    decision at i and ``state`` naming the side.
+    decision at i and ``state`` naming the side.  ``memo`` maps
+    ``(r, step, prefix)`` to the grid after the decisions ``prefix`` (the
+    base grid under the empty prefix); a grid found there is not built
+    again, and every grid built is put there.
     """
     d = r.degree
     if len(s) != d - 1:
         raise DimensionError(f"need {d - 1} decisions for degree {d}, got {len(s)}")
     if d < 2:
         raise DimensionError("the recursions need pencil degree >= 2")
-    g = base(r)
+    g = memo.get((r, step, ""))
+    if g is None:
+        g = memo[(r, step, "")] = base(r)
     grids = []
     for i in range(d - 1):
-        consec = s.has_consecution(i)
-        if i < r.d_a - 1:
-            g = step(g, consec, r, i, True)
-        if i < r.d_d - 1:
-            g = step(g, consec, r, i, False)
+        key = (r, step, s.decisions[: i + 1])
+        if key in memo:
+            g = memo[key]
+        else:
+            consec = s.has_consecution(i)
+            if i < r.d_a - 1:
+                g = step(g, consec, r, i, True)
+            if i < r.d_d - 1:
+                g = step(g, consec, r, i, False)
+            memo[key] = g
         grids.append(g)
     return grids

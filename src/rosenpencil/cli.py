@@ -9,6 +9,14 @@ finite (an overflowing or NaN residual, whose verdict is "fail") is written
 as null, never as the non-standard tokens Infinity or NaN.  Identical
 inputs, seed, and flags produce byte-identical report streams (timing is
 kept out of the records for exactly that reason).
+
+``verify`` and ``fuzz`` check every decision string of one instance at the
+same sample points, drawn from the seed, with S, A and D evaluated there
+once.  Step i of the pencil and witness recursions, its size law and its
+structure claims depend only on decisions 0..i, so each decision prefix
+is built and checked once per instance; only the tail assembly, the
+witness evaluation and the residual checks run per string.  The records
+are those of the per-string public calls, byte for byte.
 """
 
 from __future__ import annotations
@@ -80,43 +88,62 @@ def _sigma_for(r: Rsmp, text: str) -> SigmaSeq:
     return parse_sigma(text, degree=r.degree)
 
 
-def _check_sizes_and_structure(r: Rsmp, s: SigmaSeq, ws) -> tuple[bool, bool]:
-    """Size laws and block-structure claims of every step of the W sequence ``ws``."""
-    sizes_ok = all(
-        w.shape == fiedler.expected_size(r.n, r.p, r.m, r.d_a, r.d_d, s, i)
-        for i, w in enumerate(ws)
-    )
-    structure_ok = all(
-        fiedler.check_block_structure(w, i, r, s).passed for i, w in enumerate(ws)
-    )
-    return sizes_ok, structure_ok
+def _checked_tail(r: Rsmp, s: SigmaSeq, memo: dict, step_ok: dict):
+    """The last W matrix of ``s`` and whether every step meets its size law and structure claims.
+
+    Step i, its size law and its structure claims depend only on decisions
+    0..i, so each prefix is built once (``memo``, see
+    ``_gridops.schedule``) and checked once (``step_ok`` maps it to the
+    pair of verdicts).
+    """
+    grids = fiedler._w_grids(r, s, memo)
+    tail = fiedler._grid_to_blockmatrix(grids[-1])
+    verdicts = []
+    for i, g in enumerate(grids):
+        prefix = s.decisions[: i + 1]
+        if prefix not in step_ok:
+            w = tail if i == len(grids) - 1 else fiedler._grid_to_blockmatrix(g)
+            step_ok[prefix] = (
+                w.shape == fiedler.expected_size(r.n, r.p, r.m, r.d_a, r.d_d, s, i),
+                fiedler.check_block_structure(w, i, r, s).passed,
+            )
+        verdicts.append(step_ok[prefix])
+    return tail, all(size for size, _ in verdicts), all(structure for _, structure in verdicts)
 
 
-def _verify_one(r: Rsmp, s: SigmaSeq, instance: dict, trials: int, tol: float, rng) -> RunReport:
-    if r.degree >= 2:
-        # one W recursion serves both the pencil (its last step) and the checks
-        ws = fiedler.build_w_sequence(r, s)
-        pencil = fiedler.pencil_from_tail(r, ws[-1])
-        u, v = equivalence.unimodular_pair(r, s)
-        sizes_ok, structure_ok = _check_sizes_and_structure(r, s, ws)
-    else:
-        pencil, u, v = equivalence.linearization_with_witnesses(r, s)
-        sizes_ok = structure_ok = True
-    report = equivalence.verify_theorem(r, s, pencil, u, v, points=trials, tol=tol, rng=rng)
-    ok = report.verdict and sizes_ok and structure_ok
-    return RunReport(
-        instance=instance,
-        sigma=s.decisions,
-        rows=pencil.shape[0],
-        cols=pencil.shape[1],
-        max_residual=report.max_residual,
-        corollary_residual=report.corollary_residual,
-        u_unimodularity=report.u_unimodularity,
-        v_unimodularity=report.v_unimodularity,
-        sizes_ok=sizes_ok,
-        structure_ok=structure_ok,
-        verdict="pass" if ok else "fail",
-    )
+def _verify_instance(r: Rsmp, sigmas, instance: dict, trials: int, tol: float, seed: int):
+    """The report of every decision string of ``sigmas``, in order, for one instance.
+
+    Every string is checked at the same ``trials`` points, drawn once from
+    an rng seeded with ``seed``, and S, A and D are evaluated there once.
+    Recursion steps are built and checked once per decision prefix, so
+    strings in lexicographic order walk the prefix trie depth first.
+    """
+    memo, step_ok = {}, {}
+    samples = equivalence._Samples(r, trials, np.random.default_rng(seed))
+    for s in sigmas:
+        if r.degree >= 2:
+            tail, sizes_ok, structure_ok = _checked_tail(r, s, memo, step_ok)
+            pencil = fiedler.pencil_from_tail(r, tail)
+            u, v = equivalence._witness_pair(r, s, memo)
+        else:
+            pencil, u, v = equivalence.linearization_with_witnesses(r, s)
+            sizes_ok = structure_ok = True
+        report = equivalence._check_chunks(r, s, pencil, u, v, samples, tol)
+        ok = report.verdict and sizes_ok and structure_ok
+        yield RunReport(
+            instance=instance,
+            sigma=s.decisions,
+            rows=pencil.shape[0],
+            cols=pencil.shape[1],
+            max_residual=report.max_residual,
+            corollary_residual=report.corollary_residual,
+            u_unimodularity=report.u_unimodularity,
+            v_unimodularity=report.v_unimodularity,
+            sizes_ok=sizes_ok,
+            structure_ok=structure_ok,
+            verdict="pass" if ok else "fail",
+        )
 
 
 def _emit_lines(lines, out_path):
@@ -168,9 +195,7 @@ def cmd_verify(args) -> int:
         raise ParseError("verify needs --sigma or --all")
     lines = []
     failures = 0
-    for s in sigmas:
-        rng = np.random.default_rng(args.seed)
-        rep = _verify_one(r, s, instance, args.trials, args.tol, rng)
+    for rep in _verify_instance(r, sigmas, instance, args.trials, args.tol, args.seed):
         failures += rep.verdict != "pass"
         lines.append(rep.to_record())
     _emit_lines(lines, args.out)
@@ -226,9 +251,8 @@ def cmd_fuzz(args) -> int:
                     for d_d in range(1, args.max_deg + 1):
                         r = random_rsmp(rng_master, n, p, m, d_a, d_d)
                         instance = {"n": n, "p": p, "m": m, "d_A": d_a, "d_D": d_d}
-                        for s in all_decision_strings(max(d_a, d_d)):
-                            rng = np.random.default_rng(args.seed + 1)
-                            rep = _verify_one(r, s, instance, args.trials, args.tol, rng)
+                        sigmas = all_decision_strings(max(d_a, d_d))
+                        for rep in _verify_instance(r, sigmas, instance, args.trials, args.tol, args.seed + 1):
                             total += 1
                             failed = rep.verdict != "pass"
                             failures += failed

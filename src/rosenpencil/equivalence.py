@@ -19,7 +19,7 @@ agreement at more than degree-many random points plus a holdout.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -135,13 +135,13 @@ def _grid_to_pbm(g: Grid, transpose: bool = False) -> PolyBlockMatrix:
     return PolyBlockMatrix(MatrixPolynomial(coeffs), rsz, csz)
 
 
-def _n_grids(r: Rsmp, s: SigmaSeq) -> list[Grid]:
-    return schedule(r, s, _n_base, _n_step)
+def _n_grids(r: Rsmp, s: SigmaSeq, memo: dict) -> list[Grid]:
+    return schedule(r, s, _n_base, _n_step, memo)
 
 
 def build_n_sequence(r: Rsmp, s: SigmaSeq) -> list[PolyBlockMatrix]:
     """Left witness sequence; the final element is the left equivalence matrix."""
-    return [_grid_to_pbm(g) for g in _n_grids(r, s)]
+    return [_grid_to_pbm(g) for g in _n_grids(r, s, {})]
 
 
 def build_h_sequence(r: Rsmp, s: SigmaSeq) -> list[PolyBlockMatrix]:
@@ -150,13 +150,18 @@ def build_h_sequence(r: Rsmp, s: SigmaSeq) -> list[PolyBlockMatrix]:
     Each element is the transpose of the left witness of the same step for
     the transposed system under the flipped decisions.
     """
-    return [_grid_to_pbm(g, transpose=True) for g in _n_grids(r.transpose(), s.flipped())]
+    return [_grid_to_pbm(g, transpose=True) for g in _n_grids(r.transpose(), s.flipped(), {})]
 
 
 def unimodular_pair(r: Rsmp, s: SigmaSeq) -> tuple[PolyBlockMatrix, PolyBlockMatrix]:
     """Final (U, V) witnesses for the decision sequence; needs degree >= 2."""
-    u = _grid_to_pbm(_n_grids(r, s)[-1])
-    v = _grid_to_pbm(_n_grids(r.transpose(), s.flipped())[-1], transpose=True)
+    return _witness_pair(r, s, {})
+
+
+def _witness_pair(r: Rsmp, s: SigmaSeq, memo: dict) -> tuple[PolyBlockMatrix, PolyBlockMatrix]:
+    """``unimodular_pair``, with both recursions kept in ``memo`` (see ``_gridops.schedule``)."""
+    u = _grid_to_pbm(_n_grids(r, s, memo)[-1])
+    v = _grid_to_pbm(_n_grids(r.transpose(), s.flipped(), memo)[-1], transpose=True)
     return u, v
 
 
@@ -215,6 +220,28 @@ def _padding_sizes(r: Rsmp, s: SigmaSeq) -> tuple[int, int]:
     return alpha_prime, alpha
 
 
+class _Samples:
+    """Sample points, drawn at first use, and S, A and D evaluated at them.
+
+    One set serves every check of one system, so each decision string of
+    an instance is checked at the same points without drawing or
+    evaluating them again.
+    """
+
+    def __init__(self, r: Rsmp, points: int, rng):
+        self._r, self._points, self._rng = r, points, rng
+
+    @cached_property
+    def stacks(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """(zs, S(zs), A(zs), D(zs)); a value that overflows is kept, without a warning."""
+        if self._points < 1:
+            raise ValueError("the sampled check needs at least one point")
+        zs = sample_points(self._points, self._rng)
+        r = self._r
+        with np.errstate(over="ignore", invalid="ignore"):
+            return zs, r.assemble_s().eval_stack(zs), r.A.eval_stack(zs), r.D.eval_stack(zs)
+
+
 def _sub_eye(stack: np.ndarray, row: int, col: int, size: int) -> None:
     """Subtract a size-by-size identity at (row, col) of every matrix of the stack, in place."""
     idx = np.arange(size)
@@ -267,6 +294,13 @@ def verify_theorem(
     of U and V is checked by determinant sampling at the same points.
     """
     rng = np.random.default_rng(0) if rng is None else rng
+    return _check_chunks(r, s, pencil, u, v, _Samples(r, points, rng), tol)
+
+
+def _check_chunks(
+    r: Rsmp, s: SigmaSeq, pencil: Pencil, u: PolyBlockMatrix, v: PolyBlockMatrix, samples: _Samples, tol: float
+) -> EquivalenceReport:
+    """The chunk loop of ``verify_theorem``, at the points of ``samples``."""
     alpha_prime, alpha = _padding_sizes(r, s)
     n, p, m = r.n, r.p, r.m
     rows = alpha_prime + n + alpha + p
@@ -276,8 +310,8 @@ def verify_theorem(
             f"witness/pencil dimensions {u.shape}/{pencil.shape}/{v.shape} do not conform "
             f"to the {rows}x{cols} target"
         )
-    if points < 1:
-        raise ValueError("the sampled check needs at least one point")
+    zs, s_zs, a_zs, d_zs = samples.stacks
+    points = zs.size
     rcuts = np.cumsum([0, alpha_prime, n, alpha, p])
     ccuts = np.cumsum([0, alpha_prime, n, alpha, m])
     # permutation to the block-diagonal corollary form
@@ -287,8 +321,6 @@ def verify_theorem(
                      ccuts[3] : ccuts[4], ccuts[2] : ccuts[3]].astype(int)
     state = slice(alpha_prime, alpha_prime + n)
 
-    zs = sample_points(points, rng)
-    s_poly = r.assemble_s()
     res = np.empty(points)
     cor_res = np.empty(points)
     u_dets = np.empty(points, dtype=complex)
@@ -311,17 +343,17 @@ def verify_theorem(
 
             cor = prod[:, row_perm[:, None], col_perm]
             _sub_eye(cor, 0, 0, alpha_prime)
-            cor[:, alpha_prime : alpha_prime + n + p, alpha_prime : alpha_prime + n + m] -= s_poly.eval_stack(z)
+            cor[:, alpha_prime : alpha_prime + n + p, alpha_prime : alpha_prime + n + m] -= s_zs[lo:hi]
             _sub_eye(cor, alpha_prime + n + p, alpha_prime + n + m, alpha)
             cor_res[lo:hi] = _fro(cor) / scale
 
             # prod becomes U L V minus the four-block target
             _sub_eye(prod, 0, 0, alpha_prime)
-            prod[:, state, state] -= r.A.eval_stack(z)
+            prod[:, state, state] -= a_zs[lo:hi]
             prod[:, state, ccuts[3] :] += r.B
             _sub_eye(prod, rcuts[2], ccuts[2], alpha)
             prod[:, rcuts[3] :, state] -= r.C
-            prod[:, rcuts[3] :, ccuts[3] :] -= r.D.eval_stack(z)
+            prod[:, rcuts[3] :, ccuts[3] :] -= d_zs[lo:hi]
             res[lo:hi] = _fro(prod) / scale
             rel = np.abs(prod) / scale[:, None, None]
             if overflow.any():

@@ -199,8 +199,8 @@ def _w_step(g: Grid, consec: bool, r: Rsmp, i: int, state: bool) -> Grid:
     return insert(g, new_r, new_c, size, [(a, a, -coeff), (new_r, new_c, _eye(size))], state)
 
 
-def _w_grids(r: Rsmp, s: SigmaSeq) -> list[Grid]:
-    return schedule(r, s, _w_base, _w_step)
+def _w_grids(r: Rsmp, s: SigmaSeq, memo: dict) -> list[Grid]:
+    return schedule(r, s, _w_base, _w_step, memo)
 
 
 def _grid_to_blockmatrix(g: Grid) -> BlockMatrix:
@@ -225,7 +225,7 @@ def build_w_sequence(r: Rsmp, s: SigmaSeq) -> list[BlockMatrix]:
     while the feedthrough degree has.  The decision at each step picks
     which of the two printed layouts is inserted.
     """
-    return [_grid_to_blockmatrix(g) for g in _w_grids(r, s)]
+    return [_grid_to_blockmatrix(g) for g in _w_grids(r, s, {})]
 
 
 def _rect_lead(r: Rsmp, row_sizes, col_sizes) -> np.ndarray:
@@ -262,7 +262,7 @@ def fiedler_pencil_rect(r: Rsmp, s: SigmaSeq) -> Pencil:
         if len(s) != 0:
             raise DimensionError("degree-1 systems take an empty decision sequence")
         return pencil_from_tail(r, _grid_to_blockmatrix(_w_base(r)))
-    return pencil_from_tail(r, _grid_to_blockmatrix(_w_grids(r, s)[-1]))
+    return pencil_from_tail(r, _grid_to_blockmatrix(_w_grids(r, s, {})[-1]))
 
 
 def pencil_from_tail(r: Rsmp, w: BlockMatrix) -> Pencil:

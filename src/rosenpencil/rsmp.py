@@ -32,7 +32,7 @@ class Rsmp:
     to run.
     """
 
-    __slots__ = ("A", "B", "C", "D", "a_regular", "_transposed")
+    __slots__ = ("A", "B", "C", "D", "a_regular", "_transposed", "_s")
 
     def __init__(self, A: MatrixPolynomial, B, C, D: MatrixPolynomial, check_regular: bool = True):
         B = as_matrix(B)
@@ -54,6 +54,7 @@ class Rsmp:
         self.C = C
         self.D = D
         self._transposed = None
+        self._s = None
         if check_regular:
             self.a_regular = is_regular(A)
             if not self.a_regular:
@@ -110,7 +111,10 @@ class Rsmp:
 
     # method forms of the module operations
     def assemble_s(self) -> MatrixPolynomial:
-        return assemble_s(self)
+        """``assemble_s(self)``, built once and kept: instances and matrix polynomials are immutable."""
+        if self._s is None:
+            self._s = assemble_s(self)
+        return self._s
 
     def transfer_eval(self, z: complex) -> np.ndarray:
         return transfer_eval(self, z)

@@ -25,10 +25,15 @@ _RSMP_FIELDS = {"kind", "n", "p", "m", "d_A", "d_D", "A", "B", "C", "D"}
 _PENCIL_FIELDS = {"kind", "row_sizes", "col_sizes", "lead", "tail"}
 
 
+def _is_number(x) -> bool:
+    """A JSON number: true and false are not, though Python counts them as ints."""
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+
 def _entry(v, where: str) -> complex:
-    if isinstance(v, (int, float)):
+    if _is_number(v):
         return complex(v)
-    if isinstance(v, list) and len(v) == 2 and all(isinstance(x, (int, float)) for x in v):
+    if isinstance(v, list) and len(v) == 2 and all(_is_number(x) for x in v):
         return complex(v[0], v[1])
     raise ParseError(f"{where}: expected a number or [re, im] pair, got {v!r}")
 

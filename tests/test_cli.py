@@ -1,3 +1,4 @@
+import itertools
 import json
 import os
 import re
@@ -16,11 +17,13 @@ from rosenpencil import (
     all_decision_strings,
     companion_first,
     emit_rsmp,
+    equivalence,
     fiedler,
     parse_pencil,
+    parse_rsmp,
     spectral,
 )
-from rosenpencil.cli import main
+from rosenpencil.cli import RunReport, main
 from rosenpencil.sampling import random_rsmp
 
 
@@ -164,6 +167,79 @@ class TestVerifyCommand:
         assert rec["max_residual"] is None
         assert rec["corollary_residual"] is None
         assert rec["verdict"] == "fail"
+
+    @pytest.mark.parametrize("trials", ["0", "-1"])
+    def test_no_sample_point_is_input_error(self, rect_file, capsys, trials):
+        assert main(["verify", rect_file, "--all", "--trials", trials]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: the sampled check needs at least one point\n"
+
+    def test_boolean_entry_is_input_error(self, tmp_path, capsys):
+        # JSON true once parsed as the coefficient 1
+        path = tmp_path / "bool.json"
+        path.write_text(json.dumps({
+            "n": 1, "p": 1, "m": 1, "d_A": 1, "d_D": 1,
+            "A": [[[True]], [[[1.0, False]]]], "B": [[1]], "C": [[1]], "D": [[[1]], [[1]]],
+        }))
+        assert main(["verify", str(path), "--all"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: A[0][0][0]: expected a number")
+
+
+def _public_record(r, s, instance, trials=20, tol=1e-8, seed=0):
+    """The report record of one decision string, from public calls alone, with an rng of its own."""
+    rng = np.random.default_rng(seed)
+    if r.degree >= 2:
+        pencil = fiedler.fiedler_pencil_rect(r, s)
+        u, v = equivalence.unimodular_pair(r, s)
+        ws = fiedler.build_w_sequence(r, s)
+        sizes_ok = all(w.shape == fiedler.expected_size(r.n, r.p, r.m, r.d_a, r.d_d, s, i) for i, w in enumerate(ws))
+        structure_ok = all(fiedler.check_block_structure(w, i, r, s).passed for i, w in enumerate(ws))
+    else:
+        pencil, u, v = equivalence.linearization_with_witnesses(r, s)
+        sizes_ok = structure_ok = True
+    rep = equivalence.verify_theorem(r, s, pencil, u, v, points=trials, tol=tol, rng=rng)
+    ok = rep.verdict and sizes_ok and structure_ok
+    return RunReport(
+        instance, s.decisions, pencil.shape[0], pencil.shape[1], rep.max_residual, rep.corollary_residual,
+        rep.u_unimodularity, rep.v_unimodularity, sizes_ok, structure_ok, "pass" if ok else "fail",
+    ).to_record()
+
+
+class TestStreamMatchesPublicCalls:
+    """The CLI shares prefixes and sample data across the strings of an instance;
+    its report stream must be the per-string public calls' byte for byte."""
+
+    @pytest.mark.parametrize(
+        "cell", [(2, 1, 2, 1, 1), (2, 2, 1, 4, 2), (1, 2, 2, 2, 4), (2, 1, 2, 3, 3), "overflowing"]
+    )
+    def test_verify_all(self, tmp_path, overflowing_example, capsys, cell):
+        drawn = overflowing_example if cell == "overflowing" else random_rsmp(np.random.default_rng(7), *cell)
+        path = tmp_path / "inst.json"
+        path.write_text(emit_rsmp(drawn))
+        r = parse_rsmp(path.read_text())
+        instance = {"file": str(path), "n": r.n, "p": r.p, "m": r.m, "d_A": r.d_a, "d_D": r.d_d}
+        want = [_public_record(r, s, instance) for s in all_decision_strings(r.degree)]
+        failed = sum('"verdict": "fail"' in line for line in want)
+        assert main(["verify", str(path), "--all"]) == (1 if failed else 0)
+        assert capsys.readouterr().out == "".join(line + "\n" for line in want)
+        if cell == "overflowing":
+            assert failed == len(want) and '"max_residual": null' in want[0]
+
+    def test_fuzz(self, tmp_path, capsys):
+        out = tmp_path / "reports.jsonl"
+        args = ["fuzz", "--seed", "4", "--max-dim", "2", "--max-deg", "3", "--trials", "6", "--out", str(out)]
+        assert main(args) == 0
+        capsys.readouterr()
+        rng = np.random.default_rng(4)
+        want = []
+        for n, p, m, d_a, d_d in itertools.product((1, 2), (1, 2), (1, 2), (1, 2, 3), (1, 2, 3)):
+            r = random_rsmp(rng, n, p, m, d_a, d_d)
+            instance = {"n": n, "p": p, "m": m, "d_A": d_a, "d_D": d_d}
+            want += [_public_record(r, s, instance, trials=6, seed=5) for s in all_decision_strings(r.degree)]
+        assert out.read_text() == "".join(line + "\n" for line in want)
 
 
 _NUM = r"(?:\d+(?:\.\d*)?(?:e[-+]\d+)?)"

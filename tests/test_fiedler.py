@@ -8,15 +8,20 @@ from rosenpencil import (
     Rsmp,
     SigmaSeq,
     all_decision_strings,
+    build_h_sequence,
+    build_n_sequence,
     build_w_sequence,
     check_block_structure,
     companion_first,
     companion_second,
     eigenvalues_square,
+    equivalence,
     expected_size,
+    fiedler,
     fiedler_pencil_rect,
     square_fiedler_matrix,
     square_fiedler_pencil,
+    unimodular_pair,
 )
 from rosenpencil.blocks import BlockMatrix
 from rosenpencil.sampling import random_bijection, random_rsmp
@@ -385,6 +390,47 @@ class TestTransposeDuality:
                 for w, wt in zip(ws, wts):
                     assert wt.row_sizes == w.col_sizes and wt.col_sizes == w.row_sizes
                     assert np.ascontiguousarray(wt.data.T).tobytes() == w.data.tobytes(), (cell, s.decisions)
+
+
+def _grid_record(g, to_matrix):
+    """A grid's coefficients as bytes, its partitions and its state-block count."""
+    mat = to_matrix(g)
+    data = mat.data if isinstance(mat, BlockMatrix) else mat.poly.coeffs
+    return data.shape, data.tobytes(), mat.row_sizes, mat.col_sizes, g.a
+
+
+class TestPrefixMemo:
+    def test_shared_memo_gives_the_fresh_grids(self):
+        # one memo serves W, N and H of an instance, as in verify --all; every
+        # string must get the grids a fresh build gives it, and every
+        # recursion must hold one grid per decision prefix
+        rng = np.random.default_rng(20261018)
+        for cell in _grid_sample()[::2]:
+            r = random_rsmp(rng, *cell)
+            rt = r.transpose()
+            memo = {}
+            for s in all_decision_strings(r.degree):
+                runs = [
+                    (fiedler._w_grids, r, s, fiedler._grid_to_blockmatrix),
+                    (equivalence._n_grids, r, s, equivalence._grid_to_pbm),
+                    (equivalence._n_grids, rt, s.flipped(), equivalence._grid_to_pbm),
+                ]
+                for grids, system, seq, to_matrix in runs:
+                    shared, fresh = grids(system, seq, memo), grids(system, seq, {})
+                    assert [_grid_record(g, to_matrix) for g in shared] == [
+                        _grid_record(g, to_matrix) for g in fresh
+                    ], (cell, s.decisions)
+            assert len(memo) == 3 * (2 ** r.degree - 1)
+
+    @pytest.mark.parametrize(
+        "build", [build_w_sequence, build_n_sequence, build_h_sequence, unimodular_pair, fiedler_pencil_rect]
+    )
+    def test_builders_keep_their_errors(self, rng, build):
+        with pytest.raises(DimensionError, match=r"^need 2 decisions for degree 3, got 1$"):
+            build(random_rsmp(rng, 1, 2, 1, 3, 1), SigmaSeq("C"))
+        if build is not fiedler_pencil_rect:  # degree 1 needs no recursion there
+            with pytest.raises(DimensionError, match=r"^the recursions need pencil degree >= 2$"):
+                build(random_rsmp(rng, 1, 2, 1, 1, 1), SigmaSeq(""))
 
 
 class TestRectPencil:

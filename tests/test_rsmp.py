@@ -59,6 +59,15 @@ class TestAssemble:
         for k in range(r.d_d + 1):
             assert np.array_equal(s.coeffs[k][n:, n:], r.D.coeff(k))
 
+    def test_method_form_is_kept(self, rng):
+        # instances are immutable, so the method assembles S once
+        r = random_rsmp(rng, 2, 3, 1, 2, 3)
+        s = r.assemble_s()
+        assert r.assemble_s() is s
+        assert not s.coeffs.flags.writeable
+        assert s.coeffs.tobytes() == assemble_s(r).coeffs.tobytes()
+        assert r.transpose().assemble_s() is not s
+
 
 class TestTranspose:
     @pytest.mark.parametrize("data", ["integer", "spread"])

@@ -72,6 +72,14 @@ class TestParse:
         with pytest.raises(ParseError, match="line"):
             parse_rsmp("{not json")
 
+    @pytest.mark.parametrize("entry", [True, False, [1.0, False], [True, 0.0]])
+    def test_boolean_entry_rejected(self, entry):
+        # Python counts true and false as ints; they once parsed as 1 and 0
+        doc = dict(WORKED_EXAMPLE_DOC)
+        doc["A"] = [[[-1]], [[entry]]]
+        with pytest.raises(ParseError, match=r"A\[1\]\[0\]\[0\]"):
+            parse_rsmp(json.dumps(doc))
+
 
 class TestShippedInstance:
     def test_demo_file_matches_the_worked_example(self, worked_example):
