@@ -3,43 +3,64 @@
 A grid is a 2-D list of blocks plus block-size lists and the count ``a``
 of leading block rows, and equally many leading block columns, that belong
 to the state (A) side, so block (a, a) is the first feedthrough block.
-Every recursion step is one ``insert``: a zero block row and a zero block
-column of one size go in, and a handful of prescribed blocks are written
-into them.  Zero blocks stay unallocated (None).  ``schedule`` runs every
-recursion: it checks the degree and the decision count, then grows the
-degree-1 grid per decision with the state step while the state degree has
-coefficients left, and with the feedthrough step while the feedthrough
-degree has.  Step i depends only on decisions 0..i, so ``schedule`` keeps
-each grid in a memo under its system, step function and decision prefix:
-the public builders pass a fresh memo, and a caller that walks many
-decision strings of one system passes one memo for all of them and builds
-each prefix once.  Grids are never changed after they are built, so a
-memoised grid can be shared.
+Each block is a read-only ``(degree + 1, rows, cols)`` complex coefficient
+stack (degree 0 in W); zero blocks stay unallocated (None).  ``assemble``
+stacks a whole grid.  Every recursion step is one ``insert``: a zero block
+row and a zero block column of one size go in, and a handful of prescribed
+blocks are written into them.  ``schedule`` runs every recursion: it checks
+the degree and the decision count, then grows the degree-1 grid per
+decision with the state step while the state degree has coefficients
+left, and with the feedthrough step while the feedthrough degree has.
+Step i depends only on decisions 0..i, so ``schedule`` keeps each grid in
+a memo under its system, step function and decision prefix: the public
+builders pass a fresh memo, and a caller that walks many decision strings
+of one system passes one memo for all of them and builds each prefix once.
+Grids are never changed after they are built, nor can their blocks be, so
+a memoised grid can be shared.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
+from itertools import accumulate
+
+import numpy as np
+
 from .errors import DimensionError
 
-__all__ = ["Grid", "insert", "schedule"]
+__all__ = ["Grid", "assemble", "eye", "insert", "schedule"]
+
+
+def _freeze(blocks) -> None:
+    for block in blocks:
+        if block is not None:
+            block.setflags(write=False)
 
 
 class Grid:
+    """One recursion step: ``cells[i][j]``, block (i, j), is a read-only coefficient stack or None."""
+
     __slots__ = ("cells", "rsz", "csz", "a")
 
     def __init__(self, cells, rsz, csz, a):
-        self.cells = cells  # list of lists of blocks (ndarray, MatrixPolynomial or None)
+        self.cells = cells
         self.rsz = list(rsz)
         self.csz = list(csz)
         self.a = a  # leading block rows, and block cols, belonging to the A side
 
-    @property
-    def nrows(self):
-        return len(self.rsz)
+    @classmethod
+    def base(cls, cells, rsz, csz) -> "Grid":
+        """A degree-1 grid, one block row and column per side; its blocks are marked read-only."""
+        _freeze(block for row in cells for block in row)
+        return cls(cells, rsz, csz, 1)
 
-    @property
-    def ncols(self):
-        return len(self.csz)
+
+@lru_cache(maxsize=256)
+def eye(k: int) -> np.ndarray:
+    """The k-by-k identity as a read-only degree-0 stack, one shared per size."""
+    out = np.eye(k, dtype=complex)[None]
+    out.setflags(write=False)
+    return out
 
 
 def insert(prev: Grid, at_row: int, at_col: int, size: int, extra, grown: bool) -> Grid:
@@ -47,17 +68,31 @@ def insert(prev: Grid, at_row: int, at_col: int, size: int, extra, grown: bool) 
 
     Both new blocks are ``size`` wide; old blocks at or past the insertion
     shift by one.  ``extra`` lists (row, col, block) entries, in the new
-    positions, written over the result; every other new cell stays None.
-    ``grown`` marks a state step, whose new row and column join the state
-    side.
+    positions, written over the result and marked read-only; every other
+    new cell stays None.  ``grown`` marks a state step, whose new row and
+    column join the state side.
     """
     cells = [row[:at_col] + [None] + row[at_col:] for row in prev.cells]
-    cells.insert(at_row, [None] * (prev.ncols + 1))
+    cells.insert(at_row, [None] * (len(prev.csz) + 1))
     for rr, cc, val in extra:
         cells[rr][cc] = val
+    _freeze(val for _, _, val in extra)
     rsz = prev.rsz[:at_row] + [size] + prev.rsz[at_row:]
     csz = prev.csz[:at_col] + [size] + prev.csz[at_col:]
     return Grid(cells, rsz, csz, prev.a + grown)
+
+
+def assemble(g: Grid, transpose: bool = False) -> np.ndarray:
+    """The grid as one stack of its highest block degree; ``transpose`` transposes every coefficient."""
+    deg = max(len(cell) for row in g.cells for cell in row if cell is not None) - 1
+    rc, cc = list(accumulate(g.rsz, initial=0)), list(accumulate(g.csz, initial=0))
+    out = np.zeros((deg + 1, cc[-1], rc[-1]) if transpose else (deg + 1, rc[-1], cc[-1]), dtype=complex)
+    fill = out.transpose(0, 2, 1) if transpose else out
+    for i, row in enumerate(g.cells):
+        for j, cell in enumerate(row):
+            if cell is not None:
+                fill[: len(cell), rc[i] : rc[i + 1], cc[j] : cc[j + 1]] = cell
+    return out
 
 
 def schedule(r, s, base, step, memo: dict) -> list[Grid]:

@@ -19,11 +19,11 @@ agreement at more than degree-many random points plus a holdout.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
+from functools import cached_property
 
 import numpy as np
 
-from ._gridops import Grid, insert, schedule
+from ._gridops import Grid, assemble, eye, insert, schedule
 from .blocks import Pencil, PolyBlockMatrix
 from .errors import DimensionError
 from .polycore import MatrixPolynomial
@@ -43,39 +43,27 @@ __all__ = [
 ]
 
 
-# -- small matrix-polynomial helpers (internal) -----------------------------
+# -- coefficient-stack helpers (internal) ------------------------------------
 
 
-# Matrix polynomials are immutable, so every grid shares one identity per
-# size instead of building a fresh one per cell; zero blocks are None.
-@lru_cache(maxsize=256)
-def _mp_eye(k: int) -> MatrixPolynomial:
-    return MatrixPolynomial.identity(k)
-
-
-def _lam(p: MatrixPolynomial | None) -> MatrixPolynomial | None:
+# Grid cells are read-only (degree + 1, rows, cols) coefficient stacks, low
+# degree to high, or None for a zero block; one identity per size is shared.
+def _lam(p: np.ndarray | None) -> np.ndarray | None:
     """Multiply by lambda (shift coefficients up one degree); a zero block stays None."""
     if p is None:
         return None
-    z = np.zeros((1, p.rows, p.cols), dtype=complex)
-    return MatrixPolynomial(np.concatenate([z, p.coeffs]))
+    return np.concatenate([np.zeros((1,) + p.shape[1:], dtype=complex), p])
 
 
-def _mul(p: MatrixPolynomial | None, q: MatrixPolynomial) -> MatrixPolynomial | None:
+def _mul(p: np.ndarray | None, q: np.ndarray) -> np.ndarray | None:
     """Matrix product with polynomial entries (coefficient convolution); a zero ``p`` stays None."""
     if p is None:
         return None
-    if p.cols != q.rows:
-        raise DimensionError(f"cannot multiply {p.shape} by {q.shape}")
-    out = np.zeros((p.degree + q.degree + 1, p.rows, q.cols), dtype=complex)
-    for a in range(p.degree + 1):
-        for b in range(q.degree + 1):
-            out[a + b] += p.coeffs[a] @ q.coeffs[b]
-    return MatrixPolynomial(out)
-
-
-def _neg(p: MatrixPolynomial) -> MatrixPolynomial:
-    return MatrixPolynomial(-p.coeffs)
+    out = np.zeros((len(p) + len(q) - 1, p.shape[1], q.shape[2]), dtype=complex)
+    for a in range(len(p)):
+        for b in range(len(q)):
+            out[a + b] += p[a] @ q[b]
+    return out
 
 
 # -- recursion steps ---------------------------------------------------------
@@ -83,7 +71,7 @@ def _neg(p: MatrixPolynomial) -> MatrixPolynomial:
 
 def _n_base(r: Rsmp) -> Grid:
     """The degree-1 left witness blkdiag(I_n, I_p), which every recursion grows."""
-    return Grid([[_mp_eye(r.n), None], [None, _mp_eye(r.p)]], [r.n, r.p], [r.n, r.p], 1)
+    return Grid.base([[eye(r.n), None], [None, eye(r.p)]], [r.n, r.p], [r.n, r.p])
 
 
 def _n_step(g: Grid, consec: bool, r: Rsmp, i: int, state: bool) -> Grid:
@@ -91,25 +79,25 @@ def _n_step(g: Grid, consec: bool, r: Rsmp, i: int, state: bool) -> Grid:
 
     The state step (n-sized, rows [0, a)) is anchored at block (0, 0), the
     feedthrough step (p-sized after a consecution, m-sized after an
-    inversion, rows [a, nrows)) at (a, a).  N is block diagonal over the
+    inversion, rows a onward) at (a, a).  N is block diagonal over the
     two sides, so only those rows have a nonzero block in the anchor
     column.  A consecution puts the new column at the anchor, holding I
     and lambda times the anchor column below it; an inversion puts it after
-    the anchor, holding -I and the anchor column times the Horner shift.
+    the anchor, holding -I and the anchor column times the Horner shift
+    P_{i+1} + lambda P_{i+2} + ... of the side's polynomial P.
     """
     if state:
         a, rows, size = 0, range(g.a), r.n
     else:
-        a, rows, size = g.a, range(g.a, g.nrows), (r.p if consec else r.m)
+        a, rows, size = g.a, range(g.a, len(g.rsz)), (r.p if consec else r.m)
     if consec:
         col = a
-        extra = [(a, col, _mp_eye(size))]
+        extra = [(a, col, eye(size))]
         extra += [(k + 1, col, _lam(g.cells[k][a])) for k in rows]
     else:
-        poly = r.A if state else r.D
-        shift = poly.horner_shift(poly.degree - i - 1)
+        shift = (r.A if state else r.D).coeffs[i + 1 :]
         col = a + 1
-        extra = [(a, col, _neg(_mp_eye(size)))]
+        extra = [(a, col, -eye(size))]
         extra += [(k + 1, col, _mul(g.cells[k][a], shift)) for k in rows]
     return insert(g, a, col, size, extra, state)
 
@@ -119,20 +107,8 @@ def _n_step(g: Grid, consec: bool, r: Rsmp, i: int, state: bool) -> Grid:
 
 def _grid_to_pbm(g: Grid, transpose: bool = False) -> PolyBlockMatrix:
     """The grid as one block matrix polynomial, or as its transpose with the partitions swapped."""
-    deg = max(cell.degree for row in g.cells for cell in row if cell is not None)
     rsz, csz = (g.csz, g.rsz) if transpose else (g.rsz, g.csz)
-    coeffs = np.zeros((deg + 1, sum(rsz), sum(csz)), dtype=complex)
-    fill = coeffs.transpose(0, 2, 1) if transpose else coeffs
-    r0 = 0
-    for rr, rs in enumerate(g.rsz):
-        c0 = 0
-        for cc, cs in enumerate(g.csz):
-            cell = g.cells[rr][cc]
-            if cell is not None:
-                fill[: cell.degree + 1, r0 : r0 + rs, c0 : c0 + cs] = cell.coeffs
-            c0 += cs
-        r0 += rs
-    return PolyBlockMatrix(MatrixPolynomial(coeffs), rsz, csz)
+    return PolyBlockMatrix(MatrixPolynomial(assemble(g, transpose)), rsz, csz)
 
 
 def _n_grids(r: Rsmp, s: SigmaSeq, memo: dict) -> list[Grid]:
@@ -171,11 +147,9 @@ def linearization_with_witnesses(r: Rsmp, s: SigmaSeq):
 
     pencil = fiedler_pencil_rect(r, s)
     if r.degree == 1:
-        u = PolyBlockMatrix(MatrixPolynomial.identity(pencil.shape[0]), pencil.row_sizes, pencil.row_sizes)
-        v = PolyBlockMatrix(MatrixPolynomial.identity(pencil.shape[1]), pencil.col_sizes, pencil.col_sizes)
-        return pencil, u, v
-    u, v = unimodular_pair(r, s)
-    return pencil, u, v
+        # the base grids of the two witness recursions: blkdiag(I_n, I_p) and blkdiag(I_n, I_m)
+        return pencil, _grid_to_pbm(_n_base(r)), _grid_to_pbm(_n_base(r.transpose()), transpose=True)
+    return (pencil, *unimodular_pair(r, s))
 
 
 # -- verification ------------------------------------------------------------

@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._gridops import Grid, insert, schedule
+from ._gridops import Grid, assemble, eye, insert, schedule
 from .blocks import BlockMatrix, Pencil
 from .errors import DimensionError
 from .rsmp import Rsmp
@@ -174,11 +174,8 @@ def square_fiedler_pencil(r: Rsmp, s) -> Pencil:
 
 def _w_base(r: Rsmp) -> Grid:
     """The degree-1 system matrix [[-A_0, B], [-C, -D_0]], which every recursion grows."""
-    cells = [
-        [-r.A.coeff(0), r.B.astype(complex)],
-        [-r.C.astype(complex), -r.D.coeff(0)],
-    ]
-    return Grid(cells, [r.n, r.p], [r.n, r.m], 1)
+    cells = [[-r.A.coeffs[:1], r.B[None]], [-r.C[None], -r.D.coeffs[:1]]]
+    return Grid.base(cells, [r.n, r.p], [r.n, r.m])
 
 
 def _w_step(g: Grid, consec: bool, r: Rsmp, i: int, state: bool) -> Grid:
@@ -192,11 +189,12 @@ def _w_step(g: Grid, consec: bool, r: Rsmp, i: int, state: bool) -> Grid:
     after it, an inversion the column at the anchor and the row after it.
     """
     if state:
-        a, coeff, size = 0, r.A.coeff(i + 1), r.n
+        a, poly, size = 0, r.A, r.n
     else:
-        a, coeff, size = g.a, r.D.coeff(i + 1), (r.p if consec else r.m)
+        a, poly, size = g.a, r.D, (r.p if consec else r.m)
     new_r, new_c = (a, a + 1) if consec else (a + 1, a)
-    return insert(g, new_r, new_c, size, [(a, a, -coeff), (new_r, new_c, _eye(size))], state)
+    extra = [(a, a, -poly.coeffs[i + 1 : i + 2]), (new_r, new_c, eye(size))]
+    return insert(g, new_r, new_c, size, extra, state)
 
 
 def _w_grids(r: Rsmp, s: SigmaSeq, memo: dict) -> list[Grid]:
@@ -204,16 +202,7 @@ def _w_grids(r: Rsmp, s: SigmaSeq, memo: dict) -> list[Grid]:
 
 
 def _grid_to_blockmatrix(g: Grid) -> BlockMatrix:
-    data = _zeros(sum(g.rsz), sum(g.csz))
-    r0 = 0
-    for row, rs in zip(g.cells, g.rsz):
-        c0 = 0
-        for cell, cs in zip(row, g.csz):
-            if cell is not None:
-                data[r0 : r0 + rs, c0 : c0 + cs] = cell
-            c0 += cs
-        r0 += rs
-    return BlockMatrix(data, g.rsz, g.csz)
+    return BlockMatrix(assemble(g)[0], g.rsz, g.csz)
 
 
 def build_w_sequence(r: Rsmp, s: SigmaSeq) -> list[BlockMatrix]:
@@ -228,26 +217,15 @@ def build_w_sequence(r: Rsmp, s: SigmaSeq) -> list[BlockMatrix]:
     return [_grid_to_blockmatrix(g) for g in _w_grids(r, s, {})]
 
 
-def _rect_lead(r: Rsmp, row_sizes, col_sizes) -> np.ndarray:
-    """Leading matrix aligned with the final tail partition.
+def _rect_lead(r: Rsmp, row_sizes) -> np.ndarray:
+    """Leading matrix aligned with the final tail row partition.
 
-    Diagonal layout: leading state coefficient, n-identities over the
+    Block diagonal: leading state coefficient, n-identities over the
     remaining state blocks, leading feedthrough coefficient on the mixed
     p-by-m block, then identities over the trailing decision blocks.
     """
-    da = r.d_a
-    lead = _zeros(sum(row_sizes), sum(col_sizes))
-    rc = np.concatenate(([0], np.cumsum(row_sizes)))
-    cc = np.concatenate(([0], np.cumsum(col_sizes)))
-    lead[: rc[1], : cc[1]] = r.A.coeff(da)
-    for k in range(1, da):
-        lead[rc[k] : rc[k + 1], cc[k] : cc[k + 1]] = _eye(row_sizes[k])
-    lead[rc[da] : rc[da + 1], cc[da] : cc[da + 1]] = r.D.coeff(r.d_d)
-    for k in range(da + 1, len(row_sizes)):
-        if row_sizes[k] != col_sizes[k]:
-            raise DimensionError("trailing blocks must be square")
-        lead[rc[k] : rc[k + 1], cc[k] : cc[k + 1]] = _eye(row_sizes[k])
-    return lead
+    trailing = [_eye(k) for k in row_sizes[r.d_a + 1 :]]
+    return _block_diag(r.A.coeff(r.d_a), _eye((r.d_a - 1) * r.n), r.D.coeff(r.d_d), *trailing)
 
 
 def fiedler_pencil_rect(r: Rsmp, s: SigmaSeq) -> Pencil:
@@ -267,7 +245,7 @@ def fiedler_pencil_rect(r: Rsmp, s: SigmaSeq) -> Pencil:
 
 def pencil_from_tail(r: Rsmp, w: BlockMatrix) -> Pencil:
     """The pencil whose tail is the last matrix of ``build_w_sequence``, or the degree-1 grid."""
-    return Pencil(_rect_lead(r, w.row_sizes, w.col_sizes), w.data, w.row_sizes, w.col_sizes)
+    return Pencil(_rect_lead(r, w.row_sizes), w.data, w.row_sizes, w.col_sizes)
 
 
 # ---------------------------------------------------------------------------

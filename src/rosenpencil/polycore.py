@@ -76,6 +76,9 @@ class MatrixPolynomial:
         arr.setflags(write=False)
         object.__setattr__(self, "coeffs", arr)
 
+    def __setattr__(self, name, value):
+        raise AttributeError(f"MatrixPolynomial is immutable: cannot set {name!r}")
+
     # -- constructors -------------------------------------------------
 
     @classmethod

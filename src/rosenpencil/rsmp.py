@@ -49,23 +49,20 @@ class Rsmp:
             raise DimensionError(f"C must be {p}x{n}, got {C.shape}")
         B.setflags(write=False)
         C.setflags(write=False)
-        self.A = A
-        self.B = B
-        self.C = C
-        self.D = D
-        self._transposed = None
-        self._s = None
-        if check_regular:
-            self.a_regular = is_regular(A)
-            if not self.a_regular:
-                warnings.warn(
-                    "state polynomial failed the probabilistic regularity check; "
-                    "transfer-function evaluation is disabled",
-                    IrregularWarning,
-                    stacklevel=2,
-                )
-        else:
-            self.a_regular = True
+        a_regular = is_regular(A) if check_regular else True
+        fields = {"A": A, "B": B, "C": C, "D": D, "a_regular": a_regular, "_transposed": None, "_s": None}
+        for name, value in fields.items():
+            object.__setattr__(self, name, value)
+        if not a_regular:
+            warnings.warn(
+                "state polynomial failed the probabilistic regularity check; "
+                "transfer-function evaluation is disabled",
+                IrregularWarning,
+                stacklevel=2,
+            )
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"Rsmp is immutable: cannot set {name!r}")
 
     @property
     def n(self) -> int:
@@ -104,16 +101,16 @@ class Rsmp:
         """
         if self._transposed is None:
             t = Rsmp(_transpose(self.A), -self.C.T, -self.B.T, _transpose(self.D), check_regular=False)
-            t.a_regular = self.a_regular
-            t._transposed = self
-            self._transposed = t
+            object.__setattr__(t, "a_regular", self.a_regular)
+            object.__setattr__(t, "_transposed", self)
+            object.__setattr__(self, "_transposed", t)
         return self._transposed
 
     # method forms of the module operations
     def assemble_s(self) -> MatrixPolynomial:
         """``assemble_s(self)``, built once and kept: instances and matrix polynomials are immutable."""
         if self._s is None:
-            self._s = assemble_s(self)
+            object.__setattr__(self, "_s", assemble_s(self))
         return self._s
 
     def transfer_eval(self, z: complex) -> np.ndarray:

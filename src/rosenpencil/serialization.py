@@ -50,20 +50,28 @@ def _matrix(obj, rows: int, cols: int, where: str) -> np.ndarray:
     return out
 
 
+def _int(v, where: str, minimum: int) -> int:
+    """A JSON integer >= minimum: true and false are not, nor are 1.0 and "1"."""
+    if not isinstance(v, int) or isinstance(v, bool) or v < minimum:
+        raise ParseError(f"{where}: expected an integer >= {minimum}, got {v!r}")
+    return v
+
+
 def _int_field(doc, key: str, minimum: int = 1) -> int:
     if key not in doc:
         raise ParseError(f"missing field {key!r}")
-    v = doc[key]
-    if not isinstance(v, int) or isinstance(v, bool) or v < minimum:
-        raise ParseError(f"{key}: expected an integer >= {minimum}, got {v!r}")
-    return v
+    return _int(doc[key], key, minimum)
 
 
 def _load(text_or_doc, where: str) -> dict:
     if isinstance(text_or_doc, dict):
         return text_or_doc
+
+    def reject(token):
+        raise ParseError(f"{where}: {token} is not a JSON number")
+
     try:
-        doc = json.loads(text_or_doc)
+        doc = json.loads(text_or_doc, parse_constant=reject)
     except json.JSONDecodeError as exc:
         raise ParseError(f"{where}: invalid JSON at line {exc.lineno}: {exc.msg}") from exc
     if not isinstance(doc, dict):
@@ -133,11 +141,12 @@ def parse_pencil(document) -> Pencil:
     for key in ("row_sizes", "col_sizes", "lead", "tail"):
         if key not in doc:
             raise ParseError(f"missing field {key!r}")
-    try:
-        row_sizes = [int(x) for x in doc["row_sizes"]]
-        col_sizes = [int(x) for x in doc["col_sizes"]]
-    except (TypeError, ValueError) as exc:
-        raise ParseError(f"block sizes must be integer lists: {exc}") from exc
+    sizes = []
+    for key in ("row_sizes", "col_sizes"):
+        if not isinstance(doc[key], list):
+            raise ParseError(f"{key}: expected a list of integers >= 0")
+        sizes.append([_int(x, f"{key}[{k}]", 0) for k, x in enumerate(doc[key])])
+    row_sizes, col_sizes = sizes
     rows, cols = sum(row_sizes), sum(col_sizes)
     lead = _matrix(doc["lead"], rows, cols, "lead")
     tail = _matrix(doc["tail"], rows, cols, "tail")

@@ -32,6 +32,9 @@ class SigmaSeq:
         object.__setattr__(self, "decisions", decisions)
         object.__setattr__(self, "source", tuple(source) if source is not None else None)
 
+    def __setattr__(self, name, value):
+        raise AttributeError(f"SigmaSeq is immutable: cannot set {name!r}")
+
     @classmethod
     def from_bijection(cls, perm) -> "SigmaSeq":
         """Decision string of a bijection {0..d-1} -> {1..d}, retaining the source."""

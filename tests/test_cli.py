@@ -188,6 +188,21 @@ class TestVerifyCommand:
         assert captured.err.startswith("error: A[0][0][0]: expected a number")
 
 
+@pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity"])
+@pytest.mark.parametrize("command", [["verify", "--all"], ["eig"]])
+def test_non_finite_token_is_input_error(tmp_path, worked_example, capsys, token, command):
+    # the token once parsed as a float and failed later without a location
+    text = emit_rsmp(worked_example)
+    doc = json.loads(text)
+    doc["B"][0][0] = "TOKEN"
+    path = tmp_path / "token.json"
+    path.write_text(json.dumps(doc).replace('"TOKEN"', token))
+    assert main([command[0], str(path), *command[1:]]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: instance: {token} is not a JSON number\n"
+
+
 def _public_record(r, s, instance, trials=20, tol=1e-8, seed=0):
     """The report record of one decision string, from public calls alone, with an rng of its own."""
     rng = np.random.default_rng(seed)

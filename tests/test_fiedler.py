@@ -23,6 +23,7 @@ from rosenpencil import (
     square_fiedler_pencil,
     unimodular_pair,
 )
+from rosenpencil import cli
 from rosenpencil.blocks import BlockMatrix
 from rosenpencil.sampling import random_bijection, random_rsmp
 
@@ -422,6 +423,22 @@ class TestPrefixMemo:
                     ], (cell, s.decisions)
             assert len(memo) == 3 * (2 ** r.degree - 1)
 
+    @pytest.mark.parametrize("cell", [(2, 1, 3, 4, 2), (1, 2, 1, 2, 5)])
+    def test_memoised_grids_are_read_only(self, rng, cell):
+        # the walk of verify --all: one memo for W, N and H of every string;
+        # a shared cell written in place would change every grid holding it
+        r = random_rsmp(rng, *cell)
+        memo = {}
+        for s in all_decision_strings(r.degree):
+            cli._checked_tail(r, s, memo, {})
+            equivalence._witness_pair(r, s, memo)
+        assert len(memo) == 3 * (2 ** r.degree - 1)
+        blocks = [block for g in memo.values() for row in g.cells for block in row if block is not None]
+        assert blocks and all(block.ndim == 3 and not block.flags.writeable for block in blocks)
+        for block in blocks:
+            with pytest.raises(ValueError, match="read-only"):
+                block[0, 0, 0] += 1.0
+
     @pytest.mark.parametrize(
         "build", [build_w_sequence, build_n_sequence, build_h_sequence, unimodular_pair, fiedler_pencil_rect]
     )
@@ -441,6 +458,13 @@ class TestRectPencil:
         r = random_rsmp(rng, 2, 1, 3, 4, 4)
         pencil = fiedler_pencil_rect(r, SigmaSeq("CCC"))
         assert pencil.shape == (12, 14)
+
+    def test_tail_with_non_square_trailing_block_rejected(self, rng):
+        # the leading matrix puts an identity on every trailing diagonal block
+        r = random_rsmp(rng, 1, 1, 1, 1, 2)
+        w = BlockMatrix(np.zeros((4, 5)), [1, 1, 2], [1, 1, 3])
+        with pytest.raises(DimensionError):
+            fiedler.pencil_from_tail(r, w)
 
     def test_degree_one_is_system_matrix(self, rng):
         r = random_rsmp(rng, 2, 1, 3, 1, 1)

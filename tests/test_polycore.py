@@ -165,3 +165,10 @@ class TestInvariants:
         p = MatrixPolynomial([np.eye(2)])
         with pytest.raises(ValueError):
             p.coeffs[0, 0, 0] = 5.0
+
+    def test_coefficients_cannot_be_replaced(self):
+        # replacing the array would get round the finiteness check
+        p = MatrixPolynomial([np.eye(2)])
+        with pytest.raises(AttributeError):
+            p.coeffs = np.full((1, 2, 2), np.nan, dtype=complex)
+        assert np.array_equal(p.coeffs[0], np.eye(2))

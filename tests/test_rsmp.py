@@ -69,6 +69,17 @@ class TestAssemble:
         assert r.transpose().assemble_s() is not s
 
 
+    def test_attributes_cannot_be_set(self, rng):
+        # a changed A would leave the kept S stale, and verify checks against S
+        r = random_rsmp(rng, 2, 1, 1, 2, 1)
+        s = r.assemble_s()
+        for name in ("A", "B", "C", "D", "a_regular", "_s", "_transposed"):
+            with pytest.raises(AttributeError):
+                setattr(r, name, None)
+        assert r.assemble_s() is s
+        assert r.transpose().transpose() is r
+
+
 class TestTranspose:
     @pytest.mark.parametrize("data", ["integer", "spread"])
     def test_system_matrix_is_transposed(self, rng, data):

@@ -81,6 +81,40 @@ class TestParse:
             parse_rsmp(json.dumps(doc))
 
 
+    @pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity"])
+    def test_non_finite_token_rejected(self, token):
+        # json.loads accepts these tokens by default; they are not JSON numbers
+        text = json.dumps(WORKED_EXAMPLE_DOC).replace("[[-1]], [[1]]]", f"[[-1]], [[{token}]]]", 1)
+        assert token in text
+        with pytest.raises(ParseError, match=rf"^instance: {token} is not a JSON number$"):
+            parse_rsmp(text)
+
+    @pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity"])
+    def test_non_finite_token_rejected_in_pencil(self, rng, token):
+        doc = json.loads(emit_pencil(fiedler_pencil_rect(random_rsmp(rng, 1, 1, 1, 2, 1), SigmaSeq("C"))))
+        doc["tail"][0][0] = "TOKEN"
+        text = json.dumps(doc).replace('"TOKEN"', token)
+        with pytest.raises(ParseError, match=rf"^pencil: {token} is not a JSON number$"):
+            parse_pencil(text)
+
+    @pytest.mark.parametrize("size", [1.7, 1.0, True, "1", -1, None])
+    def test_pencil_block_size_must_be_an_integer(self, rng, size):
+        # int() once turned 1.7, true and "1" into the size 1
+        pencil = fiedler_pencil_rect(random_rsmp(rng, 1, 1, 1, 2, 1), SigmaSeq("C"))
+        for key in ("row_sizes", "col_sizes"):
+            doc = json.loads(emit_pencil(pencil))
+            doc[key][1] = size
+            with pytest.raises(ParseError, match=rf"^{key}\[1\]: expected an integer >= 0, got "):
+                parse_pencil(json.dumps(doc))
+
+    @pytest.mark.parametrize("sizes", ["12", {"1": 1}, 3])
+    def test_pencil_block_sizes_must_be_a_list(self, rng, sizes):
+        doc = json.loads(emit_pencil(fiedler_pencil_rect(random_rsmp(rng, 1, 1, 1, 2, 1), SigmaSeq("C"))))
+        doc["row_sizes"] = sizes
+        with pytest.raises(ParseError, match=r"^row_sizes: expected a list of integers >= 0$"):
+            parse_pencil(json.dumps(doc))
+
+
 class TestShippedInstance:
     def test_demo_file_matches_the_worked_example(self, worked_example):
         import pathlib

@@ -26,6 +26,18 @@ class TestFromBijection:
         assert s.degree == 1
 
 
+class TestImmutable:
+    def test_attributes_cannot_be_set(self):
+        # a SigmaSeq is a dict key (the recursion memo): its hash must not move
+        s = SigmaSeq("CI")
+        key = hash(s)
+        with pytest.raises(AttributeError):
+            s.decisions = "II"
+        with pytest.raises(AttributeError):
+            s.source = (1, 2, 3)
+        assert s.decisions == "CI" and hash(s) == key
+
+
 class TestFlipped:
     def test_swaps_every_decision(self):
         assert SigmaSeq("CCICI").flipped() == SigmaSeq("IICIC")

@@ -1,0 +1,194 @@
+#!/usr/bin/env python3
+"""Check that two checkouts of rosenpencil give byte-identical results.
+
+    python3 tools/byte_identity.py PARENT_DIR CHANGE_DIR
+
+Each checkout runs in a subprocess of its own, importing the package from
+its ``src/`` (and ``tests/oracles.py`` and ``perfbench/workloads.py`` from
+the same checkout), and SHA-256-hashes:
+
+- every output of the five builders (``build_w_sequence``,
+  ``build_n_sequence``, ``build_h_sequence``, ``unimodular_pair``,
+  ``fiedler_pencil_rect``), the two companion forms and
+  ``linearization_with_witnesses``, on the acceptance grid (every shape in
+  {1,2,3}^3, every degree pair in {1..5}^2, every decision string) under
+  the ``random_rsmp`` draw of seed 90210 and the ``oracles.spread_rsmp``
+  draw of seed 90211; a call that raises contributes its error type and
+  text;
+- stdout, stderr and exit code of ``cli.main`` for ``verify FILE --all``
+  over the instance files of the ``grid_verify`` and ``deep_verify``
+  benchmark workloads at seeds 0 and 1, and for the default
+  ``fuzz --out FILE``, with the file it writes.
+
+Prints every digest that differs and exits 1 if any does, else 0.  Takes
+a few minutes; the two checkouts run side by side, one BLAS thread each.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import io
+import json
+import os
+import subprocess
+import sys
+import tempfile
+from itertools import product
+from pathlib import Path
+
+DIMS = (1, 2, 3)
+DEGREES = (1, 2, 3, 4, 5)
+CLI_RUNS = [("grid_verify", 0), ("grid_verify", 1), ("deep_verify", 0), ("deep_verify", 1)]
+
+
+def _feed(h, out) -> None:
+    """Hash one builder output: arrays by dtype, shape and bytes, partitions by value."""
+    import numpy as np
+
+    from rosenpencil.blocks import BlockMatrix, Pencil, PolyBlockMatrix
+
+    if isinstance(out, (list, tuple)):
+        h.update(f"[{len(out)}".encode())
+        for x in out:
+            _feed(h, x)
+        h.update(b"]")
+    elif isinstance(out, np.ndarray):
+        h.update(f"{out.dtype}{out.shape}".encode())
+        h.update(out.tobytes())
+    elif isinstance(out, BlockMatrix):
+        _feed(h, ("BlockMatrix", out.data, out.row_sizes, out.col_sizes))
+    elif isinstance(out, PolyBlockMatrix):
+        _feed(h, ("PolyBlockMatrix", out.poly.coeffs, out.row_sizes, out.col_sizes))
+    elif isinstance(out, Pencil):
+        _feed(h, ("Pencil", out.lead, out.tail, out.row_sizes, out.col_sizes))
+    elif isinstance(out, (str, int)):
+        h.update(repr(out).encode())
+    else:
+        raise TypeError(f"no hash rule for {type(out).__name__}")
+
+
+def _call(fn, *args):
+    try:
+        return fn(*args)
+    except Exception as exc:  # the error text is part of the behaviour compared
+        return ("raised", type(exc).__name__, str(exc))
+
+
+def _builder_digests(digests: dict) -> int:
+    import numpy as np
+
+    import oracles
+    import rosenpencil as rp
+    from rosenpencil.sampling import random_rsmp
+
+    per_string = [
+        rp.build_w_sequence,
+        rp.build_n_sequence,
+        rp.build_h_sequence,
+        rp.unimodular_pair,
+        rp.fiedler_pencil_rect,
+        rp.linearization_with_witnesses,
+    ]
+    per_instance = [rp.companion_first, rp.companion_second]
+    cases = 0
+    for draw_name, draw, seed in (("random_rsmp", random_rsmp, 90210), ("spread_rsmp", oracles.spread_rsmp, 90211)):
+        rng = np.random.default_rng(seed)
+        hashes = {fn.__name__: hashlib.sha256() for fn in per_instance + per_string}
+        cases = 0
+        for cell in product(DIMS, DIMS, DIMS, DEGREES, DEGREES):
+            r = draw(rng, *cell)
+            for fn in per_instance:
+                _feed(hashes[fn.__name__], _call(fn, r))
+            for s in rp.all_decision_strings(r.degree):
+                cases += 1
+                for fn in per_string:
+                    _feed(hashes[fn.__name__], _call(fn, r, s))
+        for name, h in hashes.items():
+            digests[f"{draw_name}/{name}"] = h.hexdigest()
+    return cases
+
+
+def _run_cli(argv) -> tuple[int, str, str]:
+    from rosenpencil import cli
+
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+def _cli_digests(checkout: Path, digests: dict) -> None:
+    import workloads
+
+    # relative instance paths, so the records, which name the file, match across checkouts
+    with tempfile.TemporaryDirectory() as tmp:
+        os.chdir(tmp)
+        for name, seed in CLI_RUNS:
+            work = Path(f"{name}-{seed}")
+            blocks, cells = workloads.plan(name, seed, checkout, work)
+            workloads.write_instances(name, seed, cells, work)
+            h = hashlib.sha256()
+            for op in (op for block in blocks for op in block):
+                _feed(h, _run_cli(op.argv))
+            digests[f"cli/verify --all/{name} seed {seed}"] = h.hexdigest()
+        h = hashlib.sha256()
+        _feed(h, _run_cli(["fuzz", "--out", "fuzz.jsonl"]))
+        _feed(h, Path("fuzz.jsonl").read_text(encoding="utf-8"))
+        digests["cli/fuzz --out"] = h.hexdigest()
+        os.chdir(checkout)
+
+
+def worker(checkout: Path) -> int:
+    """Print the digests of one checkout as one JSON object."""
+    for sub in ("src", "tests", "perfbench"):
+        sys.path.insert(0, str(checkout / sub))
+    import rosenpencil
+
+    if not Path(rosenpencil.__file__).resolve().is_relative_to(checkout / "src"):
+        raise SystemExit(f"rosenpencil was imported from {rosenpencil.__file__}, not from {checkout / 'src'}")
+    digests: dict[str, str] = {}
+    cases = _builder_digests(digests)
+    _cli_digests(checkout, digests)
+    print(json.dumps({"cases": cases, "digests": digests}))
+    return 0
+
+
+def main(argv) -> int:
+    if len(argv) == 3 and argv[1] == "--worker":
+        return worker(Path(argv[2]).resolve())
+    if len(argv) != 3:
+        print(__doc__.split("\n\n")[1], file=sys.stderr)
+        return 2
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+    procs = [
+        subprocess.Popen(
+            [sys.executable, __file__, "--worker", str(Path(d).resolve())],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            text=True,
+            env=env,
+        )
+        for d in argv[1:]
+    ]
+    results = []
+    for d, proc in zip(argv[1:], procs):
+        out, err = proc.communicate()
+        if proc.returncode != 0:
+            print(f"error: the run of {d} failed:\n{err}", file=sys.stderr)
+            return 2
+        results.append(json.loads(out.splitlines()[-1]))
+    parent, change = results
+    names = sorted(set(parent["digests"]) | set(change["digests"]))
+    differ = [k for k in names if parent["digests"].get(k) != change["digests"].get(k)]
+    for k in names:
+        print(f"{'DIFFERS' if k in differ else 'same   '}  {k}  {change['digests'].get(k, '-')[:16]}")
+    print(
+        f"{len(names) - len(differ)}/{len(names)} digests identical "
+        f"({parent['cases']} / {change['cases']} builder cases per draw)"
+    )
+    return 1 if differ else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv))
