@@ -41,7 +41,7 @@ from .fiedler import (
     square_fiedler_pencil,
 )
 from .polycore import MatrixPolynomial, is_regular, kron_unit_embed
-from .rsmp import Rsmp, assemble_s, clear_denominator, transfer_eval
+from .rsmp import Rsmp, assemble_s, clear_denominator, transfer_eval, transfer_eval_stack
 from .sampling import random_rsmp
 from .serialization import emit_pencil, emit_rsmp, parse_pencil, parse_rsmp
 from .sigma import SigmaSeq, all_decision_strings, parse_sigma
@@ -72,6 +72,7 @@ __all__ = [
     "DiscrepancyReport",
     "assemble_s",
     "transfer_eval",
+    "transfer_eval_stack",
     "clear_denominator",
     "companion_first",
     "companion_second",

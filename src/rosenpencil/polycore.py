@@ -142,8 +142,12 @@ class MatrixPolynomial:
 
         Slice ``k`` equals ``eval(zs[k])`` bit for bit: each step multiplies
         with the point on the left and adds the coefficient, as ``eval`` does.
+        A one-point stack is ``eval`` itself, since numpy's in-place multiply
+        of two one-element arrays rounds differently.
         """
         zc = np.asarray(zs, dtype=complex).reshape(-1, 1, 1)
+        if zc.shape[0] == 1:
+            return self.eval(zc[0, 0, 0])[None]
         acc = np.empty((zc.shape[0], self.rows, self.cols), dtype=complex)
         acc[...] = self.coeffs[-1]
         for k in range(self.degree - 1, -1, -1):

@@ -16,12 +16,11 @@ from __future__ import annotations
 import warnings
 
 import numpy as np
-import scipy.linalg
 
 from .errors import DimensionError, InterpolationResidual, IrregularWarning, PoleError, SingularInput
 from .polycore import MatrixPolynomial, as_matrix, is_regular, scalar_poly_eval, scalar_poly_trim
 
-__all__ = ["Rsmp", "assemble_s", "transfer_eval", "clear_denominator"]
+__all__ = ["Rsmp", "assemble_s", "transfer_eval", "transfer_eval_stack", "clear_denominator"]
 
 
 class Rsmp:
@@ -139,27 +138,42 @@ def assemble_s(r: Rsmp) -> MatrixPolynomial:
     return MatrixPolynomial(coeffs)
 
 
-def _solve_state(r: Rsmp, z: complex, rhs: np.ndarray) -> np.ndarray:
-    """LU solve A(z) x = rhs, raising PoleError at (near-)singular points."""
-    az = r.A.eval(z)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
-        lu, piv = scipy.linalg.lu_factor(az, check_finite=False)
-    diag = np.abs(np.diag(lu))
-    # reference scale from the coefficients, not A(z): near a pole the whole
-    # matrix can be tiny and a relative-to-itself test would never trigger
-    scale = max(r.A.norm_inf() * max(1.0, abs(z)) ** r.d_a, float(diag.max()), 1e-300)
-    if float(diag.min()) <= 1e-12 * scale:
-        raise PoleError(f"state polynomial is singular at z={z}")
-    return scipy.linalg.lu_solve((lu, piv), rhs, check_finite=False)
+def transfer_eval_stack(r: Rsmp, zs) -> tuple[np.ndarray, np.ndarray]:
+    """The transfer function at every point of ``zs``: a ``(P, p, m)`` stack and a pole mask.
+
+    One stacked evaluation of A, one batched SVD of the A(z) for the pole
+    test, one stacked solve at the points that pass it, and D(z) + C X.
+    A point is a pole when sigma_min(A(z)) <= 1e-12 * max(||A||_inf *
+    max(1, |z|)^d_A, sigma_max(A(z))); its slice is NaN.  Slice ``k`` of
+    a stack equals slice ``k`` of any other stack holding ``zs[k]``, bit
+    for bit, so ``transfer_eval`` is the one-point case.
+    """
+    if not r.a_regular:
+        raise SingularInput("transfer function undefined: state polynomial is singular")
+    zs = np.asarray(zs, dtype=complex).ravel()
+    az = r.A.eval_stack(zs)
+    sv = np.linalg.svd(az, compute_uv=False)
+    # reference scale from the coefficients, not A(z) alone: near a pole the
+    # whole matrix can be tiny and a relative-to-itself test would never trigger
+    scale = np.maximum(r.A.norm_inf() * np.maximum(1.0, np.abs(zs)) ** r.d_a, sv[:, 0])
+    poles = sv[:, -1] <= 1e-12 * scale
+    values = np.full((zs.size, r.p, r.m), np.nan, dtype=complex)
+    ok = ~poles
+    if ok.any():
+        x = np.linalg.solve(az[ok], np.broadcast_to(r.B, (int(ok.sum()), r.n, r.m)))
+        values[ok] = r.D.eval_stack(zs[ok]) + r.C @ x
+    return values, poles
 
 
 def transfer_eval(r: Rsmp, z: complex) -> np.ndarray:
-    """Evaluate the transfer function D(z) + C A(z)^{-1} B via an LU solve."""
-    if not r.a_regular:
-        raise SingularInput("transfer function undefined: state polynomial is singular")
-    x = _solve_state(r, z, np.asarray(r.B, dtype=complex))
-    return r.D.eval(z) + r.C @ x
+    """The transfer function D(z) + C A(z)^{-1} B at one point; PoleError at a pole.
+
+    The one-point case of ``transfer_eval_stack``, with its pole test.
+    """
+    values, poles = transfer_eval_stack(r, [z])
+    if poles[0]:
+        raise PoleError(f"state polynomial is singular at z={z}")
+    return values[0]
 
 
 def clear_denominator(r: Rsmp, s, tol: float = 1e-8) -> MatrixPolynomial:
@@ -178,34 +192,39 @@ def clear_denominator(r: Rsmp, s, tol: float = 1e-8) -> MatrixPolynomial:
     bound = deg_s + max(r.d_d, (r.n - 1) * r.d_a)
     npts = bound + 1
 
+    # a pole at a node or a holdout fails the attempt; the next one rotates the nodes
     for attempt in range(3):
         rng = np.random.default_rng(1234 + attempt)
         rho = 1.1 + 0.2 * attempt
         phase = rng.uniform(0.0, 2.0 * np.pi)
-        try:
-            zs = rho * np.exp(1j * (2.0 * np.pi * np.arange(npts) / npts + phase))
-            vals = np.stack([scalar_poly_eval(s, z) * transfer_eval(r, z) for z in zs])
-            spec = np.fft.fft(vals, axis=0) / npts  # nodes carry positive angles
-            ks = np.arange(npts)
-            coeffs = spec / (rho**ks * np.exp(1j * ks * phase))[:, None, None]
-            # relative to the samples alone: an absolute floor would trim the
-            # whole polynomial of a small-scale system
-            scale = float(np.max(np.abs(vals)))
-            # trim trailing numerically-zero coefficient matrices
-            top = bound
-            while top > 0 and np.max(np.abs(coeffs[top])) <= 1e-9 * scale:
-                top -= 1
-            result = MatrixPolynomial(coeffs[: top + 1].copy())
-            for _ in range(2):
-                zh = (0.7 + rng.uniform()) * np.exp(2j * np.pi * rng.uniform())
-                want = scalar_poly_eval(s, zh) * transfer_eval(r, zh)
-                got = result.eval(zh)
-                if np.max(np.abs(want - got)) > tol * scale * max(1.0, abs(zh)) ** bound:
-                    raise InterpolationResidual(
-                        "s(lambda)R(lambda) is not a polynomial of the expected degree; "
-                        "the clearing polynomial misses a pole"
-                    )
+        zs = rho * np.exp(1j * (2.0 * np.pi * np.arange(npts) / npts + phase))
+        rz, poles = transfer_eval_stack(r, zs)
+        if poles.any():
+            continue
+        vals = np.stack([scalar_poly_eval(s, z) * rz[k] for k, z in enumerate(zs)])
+        spec = np.fft.fft(vals, axis=0) / npts  # nodes carry positive angles
+        ks = np.arange(npts)
+        coeffs = spec / (rho**ks * np.exp(1j * ks * phase))[:, None, None]
+        # relative to the samples alone: an absolute floor would trim the
+        # whole polynomial of a small-scale system
+        scale = float(np.max(np.abs(vals)))
+        # trim trailing numerically-zero coefficient matrices
+        top = bound
+        while top > 0 and np.max(np.abs(coeffs[top])) <= 1e-9 * scale:
+            top -= 1
+        result = MatrixPolynomial(coeffs[: top + 1].copy())
+        zh = [(0.7 + rng.uniform()) * np.exp(2j * np.pi * rng.uniform()) for _ in range(2)]
+        rh, poles = transfer_eval_stack(r, zh)
+        for k, z in enumerate(zh):
+            if poles[k]:
+                break
+            want = scalar_poly_eval(s, z) * rh[k]
+            got = result.eval(z)
+            if np.max(np.abs(want - got)) > tol * scale * max(1.0, abs(z)) ** bound:
+                raise InterpolationResidual(
+                    "s(lambda)R(lambda) is not a polynomial of the expected degree; "
+                    "the clearing polynomial misses a pole"
+                )
+        else:
             return result
-        except PoleError:
-            continue  # a sample point hit a pole; rotate and retry
     raise InterpolationResidual("could not find pole-free sample points")

@@ -31,10 +31,13 @@ def _is_number(x) -> bool:
 
 
 def _entry(v, where: str) -> complex:
-    if _is_number(v):
-        return complex(v)
-    if isinstance(v, list) and len(v) == 2 and all(_is_number(x) for x in v):
-        return complex(v[0], v[1])
+    try:
+        if _is_number(v):
+            return complex(v)
+        if isinstance(v, list) and len(v) == 2 and all(_is_number(x) for x in v):
+            return complex(v[0], v[1])
+    except OverflowError:  # a Python int beyond the float range, from a dict
+        raise ParseError(f"{where}: entry is out of the floating-point range") from None
     raise ParseError(f"{where}: expected a number or [re, im] pair, got {v!r}")
 
 
@@ -47,6 +50,11 @@ def _matrix(obj, rows: int, cols: int, where: str) -> np.ndarray:
             raise ParseError(f"{where}[{i}]: expected {cols} entries")
         for j, v in enumerate(row):
             out[i, j] = _entry(v, f"{where}[{i}][{j}]")
+    # Python's nan and inf in a dict, and overflowing literals such as 1e400
+    # in text, pass the JSON token check
+    if not np.isfinite(out).all():
+        i, j = np.argwhere(~np.isfinite(out))[0]
+        raise ParseError(f"{where}[{i}][{j}]: expected a finite number, got {obj[i][j]!r}")
     return out
 
 

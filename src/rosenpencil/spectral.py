@@ -3,7 +3,8 @@
 Determinants of matrix polynomials are interpolated from point evaluations
 (Fourier nodes, holdout-certified); their roots are the eigenvalues of the
 companion matrix, found by LAPACK in one call, so nothing iterates in
-Python; ranks come from column-pivoted QR.  Eigenvalues of
+Python.  Every rank is the count of singular values above a fraction of
+the largest, from one batched SVD over a stack of points.  Eigenvalues of
 rectangular problems are exposed only as rank-drop tests at candidate
 points, since extracting them outright needs staircase machinery outside
 this package's scope.
@@ -14,7 +15,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 
 from .blocks import Pencil
 from .errors import (
@@ -27,7 +27,7 @@ from .errors import (
     SingularInput,
 )
 from .polycore import MatrixPolynomial, scalar_poly_eval, scalar_poly_trim
-from .rsmp import Rsmp, clear_denominator, transfer_eval
+from .rsmp import Rsmp, clear_denominator, transfer_eval_stack
 
 __all__ = [
     "Spectrum",
@@ -183,16 +183,23 @@ def eigenvalues_square(x, tol: float = 1e-8) -> Spectrum:
     return Spectrum(eigenvalues=eigs, normal_rank=p.rows, degree_bound=p.degree)
 
 
+def _ranks(stack, tol: float) -> np.ndarray:
+    """Numerical rank of each matrix of a ``(P, rows, cols)`` stack, from one batched SVD.
+
+    Counts the singular values above ``tol`` times the largest, so a zero
+    matrix has rank 0.  Slice by slice the SVD does not depend on the rest
+    of the stack, so neither does the rank.
+    """
+    stack = np.asarray(stack, dtype=complex)
+    if stack.size == 0:
+        return np.zeros(len(stack), dtype=int)
+    sv = np.linalg.svd(stack, compute_uv=False)
+    return np.count_nonzero(sv > tol * sv[:, :1], axis=1)
+
+
 def rank_at(m, tol: float = 1e-10) -> int:
-    """Numerical rank via column-pivoted QR, thresholded against the top pivot."""
-    m = np.asarray(m, dtype=complex)
-    if m.size == 0:
-        return 0
-    r = scipy.linalg.qr(m, mode="r", pivoting=True)[0]
-    diag = np.abs(np.diag(r))
-    if diag.size == 0 or diag[0] == 0.0:
-        return 0
-    return int(np.count_nonzero(diag > tol * diag[0]))
+    """Numerical rank: the singular values above ``tol`` times the largest."""
+    return int(_ranks(np.asarray(m, dtype=complex)[None], tol)[0])
 
 
 def _as_evaluable(f):
@@ -203,31 +210,46 @@ def _as_evaluable(f):
     raise TypeError(f"not evaluable: {type(f).__name__}")
 
 
-def normal_rank(f, trials: int = 12, tol: float = 1e-10, rng_seed: int = 3) -> int:
-    """Generic rank: max of rank_at over random sample points.
-
-    Evaluation failures (poles) are resampled; if no point at all can be
-    evaluated, raises AllSamplesSingular.
-    """
+def _values_off_poles(f, zs):
+    """f at the points of ``zs`` that are not poles, in order: one stacked call where f has one."""
+    if isinstance(f, Rsmp):
+        values, poles = transfer_eval_stack(f, zs)
+        return values[~poles]
+    if isinstance(f, (Pencil, MatrixPolynomial)):
+        return f.eval_stack(zs)
     fn = _as_evaluable(f)
-    rng = np.random.default_rng(rng_seed)
-    best = -1
-    got_any = False
-    budget = 10 * trials
-    successes = 0
-    while successes < trials and budget > 0:
-        budget -= 1
-        z = rng.uniform(0.5, 2.0) * np.exp(2j * np.pi * rng.uniform())
+    out = []
+    for z in zs:
         try:
-            val = fn(z)
+            out.append(fn(z))
         except PoleError:
             continue
-        got_any = True
-        successes += 1
-        best = max(best, rank_at(val, tol=tol))
-    if not got_any:
+    return out
+
+
+def normal_rank(f, trials: int = 12, tol: float = 1e-10, rng_seed: int = 3) -> int:
+    """Generic rank: the largest rank at the first ``trials`` random points that are not poles.
+
+    A pole is resampled, up to ten points per trial in all; if no point at
+    all can be evaluated, raises AllSamplesSingular.  A matrix polynomial,
+    a pencil or an Rsmp (its transfer function) is evaluated on a stack of
+    points, any other callable point by point; the points and ranks are
+    the same either way.
+    """
+    rng = np.random.default_rng(rng_seed)
+    ranks: list[int] = []
+    budget = 10 * trials
+    while len(ranks) < trials and budget > 0:
+        # the next points of the draw, as many as ranks are still missing
+        batch = [
+            rng.uniform(0.5, 2.0) * np.exp(2j * np.pi * rng.uniform())
+            for _ in range(min(trials - len(ranks), budget))
+        ]
+        budget -= len(batch)
+        ranks.extend(_ranks(_values_off_poles(f, batch), tol).tolist())
+    if not ranks:
         raise AllSamplesSingular("no sample point of the matrix function could be evaluated")
-    return best
+    return max(ranks)
 
 
 def is_eigenvalue(f, z0: complex, nr: int, tol: float = 1e-10) -> bool:
@@ -287,15 +309,14 @@ def discrepancy_report(r: Rsmp, tol: float = 1e-8) -> DiscrepancyReport:
     for z, _k in s_spec.eigenvalues + pole_spec.eigenvalues:
         if all(abs(z - w) > 1e-8 for w in candidates):
             candidates.append(z)
-    nr = normal_rank(lambda z: transfer_eval(r, z))
+    nr = normal_rank(r)
+    # all candidates in one stack: the same verdicts as is_eigenvalue point by point
+    values, poles = transfer_eval_stack(r, candidates)
+    ranks = np.zeros(len(candidates), dtype=int)
+    ranks[~poles] = _ranks(values[~poles], tol=1e-10)
     tests: list[tuple[complex, str]] = []
-    for z in candidates:
-        try:
-            hit = is_eigenvalue(lambda w: transfer_eval(r, w), z, nr)
-        except PoleError:
-            tests.append((z, "pole"))
-            continue
-        tests.append((z, "eigenvalue" if hit else "regular"))
+    for z, pole, rank in zip(candidates, poles, ranks):
+        tests.append((z, "pole" if pole else "eigenvalue" if rank < nr else "regular"))
 
     return DiscrepancyReport(
         s_eigenvalues=s_spec.eigenvalues,

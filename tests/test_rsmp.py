@@ -12,7 +12,9 @@ from rosenpencil import (
     SingularInput,
     assemble_s,
     clear_denominator,
+    eigenvalues_square,
     transfer_eval,
+    transfer_eval_stack,
 )
 from rosenpencil.sampling import random_rsmp
 
@@ -113,6 +115,35 @@ class TestTransfer:
     def test_worked_example_pole(self, worked_example):
         with pytest.raises(PoleError):
             transfer_eval(worked_example, 1.0)
+        values, poles = transfer_eval_stack(worked_example, [2.0, 1.0])
+        assert poles.tolist() == [False, True]
+        assert np.all(np.isnan(values[1]))
+
+    @pytest.mark.parametrize(
+        "shape", [(n, pm, pm) for n in (1, 2, 3) for pm in (1, 2, 3)] + [(2, 1, 3), (3, 2, 1), (1, 3, 2)]
+    )
+    def test_one_point_is_the_slice_of_the_stack(self, shape):
+        rng = np.random.default_rng(list(shape))
+        for d_a, d_d in ((1, 1), (2, 3), (3, 1), (3, 3)):
+            r = random_rsmp(rng, *shape, d_a, d_d)
+            # random points, then the state polynomial's eigenvalues, which are poles
+            zs = np.concatenate(
+                [2.0 * (rng.standard_normal(5) + 1j * rng.standard_normal(5)), eigenvalues_square(r.A).values()]
+            )
+            values, poles = transfer_eval_stack(r, zs)
+            assert values.shape == (zs.size, r.p, r.m)
+            assert not poles[:5].any() and poles[5:].any()
+            for k, z in enumerate(zs):
+                if poles[k]:
+                    assert np.all(np.isnan(values[k]))
+                    with pytest.raises(PoleError):
+                        transfer_eval(r, z)
+                else:
+                    assert np.array_equal(transfer_eval(r, z), values[k])
+
+    def test_empty_stack(self, worked_example):
+        values, poles = transfer_eval_stack(worked_example, [])
+        assert values.shape == (0, 2, 2) and poles.shape == (0,)
 
     def test_vanishing_coupling_gives_feedthrough(self, rng):
         a = MatrixPolynomial(rng.integers(-3, 4, size=(3, 2, 2)).astype(complex) + np.stack([np.eye(2)] * 3))

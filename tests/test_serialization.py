@@ -97,6 +97,35 @@ class TestParse:
         with pytest.raises(ParseError, match=rf"^pencil: {token} is not a JSON number$"):
             parse_pencil(text)
 
+    @pytest.mark.parametrize(
+        "entry", [float("nan"), float("inf"), -float("inf"), [0.0, float("nan")], [float("inf"), 1.0]]
+    )
+    def test_non_finite_dict_entry_rejected(self, entry):
+        # a dict skips json.loads, so Python's nan and inf once reached the instance
+        doc = dict(WORKED_EXAMPLE_DOC)
+        doc["D"] = [[[-2, 1], [1, 0]], [[1, 0], [0, entry]]]
+        with pytest.raises(ParseError, match=r"^D\[1\]\[1\]\[1\]: expected a finite number, got "):
+            parse_rsmp(doc)
+
+    @pytest.mark.parametrize("entry", [float("nan"), float("inf"), -float("inf"), [float("nan"), 0.0]])
+    def test_non_finite_dict_entry_rejected_in_pencil(self, entry):
+        doc = {"kind": "pencil", "row_sizes": [1], "col_sizes": [1], "lead": [[1.0]], "tail": [[entry]]}
+        with pytest.raises(ParseError, match=r"^tail\[0\]\[0\]: expected a finite number, got "):
+            parse_pencil(doc)
+
+    @pytest.mark.parametrize("text", ["1e400", "-1e400", "[0, 1e400]"])
+    def test_overflowing_literal_rejected(self, text):
+        # json.loads reads 1e400 as inf, without a token parse_constant could refuse
+        doc = json.dumps(WORKED_EXAMPLE_DOC).replace("[[-1]], [[1]]]", f"[[-1]], [[{text}]]]", 1)
+        with pytest.raises(ParseError, match=r"^A\[1\]\[0\]\[0\]: expected a finite number, got "):
+            parse_rsmp(doc)
+
+    def test_integer_beyond_float_range_rejected(self):
+        doc = dict(WORKED_EXAMPLE_DOC)
+        doc["B"] = [[10**400, 0]]
+        with pytest.raises(ParseError, match=r"^B\[0\]\[0\]: entry is out of the floating-point range$"):
+            parse_rsmp(doc)
+
     @pytest.mark.parametrize("size", [1.7, 1.0, True, "1", -1, None])
     def test_pencil_block_size_must_be_an_integer(self, rng, size):
         # int() once turned 1.7, true and "1" into the size 1

@@ -26,7 +26,7 @@ from rosenpencil import (
 )
 from rosenpencil.polycore import scalar_poly_trim
 from rosenpencil.sampling import random_bijection, random_rsmp
-from rosenpencil.spectral import cluster_roots
+from rosenpencil.spectral import _ranks, cluster_roots
 
 
 class TestDetPoly:
@@ -193,6 +193,21 @@ class TestRank:
     def test_zero_matrix(self):
         assert rank_at(np.zeros((3, 2))) == 0
 
+    @pytest.mark.parametrize("shape", [(1, 1), (3, 3), (4, 2), (2, 5)])
+    def test_rank_at_is_each_slice_of_the_batched_rule(self, rng, shape):
+        rows, cols = shape
+        mats = []
+        for k in range(min(shape) + 1):
+            a = rng.standard_normal((rows, k)) + 1j * rng.standard_normal((rows, k))
+            a = a @ rng.standard_normal((k, cols))
+            noise = rng.standard_normal(shape)
+            # exact rank k, then perturbed below and above the 1e-10 threshold
+            mats += [a, a + 1e-13 * noise, a + 1e-8 * noise]
+        stack = np.stack(mats)
+        ranks = _ranks(stack, 1e-10)
+        assert ranks.tolist() == [rank_at(m) for m in stack]
+        assert ranks.tolist()[::3] == list(range(min(shape) + 1))
+
 
 class TestNormalRank:
     def test_worked_example_transfer(self, worked_example):
@@ -212,6 +227,28 @@ class TestNormalRank:
         r = random_rsmp(rng, 2, 1, 3, 3, 2)
         pencil = fiedler_pencil_rect(r, SigmaSeq("CI"))
         assert normal_rank(pencil) == min(pencil.shape)
+        assert normal_rank(pencil.eval) == min(pencil.shape)
+
+    def test_stacked_and_pointwise_agree(self, rng):
+        for shape in [(1, 1, 1), (2, 2, 2), (3, 2, 2), (2, 3, 3), (1, 2, 3), (3, 1, 2)]:
+            r = random_rsmp(rng, *shape, int(rng.integers(1, 4)), int(rng.integers(1, 4)))
+            assert normal_rank(r) == normal_rank(lambda z: transfer_eval(r, z))
+            s = assemble_s(r)
+            assert normal_rank(s) == normal_rank(s.eval)
+
+    def test_poles_are_resampled_in_draw_order(self):
+        rng = np.random.default_rng(3)
+        drawn = [rng.uniform(0.5, 2.0) * np.exp(2j * np.pi * rng.uniform()) for _ in range(30)]
+        seen = []
+
+        def every_third_a_pole(z):
+            seen.append(z)
+            if len(seen) % 3 == 0:
+                raise PoleError("pole")
+            return np.array([[z]])
+
+        assert normal_rank(every_third_a_pole, trials=12) == 1
+        assert seen == drawn[:17]  # 12 points that are not poles, 5 that are
 
 
 class TestIsEigenvalue:
@@ -226,6 +263,31 @@ class TestIsEigenvalue:
 
         cleared = clear_denominator(r, [-1.0, 1.0])
         assert is_eigenvalue(cleared, 1.0, normal_rank(cleared))
+
+
+# Zeros of R about 2e-4 and 2e-6 from the pole near 55.2 of one instance:
+# there the evaluated R(z) is too inaccurate for the fixed 1e-10 rank
+# threshold; its rank ratio at the root route's eigenvalue is 6.6e-9 and 1.8e-6.
+KNOWN_MISJUDGED = {((3, 2, 2, 3, 1), 4), ((3, 2, 2, 3, 2), 4)}
+
+
+def _misjudged(r) -> list[str]:
+    """Transfer verdicts that contradict their candidate's origin.
+
+    A candidate that is an eigenvalue of A must be a pole; an eigenvalue of
+    S farther than 1e-6 from every eigenvalue of A must be an eigenvalue of
+    the transfer function.  Returns "pole" or "eigenvalue" for each miss.
+    """
+    rep = discrepancy_report(r)
+    poles = [w for w, _k in rep.pole_points]
+    wrong = []
+    for z, verdict in rep.transfer_tests:
+        if z in poles:
+            if verdict != "pole":
+                wrong.append("pole")
+        elif min((abs(z - w) for w in poles), default=np.inf) > 1e-6 and verdict != "eigenvalue":
+            wrong.append("eigenvalue")
+    return wrong
 
 
 class TestDiscrepancy:
@@ -270,6 +332,34 @@ class TestDiscrepancy:
             for z, status in rep.transfer_tests:
                 if status == "eigenvalue":
                     assert rank_at(transfer_eval(r, z)) < nr
+
+    @pytest.mark.parametrize("shape", [(3, 2, 2), (2, 3, 3)])
+    def test_transfer_verdicts_follow_the_candidates(self, shape):
+        # An LU pivot test for poles and a pivoted-QR rank test misjudged
+        # (3,2,2,3,3) seeds 6 and 7 and (2,3,3,3,3) seed 5 ("regular" at S
+        # eigenvalues, where |r_nn / r_11| sat just above 1e-10).
+        wrong = {
+            (shape + (d_a, d_d), seed)
+            for d_a in (1, 2, 3)
+            for d_d in (1, 2, 3)
+            for seed in range(10)
+            if _misjudged(random_rsmp(np.random.default_rng(seed), *shape, d_a, d_d))
+        }
+        assert wrong <= KNOWN_MISJUDGED
+
+    @pytest.mark.parametrize("shape", [(3, 2, 2), (2, 3, 3)])
+    def test_state_eigenvalues_are_poles(self, shape):
+        # LU pivots passed the pole test at eigenvalues of A, where
+        # sigma_min(A(z)) / sigma_max is about 3e-15: at (3,2,2,4,d_D) seeds
+        # 10 and 17 and at (3,2,2,5,d_D) seed 10, for every d_D.
+        wrong = {
+            (shape + (d_a, d_d), seed)
+            for d_a in (4, 5)
+            for d_d in (1, 2, 3, 4, 5)
+            for seed in range(20)
+            if "pole" in _misjudged(random_rsmp(np.random.default_rng(seed), *shape, d_a, d_d))
+        }
+        assert wrong == set()
 
     def test_rectangular_rejected(self, rng):
         r = random_rsmp(rng, 1, 2, 1, 1, 1)

@@ -18,9 +18,13 @@ the same checkout), and SHA-256-hashes:
 - stdout, stderr and exit code of ``cli.main`` for ``verify FILE --all``
   over the instance files of the ``grid_verify`` and ``deep_verify``
   benchmark workloads at seeds 0 and 1, and for the default
-  ``fuzz --out FILE``, with the file it writes.
+  ``fuzz --out FILE``, with the file it writes;
+- the same for ``eig FILE`` over the instance files of the ``spectra``
+  workload at seeds 0 and 1, one digest per op, keyed by the op's place
+  in the run and its file name, so that a difference names its file.
 
-Prints every digest that differs and exits 1 if any does, else 0.  Takes
+Prints every digest that differs (and every other one, bar the eig ops,
+which it counts) and exits 1 if any does, else 0.  Takes
 a few minutes; the two checkouts run side by side, one BLAS thread each.
 """
 
@@ -40,6 +44,7 @@ from pathlib import Path
 DIMS = (1, 2, 3)
 DEGREES = (1, 2, 3, 4, 5)
 CLI_RUNS = [("grid_verify", 0), ("grid_verify", 1), ("deep_verify", 0), ("deep_verify", 1)]
+EIG_SEEDS = (0, 1)
 
 
 def _feed(h, out) -> None:
@@ -132,6 +137,14 @@ def _cli_digests(checkout: Path, digests: dict) -> None:
             for op in (op for block in blocks for op in block):
                 _feed(h, _run_cli(op.argv))
             digests[f"cli/verify --all/{name} seed {seed}"] = h.hexdigest()
+        for seed in EIG_SEEDS:
+            work = Path(f"spectra-{seed}")
+            blocks, cells = workloads.plan("spectra", seed, checkout, work)
+            workloads.write_instances("spectra", seed, cells, work)
+            for k, op in enumerate(op for block in blocks for op in block):
+                h = hashlib.sha256()
+                _feed(h, _run_cli(op.argv))
+                digests[f"cli/eig/spectra seed {seed}/op {k:03d} {Path(op.path).name}"] = h.hexdigest()
         h = hashlib.sha256()
         _feed(h, _run_cli(["fuzz", "--out", "fuzz.jsonl"]))
         _feed(h, Path("fuzz.jsonl").read_text(encoding="utf-8"))
@@ -182,7 +195,11 @@ def main(argv) -> int:
     names = sorted(set(parent["digests"]) | set(change["digests"]))
     differ = [k for k in names if parent["digests"].get(k) != change["digests"].get(k)]
     for k in names:
-        print(f"{'DIFFERS' if k in differ else 'same   '}  {k}  {change['digests'].get(k, '-')[:16]}")
+        # the eig ops are too many to list one by one when they agree
+        if k in differ or not k.startswith("cli/eig/"):
+            print(f"{'DIFFERS' if k in differ else 'same   '}  {k}  {change['digests'].get(k, '-')[:16]}")
+    eig_ops = [k for k in names if k.startswith("cli/eig/")]
+    print(f"{sum(k not in differ for k in eig_ops)}/{len(eig_ops)} eig ops identical")
     print(
         f"{len(names) - len(differ)}/{len(names)} digests identical "
         f"({parent['cases']} / {change['cases']} builder cases per draw)"
