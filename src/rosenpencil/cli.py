@@ -269,6 +269,17 @@ def cmd_fuzz(args) -> int:
     return 1 if failures else 0
 
 
+def _tolerance(text: str) -> float:
+    """A ``--tol`` value, finite and greater than 0: a NaN or negative one fails every residual, an infinite one passes every finite one."""
+    try:
+        tol = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
+    if not (math.isfinite(tol) and tol > 0):
+        raise argparse.ArgumentTypeError(f"must be finite and greater than 0, got {text!r}")
+    return tol
+
+
 class _ArgumentParser(argparse.ArgumentParser):
     """A parser whose usage errors raise ParseError; its subparsers share the class."""
 
@@ -293,7 +304,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--sigma", default=None)
     p_verify.add_argument("--all", action="store_true", help="every decision string (degree <= 7)")
     p_verify.add_argument("--trials", type=int, default=20)
-    p_verify.add_argument("--tol", type=float, default=1e-8)
+    p_verify.add_argument("--tol", type=_tolerance, default=1e-8)
     p_verify.add_argument("--seed", type=int, default=0)
     p_verify.add_argument("--out", default=None)
 
@@ -306,7 +317,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_fuzz = sub.add_parser("fuzz", help="sweep seeded random instances over the degree grid")
     p_fuzz.add_argument("--seed", type=int, default=0)
     p_fuzz.add_argument("--trials", type=int, default=20)
-    p_fuzz.add_argument("--tol", type=float, default=1e-8)
+    p_fuzz.add_argument("--tol", type=_tolerance, default=1e-8)
     p_fuzz.add_argument("--max-dim", type=int, default=3)
     p_fuzz.add_argument("--max-deg", type=int, default=5)
     p_fuzz.add_argument("--out", default=None)

@@ -195,15 +195,16 @@ def _padding_sizes(r: Rsmp, s: SigmaSeq) -> tuple[int, int]:
 
 
 class _Samples:
-    """Sample points, drawn at first use, and S, A and D evaluated at them.
+    """Sample points, drawn at first use, S, A and D evaluated at them, and the frame of each pencil shape.
 
     One set serves every check of one system, so each decision string of
     an instance is checked at the same points without drawing or
-    evaluating them again.
+    evaluating them again, and strings of one shape share one frame.
     """
 
     def __init__(self, r: Rsmp, points: int, rng):
         self._r, self._points, self._rng = r, points, rng
+        self._frames: dict[tuple[int, int], _Frame] = {}
 
     @cached_property
     def stacks(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -215,11 +216,51 @@ class _Samples:
         with np.errstate(over="ignore", invalid="ignore"):
             return zs, r.assemble_s().eval_stack(zs), r.A.eval_stack(zs), r.D.eval_stack(zs)
 
+    def frame(self, alpha_prime: int, alpha: int) -> "_Frame":
+        """The frame of the pencil shape with these paddings, built at first use."""
+        key = (alpha_prime, alpha)
+        if key not in self._frames:
+            self._frames[key] = _Frame(self._r, alpha_prime, alpha)
+        return self._frames[key]
 
-def _sub_eye(stack: np.ndarray, row: int, col: int, size: int) -> None:
-    """Subtract a size-by-size identity at (row, col) of every matrix of the stack, in place."""
+
+def _add_eye(m: np.ndarray, row: int, col: int, size: int) -> None:
+    """Add a size-by-size identity at (row, col) of the matrix, in place."""
     idx = np.arange(size)
-    stack[:, row + idx, col + idx] -= 1.0
+    m[row + idx, col + idx] += 1.0
+
+
+class _Frame:
+    """What the check of one pencil shape needs besides the points.
+
+    The four-block target is ``target`` plus A(z) in the state block and
+    D(z) in the feedthrough block: ``target`` holds the identity paddings,
+    -B and C.  The corollary target, after the row and column permutations
+    to block-diagonal form, is ``cor_target`` plus S(z) in the middle:
+    ``cor_target`` holds the identity paddings of blkdiag(I, S, I).
+    """
+
+    def __init__(self, r: Rsmp, alpha_prime: int, alpha: int):
+        n, p, m = r.n, r.p, r.m
+        self.rows = alpha_prime + n + alpha + p
+        self.cols = alpha_prime + n + alpha + m
+        self.rcuts = rcuts = np.cumsum([0, alpha_prime, n, alpha, p])
+        self.ccuts = ccuts = np.cumsum([0, alpha_prime, n, alpha, m])
+        state = slice(alpha_prime, alpha_prime + n)
+        # where A(z), D(z) and S(z) go in a stack of products, S(z) after the permutations
+        self.a_block = np.s_[:, state, state]
+        self.d_block = np.s_[:, rcuts[3] :, ccuts[3] :]
+        self.s_block = np.s_[:, alpha_prime : alpha_prime + n + p, alpha_prime : alpha_prime + n + m]
+        self.row_perm = np.r_[0 : rcuts[2], rcuts[3] : rcuts[4], rcuts[2] : rcuts[3]][:, None]
+        self.col_perm = np.r_[0 : ccuts[2], ccuts[3] : ccuts[4], ccuts[2] : ccuts[3]]
+        self.target = np.zeros((self.rows, self.cols), dtype=complex)
+        _add_eye(self.target, 0, 0, alpha_prime)
+        self.target[state, ccuts[3] :] = -r.B
+        _add_eye(self.target, rcuts[2], ccuts[2], alpha)
+        self.target[rcuts[3] :, state] = r.C
+        self.cor_target = np.zeros((self.rows, self.cols), dtype=complex)
+        _add_eye(self.cor_target, 0, 0, alpha_prime)
+        _add_eye(self.cor_target, alpha_prime + n + p, alpha_prime + n + m, alpha)
 
 
 @dataclass
@@ -258,11 +299,15 @@ def verify_theorem(
     """Sampled check that U L V equals the padded system matrix.
 
     The sample points are evaluated in chunks, each as one stack: U(z),
-    z lead - tail and V(z) by stacked Horner, their products by one
-    batched matrix product.  Every product is compared against the
-    four-block target, subtracted in place, and, after explicit row/column
-    permutations, against blkdiag(identity, S(z), identity) with S from
-    ``assemble_s``.  Residuals are Frobenius norms relative to
+    z lead - tail and V(z) by stacked Horner (over the entries of U and V
+    that are not constant), their products by one batched matrix product.
+    Every product is compared against the four-block target and, after
+    explicit row/column permutations, against blkdiag(identity, S(z),
+    identity) with S from ``assemble_s``.  The constant part of each
+    target (identity paddings, -B and C; the paddings of the corollary
+    form) and the permutations make up the frame of the pencil's shape,
+    built once; a chunk subtracts the frame's target and A(z), D(z),
+    respectively S(z), in place.  Residuals are Frobenius norms relative to
     max(1, |U(z)| |L(z)| |V(z)|); at a point where that scale overflows no
     residual can be certified and it is reported as infinite.  Unimodularity
     of U and V is checked by determinant sampling at the same points.
@@ -275,10 +320,8 @@ def _check_chunks(
     r: Rsmp, s: SigmaSeq, pencil: Pencil, u: PolyBlockMatrix, v: PolyBlockMatrix, samples: _Samples, tol: float
 ) -> EquivalenceReport:
     """The chunk loop of ``verify_theorem``, at the points of ``samples``."""
-    alpha_prime, alpha = _padding_sizes(r, s)
-    n, p, m = r.n, r.p, r.m
-    rows = alpha_prime + n + alpha + p
-    cols = alpha_prime + n + alpha + m
+    f = samples.frame(*_padding_sizes(r, s))
+    rows, cols = f.rows, f.cols
     if u.shape != (rows, rows) or v.shape != (cols, cols) or pencil.shape != (rows, cols):
         raise DimensionError(
             f"witness/pencil dimensions {u.shape}/{pencil.shape}/{v.shape} do not conform "
@@ -286,14 +329,7 @@ def _check_chunks(
         )
     zs, s_zs, a_zs, d_zs = samples.stacks
     points = zs.size
-    rcuts = np.cumsum([0, alpha_prime, n, alpha, p])
-    ccuts = np.cumsum([0, alpha_prime, n, alpha, m])
-    # permutation to the block-diagonal corollary form
-    row_perm = np.r_[0:alpha_prime, alpha_prime : alpha_prime + n,
-                     rcuts[3] : rcuts[4], rcuts[2] : rcuts[3]].astype(int)
-    col_perm = np.r_[0:alpha_prime, alpha_prime : alpha_prime + n,
-                     ccuts[3] : ccuts[4], ccuts[2] : ccuts[3]].astype(int)
-    state = slice(alpha_prime, alpha_prime + n)
+    rcuts, ccuts = f.rcuts, f.ccuts
 
     res = np.empty(points)
     cor_res = np.empty(points)
@@ -315,19 +351,15 @@ def _check_chunks(
             u_dets[lo:hi] = np.linalg.det(uz)
             v_dets[lo:hi] = np.linalg.det(vz)
 
-            cor = prod[:, row_perm[:, None], col_perm]
-            _sub_eye(cor, 0, 0, alpha_prime)
-            cor[:, alpha_prime : alpha_prime + n + p, alpha_prime : alpha_prime + n + m] -= s_zs[lo:hi]
-            _sub_eye(cor, alpha_prime + n + p, alpha_prime + n + m, alpha)
+            cor = prod[:, f.row_perm, f.col_perm]
+            cor -= f.cor_target
+            cor[f.s_block] -= s_zs[lo:hi]
             cor_res[lo:hi] = _fro(cor) / scale
 
             # prod becomes U L V minus the four-block target
-            _sub_eye(prod, 0, 0, alpha_prime)
-            prod[:, state, state] -= a_zs[lo:hi]
-            prod[:, state, ccuts[3] :] += r.B
-            _sub_eye(prod, rcuts[2], ccuts[2], alpha)
-            prod[:, rcuts[3] :, state] -= r.C
-            prod[:, rcuts[3] :, ccuts[3] :] -= d_zs[lo:hi]
+            prod -= f.target
+            prod[f.a_block] -= a_zs[lo:hi]
+            prod[f.d_block] -= d_zs[lo:hi]
             res[lo:hi] = _fro(prod) / scale
             rel = np.abs(prod) / scale[:, None, None]
             if overflow.any():

@@ -53,7 +53,8 @@ class MatrixPolynomial:
     trims trailing zero coefficients.
     """
 
-    __slots__ = ("coeffs",)
+    # _varying: the entries Horner runs over in eval_stack, found at first use
+    __slots__ = ("coeffs", "_varying")
 
     def __init__(self, coeffs):
         if isinstance(coeffs, np.ndarray) and coeffs.ndim == 3:
@@ -75,6 +76,7 @@ class MatrixPolynomial:
             raise ValueError("matrix entries must be finite")
         arr.setflags(write=False)
         object.__setattr__(self, "coeffs", arr)
+        object.__setattr__(self, "_varying", None)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"MatrixPolynomial is immutable: cannot set {name!r}")
@@ -140,20 +142,42 @@ class MatrixPolynomial:
     def eval_stack(self, zs) -> np.ndarray:
         """Evaluate at every point of ``zs`` by stacked Horner: a ``(P, rows, cols)`` stack.
 
-        Slice ``k`` equals ``eval(zs[k])`` bit for bit: each step multiplies
-        with the point on the left and adds the coefficient, as ``eval`` does.
-        A one-point stack is ``eval`` itself, since numpy's in-place multiply
-        of two one-element arrays rounds differently.
+        Horner runs only over the entries with a nonzero coefficient above
+        degree 0, each step multiplying with the point on the left and
+        adding the coefficient, as ``eval`` does; every other entry is its
+        constant coefficient.  So each entry of slice ``k`` equals that of
+        ``eval(zs[k])``, except that a zero real or imaginary part may
+        differ in sign (``eval`` multiplies the point into zero
+        coefficients).  A one-point stack is ``eval`` itself, since numpy's
+        in-place multiply of two one-element arrays rounds differently.
         """
-        zc = np.asarray(zs, dtype=complex).reshape(-1, 1, 1)
-        if zc.shape[0] == 1:
-            return self.eval(zc[0, 0, 0])[None]
-        acc = np.empty((zc.shape[0], self.rows, self.cols), dtype=complex)
-        acc[...] = self.coeffs[-1]
-        for k in range(self.degree - 1, -1, -1):
+        zc = np.asarray(zs, dtype=complex).reshape(-1, 1)
+        points = zc.shape[0]
+        if points == 1:
+            return self.eval(zc[0, 0])[None]
+        idx, coeffs = self._varying_entries()
+        acc = np.empty((points, idx.size), dtype=complex)
+        acc[...] = coeffs[-1]
+        for k in range(len(coeffs) - 2, -1, -1):
             np.multiply(zc, acc, out=acc)
-            acc += self.coeffs[k]
-        return acc
+            acc += coeffs[k]
+        if idx.size == self.rows * self.cols:
+            return acc.reshape(points, self.rows, self.cols)
+        out = np.empty((points, self.rows * self.cols), dtype=complex)
+        out[...] = self.coeffs[0].reshape(-1)
+        out[:, idx] = acc
+        return out.reshape(points, self.rows, self.cols)
+
+    def _varying_entries(self) -> tuple[np.ndarray, np.ndarray]:
+        """Flat indices of the entries with a nonzero coefficient above degree 0, and their coefficients.
+
+        Found once per polynomial: the coefficients are read-only.
+        """
+        if self._varying is None:
+            flat = self.coeffs.reshape(self.degree + 1, -1)
+            idx = np.flatnonzero(np.any(flat[1:], axis=0))
+            object.__setattr__(self, "_varying", (idx, flat[:, idx]))
+        return self._varying
 
     def horner_shift(self, k: int) -> "MatrixPolynomial":
         """Degree-k tail polynomial ``C_{d-k} + lambda C_{d-k+1} + ... + lambda^k C_d``.

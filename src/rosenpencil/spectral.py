@@ -157,6 +157,11 @@ def eigenvalues_square(x, tol: float = 1e-8) -> Spectrum:
     determinant is identically zero (probabilistic precheck), and
     NumericalFailure when it underflows to zero at full sampled rank.
     """
+    return _spectrum_and_det(x, tol)[0]
+
+
+def _spectrum_and_det(x, tol: float) -> tuple[Spectrum, np.ndarray]:
+    """``eigenvalues_square`` and the determinant its roots come from, trimmed at 1e-9 relative."""
     p = _as_poly(x)
     if p.rows != p.cols:
         raise DimensionError("square eigenvalue extraction needs a square input")
@@ -180,7 +185,7 @@ def eigenvalues_square(x, tol: float = 1e-8) -> Spectrum:
         eigs: list[tuple[complex, int]] = []
     else:
         eigs = poly_roots(trimmed)
-    return Spectrum(eigenvalues=eigs, normal_rank=p.rows, degree_bound=p.degree)
+    return Spectrum(eigenvalues=eigs, normal_rank=p.rows, degree_bound=p.degree), trimmed
 
 
 def _ranks(stack, tol: float) -> np.ndarray:
@@ -300,8 +305,8 @@ def discrepancy_report(r: Rsmp, tol: float = 1e-8) -> DiscrepancyReport:
     if r.p != r.m:
         raise DimensionError("the discrepancy report needs a square system (p == m)")
     s_spec = eigenvalues_square(r.assemble_s(), tol=tol)
-    pole_spec = eigenvalues_square(r.A, tol=tol)
-    det_a = scalar_poly_trim(det_poly(r.A, tol=tol), rel_tol=1e-9)
+    # det A(lambda) is interpolated once, for the poles and for clearing
+    pole_spec, det_a = _spectrum_and_det(r.A, tol)
     cleared = clear_denominator(r, det_a)
     cleared_spec = eigenvalues_square(cleared, tol=tol)
 

@@ -243,6 +243,20 @@ class TestStreamMatchesPublicCalls:
         if cell == "overflowing":
             assert failed == len(want) and '"max_residual": null' in want[0]
 
+    def test_verify_all_across_chunks(self, tmp_path, capsys):
+        # 41 points on 24x24 pencils: three chunks per string, at one frame per shape
+        r = random_rsmp(np.random.default_rng(7), 3, 3, 3, 4, 4)
+        path = tmp_path / "inst.json"
+        path.write_text(emit_rsmp(r))
+        r = parse_rsmp(path.read_text())
+        instance = {"file": str(path), "n": r.n, "p": r.p, "m": r.m, "d_A": r.d_a, "d_D": r.d_d}
+        want = [_public_record(r, s, instance, trials=41) for s in all_decision_strings(r.degree)]
+        shapes = [(rec["rows"], rec["cols"]) for rec in map(json.loads, want)]
+        assert all(41 > 2 * equivalence._chunk_points(*shape) for shape in shapes)
+        failed = sum('"verdict": "fail"' in line for line in want)
+        assert main(["verify", str(path), "--all", "--trials", "41"]) == (1 if failed else 0)
+        assert capsys.readouterr().out == "".join(line + "\n" for line in want)
+
     def test_fuzz(self, tmp_path, capsys):
         out = tmp_path / "reports.jsonl"
         args = ["fuzz", "--seed", "4", "--max-dim", "2", "--max-deg", "3", "--trials", "6", "--out", str(out)]
@@ -372,6 +386,14 @@ class TestUsageErrors:
             ["eig"],
             ["nosuch"],
             ["verify", "f.json", "--trials", "1.5"],
+            # no residual passes a NaN or negative tolerance, so every string once reported "fail"
+            ["verify", "f.json", "--all", "--tol", "nan"],
+            ["verify", "f.json", "--all", "--tol", "-1"],
+            ["verify", "f.json", "--all", "--tol", "inf"],
+            ["verify", "f.json", "--all", "--tol", "0"],
+            ["fuzz", "--tol", "nan"],
+            ["fuzz", "--tol", "-1e-8"],
+            ["fuzz", "--tol=-inf"],
         ],
     )
     def test_one_error_line_and_exit_two(self, argv, capsys):

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from rosenpencil import DimensionError, MatrixPolynomial, is_regular, kron_unit_embed
+from rosenpencil.equivalence import sample_points
 
 
 def naive_eval(p, z):
@@ -56,6 +57,61 @@ class TestEvalStack:
                 assert np.array_equal(stack[k], p.eval(z))
                 assert np.array_equal(stack[k], p.eval(complex(z)))
                 assert np.array_equal(stack[k], p.eval_stack(zs[k : k + 1])[0])
+
+    @staticmethod
+    def _witness_like(rng, deg, rows, cols):
+        """Coefficients with constant, zero (either sign) and polynomial entries, as in U and V."""
+        c = rng.standard_normal((deg + 1, rows, cols)) + 1j * rng.standard_normal((deg + 1, rows, cols))
+        kind = rng.integers(0, 4, size=(rows, cols))
+        c[1:, kind == 0] = 0.0  # constant
+        c[:, kind == 1] = 0.0  # zero
+        c[:, kind == 2] = -0.0  # zero with negative zero parts
+        return c
+
+    def _assert_each_slice_is_eval(self, p, zs):
+        stack = p.eval_stack(zs)
+        assert stack.shape == (len(zs), p.rows, p.cols)
+        for k, z in enumerate(zs):
+            # a zero part may differ in sign from eval's, so not tobytes
+            assert np.array_equal(stack[k], p.eval(z))
+
+    def test_witness_like_entries(self, rng):
+        for trial in range(400):
+            deg = int(rng.integers(1, 7))
+            rows, cols = (1, 1) if trial % 8 == 0 else (int(rng.integers(1, 8)), int(rng.integers(1, 8)))
+            p = MatrixPolynomial(self._witness_like(rng, deg, rows, cols))
+            zs = sample_points(trial % 9 + 1, rng)
+            self._assert_each_slice_is_eval(p, zs)
+            # the cached entries serve a second call alike
+            self._assert_each_slice_is_eval(p, zs[::-1])
+
+    def test_degree_zero(self, rng):
+        for rows, cols in ((1, 1), (3, 2)):
+            p = MatrixPolynomial(self._witness_like(rng, 0, rows, cols))
+            for points in (1, 2, 5):
+                self._assert_each_slice_is_eval(p, sample_points(points, rng))
+
+    def test_one_by_one(self, rng):
+        for c in ([[[2.0 - 1j]], [[0.0]], [[0.0]]], [[[0.0]], [[0.0]]], [[[1.0]], [[0.0]], [[3.0j]]]):
+            p = MatrixPolynomial(c)
+            for points in (1, 2, 7):
+                self._assert_each_slice_is_eval(p, sample_points(points, rng))
+
+    def test_all_entries_polynomial(self, rng):
+        for deg, rows, cols in ((1, 4, 4), (3, 2, 5), (6, 1, 3)):
+            c = rng.standard_normal((deg + 1, rows, cols)) + 1j * rng.standard_normal((deg + 1, rows, cols))
+            c[-1] += 1.0  # a nonzero leading coefficient in every entry
+            p = MatrixPolynomial(c)
+            for points in (1, 2, 9):
+                self._assert_each_slice_is_eval(p, sample_points(points, rng))
+
+    def test_one_point_stacks(self, rng):
+        for trial in range(100):
+            deg = int(rng.integers(0, 5))
+            p = MatrixPolynomial(self._witness_like(rng, deg, int(rng.integers(1, 6)), int(rng.integers(1, 6))))
+            z = sample_points(1, rng)
+            # a one-point stack is eval itself, zero signs included
+            assert p.eval_stack(z)[0].tobytes() == p.eval(z[0]).tobytes()
 
     def test_single_point_and_real_points(self):
         p = MatrixPolynomial([[[-1.0]], [[1.0]]])  # lambda - 1

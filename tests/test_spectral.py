@@ -26,6 +26,7 @@ from rosenpencil import (
 )
 from rosenpencil.polycore import scalar_poly_trim
 from rosenpencil.sampling import random_bijection, random_rsmp
+from rosenpencil import spectral
 from rosenpencil.spectral import _ranks, cluster_roots
 
 
@@ -360,6 +361,21 @@ class TestDiscrepancy:
             if "pole" in _misjudged(random_rsmp(np.random.default_rng(seed), *shape, d_a, d_d))
         }
         assert wrong == set()
+
+    def test_det_a_interpolated_once(self, rng, monkeypatch):
+        # the report once interpolated det A again, with the same seed, to clear the denominator
+        r = random_rsmp(rng, 2, 2, 2, 2, 2)
+        want = discrepancy_report(r)
+        calls = []
+
+        def counted(x, tol=1e-8):
+            calls.append(x)
+            return det_poly(x, tol=tol)
+
+        monkeypatch.setattr(spectral, "det_poly", counted)
+        assert discrepancy_report(r) == want
+        assert sum(x is r.A for x in calls) == 1
+        assert len(calls) == 3  # S, A and the cleared polynomial
 
     def test_rectangular_rejected(self, rng):
         r = random_rsmp(rng, 1, 2, 1, 1, 1)

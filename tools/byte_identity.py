@@ -17,8 +17,10 @@ the same checkout), and SHA-256-hashes:
   text;
 - stdout, stderr and exit code of ``cli.main`` for ``verify FILE --all``
   over the instance files of the ``grid_verify`` and ``deep_verify``
-  benchmark workloads at seeds 0 and 1, and for the default
-  ``fuzz --out FILE``, with the file it writes;
+  benchmark workloads at seeds 0 and 1, for ``verify FILE --all --trials
+  41`` over those of ``deep_verify`` at seed 0 (where every string's
+  points fill several chunks), and for the default ``fuzz --out FILE``,
+  with the file it writes;
 - the same for ``eig FILE`` over the instance files of the ``spectra``
   workload at seeds 0 and 1, one digest per op, keyed by the op's place
   in the run and its file name, so that a difference names its file.
@@ -43,7 +45,14 @@ from pathlib import Path
 
 DIMS = (1, 2, 3)
 DEGREES = (1, 2, 3, 4, 5)
-CLI_RUNS = [("grid_verify", 0), ("grid_verify", 1), ("deep_verify", 0), ("deep_verify", 1)]
+# (workload, seed, flags added to ``verify FILE --all``)
+CLI_RUNS = [
+    ("grid_verify", 0, ()),
+    ("grid_verify", 1, ()),
+    ("deep_verify", 0, ()),
+    ("deep_verify", 1, ()),
+    ("deep_verify", 0, ("--trials", "41")),
+]
 EIG_SEEDS = (0, 1)
 
 
@@ -129,14 +138,14 @@ def _cli_digests(checkout: Path, digests: dict) -> None:
     # relative instance paths, so the records, which name the file, match across checkouts
     with tempfile.TemporaryDirectory() as tmp:
         os.chdir(tmp)
-        for name, seed in CLI_RUNS:
+        for name, seed, flags in CLI_RUNS:
             work = Path(f"{name}-{seed}")
             blocks, cells = workloads.plan(name, seed, checkout, work)
             workloads.write_instances(name, seed, cells, work)
             h = hashlib.sha256()
             for op in (op for block in blocks for op in block):
-                _feed(h, _run_cli(op.argv))
-            digests[f"cli/verify --all/{name} seed {seed}"] = h.hexdigest()
+                _feed(h, _run_cli(op.argv + list(flags)))
+            digests[f"cli/verify --all{''.join(' ' + f for f in flags)}/{name} seed {seed}"] = h.hexdigest()
         for seed in EIG_SEEDS:
             work = Path(f"spectra-{seed}")
             blocks, cells = workloads.plan("spectra", seed, checkout, work)
