@@ -40,7 +40,7 @@ from .fiedler import (
     square_fiedler_matrix,
     square_fiedler_pencil,
 )
-from .polycore import MatrixPolynomial, is_regular, kron_unit_embed
+from .polycore import MatrixPolynomial, is_regular
 from .rsmp import Rsmp, assemble_s, clear_denominator, transfer_eval, transfer_eval_stack
 from .sampling import random_rsmp
 from .serialization import emit_pencil, emit_rsmp, parse_pencil, parse_rsmp
@@ -97,7 +97,6 @@ __all__ = [
     "is_eigenvalue",
     "discrepancy_report",
     "is_regular",
-    "kron_unit_embed",
     "all_decision_strings",
     "parse_sigma",
     "random_rsmp",

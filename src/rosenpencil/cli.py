@@ -14,9 +14,9 @@ kept out of the records for exactly that reason).
 same sample points, drawn from the seed, with S, A and D evaluated there
 once.  Step i of the pencil and witness recursions, its size law and its
 structure claims depend only on decisions 0..i, so each decision prefix
-is built and checked once per instance; only the tail assembly, the
-witness evaluation and the residual checks run per string.  The records
-are those of the per-string public calls, byte for byte.
+is built and checked once per instance; only the tail and witness
+assembly, the witness evaluation and the residual checks run per string.
+The records are those of the per-string public calls, byte for byte.
 """
 
 from __future__ import annotations
@@ -117,17 +117,20 @@ def _verify_instance(r: Rsmp, sigmas, instance: dict, trials: int, tol: float, s
     Every string is checked at the same ``trials`` points, drawn once from
     an rng seeded with ``seed``, and S, A and D are evaluated there once.
     Recursion steps are built and checked once per decision prefix, so
-    strings in lexicographic order walk the prefix trie depth first.
+    strings in lexicographic order walk the prefix trie depth first.  The
+    witnesses are checked as the coefficient stacks the recursion
+    assembles, and strings of one pencil shape share one pencil lead.
     """
-    memo, step_ok = {}, {}
+    memo, step_ok, leads = {}, {}, {}
     samples = equivalence._Samples(r, trials, np.random.default_rng(seed))
     for s in sigmas:
         if r.degree >= 2:
             tail, sizes_ok, structure_ok = _checked_tail(r, s, memo, step_ok)
-            pencil = fiedler.pencil_from_tail(r, tail)
-            u, v = equivalence._witness_pair(r, s, memo)
+            pencil = fiedler.pencil_from_tail(r, tail, leads)
+            u, v = equivalence._witness_stacks(r, s, memo)
         else:
             pencil, u, v = equivalence.linearization_with_witnesses(r, s)
+            u, v = u.poly.coeffs, v.poly.coeffs
             sizes_ok = structure_ok = True
         report = equivalence._check_chunks(r, s, pencil, u, v, samples, tol)
         ok = report.verdict and sizes_ok and structure_ok

@@ -26,7 +26,7 @@ import numpy as np
 from ._gridops import Grid, assemble, eye, insert, schedule
 from .blocks import Pencil, PolyBlockMatrix
 from .errors import DimensionError
-from .polycore import MatrixPolynomial
+from .polycore import MatrixPolynomial, horner_stack, varying_entries
 from .rsmp import Rsmp
 from .sigma import SigmaSeq
 
@@ -56,13 +56,18 @@ def _lam(p: np.ndarray | None) -> np.ndarray | None:
 
 
 def _mul(p: np.ndarray | None, q: np.ndarray) -> np.ndarray | None:
-    """Matrix product with polynomial entries (coefficient convolution); a zero ``p`` stays None."""
+    """Matrix product with polynomial entries (coefficient convolution); a zero ``p`` stays None.
+
+    One batched product forms every coefficient pair p[a] @ q[b]; each
+    coefficient of the result then sums its pairs in the order of a, as a
+    double loop over (a, b) would.
+    """
     if p is None:
         return None
-    out = np.zeros((len(p) + len(q) - 1, p.shape[1], q.shape[2]), dtype=complex)
+    pairs = p[:, None] @ q[None]
+    out = np.zeros((len(p) + len(q) - 1,) + pairs.shape[2:], dtype=complex)
     for a in range(len(p)):
-        for b in range(len(q)):
-            out[a + b] += p[a] @ q[b]
+        out[a : a + len(q)] += pairs[a]
     return out
 
 
@@ -131,13 +136,15 @@ def build_h_sequence(r: Rsmp, s: SigmaSeq) -> list[PolyBlockMatrix]:
 
 def unimodular_pair(r: Rsmp, s: SigmaSeq) -> tuple[PolyBlockMatrix, PolyBlockMatrix]:
     """Final (U, V) witnesses for the decision sequence; needs degree >= 2."""
-    return _witness_pair(r, s, {})
+    u = _grid_to_pbm(_n_grids(r, s, {})[-1])
+    v = _grid_to_pbm(_n_grids(r.transpose(), s.flipped(), {})[-1], transpose=True)
+    return u, v
 
 
-def _witness_pair(r: Rsmp, s: SigmaSeq, memo: dict) -> tuple[PolyBlockMatrix, PolyBlockMatrix]:
-    """``unimodular_pair``, with both recursions kept in ``memo`` (see ``_gridops.schedule``)."""
-    u = _grid_to_pbm(_n_grids(r, s, memo)[-1])
-    v = _grid_to_pbm(_n_grids(r.transpose(), s.flipped(), memo)[-1], transpose=True)
+def _witness_stacks(r: Rsmp, s: SigmaSeq, memo: dict) -> tuple[np.ndarray, np.ndarray]:
+    """The coefficient stacks of ``unimodular_pair``, with both recursions kept in ``memo`` (see ``_gridops.schedule``)."""
+    u = assemble(_n_grids(r, s, memo)[-1])
+    v = assemble(_n_grids(r.transpose(), s.flipped(), memo)[-1], transpose=True)
     return u, v
 
 
@@ -165,8 +172,8 @@ def _chunk_points(rows: int, cols: int) -> int:
 
 
 def _fro(stack: np.ndarray) -> np.ndarray:
-    """Frobenius norm of every matrix of a ``(P, rows, cols)`` stack."""
-    return np.linalg.norm(stack, axis=(1, 2))
+    """Frobenius norm of every matrix of a ``(P, rows, cols)`` stack: the expression of ``np.linalg.norm``, bit for bit."""
+    return np.sqrt(np.add.reduce((stack.conj() * stack).real, axis=(1, 2)))
 
 
 def sample_points(count: int, rng) -> np.ndarray:
@@ -269,8 +276,10 @@ class EquivalenceReport:
 
     ``block_residuals`` maps 1-based positions of the four-block target
     partition (state padding, state, feedthrough padding, feedthrough) to
-    their worst relative residual over the sample points.  A figure that is
-    not finite (overflow, NaN) fails the verdict whatever the tolerance.
+    their worst relative residual over the sample points; ``verify_theorem``
+    fills it, and the CLI, whose records do not carry it, leaves it empty.
+    A figure that is not finite (overflow, NaN) fails the verdict whatever
+    the tolerance.
     """
 
     max_residual: float
@@ -310,41 +319,58 @@ def verify_theorem(
     respectively S(z), in place.  Residuals are Frobenius norms relative to
     max(1, |U(z)| |L(z)| |V(z)|); at a point where that scale overflows no
     residual can be certified and it is reported as infinite.  Unimodularity
-    of U and V is checked by determinant sampling at the same points.
+    of U and V is checked by determinant sampling at the same points.  The
+    report carries the worst residual of every block of the four-block
+    target as well, which only this entry point computes.
     """
     rng = np.random.default_rng(0) if rng is None else rng
-    return _check_chunks(r, s, pencil, u, v, _Samples(r, points, rng), tol)
+    samples = _Samples(r, points, rng)
+    return _check_chunks(r, s, pencil, u.poly.coeffs, v.poly.coeffs, samples, tol, blocks=True)
 
 
 def _check_chunks(
-    r: Rsmp, s: SigmaSeq, pencil: Pencil, u: PolyBlockMatrix, v: PolyBlockMatrix, samples: _Samples, tol: float
+    r: Rsmp,
+    s: SigmaSeq,
+    pencil: Pencil,
+    u: np.ndarray,
+    v: np.ndarray,
+    samples: _Samples,
+    tol: float,
+    blocks: bool = False,
 ) -> EquivalenceReport:
-    """The chunk loop of ``verify_theorem``, at the points of ``samples``."""
+    """The chunk loop of ``verify_theorem``, at the points of ``samples``.
+
+    ``u`` and ``v`` are the coefficient stacks of the witnesses, evaluated
+    by ``polycore.horner_stack``.  The worst residual per block of the
+    four-block target, an entrywise maximum over the points, is taken only
+    when ``blocks`` asks for it (``verify_theorem``); the CLI's records do
+    not carry it.
+    """
     f = samples.frame(*_padding_sizes(r, s))
     rows, cols = f.rows, f.cols
-    if u.shape != (rows, rows) or v.shape != (cols, cols) or pencil.shape != (rows, cols):
+    if u.shape[1:] != (rows, rows) or v.shape[1:] != (cols, cols) or pencil.shape != (rows, cols):
         raise DimensionError(
-            f"witness/pencil dimensions {u.shape}/{pencil.shape}/{v.shape} do not conform "
+            f"witness/pencil dimensions {u.shape[1:]}/{pencil.shape}/{v.shape[1:]} do not conform "
             f"to the {rows}x{cols} target"
         )
     zs, s_zs, a_zs, d_zs = samples.stacks
     points = zs.size
-    rcuts, ccuts = f.rcuts, f.ccuts
+    u_varying, v_varying = varying_entries(u), varying_entries(v)
 
     res = np.empty(points)
     cor_res = np.empty(points)
     u_dets = np.empty(points, dtype=complex)
     v_dets = np.empty(points, dtype=complex)
-    worst = np.zeros((rows, cols))  # entrywise worst relative residual
+    worst = np.zeros((rows, cols)) if blocks else None  # entrywise worst relative residual
     step = _chunk_points(rows, cols)
     # an overflowing point is reported as an infinite residual, not as a warning
     with np.errstate(over="ignore", invalid="ignore"):
         for lo in range(0, points, step):
             hi = min(lo + step, points)
             z = zs[lo:hi]
-            uz = u.eval_stack(z)
+            uz = horner_stack(u, z, u_varying)
             lz = pencil.eval_stack(z)
-            vz = v.eval_stack(z)
+            vz = horner_stack(v, z, v_varying)
             prod = uz @ lz @ vz
             scale = np.maximum(1.0, _fro(uz) * _fro(lz) * _fro(vz))
             overflow = ~np.isfinite(scale)
@@ -361,22 +387,13 @@ def _check_chunks(
             prod[f.a_block] -= a_zs[lo:hi]
             prod[f.d_block] -= d_zs[lo:hi]
             res[lo:hi] = _fro(prod) / scale
-            rel = np.abs(prod) / scale[:, None, None]
             if overflow.any():
                 res[lo:hi][overflow] = np.inf
                 cor_res[lo:hi][overflow] = np.inf
+            if blocks:
+                rel = np.abs(prod) / scale[:, None, None]
                 rel[overflow] = np.inf
-            np.maximum(worst, rel.max(axis=0), out=worst)
-
-    rows_used = [k for k in range(4) if rcuts[k + 1] > rcuts[k]]
-    cols_used = [k for k in range(4) if ccuts[k + 1] > ccuts[k]]
-    per_block = np.maximum.reduceat(worst, rcuts[rows_used], axis=0)
-    per_block = np.maximum.reduceat(per_block, ccuts[cols_used], axis=1)
-    block_res = {
-        (bi + 1, bj + 1): float(per_block[a, b])
-        for a, bi in enumerate(rows_used)
-        for b, bj in enumerate(cols_used)
-    }
+                np.maximum(worst, rel.max(axis=0), out=worst)
 
     def _dev(dets):
         return float(np.maximum(np.max(np.abs(np.abs(dets) - 1.0)), np.max(np.abs(dets - dets[0]))))
@@ -384,11 +401,24 @@ def _check_chunks(
     return EquivalenceReport(
         max_residual=float(np.max(res)),
         corollary_residual=float(np.max(cor_res)),
-        block_residuals=block_res,
+        block_residuals=_block_residuals(worst, f.rcuts, f.ccuts) if blocks else {},
         u_unimodularity=_dev(u_dets),
         v_unimodularity=_dev(v_dets),
         tol=tol,
     )
+
+
+def _block_residuals(worst: np.ndarray, rcuts, ccuts) -> dict[tuple[int, int], float]:
+    """The maximum of ``worst`` over every nonempty block of the four-block partition, keyed 1-based."""
+    rows_used = [k for k in range(4) if rcuts[k + 1] > rcuts[k]]
+    cols_used = [k for k in range(4) if ccuts[k + 1] > ccuts[k]]
+    per_block = np.maximum.reduceat(worst, rcuts[rows_used], axis=0)
+    per_block = np.maximum.reduceat(per_block, ccuts[cols_used], axis=1)
+    return {
+        (bi + 1, bj + 1): float(per_block[a, b])
+        for a, bi in enumerate(rows_used)
+        for b, bj in enumerate(cols_used)
+    }
 
 
 def system_equivalence_check(s1, s2, transforms, points: int = 12, tol: float = 1e-8, rng=None) -> bool:

@@ -243,9 +243,20 @@ def fiedler_pencil_rect(r: Rsmp, s: SigmaSeq) -> Pencil:
     return pencil_from_tail(r, _grid_to_blockmatrix(_w_grids(r, s, {})[-1]))
 
 
-def pencil_from_tail(r: Rsmp, w: BlockMatrix) -> Pencil:
-    """The pencil whose tail is the last matrix of ``build_w_sequence``, or the degree-1 grid."""
-    return Pencil(_rect_lead(r, w.row_sizes), w.data, w.row_sizes, w.col_sizes)
+def pencil_from_tail(r: Rsmp, w: BlockMatrix, leads: dict | None = None) -> Pencil:
+    """The pencil whose tail is the last matrix of ``build_w_sequence``, or the degree-1 grid.
+
+    The lead of such a tail depends only on the system and the tail's
+    shape.  A caller that builds many pencils of one system passes one
+    ``leads`` dict for all of them; it keeps one read-only lead per shape.
+    """
+    lead = None if leads is None else leads.get(w.shape)
+    if lead is None:
+        lead = _rect_lead(r, w.row_sizes)
+        if leads is not None:
+            lead.setflags(write=False)
+            leads[w.shape] = lead
+    return Pencil(lead, w.data, w.row_sizes, w.col_sizes)
 
 
 # ---------------------------------------------------------------------------
@@ -305,7 +316,7 @@ def check_block_structure(w: BlockMatrix, i: int, r: Rsmp, s: SigmaSeq) -> Struc
     rep = StructureReport()
 
     def is_zero(block):
-        return block.size == 0 or not np.any(block)
+        return block.size == 0 or not block.any()
 
     a_blocks = min(i + 2, da)  # state-side block count at step i
     d_pos = a_blocks + 1  # 1-based block position of the mixed diagonal block
@@ -315,12 +326,12 @@ def check_block_structure(w: BlockMatrix, i: int, r: Rsmp, s: SigmaSeq) -> Struc
     b11 = w.block(1, 1)
     rep.add(
         "(1,1) block is -A_{i+1}",
-        b11.shape == (n, n) and np.array_equal(b11, -r.A.coeff(a_idx)),
+        b11.shape == (n, n) and (b11 == -r.A.coeff(a_idx)).all(),
     )
     bdd = w.block(d_pos, d_pos)
     rep.add(
         "mixed diagonal block is -D_k",
-        bdd.shape == (p, m) and np.array_equal(bdd, -r.D.coeff(d_idx)),
+        bdd.shape == (p, m) and (bdd == -r.D.coeff(d_idx)).all(),
     )
     for k in range(2, a_blocks + 1):
         blk = w.block(k, k)

@@ -1,4 +1,4 @@
-"""Dense complex matrix polynomials with Horner evaluation and Horner shifts.
+"""Dense complex matrix polynomials with Horner evaluation, one point or a stack of them.
 
 Matrices are plain ``numpy`` arrays of ``complex128``.  A matrix polynomial
 stores its coefficients low degree to high, all with identical dimensions.
@@ -20,10 +20,11 @@ from .errors import DimensionError
 __all__ = [
     "MatrixPolynomial",
     "as_matrix",
+    "horner_stack",
     "is_regular",
-    "kron_unit_embed",
     "scalar_poly_eval",
     "scalar_poly_trim",
+    "varying_entries",
 ]
 
 
@@ -54,6 +55,7 @@ class MatrixPolynomial:
     """
 
     # _varying: the entries Horner runs over in eval_stack, found at first use
+    # (the coefficients are read-only)
     __slots__ = ("coeffs", "_varying")
 
     def __init__(self, coeffs):
@@ -134,65 +136,64 @@ class MatrixPolynomial:
 
     def eval(self, z: complex) -> np.ndarray:
         """Evaluate at z by Horner's rule."""
-        acc = np.array(self.coeffs[-1], dtype=complex)
-        for k in range(self.degree - 1, -1, -1):
-            acc = z * acc + self.coeffs[k]
-        return acc
+        return _horner(self.coeffs, z)
 
     def eval_stack(self, zs) -> np.ndarray:
-        """Evaluate at every point of ``zs`` by stacked Horner: a ``(P, rows, cols)`` stack.
-
-        Horner runs only over the entries with a nonzero coefficient above
-        degree 0, each step multiplying with the point on the left and
-        adding the coefficient, as ``eval`` does; every other entry is its
-        constant coefficient.  So each entry of slice ``k`` equals that of
-        ``eval(zs[k])``, except that a zero real or imaginary part may
-        differ in sign (``eval`` multiplies the point into zero
-        coefficients).  A one-point stack is ``eval`` itself, since numpy's
-        in-place multiply of two one-element arrays rounds differently.
-        """
-        zc = np.asarray(zs, dtype=complex).reshape(-1, 1)
-        points = zc.shape[0]
-        if points == 1:
-            return self.eval(zc[0, 0])[None]
-        idx, coeffs = self._varying_entries()
-        acc = np.empty((points, idx.size), dtype=complex)
-        acc[...] = coeffs[-1]
-        for k in range(len(coeffs) - 2, -1, -1):
-            np.multiply(zc, acc, out=acc)
-            acc += coeffs[k]
-        if idx.size == self.rows * self.cols:
-            return acc.reshape(points, self.rows, self.cols)
-        out = np.empty((points, self.rows * self.cols), dtype=complex)
-        out[...] = self.coeffs[0].reshape(-1)
-        out[:, idx] = acc
-        return out.reshape(points, self.rows, self.cols)
-
-    def _varying_entries(self) -> tuple[np.ndarray, np.ndarray]:
-        """Flat indices of the entries with a nonzero coefficient above degree 0, and their coefficients.
-
-        Found once per polynomial: the coefficients are read-only.
-        """
+        """Evaluate at every point of ``zs``: ``horner_stack`` with the varying entries found once."""
         if self._varying is None:
-            flat = self.coeffs.reshape(self.degree + 1, -1)
-            idx = np.flatnonzero(np.any(flat[1:], axis=0))
-            object.__setattr__(self, "_varying", (idx, flat[:, idx]))
-        return self._varying
-
-    def horner_shift(self, k: int) -> "MatrixPolynomial":
-        """Degree-k tail polynomial ``C_{d-k} + lambda C_{d-k+1} + ... + lambda^k C_d``.
-
-        Satisfies shift(0) = leading coefficient, shift(d) = the polynomial
-        itself, and shift(k+1) = lambda*shift(k) + C_{d-k-1}.
-        """
-        d = self.degree
-        if not 0 <= k <= d:
-            raise ValueError(f"shift index {k} out of range 0..{d}")
-        return MatrixPolynomial(self.coeffs[d - k :])
+            object.__setattr__(self, "_varying", varying_entries(self.coeffs))
+        return horner_stack(self.coeffs, zs, self._varying)
 
     def norm_inf(self) -> float:
         """Largest entry magnitude over all coefficients."""
         return float(np.max(np.abs(self.coeffs)))
+
+
+def _horner(coeffs: np.ndarray, z: complex) -> np.ndarray:
+    """The ``(degree + 1, rows, cols)`` stack ``coeffs`` at z, by Horner's rule over every entry."""
+    acc = np.array(coeffs[-1], dtype=complex)
+    for k in range(len(coeffs) - 2, -1, -1):
+        acc = z * acc + coeffs[k]
+    return acc
+
+
+def varying_entries(coeffs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Flat indices of the entries of a coefficient stack that are not constant, and their coefficients."""
+    flat = coeffs.reshape(len(coeffs), -1)
+    idx = np.flatnonzero(flat[1:].any(axis=0))
+    return idx, flat[:, idx]
+
+
+def horner_stack(coeffs: np.ndarray, zs, varying: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
+    """The ``(degree + 1, rows, cols)`` stack ``coeffs`` at every point of ``zs``: a ``(P, rows, cols)`` stack.
+
+    Horner runs only over the entries that ``varying``, the result of
+    ``varying_entries(coeffs)``, names, each step multiplying with the
+    point on the left and adding the coefficient, as ``_horner`` does;
+    every other entry is its constant coefficient.  So each entry of slice
+    ``k`` equals that of the one-point evaluation at ``zs[k]``, except that
+    a zero real or imaginary part may differ in sign (``_horner``
+    multiplies the point into zero coefficients).  A one-point stack is
+    ``_horner`` itself, since numpy's in-place multiply of two one-element
+    arrays rounds differently.
+    """
+    zc = np.asarray(zs, dtype=complex).reshape(-1, 1)
+    points = zc.shape[0]
+    if points == 1:
+        return _horner(coeffs, zc[0, 0])[None]
+    rows, cols = coeffs.shape[1:]
+    idx, packed = varying
+    acc = np.empty((points, idx.size), dtype=complex)
+    acc[...] = packed[-1]
+    for k in range(len(packed) - 2, -1, -1):
+        np.multiply(zc, acc, out=acc)
+        acc += packed[k]
+    if idx.size == rows * cols:
+        return acc.reshape(points, rows, cols)
+    out = np.empty((points, rows * cols), dtype=complex)
+    out[...] = coeffs[0].reshape(-1)
+    out[:, idx] = acc
+    return out.reshape(points, rows, cols)
 
 
 def is_regular(p: MatrixPolynomial, trials: int = 8, rng_seed: int = 0) -> bool:
@@ -215,31 +216,6 @@ def is_regular(p: MatrixPolynomial, trials: int = 8, rng_seed: int = 0) -> bool:
         if norm1 > 0 and abs(np.linalg.det(m / norm1)) > 1e-10:
             return True
     return False
-
-
-def kron_unit_embed(r, c, rblocks, cblocks, m, blockdims) -> np.ndarray:
-    """Place ``m`` in block (r, c) of an otherwise zero block matrix.
-
-    ``blockdims = (row_sizes, col_sizes)`` fixes the partition; block
-    indices are 1-based.  Equals the Kronecker product of a unit
-    row-by-column indicator with ``m`` when all blocks share m's shape.
-    """
-    row_sizes, col_sizes = ([int(x) for x in blockdims[0]], [int(x) for x in blockdims[1]])
-    if len(row_sizes) != rblocks or len(col_sizes) != cblocks:
-        raise DimensionError("blockdims inconsistent with block counts")
-    if not (1 <= r <= rblocks and 1 <= c <= cblocks):
-        raise DimensionError("block index out of range")
-    m = as_matrix(m)
-    if m.shape != (row_sizes[r - 1], col_sizes[c - 1]):
-        raise DimensionError(
-            f"matrix shape {m.shape} does not fit block ({r},{c}) of size "
-            f"({row_sizes[r - 1]},{col_sizes[c - 1]})"
-        )
-    out = np.zeros((sum(row_sizes), sum(col_sizes)), dtype=complex)
-    r0 = sum(row_sizes[: r - 1])
-    c0 = sum(col_sizes[: c - 1])
-    out[r0 : r0 + m.shape[0], c0 : c0 + m.shape[1]] = m
-    return out
 
 
 def scalar_poly_eval(coeffs, z: complex) -> complex:

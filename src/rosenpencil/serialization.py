@@ -11,6 +11,7 @@ Unknown fields are rejected.
 from __future__ import annotations
 
 import json
+from functools import lru_cache
 
 import numpy as np
 
@@ -117,25 +118,55 @@ def parse_rsmp(document) -> Rsmp:
         raise DimensionError(f"instance dimensions inconsistent: {exc}") from exc
 
 
-def _encode_matrix(m: np.ndarray) -> list:
-    return [[[float(v.real), float(v.imag)] for v in row] for row in np.asarray(m, dtype=complex)]
+# The emitters write what ``json.dumps(doc, indent=1)`` writes, byte for
+# byte, without the pure-Python encoder that ``indent`` switches on: each
+# matrix is one template of its shape and indentation, filled with its
+# numbers as the C encoder writes them.
+
+
+def _nl(level: int) -> str:
+    return "\n" + " " * level
+
+
+def _layout(items, level: int, brackets: str = "[]") -> str:
+    """A list (or, with ``brackets="{}"``, an object) of written items, opened at ``level``."""
+    if not items:
+        return brackets
+    inner = _nl(level + 1)
+    return brackets[0] + inner + ("," + inner).join(items) + _nl(level) + brackets[1]
+
+
+@lru_cache(maxsize=256)
+def _matrix_template(rows: int, cols: int, level: int) -> str:
+    """The layout of a rows x cols matrix of [re, im] pairs opened at ``level``, one ``%s`` per number."""
+    pair = _layout(["%s", "%s"], level + 2)
+    return _layout([_layout([pair] * cols, level + 1)] * rows, level)
+
+
+def _encode_matrix(m: np.ndarray, level: int) -> str:
+    a = np.ascontiguousarray(m, dtype=complex)
+    numbers = json.dumps(a.view(float).ravel().tolist())[1:-1].split(", ") if a.size else []
+    return _matrix_template(*a.shape, level) % tuple(numbers)
+
+
+def _document(fields) -> str:
+    return _layout([f"{json.dumps(key)}: {value}" for key, value in fields], 0, "{}") + "\n"
 
 
 def emit_rsmp(r: Rsmp) -> str:
     """Canonical text form; emit(parse(x)) is a normalization fixed point."""
-    doc = {
-        "kind": "rsmp",
-        "n": r.n,
-        "p": r.p,
-        "m": r.m,
-        "d_A": r.d_a,
-        "d_D": r.d_d,
-        "A": [_encode_matrix(r.A.coeff(k)) for k in range(r.d_a + 1)],
-        "B": _encode_matrix(r.B),
-        "C": _encode_matrix(r.C),
-        "D": [_encode_matrix(r.D.coeff(k)) for k in range(r.d_d + 1)],
-    }
-    return json.dumps(doc, indent=1, sort_keys=False) + "\n"
+    return _document([
+        ("kind", '"rsmp"'),
+        ("n", r.n),
+        ("p", r.p),
+        ("m", r.m),
+        ("d_A", r.d_a),
+        ("d_D", r.d_d),
+        ("A", _layout([_encode_matrix(c, 2) for c in r.A.coeffs], 1)),
+        ("B", _encode_matrix(r.B, 1)),
+        ("C", _encode_matrix(r.C, 1)),
+        ("D", _layout([_encode_matrix(c, 2) for c in r.D.coeffs], 1)),
+    ])
 
 
 def parse_pencil(document) -> Pencil:
@@ -162,14 +193,13 @@ def parse_pencil(document) -> Pencil:
 
 
 def emit_pencil(p: Pencil) -> str:
-    doc = {
-        "kind": "pencil",
-        "row_sizes": list(p.row_sizes),
-        "col_sizes": list(p.col_sizes),
-        "lead": _encode_matrix(p.lead),
-        "tail": _encode_matrix(p.tail),
-    }
-    return json.dumps(doc, indent=1, sort_keys=False) + "\n"
+    return _document([
+        ("kind", '"pencil"'),
+        ("row_sizes", _layout([str(k) for k in p.row_sizes], 1)),
+        ("col_sizes", _layout([str(k) for k in p.col_sizes], 1)),
+        ("lead", _encode_matrix(p.lead, 1)),
+        ("tail", _encode_matrix(p.tail, 1)),
+    ])
 
 
 def parse_document(text: str):

@@ -2,10 +2,11 @@
 
 Exact polynomial arithmetic on Python complex numbers (integer-valued
 inputs stay exact) and a cofactor-expansion determinant, kept deliberately
-separate from the package's interpolation-based routines; QZ on a
-companion pencil; and an Aberth root iteration and a clustering that
-recomputes each cluster mean, as references for ``poly_roots`` and
-``cluster_roots``.
+separate from the package's interpolation-based routines; the Horner
+shift and a double-loop product of coefficient stacks, as references for
+the witness recursion; QZ on a companion pencil; and an Aberth root
+iteration and a clustering that recomputes each cluster mean, as
+references for ``poly_roots`` and ``cluster_roots``.
 """
 
 import numpy as np
@@ -83,6 +84,27 @@ def spread_rsmp(rng, n, p, m, d_a, d_d, decades=4):
     a = MatrixPolynomial([draw(n, n) for _ in range(d_a + 1)])
     d = MatrixPolynomial([draw(p, m) for _ in range(d_d + 1)])
     return Rsmp(a, draw(n, m), draw(p, n), d, check_regular=False)
+
+
+def horner_shift(p, k):
+    """Degree-k tail polynomial ``C_{d-k} + lambda C_{d-k+1} + ... + lambda^k C_d`` of ``p``.
+
+    Satisfies shift(0) = leading coefficient, shift(d) = the polynomial
+    itself, and shift(k+1) = lambda*shift(k) + C_{d-k-1}.
+    """
+    d = p.degree
+    if not 0 <= k <= d:
+        raise ValueError(f"shift index {k} out of range 0..{d}")
+    return MatrixPolynomial(p.coeffs[d - k :])
+
+
+def poly_matmul(p, q):
+    """Product of two coefficient stacks (low degree to high), one matrix product per coefficient pair."""
+    out = np.zeros((len(p) + len(q) - 1, p.shape[1], q.shape[2]), dtype=complex)
+    for a in range(len(p)):
+        for b in range(len(q)):
+            out[a + b] += p[a] @ q[b]
+    return out
 
 
 def witness_sizes(n, p, m, da, dd, s, i):

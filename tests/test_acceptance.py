@@ -119,7 +119,7 @@ def grid_sweep() -> SweepResult:
                                 zs = 0.5 + 1.5 * rng.random(UNIMODULARITY_POINTS)
                                 zs = zs * np.exp(2j * np.pi * rng.random(UNIMODULARITY_POINTS))
                                 for w in ns + hs:
-                                    dets = np.array([np.linalg.det(w.eval(z)) for z in zs])
+                                    dets = np.linalg.det(w.eval_stack(zs))
                                     dev = max(
                                         float(np.max(np.abs(np.abs(dets) - 1.0))),
                                         float(np.max(np.abs(dets - dets[0]))),

@@ -271,6 +271,32 @@ class TestStreamMatchesPublicCalls:
         assert out.read_text() == "".join(line + "\n" for line in want)
 
 
+class TestPerStringWork:
+    def test_verify_all_builds_no_matrix_polynomial_per_string(self, tmp_path, capsys, monkeypatch):
+        # the witnesses are checked as raw coefficient stacks: --all over the
+        # 16 strings of degree 5 builds what one string builds, all per instance
+        path = tmp_path / "deg5.json"
+        path.write_text(emit_rsmp(random_rsmp(np.random.default_rng(11), 2, 1, 2, 5, 3)))
+        built = []
+        init = MatrixPolynomial.__init__
+
+        def counting_init(self, coeffs):
+            built.append(1)
+            init(self, coeffs)
+
+        monkeypatch.setattr(MatrixPolynomial, "__init__", counting_init)
+
+        def constructions(*flags):
+            built.clear()
+            assert main(["verify", str(path), *flags]) == 0
+            return len(built)
+
+        one = constructions("--sigma", "CICI")
+        every = constructions("--all")
+        capsys.readouterr()
+        assert every == one
+
+
 _NUM = r"(?:\d+(?:\.\d*)?(?:e[-+]\d+)?)"
 _EIG = re.compile(rf"(?P<re>[-+]?{_NUM})(?:(?P<im>[-+]{_NUM})i)?(?: \(x(?P<k>\d+)\))?")
 

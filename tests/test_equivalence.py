@@ -18,7 +18,8 @@ from rosenpencil import (
     verify_theorem,
 )
 from rosenpencil.blocks import Pencil, PolyBlockMatrix
-from rosenpencil.equivalence import _chunk_points
+from rosenpencil import equivalence
+from rosenpencil.equivalence import _chunk_points, _mul
 from rosenpencil.sampling import random_rsmp
 
 
@@ -45,8 +46,8 @@ class TestSeeds:
         r = random_rsmp(rng, 2, 3, 1, 3, 2)
         s = SigmaSeq("IC")
         n0 = build_n_sequence(r, s)[0]
-        pa = r.A.horner_shift(r.d_a - 1)
-        qd = r.D.horner_shift(r.d_d - 1)
+        pa = oracles.horner_shift(r.A, r.d_a - 1)
+        qd = oracles.horner_shift(r.D, r.d_d - 1)
         assert np.array_equal(n0.block(2, 2).coeffs, pa.coeffs)
         assert np.array_equal(n0.block(4, 4).coeffs, qd.coeffs)
         assert np.array_equal(n0.block(1, 2).coeffs[0], -np.eye(2))
@@ -55,8 +56,8 @@ class TestSeeds:
         r = random_rsmp(rng, 2, 3, 1, 3, 2)
         s = SigmaSeq("CC")
         h0 = build_h_sequence(r, s)[0]
-        pa = r.A.horner_shift(r.d_a - 1)
-        qd = r.D.horner_shift(r.d_d - 1)
+        pa = oracles.horner_shift(r.A, r.d_a - 1)
+        qd = oracles.horner_shift(r.D, r.d_d - 1)
         assert np.array_equal(h0.block(2, 1).coeffs[0], -np.eye(2))
         assert np.array_equal(h0.block(2, 2).coeffs, pa.coeffs)
         assert np.array_equal(h0.block(4, 3).coeffs[0], -np.eye(3))
@@ -241,12 +242,12 @@ class TestVerify:
                     rc = np.concatenate(([0], np.cumsum(w.row_sizes)))
                     cc = np.concatenate(([0], np.cumsum(w.col_sizes)))
                     a_blocks = i + 2 if da >= dd else min(i + 2, da)
-                    lead[: rc[1], : cc[1]] = r.A.horner_shift(max(0, da - i - 2)).eval(z)
+                    lead[: rc[1], : cc[1]] = oracles.horner_shift(r.A, max(0, da - i - 2)).eval(z)
                     for k in range(1, a_blocks):
                         lead[rc[k] : rc[k + 1], cc[k] : cc[k + 1]] = np.eye(w.row_sizes[k])
                     dpos = a_blocks  # 0-based mixed block position
                     qd_idx = max(0, dd - i - 2)
-                    lead[rc[dpos] : rc[dpos + 1], cc[dpos] : cc[dpos + 1]] = r.D.horner_shift(qd_idx).eval(z)
+                    lead[rc[dpos] : rc[dpos + 1], cc[dpos] : cc[dpos + 1]] = oracles.horner_shift(r.D, qd_idx).eval(z)
                     for k in range(dpos + 1, len(w.row_sizes)):
                         lead[rc[k] : rc[k + 1], cc[k] : cc[k + 1]] = np.eye(w.row_sizes[k])
                     e = nn.eval(z) @ (z * lead - w.data) @ hh.eval(z)
@@ -280,11 +281,11 @@ class TestVerify:
                     cc = np.concatenate(([0], np.cumsum(w.col_sizes)))
                     a_blocks = min(i + 2, da)
                     lead = np.zeros(w.shape, dtype=complex)
-                    lead[: rc[1], : cc[1]] = r.A.horner_shift(max(0, da - i - 2)).eval(z)
+                    lead[: rc[1], : cc[1]] = oracles.horner_shift(r.A, max(0, da - i - 2)).eval(z)
                     for k in range(1, a_blocks):
                         lead[rc[k] : rc[k + 1], cc[k] : cc[k + 1]] = np.eye(w.row_sizes[k])
                     lead[rc[a_blocks] : rc[a_blocks + 1], cc[a_blocks] : cc[a_blocks + 1]] = (
-                        r.D.horner_shift(max(0, dd - i - 2)).eval(z)
+                        oracles.horner_shift(r.D, max(0, dd - i - 2)).eval(z)
                     )
                     for k in range(a_blocks + 1, len(w.row_sizes)):
                         lead[rc[k] : rc[k + 1], cc[k] : cc[k + 1]] = np.eye(w.row_sizes[k])
@@ -466,6 +467,50 @@ class TestBatchedVerify:
         pencil, u, v = linearization_with_witnesses(r, s)
         with pytest.raises(ValueError):
             verify_theorem(r, s, pencil, u, v, points=0)
+
+
+class TestBatchedProduct:
+    def test_matches_the_double_loop_bit_for_bit(self, rng):
+        # degrees 0-6 on both sides; 1x1, vector-shaped and rectangular blocks;
+        # zeros of either sign, as grid cells hold them
+        for trial in range(600):
+            dp, dq = (int(d) for d in rng.integers(0, 7, size=2))
+            rows, inner, cols = (1, 1, 1) if trial % 4 == 0 else (int(k) for k in rng.integers(1, 6, size=3))
+            p = rng.standard_normal((dp + 1, rows, inner)) + 1j * rng.standard_normal((dp + 1, rows, inner))
+            q = rng.standard_normal((dq + 1, inner, cols)) + 1j * rng.standard_normal((dq + 1, inner, cols))
+            if trial % 3 == 0:
+                p[rng.random(p.shape) < 0.5] = 0.0
+                q[rng.random(q.shape) < 0.5] = -0.0
+            got, want = _mul(p, q), oracles.poly_matmul(p, q)
+            assert got.shape == want.shape and got.tobytes() == want.tobytes(), (dp, dq, rows, inner, cols)
+
+    def test_zero_block_stays_none(self):
+        assert _mul(None, np.ones((3, 2, 2), dtype=complex)) is None
+
+
+class TestBlockResiduals:
+    def test_only_verify_theorem_takes_them(self, rng):
+        # the CLI's check skips the per-block maxima and leaves every other figure as it is
+        r = random_rsmp(rng, 2, 1, 3, 5, 3)
+        for s in all_decision_strings(r.degree):
+            pencil, u, v = linearization_with_witnesses(r, s)
+            seed = int(rng.integers(2**32))
+            got = verify_theorem(r, s, pencil, u, v, rng=np.random.default_rng(seed))
+            want = oracles.verify_theorem_pointwise(r, s, pencil, u, v, rng=np.random.default_rng(seed))
+            TestBatchedVerify.assert_same_report(got, want)
+            samples = equivalence._Samples(r, 20, np.random.default_rng(seed))
+            bare = equivalence._check_chunks(r, s, pencil, u.poly.coeffs, v.poly.coeffs, samples, 1e-8)
+            assert bare.block_residuals == {}
+            assert bare == EquivalenceReport(
+                got.max_residual, got.corollary_residual, {}, got.u_unimodularity, got.v_unimodularity, got.tol
+            )
+
+    def test_overflow_marks_every_block(self, overflowing_example):
+        r = overflowing_example
+        s = next(all_decision_strings(r.degree))
+        pencil, u, v = linearization_with_witnesses(r, s)
+        got = verify_theorem(r, s, pencil, u, v)
+        assert got.block_residuals and all(x == np.inf for x in got.block_residuals.values())
 
 
 class TestNonFiniteResiduals:

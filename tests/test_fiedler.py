@@ -431,7 +431,7 @@ class TestPrefixMemo:
         memo = {}
         for s in all_decision_strings(r.degree):
             cli._checked_tail(r, s, memo, {})
-            equivalence._witness_pair(r, s, memo)
+            equivalence._witness_stacks(r, s, memo)
         assert len(memo) == 3 * (2 ** r.degree - 1)
         blocks = [block for g in memo.values() for row in g.cells for block in row if block is not None]
         assert blocks and all(block.ndim == 3 and not block.flags.writeable for block in blocks)

@@ -3,15 +3,21 @@ import json
 import numpy as np
 import pytest
 
+import oracles
 from rosenpencil import (
     DimensionError,
+    MatrixPolynomial,
     ParseError,
+    Pencil,
+    Rsmp,
+    all_decision_strings,
     assemble_s,
     emit_pencil,
     emit_rsmp,
     fiedler_pencil_rect,
     parse_pencil,
     parse_rsmp,
+    square_fiedler_pencil,
 )
 from rosenpencil.sampling import random_rsmp
 from rosenpencil.serialization import parse_document
@@ -179,3 +185,55 @@ class TestRoundTrip:
         pencil = fiedler_pencil_rect(r, SigmaSeq("C"))
         got = parse_document(emit_pencil(pencil))
         assert np.array_equal(got.lead, pencil.lead)
+
+
+def _pairs(m):
+    return [[[float(v.real), float(v.imag)] for v in row] for row in np.asarray(m, dtype=complex)]
+
+
+def _dumped_rsmp(r):
+    """The instance document as ``json.dumps(..., indent=1)`` writes it: the reference for ``emit_rsmp``."""
+    doc = {
+        "kind": "rsmp", "n": r.n, "p": r.p, "m": r.m, "d_A": r.d_a, "d_D": r.d_d,
+        "A": [_pairs(c) for c in r.A.coeffs], "B": _pairs(r.B), "C": _pairs(r.C), "D": [_pairs(c) for c in r.D.coeffs],
+    }
+    return json.dumps(doc, indent=1) + "\n"
+
+
+def _dumped_pencil(p):
+    doc = {
+        "kind": "pencil", "row_sizes": list(p.row_sizes), "col_sizes": list(p.col_sizes),
+        "lead": _pairs(p.lead), "tail": _pairs(p.tail),
+    }
+    return json.dumps(doc, indent=1) + "\n"
+
+
+class TestEmitterMatchesJsonDumps:
+    """The direct emitters write what ``json.dumps(doc, indent=1)`` writes, byte for byte."""
+
+    @pytest.mark.parametrize("draw", [random_rsmp, oracles.spread_rsmp])
+    def test_instances_and_their_pencils(self, rng, draw):
+        for cell in [(1, 1, 1, 1, 1), (3, 1, 2, 2, 5), (2, 3, 1, 4, 1), (3, 3, 3, 3, 3)]:
+            r = draw(rng, *cell)
+            assert emit_rsmp(r) == _dumped_rsmp(r)
+            for s in all_decision_strings(r.degree):
+                pencil = fiedler_pencil_rect(r, s)
+                assert emit_pencil(pencil) == _dumped_pencil(pencil)
+
+    def test_signed_zeros_and_extreme_magnitudes(self):
+        values = np.array([[-0.0, 0.0, 1e-310, -1.5e300], [1 / 3, -2.0, 1e16, 123456789.0]])
+        entries = values + 1j * values[::-1]
+        a = MatrixPolynomial([entries[:, :2], -entries[:, 2:]])
+        d = MatrixPolynomial([entries[:1], entries[1:]])
+        r = Rsmp(a, entries[:, ::-1], -entries[:1, :2], d, check_regular=False)
+        assert "-0.0" in emit_rsmp(r)
+        assert emit_rsmp(r) == _dumped_rsmp(r)
+
+    def test_square_product_pencil_and_empty_partitions(self, rng):
+        r = random_rsmp(rng, 2, 2, 2, 3, 2)
+        pencil = square_fiedler_pencil(r, (2, 1, 3))
+        assert emit_pencil(pencil) == _dumped_pencil(pencil)
+        empty = Pencil(np.zeros((0, 0)), np.zeros((0, 0)), (), ())
+        assert emit_pencil(empty) == _dumped_pencil(empty)
+        wide = Pencil(np.zeros((0, 3)), np.zeros((0, 3)), (), (3,))
+        assert emit_pencil(wide) == _dumped_pencil(wide)

@@ -1,0 +1,130 @@
+#!/usr/bin/env python3
+"""Time the ops of one benchmark workload on two checkouts, in one process.
+
+    python3 tools/op_ab.py PARENT CHANGE --workload W [--seed N] [--reps K]
+
+Both checkouts' ``rosenpencil`` packages are imported into this process,
+each from its own ``src/``; the one whose turn it is stands in
+``sys.modules``.  The ops are those of one run of workload W at seed N,
+as ``perfbench/workloads.py`` of PARENT plans them, on instance files
+written once into a temporary directory.  Every op is a call of
+``cli.main`` and runs K times on each side, alternating which side goes
+first.  Per op and side the tool keeps the minimum CPU time over the K
+runs and a SHA-256 of the exit code, stdout and stderr of every run.
+
+Prints the summed per-op minima of each side, their ratio (change over
+parent), the median per-op ratio, and every op whose outputs differ
+between the sides or between runs.  Exits 1 if any does, else 0.  BLAS
+runs on one thread.
+"""
+
+from __future__ import annotations
+
+import argparse
+import contextlib
+import hashlib
+import importlib
+import io
+import os
+import statistics
+import sys
+import tempfile
+import time
+from pathlib import Path
+
+PACKAGE = "rosenpencil"
+
+
+def _own(name: str) -> bool:
+    return name == PACKAGE or name.startswith(PACKAGE + ".")
+
+
+def _activate(modules: dict) -> None:
+    """Make ``modules`` the package that imports (and imports inside functions) resolve to."""
+    for name in [k for k in sys.modules if _own(k)]:
+        del sys.modules[name]
+    sys.modules.update(modules)
+
+
+def _load(checkout: Path) -> dict:
+    """Import the package of one checkout and return its modules, the CLI included."""
+    _activate({})
+    src = checkout / "src"
+    sys.path.insert(0, str(src))
+    try:
+        pkg = importlib.import_module(PACKAGE)
+        importlib.import_module(PACKAGE + ".cli")
+    finally:
+        sys.path.remove(str(src))
+    if not Path(pkg.__file__).resolve().is_relative_to(src):
+        raise SystemExit(f"error: {PACKAGE} was imported from {pkg.__file__}, not from {src}")
+    return {k: m for k, m in sys.modules.items() if _own(k)}
+
+
+def _run(modules: dict, argv: list[str]) -> tuple[float, str]:
+    """CPU seconds of one ``cli.main(argv)`` and a digest of what it returned and printed."""
+    _activate(modules)
+    main = modules[PACKAGE + ".cli"].main
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        start = time.process_time()
+        code = main(argv)
+        spent = time.process_time() - start
+    digest = hashlib.sha256(f"{code}\0{out.getvalue()}\0{err.getvalue()}".encode()).hexdigest()
+    return spent, digest
+
+
+def _ops(parent: Path, parent_modules: dict, workload: str, seed: int, work: Path) -> list:
+    """The ops of one run of the workload, with their instance files written."""
+    _activate(parent_modules)
+    sys.path.insert(0, str(parent / "perfbench"))
+    try:
+        workloads = importlib.import_module("workloads")
+    finally:
+        sys.path.remove(str(parent / "perfbench"))
+    blocks, cells = workloads.plan(workload, seed, parent, work)
+    workloads.write_instances(workload, seed, cells, work)
+    return [op for block in blocks for op in block]
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(prog="op_ab.py", description=__doc__.split("\n\n")[0])
+    ap.add_argument("parent", type=Path)
+    ap.add_argument("change", type=Path)
+    ap.add_argument("--workload", required=True, choices=["grid_verify", "deep_verify", "spectra"])
+    ap.add_argument("--seed", type=int, default=0)
+    ap.add_argument("--reps", type=int, default=3)
+    args = ap.parse_args(argv)
+    if args.reps < 1:
+        ap.error("--reps must be at least 1")
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        os.environ[var] = "1"  # before numpy loads with the first package
+
+    sides = {"parent": _load(args.parent.resolve()), "change": _load(args.change.resolve())}
+    with tempfile.TemporaryDirectory() as tmp:
+        ops = _ops(args.parent.resolve(), sides["parent"], args.workload, args.seed, Path(tmp))
+        best = {side: [float("inf")] * len(ops) for side in sides}
+        digests = {side: [set() for _ in ops] for side in sides}
+        for rep in range(args.reps):
+            for k, op in enumerate(ops):
+                order = ("parent", "change") if (rep + k) % 2 == 0 else ("change", "parent")
+                for side in order:
+                    spent, digest = _run(sides[side], op.argv)
+                    best[side][k] = min(best[side][k], spent)
+                    digests[side][k].add(digest)
+
+    differ = [k for k in range(len(ops)) if len(digests["parent"][k] | digests["change"][k]) != 1]
+    for k in differ:
+        print(f"DIFFERS  op {k:04d}  {' '.join(ops[k].argv)}")
+    total = {side: sum(best[side]) for side in sides}
+    ratios = [c / p for p, c in zip(best["parent"], best["change"]) if p > 0]
+    print(f"workload {args.workload}, seed {args.seed}: {len(ops)} ops, {args.reps} runs per op and side")
+    print(f"CPU s, sum of per-op minima: parent {total['parent']:.4f}, change {total['change']:.4f}")
+    print(f"total ratio change/parent: {total['change'] / total['parent']:.4f}")
+    print(f"median per-op ratio: {statistics.median(ratios):.4f}")
+    print(f"outputs: {len(ops) - len(differ)}/{len(ops)} ops identical")
+    return 1 if differ else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
