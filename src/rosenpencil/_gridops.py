@@ -1,8 +1,9 @@
 """Internal block-grid plumbing for the pencil recursions.
 
-A grid is a 2-D list of blocks plus block-size lists and the count ``a``
+A grid is a 2-D list of blocks plus block-size lists, the count ``a``
 of leading block rows, and equally many leading block columns, that belong
-to the state (A) side, so block (a, a) is the first feedthrough block.
+to the state (A) side, so block (a, a) is the first feedthrough block, and
+its highest block degree.
 Each block is a read-only ``(degree + 1, rows, cols)`` complex coefficient
 stack (degree 0 in W); zero blocks stay unallocated (None).  ``assemble``
 stacks a whole grid.  Every recursion step is one ``insert``: a zero block
@@ -37,22 +38,31 @@ def _freeze(blocks) -> None:
             block.setflags(write=False)
 
 
+def _deg(blocks, deg: int = 0) -> int:
+    """The highest degree among ``blocks`` and ``deg``; a zero block (None) has none."""
+    for block in blocks:
+        if block is not None and len(block) > deg + 1:
+            deg = len(block) - 1
+    return deg
+
+
 class Grid:
     """One recursion step: ``cells[i][j]``, block (i, j), is a read-only coefficient stack or None."""
 
-    __slots__ = ("cells", "rsz", "csz", "a")
+    __slots__ = ("cells", "rsz", "csz", "a", "deg")
 
-    def __init__(self, cells, rsz, csz, a):
+    def __init__(self, cells, rsz, csz, a, deg):
         self.cells = cells
         self.rsz = list(rsz)
         self.csz = list(csz)
         self.a = a  # leading block rows, and block cols, belonging to the A side
+        self.deg = deg  # the highest degree of a block
 
     @classmethod
     def base(cls, cells, rsz, csz) -> "Grid":
         """A degree-1 grid, one block row and column per side; its blocks are marked read-only."""
         _freeze(block for row in cells for block in row)
-        return cls(cells, rsz, csz, 1)
+        return cls(cells, rsz, csz, 1, _deg(block for row in cells for block in row))
 
 
 @lru_cache(maxsize=256)
@@ -79,14 +89,14 @@ def insert(prev: Grid, at_row: int, at_col: int, size: int, extra, grown: bool) 
     _freeze(val for _, _, val in extra)
     rsz = prev.rsz[:at_row] + [size] + prev.rsz[at_row:]
     csz = prev.csz[:at_col] + [size] + prev.csz[at_col:]
-    return Grid(cells, rsz, csz, prev.a + grown)
+    return Grid(cells, rsz, csz, prev.a + grown, _deg((val for _, _, val in extra), prev.deg))
 
 
 def assemble(g: Grid, transpose: bool = False) -> np.ndarray:
     """The grid as one stack of its highest block degree; ``transpose`` transposes every coefficient."""
-    deg = max(len(cell) for row in g.cells for cell in row if cell is not None) - 1
     rc, cc = list(accumulate(g.rsz, initial=0)), list(accumulate(g.csz, initial=0))
-    out = np.zeros((deg + 1, cc[-1], rc[-1]) if transpose else (deg + 1, rc[-1], cc[-1]), dtype=complex)
+    shape = (cc[-1], rc[-1]) if transpose else (rc[-1], cc[-1])
+    out = np.zeros((g.deg + 1,) + shape, dtype=complex)
     fill = out.transpose(0, 2, 1) if transpose else out
     for i, row in enumerate(g.cells):
         for j, cell in enumerate(row):

@@ -13,13 +13,18 @@ at every z, with the identity paddings sized (d_A - 1)n and
 p*c0 + m*i0 (counts over the decisions that grew the feedthrough side).
 All witnesses are unimodular with determinant +-1.  Verification here is
 sample-based: a polynomial identity of bounded degree is certified by
-agreement at more than degree-many random points plus a holdout.
+agreement at more than degree-many random points plus a holdout.  The
+determinants of U(z) and V(z) come from exact Laplace expansion along
+the rows with one structural nonzero, found once per witness from its
+coefficients, and an LU of what is left; the recursion's witnesses leave
+nothing, their pivots are constant +-1, so their determinants are exact.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -190,6 +195,80 @@ def is_unimodular(u, points: int = 10, tol: float = 1e-8, rng=None) -> bool:
     return abs(dets[0]) > tol and bool(np.all(np.abs(dets - dets[0]) <= tol * (1 + abs(dets[0]))))
 
 
+class _DetPlan(NamedTuple):
+    """How ``_dets`` takes the determinant of every matrix of a square stack with one nonzero pattern.
+
+    ``pivots`` holds the (rows, cols) index arrays of the entries expanded
+    along, in expansion order; ``core`` indexes the rows and columns left
+    for LU (None when none are left); ``sign`` is the product of the
+    expansion's cofactor signs.
+    """
+
+    pivots: tuple[np.ndarray, np.ndarray]
+    core: tuple | None
+    sign: int
+
+
+def _det_plan(stack: np.ndarray) -> _DetPlan:
+    """The Laplace expansion plan of a ``(K, k, k)`` stack, from the union of its nonzero patterns.
+
+    A row with exactly one structural nonzero is expanded along, which
+    removes it with that entry's column and multiplies by the entry and
+    by -1 to the sum of their places among the rows and columns left; this
+    repeats while such a row is left.  What is left, the core, keeps its
+    order.  A row whose nonzeros all lie in expanded columns stays in the
+    core as a zero row, so a structurally singular matrix gets
+    determinant 0.  Rows and columns are Python-int bit masks.
+    """
+    pattern = stack.any(axis=0)
+    k = pattern.shape[0]
+    width = (k + 7) // 8
+    rows = np.packbits(pattern, axis=1, bitorder="little").tobytes()
+    cols = np.packbits(pattern.T, axis=1, bitorder="little").tobytes()
+    row_bits = [int.from_bytes(rows[i * width : (i + 1) * width], "little") for i in range(k)]
+    col_bits = [int.from_bytes(cols[j * width : (j + 1) * width], "little") for j in range(k)]
+    live_rows = live_cols = (1 << k) - 1
+    pivot_rows, pivot_cols, odd = [], [], 0
+    todo = [i for i, bits in enumerate(row_bits) if bits.bit_count() == 1]
+    while todo:
+        i = todo.pop()
+        bits = row_bits[i] & live_cols
+        if not (live_rows >> i) & 1 or bits.bit_count() != 1:
+            continue  # expanded already, or its one column went with another pivot
+        j = bits.bit_length() - 1
+        odd ^= ((live_rows & ((1 << i) - 1)).bit_count() + (live_cols & (bits - 1)).bit_count()) & 1
+        pivot_rows.append(i)
+        pivot_cols.append(j)
+        live_rows ^= 1 << i
+        live_cols ^= bits
+        touched = col_bits[j] & live_rows
+        while touched:
+            low = touched & -touched
+            touched ^= low
+            r = low.bit_length() - 1
+            if (row_bits[r] & live_cols).bit_count() == 1:
+                todo.append(r)
+    core = None
+    if live_rows:
+        core_rows = [i for i in range(k) if (live_rows >> i) & 1]
+        core_cols = [j for j in range(k) if (live_cols >> j) & 1]
+        core = (slice(None), np.array(core_rows)[:, None], np.array(core_cols))
+    return _DetPlan((np.array(pivot_rows, dtype=int), np.array(pivot_cols, dtype=int)), core, -1 if odd else 1)
+
+
+def _dets(values: np.ndarray, plan: _DetPlan) -> np.ndarray:
+    """The determinant of every matrix of a ``(P, k, k)`` stack whose nonzeros lie in ``plan``'s pattern.
+
+    The product of the pivots is exact when they are +-1, so a witness
+    that expands to an empty core has determinant exactly +-1; only the
+    core, if any, goes through LU (``np.linalg.det``).
+    """
+    out = np.prod(values[:, plan.pivots[0], plan.pivots[1]], axis=1)
+    if plan.core is not None:
+        out *= np.linalg.det(values[plan.core])
+    return -out if plan.sign < 0 else out
+
+
 def _padding_sizes(r: Rsmp, s: SigmaSeq) -> tuple[int, int]:
     """(state padding, feedthrough padding) of the reduced form."""
     alpha_prime = (r.d_a - 1) * r.n
@@ -319,7 +398,10 @@ def verify_theorem(
     respectively S(z), in place.  Residuals are Frobenius norms relative to
     max(1, |U(z)| |L(z)| |V(z)|); at a point where that scale overflows no
     residual can be certified and it is reported as infinite.  Unimodularity
-    of U and V is checked by determinant sampling at the same points.  The
+    of U and V is checked by their determinants at the same points: each is
+    expanded exactly along the rows with one structural nonzero (the plan
+    is made once per witness, from its coefficients' nonzero pattern), and
+    only the rows and columns left over, if any, go through LU.  The
     report carries the worst residual of every block of the four-block
     target as well, which only this entry point computes.
     """
@@ -341,10 +423,11 @@ def _check_chunks(
     """The chunk loop of ``verify_theorem``, at the points of ``samples``.
 
     ``u`` and ``v`` are the coefficient stacks of the witnesses, evaluated
-    by ``polycore.horner_stack``.  The worst residual per block of the
-    four-block target, an entrywise maximum over the points, is taken only
-    when ``blocks`` asks for it (``verify_theorem``); the CLI's records do
-    not carry it.
+    by ``polycore.horner_stack``.  Each gets one ``_det_plan``, and
+    ``_dets`` takes its determinants chunk by chunk under that plan.  The
+    worst residual per block of the four-block target, an entrywise
+    maximum over the points, is taken only when ``blocks`` asks for it
+    (``verify_theorem``); the CLI's records do not carry it.
     """
     f = samples.frame(*_padding_sizes(r, s))
     rows, cols = f.rows, f.cols
@@ -356,6 +439,7 @@ def _check_chunks(
     zs, s_zs, a_zs, d_zs = samples.stacks
     points = zs.size
     u_varying, v_varying = varying_entries(u), varying_entries(v)
+    u_plan, v_plan = _det_plan(u), _det_plan(v)
 
     res = np.empty(points)
     cor_res = np.empty(points)
@@ -374,8 +458,8 @@ def _check_chunks(
             prod = uz @ lz @ vz
             scale = np.maximum(1.0, _fro(uz) * _fro(lz) * _fro(vz))
             overflow = ~np.isfinite(scale)
-            u_dets[lo:hi] = np.linalg.det(uz)
-            v_dets[lo:hi] = np.linalg.det(vz)
+            u_dets[lo:hi] = _dets(uz, u_plan)
+            v_dets[lo:hi] = _dets(vz, v_plan)
 
             cor = prod[:, f.row_perm, f.col_perm]
             cor -= f.cor_target

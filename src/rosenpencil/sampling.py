@@ -11,9 +11,8 @@ import numpy as np
 from .errors import NumericalFailure
 from .polycore import MatrixPolynomial, is_regular
 from .rsmp import Rsmp
-from .sigma import SigmaSeq
 
-__all__ = ["random_rsmp", "random_bijection", "equal_decision_pair"]
+__all__ = ["random_rsmp", "random_bijection"]
 
 
 def random_rsmp(rng, n, p, m, d_a, d_d, lo: int = -3, hi: int = 3) -> Rsmp:
@@ -36,13 +35,3 @@ def random_bijection(rng, d: int) -> tuple[int, ...]:
     """Uniformly random bijection {0..d-1} -> {1..d}."""
     return tuple(int(x) + 1 for x in rng.permutation(d))
 
-
-def equal_decision_pair(rng, d: int, tries: int = 5000):
-    """Two random bijections sharing a decision string (they may coincide)."""
-    first = random_bijection(rng, d)
-    want = SigmaSeq.from_bijection(first).decisions
-    for _ in range(tries):
-        other = random_bijection(rng, d)
-        if SigmaSeq.from_bijection(other).decisions == want:
-            return first, other
-    return first, first

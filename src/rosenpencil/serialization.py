@@ -20,7 +20,7 @@ from .errors import DimensionError, ParseError
 from .polycore import MatrixPolynomial
 from .rsmp import Rsmp
 
-__all__ = ["parse_rsmp", "emit_rsmp", "parse_pencil", "emit_pencil", "parse_document"]
+__all__ = ["parse_rsmp", "emit_rsmp", "parse_pencil", "emit_pencil"]
 
 _RSMP_FIELDS = {"kind", "n", "p", "m", "d_A", "d_D", "A", "B", "C", "D"}
 _PENCIL_FIELDS = {"kind", "row_sizes", "col_sizes", "lead", "tail"}
@@ -201,13 +201,3 @@ def emit_pencil(p: Pencil) -> str:
         ("tail", _encode_matrix(p.tail, 1)),
     ])
 
-
-def parse_document(text: str):
-    """Dispatch on the 'kind' field; returns an Rsmp or a Pencil."""
-    doc = _load(text, "document")
-    kind = doc.get("kind", "rsmp")
-    if kind == "rsmp":
-        return parse_rsmp(doc)
-    if kind == "pencil":
-        return parse_pencil(doc)
-    raise ParseError(f"unknown document kind {kind!r}")

@@ -93,30 +93,6 @@ class SigmaSeq:
         if not (0 <= lo <= hi <= len(self.decisions) - 1):
             raise IndexError(f"range ({lo},{hi}) out of bounds for {len(self.decisions)} decisions")
 
-    def ciss(self) -> tuple[int, ...]:
-        """Run-length encoding into alternating consecution/inversion runs.
-
-        Returns (c1, i1, ..., cl, il); c1 or il may be zero when the string
-        starts with an inversion or ends with a consecution.
-        """
-        runs: list[int] = []
-        expect = CONSECUTION
-        for ch in self.decisions:
-            if ch == expect:
-                if not runs:
-                    runs.append(0)
-                runs[-1] += 1
-            else:
-                if not runs:
-                    runs.append(0)  # leading inversion run: c1 = 0
-                runs.append(1)
-                expect = ch
-        if not runs:
-            return ()
-        if len(runs) % 2:
-            runs.append(0)  # trailing consecution run: il = 0
-        return tuple(runs)
-
 
 def all_decision_strings(d: int):
     """All 2^(d-1) decision sequences for pencil degree d, in lexicographic order."""

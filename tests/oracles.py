@@ -2,19 +2,23 @@
 
 Exact polynomial arithmetic on Python complex numbers (integer-valued
 inputs stay exact) and a cofactor-expansion determinant, kept deliberately
-separate from the package's interpolation-based routines; the Horner
-shift and a double-loop product of coefficient stacks, as references for
-the witness recursion; QZ on a companion pencil; and an Aberth root
-iteration and a clustering that recomputes each cluster mean, as
-references for ``poly_roots`` and ``cluster_roots``.
+separate from the package's interpolation-based routines; a one-matrix
+determinant by expansion along pattern-singleton rows, the reference for
+the sampled check's witness determinants; the Horner shift and a
+double-loop product of coefficient stacks, as references for the witness
+recursion; two bijections with one decision string, for the acceptance
+suite; QZ on a companion pencil; and an Aberth root iteration and a
+clustering that recomputes each cluster mean, as references for
+``poly_roots`` and ``cluster_roots``.
 """
 
 import numpy as np
 import scipy.linalg
 import scipy.optimize
 
-from rosenpencil import MatrixPolynomial, NonConvergence, Rsmp
+from rosenpencil import MatrixPolynomial, NonConvergence, Rsmp, SigmaSeq
 from rosenpencil.polycore import scalar_poly_eval, scalar_poly_trim
+from rosenpencil.sampling import random_bijection
 
 
 def poly_mul(a, b):
@@ -107,6 +111,17 @@ def poly_matmul(p, q):
     return out
 
 
+def equal_decision_pair(rng, d: int, tries: int = 5000):
+    """Two random bijections sharing a decision string (they may coincide)."""
+    first = random_bijection(rng, d)
+    want = SigmaSeq.from_bijection(first).decisions
+    for _ in range(tries):
+        other = random_bijection(rng, d)
+        if SigmaSeq.from_bijection(other).decisions == want:
+            return first, other
+    return first, first
+
+
 def witness_sizes(n, p, m, da, dd, s, i):
     """Closed-form sizes of the left/right witness matrices at step i."""
     c_i, i_i = s.c_count(0, i), s.i_count(0, i)
@@ -140,11 +155,31 @@ def target_at(r, alpha_prime, alpha, z):
     return t
 
 
+def det_singleton_rows(m, pattern):
+    """Determinant of one matrix by Laplace expansion along rows with one nonzero in ``pattern``.
+
+    Expands along the first row of the pattern with exactly one nonzero,
+    drops that row and the entry's column, and repeats; the matrix left,
+    if any, goes to ``np.linalg.det``.
+    """
+    hits = np.flatnonzero(pattern.sum(axis=1) == 1)
+    if hits.size == 0:
+        return np.linalg.det(m)
+    i = int(hits[0])
+    j = int(np.flatnonzero(pattern[i])[0])
+    rows = np.arange(len(m)) != i
+    cols = np.arange(len(m)) != j
+    minor = det_singleton_rows(m[np.ix_(rows, cols)], pattern[np.ix_(rows, cols)])
+    return (-1) ** (i + j) * m[i, j] * minor
+
+
 def verify_theorem_pointwise(r, s, pencil, u, v, points=20, tol=1e-8, rng=None):
     """Reference for ``verify_theorem``: one sample point at a time, scalar evaluation.
 
     Draws the same points from ``rng`` and returns the same report fields;
     the batched engine must agree with it up to the rounding of its norms.
+    Each determinant is ``det_singleton_rows`` on the nonzero pattern of the
+    witness's coefficients.
     """
     from rosenpencil.equivalence import EquivalenceReport, _padding_sizes, sample_points
 
@@ -165,6 +200,7 @@ def verify_theorem_pointwise(r, s, pencil, u, v, points=20, tol=1e-8, rng=None):
     u_dets = []
     v_dets = []
     s_poly = r.assemble_s()
+    u_pattern, v_pattern = u.poly.coeffs.any(axis=0), v.poly.coeffs.any(axis=0)
     for z in zs:
         uz = u.eval(z)
         vz = v.eval(z)
@@ -186,8 +222,8 @@ def verify_theorem_pointwise(r, s, pencil, u, v, points=20, tol=1e-8, rng=None):
         cor_target[alpha_prime : alpha_prime + n + p, alpha_prime : alpha_prime + n + m] = s_poly.eval(z)
         cor_target[alpha_prime + n + p :, alpha_prime + n + m :] = np.eye(alpha)
         cor_res = max(cor_res, float(np.linalg.norm(cor - cor_target)) / scale)
-        u_dets.append(np.linalg.det(uz))
-        v_dets.append(np.linalg.det(vz))
+        u_dets.append(det_singleton_rows(uz, u_pattern))
+        v_dets.append(det_singleton_rows(vz, v_pattern))
 
     def _dev(dets):
         dets = np.asarray(dets)

@@ -38,7 +38,7 @@ from rosenpencil import (
     verify_theorem,
 )
 from rosenpencil import SingularInput
-from rosenpencil.sampling import equal_decision_pair, random_rsmp
+from rosenpencil.sampling import random_rsmp
 
 DIMS = (1, 2, 3)
 DEGREES = (1, 2, 3, 4, 5)
@@ -297,7 +297,7 @@ def test_criterion_8_decision_string_identity():
         if rng.random() < 0.3:
             d_a, d_d = d_d, d_a  # exercise the flipped-degree regime too
         r = random_rsmp(rng, n, p, m, d_a, d_d)
-        perm1, perm2 = equal_decision_pair(rng, d)
+        perm1, perm2 = oracles.equal_decision_pair(rng, d)
         p1 = fiedler_pencil_rect(r, SigmaSeq.from_bijection(perm1))
         p2 = fiedler_pencil_rect(r, SigmaSeq.from_bijection(perm2))
         same = (

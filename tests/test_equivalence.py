@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rosenpencil import (
     DimensionError,
@@ -528,3 +530,133 @@ class TestNonFiniteResiduals:
             for bad in (np.nan, np.inf):
                 assert not EquivalenceReport(max_residual=bad, corollary_residual=0.0, tol=tol).verdict
                 assert not EquivalenceReport(0.0, 0.0, u_unimodularity=bad, tol=tol).verdict
+
+
+def _stack(kind: str, k: int, points: int, rng) -> np.ndarray:
+    """A ``(points, k, k)`` stack of one kind: dense, sparse, structurally singular, or permuted triangular with +-1 pivots."""
+    values = rng.standard_normal((points, k, k)) + 1j * rng.standard_normal((points, k, k))
+    if kind == "dense":
+        return values
+    if kind == "triangular":
+        values = np.tril(values, -1) * (rng.random((k, k)) < 0.5)
+        values[:, np.arange(k), np.arange(k)] = rng.choice([-1.0, 1.0], size=k)
+        return values[:, rng.permutation(k)][:, :, rng.permutation(k)]
+    # sparse: one pattern for the stack, and some of its entries zero in some matrices
+    values *= (rng.random((k, k)) < rng.uniform(0.1, 0.7)) & (rng.random((points, k, k)) < 0.9)
+    if kind == "singular":
+        # two rows whose one nonzero is in the same column: structurally singular
+        i1, i2 = rng.choice(k, size=2, replace=False)
+        j = int(rng.integers(k))
+        for i in (i1, i2):
+            values[:, i] = 0.0
+            values[:, i, j] = 1.0 + rng.random(points)
+    return values
+
+
+class TestLaplaceDeterminant:
+    """``_dets`` expands along pattern-singleton rows and takes LU of the rest only."""
+
+    @settings(derandomize=True, deadline=None, max_examples=300)
+    @given(
+        st.sampled_from(["dense", "sparse", "singular", "triangular"]),
+        st.integers(1, 9),
+        st.integers(1, 4),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_agrees_with_lu(self, kind, k, points, seed):
+        if kind == "singular" and k < 2:
+            k = 2
+        values = _stack(kind, k, points, np.random.default_rng(seed))
+        plan = equivalence._det_plan(values)
+        got = equivalence._dets(values, plan)
+        want = np.linalg.det(values)
+        hadamard = np.prod(np.linalg.norm(values, axis=2), axis=1)
+        assert np.all(np.abs(got - want) <= 1e-12 * np.maximum(1.0, hadamard))
+        if kind == "singular":
+            assert np.all(got == 0)
+        if kind == "triangular":
+            assert plan.core is None
+            assert np.array_equal(got, np.round(want.real) + 0j)
+        if k == 1:
+            assert np.array_equal(got, values[:, 0, 0])
+
+    def test_dense_stack_is_all_core(self, rng):
+        values = _stack("dense", 6, 3, rng)
+        plan = equivalence._det_plan(values)
+        assert plan.pivots[0].size == 0 and plan.sign == 1
+        assert np.array_equal(equivalence._dets(values, plan), np.linalg.det(values))
+
+    @staticmethod
+    def _witnesses(r):
+        memo = {}
+        for s in all_decision_strings(r.degree):
+            yield s, *equivalence._witness_stacks(r, s, memo)
+
+    def test_recursion_witnesses_expand_to_empty_core(self):
+        # a seeded sample of the acceptance grid and the degree-7 cells of the benchmark, integer and spread draws
+        rng = np.random.default_rng(1405)
+        grid = [(n, p, m, d_a, d_d) for n in (1, 2, 3) for p in (1, 2, 3) for m in (1, 2, 3)
+                for d_a in range(1, 6) for d_d in range(1, 6) if max(d_a, d_d) >= 2]
+        cells = [grid[k] for k in rng.choice(len(grid), size=40, replace=False)]
+        cells += [(3, 3, 3, 7, 7), (2, 2, 2, 7, 7), (3, 2, 1, 7, 3), (3, 1, 2, 7, 5),
+                  (1, 2, 3, 7, 1), (2, 3, 1, 2, 7), (2, 3, 3, 4, 7), (1, 3, 3, 1, 7)]
+        zs = equivalence.sample_points(5, rng)
+        for draw in (random_rsmp, oracles.spread_rsmp):
+            for cell in cells:
+                r = draw(rng, *cell)
+                for s, u, v in self._witnesses(r):
+                    for w in (u, v):
+                        plan = equivalence._det_plan(w)
+                        assert plan.core is None, (cell, s.decisions)
+                        pivots = w[:, plan.pivots[0], plan.pivots[1]]
+                        assert np.all(np.abs(pivots[0]) == 1) and not pivots[1:].any(), (cell, s.decisions)
+                        dets = equivalence._dets(MatrixPolynomial(w).eval_stack(zs), plan)
+                        assert np.all(dets == dets[0]) and abs(dets[0]) == 1, (cell, s.decisions)
+
+    @staticmethod
+    def _check(r, s, u, v):
+        pencil = fiedler_pencil_rect(r, s)
+        samples = equivalence._Samples(r, 20, np.random.default_rng(7))
+        return equivalence._check_chunks(r, s, pencil, u, v, samples, 1e-8)
+
+    def test_figures_are_exactly_zero_on_recursion_witnesses(self, rng):
+        r = random_rsmp(rng, 2, 3, 1, 4, 3)
+        for s, u, v in self._witnesses(r):
+            rep = self._check(r, s, u, v)
+            assert rep.u_unimodularity == 0.0 and rep.v_unimodularity == 0.0 and rep.verdict
+
+    def test_scaled_pivot_shows_in_the_figure(self, rng):
+        r = random_rsmp(rng, 2, 3, 1, 4, 3)
+        s = SigmaSeq("CIC")
+        u, v = equivalence._witness_stacks(r, s, {})
+        plan = equivalence._det_plan(u)
+        bad = u.copy()
+        bad[0, plan.pivots[0][3], plan.pivots[1][3]] *= 1 + 1e-9
+        rep = self._check(r, s, bad, v)
+        assert 0.9e-9 <= rep.u_unimodularity <= 1.1e-9
+        assert rep.v_unimodularity == 0.0
+
+    def test_non_triangular_unimodular_witness_goes_through_the_core(self, rng):
+        r = random_rsmp(rng, 2, 3, 1, 4, 3)
+        s = SigmaSeq("ICI")
+        u, v = equivalence._witness_stacks(r, s, {})
+        k = u.shape[1]
+        # a dense integer matrix of determinant 1: unit lower times unit upper triangular
+        lower = np.tril(rng.integers(-2, 3, size=(k, k)), -1) + np.eye(k)
+        mixed = u @ (lower @ lower.T).astype(complex)
+        plan = equivalence._det_plan(mixed)
+        assert plan.core is not None
+        rep = self._check(r, s, mixed, v)
+        assert 0.0 <= rep.u_unimodularity <= 1e-8
+
+    def test_singular_witness_fails(self, rng):
+        r = random_rsmp(rng, 2, 3, 1, 4, 3)
+        s = SigmaSeq("CCI")
+        u, v = equivalence._witness_stacks(r, s, {})
+        no_column = u.copy()
+        no_column[:, :, 2] = 0.0  # structurally singular
+        repeated_row = u.copy()
+        repeated_row[:, 1] = repeated_row[:, 0]  # singular only numerically
+        for bad in (no_column, repeated_row):
+            rep = self._check(r, s, bad, v)
+            assert rep.u_unimodularity >= 0.5 and not rep.verdict

@@ -20,7 +20,6 @@ from rosenpencil import (
     square_fiedler_pencil,
 )
 from rosenpencil.sampling import random_rsmp
-from rosenpencil.serialization import parse_document
 from rosenpencil.sigma import SigmaSeq
 
 WORKED_EXAMPLE_DOC = {
@@ -178,13 +177,6 @@ class TestRoundTrip:
         assert np.array_equal(back.tail, pencil.tail)
         assert back.row_sizes == pencil.row_sizes
         assert emit_pencil(back) == text
-
-    def test_kind_dispatch(self, rng):
-        r = random_rsmp(rng, 1, 1, 1, 2, 1)
-        assert parse_document(emit_rsmp(r)).n == 1
-        pencil = fiedler_pencil_rect(r, SigmaSeq("C"))
-        got = parse_document(emit_pencil(pencil))
-        assert np.array_equal(got.lead, pencil.lead)
 
 
 def _pairs(m):

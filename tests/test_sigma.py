@@ -93,25 +93,6 @@ class TestCounts:
             s.c_count(0, 2)
 
 
-class TestCiss:
-    def test_mixed(self):
-        assert SigmaSeq("CCICI").ciss() == (2, 1, 1, 1)
-
-    def test_all_consecutions(self):
-        assert SigmaSeq("CCCC").ciss() == (4, 0)
-
-    def test_all_inversions(self):
-        assert SigmaSeq("IIII").ciss() == (0, 4)
-
-    def test_runs_sum_to_length(self):
-        for d in range(2, 7):
-            for s in all_decision_strings(d):
-                assert sum(s.ciss()) == d - 1
-
-    def test_empty(self):
-        assert SigmaSeq("").ciss() == ()
-
-
 class TestSurjectivity:
     def test_every_decision_string_is_realized(self):
         # every string of length d-1 comes from some bijection, d <= 6

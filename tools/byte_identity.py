@@ -9,25 +9,31 @@ the same checkout), and SHA-256-hashes:
 
 - every output of the five builders (``build_w_sequence``,
   ``build_n_sequence``, ``build_h_sequence``, ``unimodular_pair``,
-  ``fiedler_pencil_rect``), the two companion forms and
-  ``linearization_with_witnesses``, on the acceptance grid (every shape in
-  {1,2,3}^3, every degree pair in {1..5}^2, every decision string) under
-  the ``random_rsmp`` draw of seed 90210 and the ``oracles.spread_rsmp``
-  draw of seed 90211; a call that raises contributes its error type and
-  text;
+  ``fiedler_pencil_rect``), the two companion forms,
+  ``linearization_with_witnesses`` and the ``emit_rsmp`` text of every
+  instance, on the acceptance grid (every shape in {1,2,3}^3, every degree
+  pair in {1..5}^2, every decision string) under the ``random_rsmp`` draw
+  of seed 90210 and the ``oracles.spread_rsmp`` draw of seed 90211; a call
+  that raises contributes its error type and text;
 - stdout, stderr and exit code of ``cli.main`` for ``verify FILE --all``
   over the instance files of the ``grid_verify`` and ``deep_verify``
   benchmark workloads at seeds 0 and 1, for ``verify FILE --all --trials
   41`` over those of ``deep_verify`` at seed 0 (where every string's
   points fill several chunks), and for the default ``fuzz --out FILE``,
   with the file it writes;
+- the same for ``pencil FILE --sigma S`` over the instance files of both
+  verify workloads at seed 0, with S the first, a middle and the last
+  decision string of the instance's degree;
 - the same for ``eig FILE`` over the instance files of the ``spectra``
   workload at seeds 0 and 1, one digest per op, keyed by the op's place
   in the run and its file name, so that a difference names its file.
 
 Prints every digest that differs (and every other one, bar the eig ops,
-which it counts) and exits 1 if any does, else 0.  Takes
-a few minutes; the two checkouts run side by side, one BLAS thread each.
+which it counts) and exits 1 if any does, else 0.  Under a ``verify`` or
+``fuzz`` stream that differs it prints which record keys differ, on how
+many records, and the range of each such key's values in the change.
+Takes a few minutes; the two checkouts run side by side, one BLAS thread
+each.
 """
 
 from __future__ import annotations
@@ -40,6 +46,7 @@ import os
 import subprocess
 import sys
 import tempfile
+from collections import Counter
 from itertools import product
 from pathlib import Path
 
@@ -104,7 +111,7 @@ def _builder_digests(digests: dict) -> int:
         rp.fiedler_pencil_rect,
         rp.linearization_with_witnesses,
     ]
-    per_instance = [rp.companion_first, rp.companion_second]
+    per_instance = [rp.companion_first, rp.companion_second, rp.emit_rsmp]
     cases = 0
     for draw_name, draw, seed in (("random_rsmp", random_rsmp, 90210), ("spread_rsmp", oracles.spread_rsmp, 90211)):
         rng = np.random.default_rng(seed)
@@ -132,7 +139,15 @@ def _run_cli(argv) -> tuple[int, str, str]:
     return code, out.getvalue(), err.getvalue()
 
 
-def _cli_digests(checkout: Path, digests: dict) -> None:
+def _sample_sigmas(degree: int) -> list[str]:
+    """The first, a middle and the last decision string of a degree."""
+    from rosenpencil import all_decision_strings
+
+    strings = [s.decisions for s in all_decision_strings(degree)]
+    return sorted({strings[0], strings[len(strings) // 2], strings[-1]})
+
+
+def _cli_digests(checkout: Path, digests: dict, streams: dict) -> None:
     import workloads
 
     # relative instance paths, so the records, which name the file, match across checkouts
@@ -142,10 +157,22 @@ def _cli_digests(checkout: Path, digests: dict) -> None:
             work = Path(f"{name}-{seed}")
             blocks, cells = workloads.plan(name, seed, checkout, work)
             workloads.write_instances(name, seed, cells, work)
+            ops = [op for block in blocks for op in block]
             h = hashlib.sha256()
-            for op in (op for block in blocks for op in block):
-                _feed(h, _run_cli(op.argv + list(flags)))
-            digests[f"cli/verify --all{''.join(' ' + f for f in flags)}/{name} seed {seed}"] = h.hexdigest()
+            records = []
+            for op in ops:
+                result = _run_cli(op.argv + list(flags))
+                _feed(h, result)
+                records.append(result[1])
+            key = f"cli/verify --all{''.join(' ' + f for f in flags)}/{name} seed {seed}"
+            digests[key] = h.hexdigest()
+            streams[key] = "".join(records)
+            if not flags and seed == 0:
+                h = hashlib.sha256()
+                for op in ops:
+                    for sigma in _sample_sigmas(max(op.cell[3:])):
+                        _feed(h, _run_cli(["pencil", op.path, "--sigma", sigma]))
+                digests[f"cli/pencil --sigma/{name} seed {seed}"] = h.hexdigest()
         for seed in EIG_SEEDS:
             work = Path(f"spectra-{seed}")
             blocks, cells = workloads.plan("spectra", seed, checkout, work)
@@ -156,9 +183,28 @@ def _cli_digests(checkout: Path, digests: dict) -> None:
                 digests[f"cli/eig/spectra seed {seed}/op {k:03d} {Path(op.path).name}"] = h.hexdigest()
         h = hashlib.sha256()
         _feed(h, _run_cli(["fuzz", "--out", "fuzz.jsonl"]))
-        _feed(h, Path("fuzz.jsonl").read_text(encoding="utf-8"))
+        streams["cli/fuzz --out"] = Path("fuzz.jsonl").read_text(encoding="utf-8")
+        _feed(h, streams["cli/fuzz --out"])
         digests["cli/fuzz --out"] = h.hexdigest()
         os.chdir(checkout)
+
+
+def record_diffs(parent: str, change: str) -> list[str]:
+    """One line per record key whose value differs between two JSONL streams: on how many records, and the change's range."""
+    old = [json.loads(line) for line in parent.splitlines()]
+    new = [json.loads(line) for line in change.splitlines()]
+    if len(old) != len(new):
+        return [f"{len(old)} records against {len(new)}"]
+    counts = Counter(k for a, b in zip(old, new) for k in set(a) | set(b) if a.get(k) != b.get(k))
+    lines = []
+    for k in sorted(counts):
+        values = [b.get(k) for b in new]
+        if all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in values):
+            span = f"the change's values over all records {min(values)!r} to {max(values)!r}"
+        else:
+            span = f"{len(set(map(repr, values)))} distinct values in the change"
+        lines.append(f"{k}: {counts[k]}/{len(old)} records differ, {span}")
+    return lines
 
 
 def worker(checkout: Path) -> int:
@@ -170,9 +216,10 @@ def worker(checkout: Path) -> int:
     if not Path(rosenpencil.__file__).resolve().is_relative_to(checkout / "src"):
         raise SystemExit(f"rosenpencil was imported from {rosenpencil.__file__}, not from {checkout / 'src'}")
     digests: dict[str, str] = {}
+    streams: dict[str, str] = {}
     cases = _builder_digests(digests)
-    _cli_digests(checkout, digests)
-    print(json.dumps({"cases": cases, "digests": digests}))
+    _cli_digests(checkout, digests, streams)
+    print(json.dumps({"cases": cases, "digests": digests, "streams": streams}))
     return 0
 
 
@@ -207,6 +254,9 @@ def main(argv) -> int:
         # the eig ops are too many to list one by one when they agree
         if k in differ or not k.startswith("cli/eig/"):
             print(f"{'DIFFERS' if k in differ else 'same   '}  {k}  {change['digests'].get(k, '-')[:16]}")
+        if k in differ and k in parent["streams"] and k in change["streams"]:
+            for line in record_diffs(parent["streams"][k], change["streams"][k]):
+                print(f"           {line}")
     eig_ops = [k for k in names if k.startswith("cli/eig/")]
     print(f"{sum(k not in differ for k in eig_ops)}/{len(eig_ops)} eig ops identical")
     print(

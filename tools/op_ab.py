@@ -14,8 +14,9 @@ runs and a SHA-256 of the exit code, stdout and stderr of every run.
 
 Prints the summed per-op minima of each side, their ratio (change over
 parent), the median per-op ratio, and every op whose outputs differ
-between the sides or between runs.  Exits 1 if any does, else 0.  BLAS
-runs on one thread.
+between the sides or between runs; over the ``verify`` ops among them,
+which record keys differ and on how many records.  Exits 1 if any op
+differs, else 0.  BLAS runs on one thread.
 """
 
 from __future__ import annotations
@@ -31,6 +32,8 @@ import sys
 import tempfile
 import time
 from pathlib import Path
+
+from byte_identity import record_diffs
 
 PACKAGE = "rosenpencil"
 
@@ -61,8 +64,8 @@ def _load(checkout: Path) -> dict:
     return {k: m for k, m in sys.modules.items() if _own(k)}
 
 
-def _run(modules: dict, argv: list[str]) -> tuple[float, str]:
-    """CPU seconds of one ``cli.main(argv)`` and a digest of what it returned and printed."""
+def _run(modules: dict, argv: list[str]) -> tuple[float, str, str]:
+    """CPU seconds of one ``cli.main(argv)``, a digest of what it returned and printed, and its stdout."""
     _activate(modules)
     main = modules[PACKAGE + ".cli"].main
     out, err = io.StringIO(), io.StringIO()
@@ -71,7 +74,7 @@ def _run(modules: dict, argv: list[str]) -> tuple[float, str]:
         code = main(argv)
         spent = time.process_time() - start
     digest = hashlib.sha256(f"{code}\0{out.getvalue()}\0{err.getvalue()}".encode()).hexdigest()
-    return spent, digest
+    return spent, digest, out.getvalue()
 
 
 def _ops(parent: Path, parent_modules: dict, workload: str, seed: int, work: Path) -> list:
@@ -105,17 +108,26 @@ def main(argv=None) -> int:
         ops = _ops(args.parent.resolve(), sides["parent"], args.workload, args.seed, Path(tmp))
         best = {side: [float("inf")] * len(ops) for side in sides}
         digests = {side: [set() for _ in ops] for side in sides}
+        stdout = {side: [""] * len(ops) for side in sides}  # of the first run
         for rep in range(args.reps):
             for k, op in enumerate(ops):
                 order = ("parent", "change") if (rep + k) % 2 == 0 else ("change", "parent")
                 for side in order:
-                    spent, digest = _run(sides[side], op.argv)
+                    spent, digest, out = _run(sides[side], op.argv)
                     best[side][k] = min(best[side][k], spent)
                     digests[side][k].add(digest)
+                    if rep == 0:
+                        stdout[side][k] = out
 
     differ = [k for k in range(len(ops)) if len(digests["parent"][k] | digests["change"][k]) != 1]
     for k in differ:
         print(f"DIFFERS  op {k:04d}  {' '.join(ops[k].argv)}")
+    records = [k for k in differ if ops[k].argv[0] == "verify"]
+    if records:
+        print(f"record keys that differ over the {len(records)} verify ops that differ:")
+        joined = {side: "".join(stdout[side][k] for k in records) for side in sides}
+        for line in record_diffs(joined["parent"], joined["change"]):
+            print(f"  {line}")
     total = {side: sum(best[side]) for side in sides}
     ratios = [c / p for p, c in zip(best["parent"], best["change"]) if p > 0]
     print(f"workload {args.workload}, seed {args.seed}: {len(ops)} ops, {args.reps} runs per op and side")
