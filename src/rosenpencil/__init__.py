@@ -11,9 +11,7 @@ from .equivalence import (
     EquivalenceReport,
     build_h_sequence,
     build_n_sequence,
-    is_unimodular,
     linearization_with_witnesses,
-    system_equivalence_check,
     unimodular_pair,
     verify_theorem,
 )
@@ -87,8 +85,6 @@ __all__ = [
     "unimodular_pair",
     "linearization_with_witnesses",
     "verify_theorem",
-    "system_equivalence_check",
-    "is_unimodular",
     "det_poly",
     "poly_roots",
     "eigenvalues_square",

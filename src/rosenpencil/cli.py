@@ -10,13 +10,16 @@ as null, never as the non-standard tokens Infinity or NaN.  Identical
 inputs, seed, and flags produce byte-identical report streams (timing is
 kept out of the records for exactly that reason).
 
-``verify`` and ``fuzz`` check every decision string of one instance at the
-same sample points, drawn from the seed, with S, A and D evaluated there
-once.  Step i of the pencil and witness recursions, its size law and its
-structure claims depend only on decisions 0..i, so each decision prefix
-is built and checked once per instance; only the tail and witness
-assembly, the witness evaluation and the residual checks run per string.
-The records are those of the per-string public calls, byte for byte.
+``verify`` and ``fuzz`` certify U L V = T coefficient by coefficient for
+every decision string of one instance (``equivalence.verify_theorem``).
+Sample points, drawn at most once per instance from the seed, serve only
+the determinant of a witness whose exact expansion is not one constant;
+the recursion's witnesses never need them.  Step i of the pencil and
+witness recursions, its size law and its structure claims depend only on
+decisions 0..i, so each decision prefix is built and checked once per
+instance; only the tail and witness assembly and the certificate run per
+string.  The records are those of the per-string public calls, byte for
+byte.
 """
 
 from __future__ import annotations
@@ -114,8 +117,8 @@ def _checked_tail(r: Rsmp, s: SigmaSeq, memo: dict, step_ok: dict):
 def _verify_instance(r: Rsmp, sigmas, instance: dict, trials: int, tol: float, seed: int):
     """The report of every decision string of ``sigmas``, in order, for one instance.
 
-    Every string is checked at the same ``trials`` points, drawn once from
-    an rng seeded with ``seed``, and S, A and D are evaluated there once.
+    A witness determinant that needs sample points gets the instance's
+    ``trials`` points, drawn at most once from an rng seeded with ``seed``.
     Recursion steps are built and checked once per decision prefix, so
     strings in lexicographic order walk the prefix trie depth first.  The
     witnesses are checked as the coefficient stacks the recursion
@@ -132,7 +135,7 @@ def _verify_instance(r: Rsmp, sigmas, instance: dict, trials: int, tol: float, s
             pencil, u, v = equivalence.linearization_with_witnesses(r, s)
             u, v = u.poly.coeffs, v.poly.coeffs
             sizes_ok = structure_ok = True
-        report = equivalence._check_chunks(r, s, pencil, u, v, samples, tol)
+        report = equivalence._certify(r, s, pencil, u, v, samples, tol)
         ok = report.verdict and sizes_ok and structure_ok
         yield RunReport(
             instance=instance,
@@ -283,6 +286,12 @@ def _tolerance(text: str) -> float:
     return tol
 
 
+_TRIALS_HELP = (
+    "sample points (at least 1) for the determinant of a witness whose exact expansion is not "
+    "one constant; the recursion's witnesses never need them"
+)
+
+
 class _ArgumentParser(argparse.ArgumentParser):
     """A parser whose usage errors raise ParseError; its subparsers share the class."""
 
@@ -306,9 +315,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("file")
     p_verify.add_argument("--sigma", default=None)
     p_verify.add_argument("--all", action="store_true", help="every decision string (degree <= 7)")
-    p_verify.add_argument("--trials", type=int, default=20)
+    p_verify.add_argument("--trials", type=int, default=20, help=_TRIALS_HELP)
     p_verify.add_argument("--tol", type=_tolerance, default=1e-8)
-    p_verify.add_argument("--seed", type=int, default=0)
+    p_verify.add_argument("--seed", type=int, default=0, help="seed of those sample points")
     p_verify.add_argument("--out", default=None)
 
     p_eig = sub.add_parser("eig", help="spectra through the three routes, with discrepancies")
@@ -318,8 +327,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p_info.add_argument("file")
 
     p_fuzz = sub.add_parser("fuzz", help="sweep seeded random instances over the degree grid")
-    p_fuzz.add_argument("--seed", type=int, default=0)
-    p_fuzz.add_argument("--trials", type=int, default=20)
+    p_fuzz.add_argument(
+        "--seed", type=int, default=0, help="seed of the random instances; their sample points take seed + 1"
+    )
+    p_fuzz.add_argument("--trials", type=int, default=20, help=_TRIALS_HELP)
     p_fuzz.add_argument("--tol", type=_tolerance, default=1e-8)
     p_fuzz.add_argument("--max-dim", type=int, default=3)
     p_fuzz.add_argument("--max-deg", type=int, default=5)

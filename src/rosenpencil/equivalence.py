@@ -9,15 +9,20 @@ elements U and V satisfy, for the pencil L of the same decision sequence,
 
     U(z) L(z) V(z) = [[I, 0, 0, 0], [0, A(z), 0, -B], [0, 0, I, 0], [0, C, 0, D(z)]]
 
-at every z, with the identity paddings sized (d_A - 1)n and
-p*c0 + m*i0 (counts over the decisions that grew the feedthrough side).
-All witnesses are unimodular with determinant +-1.  Verification here is
-sample-based: a polynomial identity of bounded degree is certified by
-agreement at more than degree-many random points plus a holdout.  The
-determinants of U(z) and V(z) come from exact Laplace expansion along
-the rows with one structural nonzero, found once per witness from its
-coefficients, and an LU of what is left; the recursion's witnesses leave
-nothing, their pivots are constant +-1, so their determinants are exact.
+with the identity paddings sized (d_A - 1)n and p*c0 + m*i0 (counts over
+the decisions that grew the feedthrough side).  All witnesses are
+unimodular with determinant +-1.  Verification is a certificate on
+coefficient stacks: U L V and the componentwise scale |U| |L| |V| are
+formed coefficient by coefficient, and the residual is the largest ratio
+of |U L V - T| to that scale.  The pencils and witnesses are
+operation-free (every entry is 0, +-1 or a coefficient entry), and on
+them the difference comes out exactly zero.  The determinants of U and V
+come from exact Laplace expansion along the rows with one structural
+nonzero, found once per witness from its coefficients: the recursion's
+witnesses leave nothing else and their pivots are constant +-1, so their
+determinant is one exact constant; any other witness has its
+determinant taken at random sample points, by the expansion and an LU of
+what is left.
 """
 
 from __future__ import annotations
@@ -41,9 +46,7 @@ __all__ = [
     "unimodular_pair",
     "linearization_with_witnesses",
     "verify_theorem",
-    "system_equivalence_check",
     "sample_points",
-    "is_unimodular",
     "EquivalenceReport",
 ]
 
@@ -64,13 +67,13 @@ def _mul(p: np.ndarray | None, q: np.ndarray) -> np.ndarray | None:
     """Matrix product with polynomial entries (coefficient convolution); a zero ``p`` stays None.
 
     One batched product forms every coefficient pair p[a] @ q[b]; each
-    coefficient of the result then sums its pairs in the order of a, as a
-    double loop over (a, b) would.
+    coefficient of the result, in the pairs' dtype, then sums its pairs in
+    the order of a, as a double loop over (a, b) would.
     """
     if p is None:
         return None
     pairs = p[:, None] @ q[None]
-    out = np.zeros((len(p) + len(q) - 1,) + pairs.shape[2:], dtype=complex)
+    out = np.zeros((len(p) + len(q) - 1,) + pairs.shape[2:], dtype=pairs.dtype)
     for a in range(len(p)):
         out[a : a + len(q)] += pairs[a]
     return out
@@ -166,33 +169,12 @@ def linearization_with_witnesses(r: Rsmp, s: SigmaSeq):
 
 # -- verification ------------------------------------------------------------
 
-# Sample points are taken in chunks holding at most about this many complex
-# entries per stacked array, which bounds the temporaries of one chunk.
-_CHUNK_ENTRIES = 8192
-
-
-def _chunk_points(rows: int, cols: int) -> int:
-    """Points per chunk for stacks of rows-by-cols and square witness matrices."""
-    return max(1, _CHUNK_ENTRIES // max(rows, cols, 1) ** 2)
-
-
-def _fro(stack: np.ndarray) -> np.ndarray:
-    """Frobenius norm of every matrix of a ``(P, rows, cols)`` stack: the expression of ``np.linalg.norm``, bit for bit."""
-    return np.sqrt(np.add.reduce((stack.conj() * stack).real, axis=(1, 2)))
-
 
 def sample_points(count: int, rng) -> np.ndarray:
     """Random points in the annulus 0.5 <= |z| <= 2 (away from origin and overflow)."""
     radii = rng.uniform(0.5, 2.0, size=count)
     angles = rng.uniform(0.0, 2.0 * np.pi, size=count)
     return radii * np.exp(1j * angles)
-
-
-def is_unimodular(u, points: int = 10, tol: float = 1e-8, rng=None) -> bool:
-    """Sampled unimodularity: determinant nonzero and constant across points."""
-    rng = np.random.default_rng(0) if rng is None else rng
-    dets = np.linalg.det(u.eval_stack(sample_points(points, rng)))
-    return abs(dets[0]) > tol and bool(np.all(np.abs(dets - dets[0]) <= tol * (1 + abs(dets[0]))))
 
 
 class _DetPlan(NamedTuple):
@@ -281,26 +263,24 @@ def _padding_sizes(r: Rsmp, s: SigmaSeq) -> tuple[int, int]:
 
 
 class _Samples:
-    """Sample points, drawn at first use, S, A and D evaluated at them, and the frame of each pencil shape.
+    """Sample points, drawn at first use, and the frame of each pencil shape.
 
-    One set serves every check of one system, so each decision string of
-    an instance is checked at the same points without drawing or
-    evaluating them again, and strings of one shape share one frame.
+    One set serves every check of one system.  The points feed only the
+    determinant fallback of ``_unimodularity``, so they are drawn, once,
+    when the first witness that needs them comes; strings of one shape
+    share one frame.
     """
 
     def __init__(self, r: Rsmp, points: int, rng):
-        self._r, self._points, self._rng = r, points, rng
+        if points < 1:
+            raise ValueError("the sampled check needs at least one point")
+        self._r, self._count, self._rng = r, points, rng
         self._frames: dict[tuple[int, int], _Frame] = {}
 
     @cached_property
-    def stacks(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """(zs, S(zs), A(zs), D(zs)); a value that overflows is kept, without a warning."""
-        if self._points < 1:
-            raise ValueError("the sampled check needs at least one point")
-        zs = sample_points(self._points, self._rng)
-        r = self._r
-        with np.errstate(over="ignore", invalid="ignore"):
-            return zs, r.assemble_s().eval_stack(zs), r.A.eval_stack(zs), r.D.eval_stack(zs)
+    def points(self) -> np.ndarray:
+        """The sample points, drawn from the rng at first use."""
+        return sample_points(self._count, self._rng)
 
     def frame(self, alpha_prime: int, alpha: int) -> "_Frame":
         """The frame of the pencil shape with these paddings, built at first use."""
@@ -317,13 +297,11 @@ def _add_eye(m: np.ndarray, row: int, col: int, size: int) -> None:
 
 
 class _Frame:
-    """What the check of one pencil shape needs besides the points.
+    """The four-block target of one pencil shape, less A and D.
 
-    The four-block target is ``target`` plus A(z) in the state block and
-    D(z) in the feedthrough block: ``target`` holds the identity paddings,
-    -B and C.  The corollary target, after the row and column permutations
-    to block-diagonal form, is ``cor_target`` plus S(z) in the middle:
-    ``cor_target`` holds the identity paddings of blkdiag(I, S, I).
+    The target T(lambda) is ``target`` at degree 0 plus A(lambda) in rows
+    and columns ``state`` and D(lambda) in rows ``feed_rows`` and columns
+    ``feed_cols``: ``target`` holds the identity paddings, -B and C.
     """
 
     def __init__(self, r: Rsmp, alpha_prime: int, alpha: int):
@@ -332,33 +310,28 @@ class _Frame:
         self.cols = alpha_prime + n + alpha + m
         self.rcuts = rcuts = np.cumsum([0, alpha_prime, n, alpha, p])
         self.ccuts = ccuts = np.cumsum([0, alpha_prime, n, alpha, m])
-        state = slice(alpha_prime, alpha_prime + n)
-        # where A(z), D(z) and S(z) go in a stack of products, S(z) after the permutations
-        self.a_block = np.s_[:, state, state]
-        self.d_block = np.s_[:, rcuts[3] :, ccuts[3] :]
-        self.s_block = np.s_[:, alpha_prime : alpha_prime + n + p, alpha_prime : alpha_prime + n + m]
-        self.row_perm = np.r_[0 : rcuts[2], rcuts[3] : rcuts[4], rcuts[2] : rcuts[3]][:, None]
-        self.col_perm = np.r_[0 : ccuts[2], ccuts[3] : ccuts[4], ccuts[2] : ccuts[3]]
+        self.state = state = slice(alpha_prime, alpha_prime + n)
+        self.feed_rows, self.feed_cols = slice(rcuts[3], None), slice(ccuts[3], None)
         self.target = np.zeros((self.rows, self.cols), dtype=complex)
         _add_eye(self.target, 0, 0, alpha_prime)
-        self.target[state, ccuts[3] :] = -r.B
+        self.target[state, self.feed_cols] = -r.B
         _add_eye(self.target, rcuts[2], ccuts[2], alpha)
-        self.target[rcuts[3] :, state] = r.C
-        self.cor_target = np.zeros((self.rows, self.cols), dtype=complex)
-        _add_eye(self.cor_target, 0, 0, alpha_prime)
-        _add_eye(self.cor_target, alpha_prime + n + p, alpha_prime + n + m, alpha)
+        self.target[self.feed_rows, state] = r.C
 
 
 @dataclass
 class EquivalenceReport:
-    """Residuals of the sampled equivalence check.
+    """Residuals of the equivalence certificate and the witnesses' determinants.
 
-    ``block_residuals`` maps 1-based positions of the four-block target
-    partition (state padding, state, feedthrough padding, feedthrough) to
-    their worst relative residual over the sample points; ``verify_theorem``
-    fills it, and the CLI, whose records do not carry it, leaves it empty.
-    A figure that is not finite (overflow, NaN) fails the verdict whatever
-    the tolerance.
+    ``max_residual`` is the largest componentwise ratio |U L V - T| /
+    (|U| |L| |V|) over every coefficient and entry; ``corollary_residual``
+    is the same number, since the corollary's form is the same identity
+    with rows and columns permuted.  ``block_residuals`` maps 1-based
+    positions of the four-block target partition (state padding, state,
+    feedthrough padding, feedthrough) to their largest ratio;
+    ``verify_theorem`` fills it, and the CLI, whose records do not carry
+    it, leaves it empty.  A figure that is not finite (overflow, NaN) fails
+    the verdict whatever the tolerance.
     """
 
     max_residual: float
@@ -384,33 +357,32 @@ def verify_theorem(
     tol: float = 1e-8,
     rng=None,
 ) -> EquivalenceReport:
-    """Sampled check that U L V equals the padded system matrix.
+    """Certify that U L V equals the padded system matrix, coefficient by coefficient.
 
-    The sample points are evaluated in chunks, each as one stack: U(z),
-    z lead - tail and V(z) by stacked Horner (over the entries of U and V
-    that are not constant), their products by one batched matrix product.
-    Every product is compared against the four-block target and, after
-    explicit row/column permutations, against blkdiag(identity, S(z),
-    identity) with S from ``assemble_s``.  The constant part of each
-    target (identity paddings, -B and C; the paddings of the corollary
-    form) and the permutations make up the frame of the pencil's shape,
-    built once; a chunk subtracts the frame's target and A(z), D(z),
-    respectively S(z), in place.  Residuals are Frobenius norms relative to
-    max(1, |U(z)| |L(z)| |V(z)|); at a point where that scale overflows no
-    residual can be certified and it is reported as infinite.  Unimodularity
-    of U and V is checked by their determinants at the same points: each is
-    expanded exactly along the rows with one structural nonzero (the plan
-    is made once per witness, from its coefficients' nonzero pattern), and
-    only the rows and columns left over, if any, go through LU.  The
-    report carries the worst residual of every block of the four-block
-    target as well, which only this entry point computes.
+    U L V is formed as a coefficient stack, and so is the componentwise
+    scale |U| |L| |V| from the absolute values; the four-block target T
+    is subtracted at each degree (identity paddings, -B and C at degree 0,
+    the coefficients of A and D in their blocks).  The residual is the
+    largest ratio |U L V - T| / (|U| |L| |V|) over every coefficient and
+    entry (Oettli-Prager), with 0/0 read as 0 and a nonzero over a zero
+    scale as infinite; when a product or scale entry is not finite, no
+    residual can be certified and every figure is infinite.  The
+    corollary's residual is the same number.  Unimodularity: each witness
+    is expanded exactly along its rows with one structural nonzero (one
+    plan per witness, from its coefficients' nonzero pattern); when
+    nothing is left and no pivot varies with lambda, det is the constant
+    product of the pivots, otherwise the determinants are taken at
+    ``points`` random points drawn from ``rng``, with only the rows and
+    columns left over going through LU.  The report carries the worst
+    residual of every block of the four-block target as well, which only
+    this entry point computes.
     """
     rng = np.random.default_rng(0) if rng is None else rng
     samples = _Samples(r, points, rng)
-    return _check_chunks(r, s, pencil, u.poly.coeffs, v.poly.coeffs, samples, tol, blocks=True)
+    return _certify(r, s, pencil, u.poly.coeffs, v.poly.coeffs, samples, tol, blocks=True)
 
 
-def _check_chunks(
+def _certify(
     r: Rsmp,
     s: SigmaSeq,
     pencil: Pencil,
@@ -420,14 +392,13 @@ def _check_chunks(
     tol: float,
     blocks: bool = False,
 ) -> EquivalenceReport:
-    """The chunk loop of ``verify_theorem``, at the points of ``samples``.
+    """The check of ``verify_theorem`` on the coefficient stacks ``u`` and ``v`` of the witnesses.
 
-    ``u`` and ``v`` are the coefficient stacks of the witnesses, evaluated
-    by ``polycore.horner_stack``.  Each gets one ``_det_plan``, and
-    ``_dets`` takes its determinants chunk by chunk under that plan.  The
-    worst residual per block of the four-block target, an entrywise
-    maximum over the points, is taken only when ``blocks`` asks for it
-    (``verify_theorem``); the CLI's records do not carry it.
+    The frame of the pencil's shape and, if a witness needs them, the
+    points come from ``samples``.  The worst residual per block of the
+    four-block target, an entrywise maximum over the coefficients, is
+    taken only when ``blocks`` asks for it (``verify_theorem``); the CLI's
+    records do not carry it.
     """
     f = samples.frame(*_padding_sizes(r, s))
     rows, cols = f.rows, f.cols
@@ -436,60 +407,50 @@ def _check_chunks(
             f"witness/pencil dimensions {u.shape[1:]}/{pencil.shape}/{v.shape[1:]} do not conform "
             f"to the {rows}x{cols} target"
         )
-    zs, s_zs, a_zs, d_zs = samples.stacks
-    points = zs.size
-    u_varying, v_varying = varying_entries(u), varying_entries(v)
-    u_plan, v_plan = _det_plan(u), _det_plan(v)
-
-    res = np.empty(points)
-    cor_res = np.empty(points)
-    u_dets = np.empty(points, dtype=complex)
-    v_dets = np.empty(points, dtype=complex)
-    worst = np.zeros((rows, cols)) if blocks else None  # entrywise worst relative residual
-    step = _chunk_points(rows, cols)
-    # an overflowing point is reported as an infinite residual, not as a warning
-    with np.errstate(over="ignore", invalid="ignore"):
-        for lo in range(0, points, step):
-            hi = min(lo + step, points)
-            z = zs[lo:hi]
-            uz = horner_stack(u, z, u_varying)
-            lz = pencil.eval_stack(z)
-            vz = horner_stack(v, z, v_varying)
-            prod = uz @ lz @ vz
-            scale = np.maximum(1.0, _fro(uz) * _fro(lz) * _fro(vz))
-            overflow = ~np.isfinite(scale)
-            u_dets[lo:hi] = _dets(uz, u_plan)
-            v_dets[lo:hi] = _dets(vz, v_plan)
-
-            cor = prod[:, f.row_perm, f.col_perm]
-            cor -= f.cor_target
-            cor[f.s_block] -= s_zs[lo:hi]
-            cor_res[lo:hi] = _fro(cor) / scale
-
-            # prod becomes U L V minus the four-block target
-            prod -= f.target
-            prod[f.a_block] -= a_zs[lo:hi]
-            prod[f.d_block] -= d_zs[lo:hi]
-            res[lo:hi] = _fro(prod) / scale
-            if overflow.any():
-                res[lo:hi][overflow] = np.inf
-                cor_res[lo:hi][overflow] = np.inf
-            if blocks:
-                rel = np.abs(prod) / scale[:, None, None]
-                rel[overflow] = np.inf
-                np.maximum(worst, rel.max(axis=0), out=worst)
-
-    def _dev(dets):
-        return float(np.maximum(np.max(np.abs(np.abs(dets) - 1.0)), np.max(np.abs(dets - dets[0]))))
-
+    lp = np.stack([-pencil.tail, pencil.lead])
+    # an overflowing product is reported as an infinite residual, not as a warning
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        prod = _mul(_mul(u, lp), v)
+        scale = _mul(_mul(np.abs(u), np.abs(lp)), np.abs(v))
+        short = r.degree + 1 - len(prod)
+        if short > 0:  # witnesses of too low a degree to reach the target's
+            pad = np.zeros((short, rows, cols))
+            prod, scale = np.concatenate([prod, pad]), np.concatenate([scale, pad])
+        # prod becomes U L V minus the four-block target
+        prod[0] -= f.target
+        prod[: len(r.A.coeffs), f.state, f.state] -= r.A.coeffs
+        prod[: len(r.D.coeffs), f.feed_rows, f.feed_cols] -= r.D.coeffs
+        err = np.abs(prod)
+        if np.isfinite(err.max()) and np.isfinite(scale.max()):
+            ratio = np.divide(err, scale, out=np.zeros_like(err), where=err > 0)
+        else:
+            ratio = np.full_like(err, np.inf)
+        residual = float(ratio.max())
+        u_dev, v_dev = _unimodularity(u, samples), _unimodularity(v, samples)
     return EquivalenceReport(
-        max_residual=float(np.max(res)),
-        corollary_residual=float(np.max(cor_res)),
-        block_residuals=_block_residuals(worst, f.rcuts, f.ccuts) if blocks else {},
-        u_unimodularity=_dev(u_dets),
-        v_unimodularity=_dev(v_dets),
+        max_residual=residual,
+        corollary_residual=residual,
+        block_residuals=_block_residuals(ratio.max(axis=0), f.rcuts, f.ccuts) if blocks else {},
+        u_unimodularity=u_dev,
+        v_unimodularity=v_dev,
         tol=tol,
     )
+
+
+def _unimodularity(w: np.ndarray, samples: _Samples) -> float:
+    """How far det W(lambda) is from one constant of modulus 1, for the coefficient stack ``w``.
+
+    The largest of | |det| - 1 | and |det - det_0| over the determinants
+    ``_dets`` takes: of the degree-0 coefficient alone when the plan
+    leaves no core and no pivot has a nonzero coefficient above degree 0,
+    so det is that constant, else at every point of ``samples``.
+    """
+    plan = _det_plan(w)
+    if plan.core is None and not w[1:, plan.pivots[0], plan.pivots[1]].any():
+        dets = _dets(w[:1], plan)
+    else:
+        dets = _dets(horner_stack(w, samples.points, varying_entries(w)), plan)
+    return float(np.maximum(np.max(np.abs(np.abs(dets) - 1.0)), np.max(np.abs(dets - dets[0]))))
 
 
 def _block_residuals(worst: np.ndarray, rcuts, ccuts) -> dict[tuple[int, int], float]:
@@ -503,40 +464,3 @@ def _block_residuals(worst: np.ndarray, rcuts, ccuts) -> dict[tuple[int, int], f
         for a, bi in enumerate(rows_used)
         for b, bj in enumerate(cols_used)
     }
-
-
-def system_equivalence_check(s1, s2, transforms, points: int = 12, tol: float = 1e-8, rng=None) -> bool:
-    """Sampled block-diagonal equivalence diag(U, Ut) S1 diag(V, Vt) == S2.
-
-    ``transforms`` is the quadruple (U, Ut, V, Vt); each must be square,
-    conformable with the stated partitions, and pass a sampled
-    unimodularity precheck.  Returns False if the precheck or the sampled
-    identity fails.
-    """
-    u, ut, v, vt = transforms
-    rng = np.random.default_rng(0) if rng is None else rng
-    r1, c1 = s1.shape
-    if u.shape[0] != u.shape[1] or ut.shape[0] != ut.shape[1]:
-        raise DimensionError("left transforms must be square")
-    if v.shape[0] != v.shape[1] or vt.shape[0] != vt.shape[1]:
-        raise DimensionError("right transforms must be square")
-    if u.shape[0] + ut.shape[0] != r1 or v.shape[0] + vt.shape[0] != c1:
-        raise DimensionError("transform partition does not tile the system matrix")
-    if s2.shape != s1.shape:
-        raise DimensionError("system matrices must share dimensions")
-    for t in transforms:
-        if not is_unimodular(t, points=6, tol=tol, rng=rng):
-            return False
-    nu = u.shape[0]
-    nv = v.shape[0]
-    zs = sample_points(points, rng)
-    left = np.zeros((zs.size, r1, r1), dtype=complex)
-    left[:, :nu, :nu] = u.eval_stack(zs)
-    left[:, nu:, nu:] = ut.eval_stack(zs)
-    right = np.zeros((zs.size, c1, c1), dtype=complex)
-    right[:, :nv, :nv] = v.eval_stack(zs)
-    right[:, nv:, nv:] = vt.eval_stack(zs)
-    got = left @ s1.eval_stack(zs) @ right
-    want = s2.eval_stack(zs)
-    scale = np.maximum(1.0, np.maximum(_fro(got), _fro(want)))
-    return bool(np.all(_fro(got - want) <= tol * scale))

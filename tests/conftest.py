@@ -21,8 +21,9 @@ def worked_example() -> Rsmp:
 def overflowing_example() -> Rsmp:
     """A 2x2 system matrix of degree 3 with coefficients near 1e160.
 
-    The norm product |U||L||V| overflows at every sample point, so no
-    residual can be certified in floating point.
+    Its determinant overflows (``eig`` exits 2 on it); the coefficient
+    certificate never multiplies two coefficients, so it reads exactly zero
+    here.
     """
     big = 1e160
     a = MatrixPolynomial([[[2.0 * big]], [[-1.0 * big]], [[3.0 * big]], [[1.0 * big]]])

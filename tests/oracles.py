@@ -4,7 +4,9 @@ Exact polynomial arithmetic on Python complex numbers (integer-valued
 inputs stay exact) and a cofactor-expansion determinant, kept deliberately
 separate from the package's interpolation-based routines; a one-matrix
 determinant by expansion along pattern-singleton rows, the reference for
-the sampled check's witness determinants; the Horner shift and a
+the witness determinants; the four-block target as a coefficient stack
+and the componentwise residual of U L V against it by double loops, the
+reference for the certificate; the Horner shift and a
 double-loop product of coefficient stacks, as references for the witness
 recursion; two bijections with one decision string, for the acceptance
 suite; QZ on a companion pencil; and an Aberth root iteration and a
@@ -153,6 +155,46 @@ def target_at(r, alpha_prime, alpha, z):
     t[alpha_prime + n + alpha :, alpha_prime : alpha_prime + n] = r.C
     t[alpha_prime + n + alpha :, alpha_prime + n + alpha :] = r.D.eval(z)
     return t
+
+
+def target_coeffs(r, alpha_prime, alpha):
+    """The four-block padded system matrix as a ``(degree + 1, rows, cols)`` coefficient stack."""
+    n = r.n
+    t = np.zeros((r.degree + 1,) + target_at(r, alpha_prime, alpha, 0.0).shape, dtype=complex)
+    t[0] = target_at(r, alpha_prime, alpha, 0.0)
+    for k in range(1, r.degree + 1):
+        t[k, alpha_prime : alpha_prime + n, alpha_prime : alpha_prime + n] = r.A.coeff(k)
+        t[k, alpha_prime + n + alpha :, alpha_prime + n + alpha :] = r.D.coeff(k)
+    return t
+
+
+def certificate_residual(r, s, pencil, u, v):
+    """Reference for the residual of ``verify_theorem``: max |U L V - T| / (|U| |L| |V|) by double loops.
+
+    Products go through ``poly_matmul``, (U L) V as the package forms them;
+    0/0 reads 0, a nonzero over a zero scale and any non-finite product or
+    scale entry read infinite.
+    """
+    from rosenpencil.equivalence import _padding_sizes
+
+    l = np.stack([-pencil.tail, pencil.lead])
+    u, v = u.poly.coeffs, v.poly.coeffs
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        prod = poly_matmul(poly_matmul(u, l), v)
+        scale = poly_matmul(poly_matmul(np.abs(u), np.abs(l)), np.abs(v)).real
+        target = target_coeffs(r, *_padding_sizes(r, s))
+        size = max(len(prod), len(target))
+        diff = np.zeros((size,) + prod.shape[1:], dtype=complex)
+        diff[: len(prod)] += prod
+        diff[: len(target)] -= target
+        err = np.abs(diff)
+        if not (np.all(np.isfinite(err)) and np.all(np.isfinite(scale))):
+            return np.inf
+        worst = 0.0
+        for k, i, j in zip(*np.nonzero(err)):
+            ratio = err[k, i, j] / scale[k, i, j] if k < len(scale) and scale[k, i, j] > 0 else np.inf
+            worst = max(worst, float(ratio))
+        return worst
 
 
 def det_singleton_rows(m, pattern):

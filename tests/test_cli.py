@@ -23,6 +23,7 @@ from rosenpencil import (
     parse_rsmp,
     spectral,
 )
+from rosenpencil.blocks import Pencil
 from rosenpencil.cli import RunReport, main
 from rosenpencil.sampling import random_rsmp
 
@@ -131,10 +132,19 @@ class TestVerifyCommand:
         assert captured.out == ""
         assert captured.err == "error: --all and --sigma are mutually exclusive\n"
 
-    def test_verification_failure_exits_one(self, rect_file, capsys):
-        # float rounding keeps the residual of a degree-six instance strictly
-        # positive, so an absurdly tight tolerance must flip the verdict
-        code = main(["verify", rect_file, "--sigma", "CCICI", "--tol", "1e-30"])
+    def test_verification_failure_exits_one(self, rect_file, capsys, monkeypatch):
+        # a genuinely wrong pencil: one nonzero tail entry off by 1e-6 relative
+        build = fiedler.pencil_from_tail
+
+        def perturbed(r, tail, leads=None):
+            pencil = build(r, tail, leads)
+            wrong = pencil.tail.copy()
+            i, j = np.argwhere(wrong != 0)[0]
+            wrong[i, j] *= 1 + 1e-6
+            return Pencil(pencil.lead, wrong, pencil.row_sizes, pencil.col_sizes)
+
+        monkeypatch.setattr(fiedler, "pencil_from_tail", perturbed)
+        code = main(["verify", rect_file, "--sigma", "CCICI"])
         out = capsys.readouterr().out
         assert code == 1
         assert json.loads(out.splitlines()[0])["verdict"] == "fail"
@@ -144,23 +154,25 @@ class TestVerifyCommand:
         path.write_text("{")
         assert main(["verify", str(path), "--all"]) == 2
 
-    def test_overflowing_instance_fails(self, tmp_path, overflowing_example, capsys):
-        # the residual scale overflows, which must fail the verdict rather
-        # than read as a zero residual
+    def test_overflowing_instance_fails(self, tmp_path, rng, capsys, monkeypatch):
+        # witnesses whose product overflows: the residual cannot be certified,
+        # which must fail the verdict rather than read as a zero residual
+        _overflowing_witnesses(monkeypatch)
         path = tmp_path / "big.json"
-        path.write_text(emit_rsmp(overflowing_example))
+        path.write_text(emit_rsmp(random_rsmp(rng, 2, 1, 2, 3, 2)))
         assert main(["verify", str(path), "--all"]) == 1
         records = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
         assert len(records) == 4
         assert all(rec["verdict"] == "fail" for rec in records)
 
-    def test_overflowing_record_is_strict_json(self, tmp_path, overflowing_example, capsys):
+    def test_overflowing_record_is_strict_json(self, tmp_path, rng, capsys, monkeypatch):
         # a non-finite residual is written as null, not as the token Infinity
         def reject(token):
             raise ValueError(f"non-standard JSON token {token}")
 
+        _overflowing_witnesses(monkeypatch)
         path = tmp_path / "big.json"
-        path.write_text(emit_rsmp(overflowing_example))
+        path.write_text(emit_rsmp(random_rsmp(rng, 2, 1, 2, 3, 2)))
         assert main(["verify", str(path), "--sigma", "CC"]) == 1
         (line,) = capsys.readouterr().out.splitlines()
         rec = json.loads(line, parse_constant=reject)
@@ -203,6 +215,12 @@ def test_non_finite_token_is_input_error(tmp_path, worked_example, capsys, token
     assert captured.err == f"error: instance: {token} is not a JSON number\n"
 
 
+def _overflowing_witnesses(monkeypatch):
+    """Make the CLI check its witnesses times 1e200, so that U L V overflows."""
+    stacks = equivalence._witness_stacks
+    monkeypatch.setattr(equivalence, "_witness_stacks", lambda *args: tuple(w * 1e200 for w in stacks(*args)))
+
+
 def _public_record(r, s, instance, trials=20, tol=1e-8, seed=0):
     """The report record of one decision string, from public calls alone, with an rng of its own."""
     rng = np.random.default_rng(seed)
@@ -241,18 +259,17 @@ class TestStreamMatchesPublicCalls:
         assert main(["verify", str(path), "--all"]) == (1 if failed else 0)
         assert capsys.readouterr().out == "".join(line + "\n" for line in want)
         if cell == "overflowing":
-            assert failed == len(want) and '"max_residual": null' in want[0]
+            # coefficients near 1e160: the certificate never multiplies two of them, so it reads exactly zero
+            assert failed == 0 and all('"max_residual": 0.0, "corollary_residual": 0.0' in line for line in want)
 
     def test_verify_all_across_chunks(self, tmp_path, capsys):
-        # 41 points on 24x24 pencils: three chunks per string, at one frame per shape
+        # --trials 41 on 24x24 pencils, at one frame per shape
         r = random_rsmp(np.random.default_rng(7), 3, 3, 3, 4, 4)
         path = tmp_path / "inst.json"
         path.write_text(emit_rsmp(r))
         r = parse_rsmp(path.read_text())
         instance = {"file": str(path), "n": r.n, "p": r.p, "m": r.m, "d_A": r.d_a, "d_D": r.d_d}
         want = [_public_record(r, s, instance, trials=41) for s in all_decision_strings(r.degree)]
-        shapes = [(rec["rows"], rec["cols"]) for rec in map(json.loads, want)]
-        assert all(41 > 2 * equivalence._chunk_points(*shape) for shape in shapes)
         failed = sum('"verdict": "fail"' in line for line in want)
         assert main(["verify", str(path), "--all", "--trials", "41"]) == (1 if failed else 0)
         assert capsys.readouterr().out == "".join(line + "\n" for line in want)

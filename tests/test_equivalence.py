@@ -7,21 +7,20 @@ from rosenpencil import (
     DimensionError,
     EquivalenceReport,
     MatrixPolynomial,
+    Rsmp,
     SigmaSeq,
     all_decision_strings,
     build_h_sequence,
     build_n_sequence,
     build_w_sequence,
     fiedler_pencil_rect,
-    is_unimodular,
     linearization_with_witnesses,
-    system_equivalence_check,
     unimodular_pair,
     verify_theorem,
 )
 from rosenpencil.blocks import Pencil, PolyBlockMatrix
 from rosenpencil import equivalence
-from rosenpencil.equivalence import _chunk_points, _mul
+from rosenpencil.equivalence import _mul
 from rosenpencil.sampling import random_rsmp
 
 
@@ -177,7 +176,9 @@ class TestUnimodularity:
         for s in all_decision_strings(4):
             for seq in (build_n_sequence(r, s), build_h_sequence(r, s)):
                 for w in seq:
-                    assert is_unimodular(w, points=6, rng=rng)
+                    dets = np.linalg.det(w.eval_stack(equivalence.sample_points(6, rng)))
+                    assert abs(dets[0]) > 1e-8
+                    assert np.all(np.abs(dets - dets[0]) <= 1e-8 * (1 + abs(dets[0])))
 
     def test_degree_one_rejected(self, rng):
         r = random_rsmp(rng, 1, 1, 1, 1, 1)
@@ -329,76 +330,13 @@ class TestVerify:
                 assert np.max(np.abs(got - w.eval(zh))) <= 1e-8 * max(1.0, np.max(np.abs(got)))
 
 
-class TestSystemEquivalence:
-    def test_identity_transforms(self, rng):
-        r = random_rsmp(rng, 2, 1, 3, 2, 2)
-        s_poly = r.assemble_s()
-        eye_n = PolyBlockMatrix(MatrixPolynomial.identity(2), (2,), (2,))
-        eye_p = PolyBlockMatrix(MatrixPolynomial.identity(1), (1,), (1,))
-        eye_m = PolyBlockMatrix(MatrixPolynomial.identity(3), (3,), (3,))
-        assert system_equivalence_check(s_poly, s_poly, (eye_n, eye_p, eye_n, eye_m), rng=rng)
-
-    def test_witness_data_recast_blockwise(self, rng):
-        # the final witnesses are block diagonal over (state, feedthrough)
-        # parts, so the equivalence is expressible in the two-by-two form
-        r = random_rsmp(rng, 2, 2, 1, 3, 2)
-        s = SigmaSeq("CI")
-        pencil, u, v = linearization_with_witnesses(r, s)
-        n_top = 3 * 2  # state side of the witnesses
-        rows, cols = pencil.shape
-
-        def cut(pbm, k):
-            top = PolyBlockMatrix(
-                MatrixPolynomial(pbm.poly.coeffs[:, :k, :k].copy()), (k,), (k,)
-            )
-            bot = PolyBlockMatrix(
-                MatrixPolynomial(pbm.poly.coeffs[:, k:, k:].copy()),
-                (pbm.shape[0] - k,),
-                (pbm.shape[1] - k,),
-            )
-            off1 = pbm.poly.coeffs[:, :k, k:]
-            off2 = pbm.poly.coeffs[:, k:, :k]
-            assert not np.any(off1) and not np.any(off2)
-            return top, bot
-
-        u1, u2 = cut(u, n_top)
-        v1, v2 = cut(v, n_top)
-        # target: the four-block reduced form, built coefficientwise
-        from rosenpencil.equivalence import _padding_sizes
-
-        ap, al = _padding_sizes(r, s)
-        deg = r.degree
-        n = r.n
-        coeffs = np.zeros((deg + 1, rows, cols), dtype=complex)
-        coeffs[0] = oracles.target_at(r, ap, al, 0.0)
-        for k in range(1, deg + 1):
-            coeffs[k][ap : ap + n, ap : ap + n] = r.A.coeff(k)
-            coeffs[k][ap + n + al :, ap + n + al :] = r.D.coeff(k)
-        target = MatrixPolynomial(coeffs)
-        assert system_equivalence_check(
-            pencil.as_matrix_polynomial(), target, (u1, u2, v1, v2), rng=rng
-        )
-
-    def test_non_unimodular_transform_fails_precheck(self, rng):
-        r = random_rsmp(rng, 2, 1, 3, 2, 2)
-        s_poly = r.assemble_s()
-        lam_eye = MatrixPolynomial(np.stack([np.zeros((2, 2)), np.eye(2)]))  # det = l^2
-        bad = PolyBlockMatrix(lam_eye, (2,), (2,))
-        eye_p = PolyBlockMatrix(MatrixPolynomial.identity(1), (1,), (1,))
-        eye_n = PolyBlockMatrix(MatrixPolynomial.identity(2), (2,), (2,))
-        eye_m = PolyBlockMatrix(MatrixPolynomial.identity(3), (3,), (3,))
-        assert not system_equivalence_check(s_poly, s_poly, (bad, eye_p, eye_n, eye_m), rng=rng)
-
-    def test_partition_mismatch(self, rng):
-        r = random_rsmp(rng, 2, 1, 3, 2, 2)
-        s_poly = r.assemble_s()
-        eye3 = PolyBlockMatrix(MatrixPolynomial.identity(3), (3,), (3,))
-        with pytest.raises(DimensionError):
-            system_equivalence_check(s_poly, s_poly, (eye3, eye3, eye3, eye3), rng=rng)
+def _scaled(w, c):
+    """The witness ``w`` times the scalar ``c``."""
+    return PolyBlockMatrix(MatrixPolynomial(w.poly.coeffs * c), w.row_sizes, w.col_sizes)
 
 
 class TestBatchedVerify:
-    """The chunked, stacked engine against the one-point-at-a-time reference."""
+    """The certificate against the one-point-at-a-time sampled reference and the double-loop certificate."""
 
     @staticmethod
     def assert_same_report(got, want):
@@ -438,12 +376,11 @@ class TestBatchedVerify:
                 assert np.array_equal(stack[k], obj.eval(z))
 
     def test_point_counts_across_chunk_boundaries(self, rng):
+        # the point count, which now feeds only the determinant fallback, changes no figure
         r = random_rsmp(rng, 3, 2, 3, 4, 3)
         s = SigmaSeq("CIC")
         pencil, u, v = linearization_with_witnesses(r, s)
-        chunk = _chunk_points(*pencil.shape)
-        assert 1 < chunk < 41  # so that the counts below straddle chunk boundaries
-        for points in (1, 41, chunk - 1, chunk, chunk + 1):
+        for points in (1, 41, 7, 8, 9):
             got = verify_theorem(r, s, pencil, u, v, points=points, rng=np.random.default_rng(points))
             want = oracles.verify_theorem_pointwise(
                 r, s, pencil, u, v, points=points, rng=np.random.default_rng(points)
@@ -460,8 +397,25 @@ class TestBatchedVerify:
         bad = Pencil(pencil.lead, tail, pencil.row_sizes, pencil.col_sizes)
         got = verify_theorem(r, s, bad, u, v, points=7, rng=np.random.default_rng(3))
         want = oracles.verify_theorem_pointwise(r, s, bad, u, v, points=7, rng=np.random.default_rng(3))
-        assert not got.verdict
-        self.assert_same_report(got, want)
+        assert not got.verdict and not want.verdict
+        reference = oracles.certificate_residual(r, s, bad, u, v)
+        assert reference > 1e-8
+        assert abs(got.max_residual - reference) <= 1e-12 * reference
+        assert got.corollary_residual == got.max_residual
+
+    def test_noisy_witnesses_match_the_double_loop_reference(self, rng):
+        # dense noise on U and V: U L V misses T everywhere, with and without cancellation
+        r = random_rsmp(rng, 2, 3, 1, 3, 2)
+        for s in all_decision_strings(r.degree):
+            pencil, u, v = linearization_with_witnesses(r, s)
+            u, v = (
+                PolyBlockMatrix(MatrixPolynomial(w.poly.coeffs + 1e-3 * rng.standard_normal(w.poly.coeffs.shape)),
+                                w.row_sizes, w.col_sizes)
+                for w in (u, v)
+            )
+            got = verify_theorem(r, s, pencil, u, v)
+            want = oracles.certificate_residual(r, s, pencil, u, v)
+            assert want > 1e-8 and abs(got.max_residual - want) <= 1e-12 * want
 
     def test_no_points_rejected(self, rng):
         r = random_rsmp(rng, 1, 1, 1, 2, 2)
@@ -501,29 +455,52 @@ class TestBlockResiduals:
             want = oracles.verify_theorem_pointwise(r, s, pencil, u, v, rng=np.random.default_rng(seed))
             TestBatchedVerify.assert_same_report(got, want)
             samples = equivalence._Samples(r, 20, np.random.default_rng(seed))
-            bare = equivalence._check_chunks(r, s, pencil, u.poly.coeffs, v.poly.coeffs, samples, 1e-8)
+            bare = equivalence._certify(r, s, pencil, u.poly.coeffs, v.poly.coeffs, samples, 1e-8)
             assert bare.block_residuals == {}
             assert bare == EquivalenceReport(
                 got.max_residual, got.corollary_residual, {}, got.u_unimodularity, got.v_unimodularity, got.tol
             )
 
-    def test_overflow_marks_every_block(self, overflowing_example):
-        r = overflowing_example
+    def test_worst_block_holds_the_figure(self, rng):
+        # one lead entry off by 1e-6 relative errs only above degree 0
+        r = random_rsmp(rng, 2, 1, 3, 4, 3)
+        for s in all_decision_strings(r.degree):
+            pencil, u, v = linearization_with_witnesses(r, s)
+            lead = pencil.lead.copy()
+            i, j = np.argwhere(lead != 0)[int(rng.integers(np.count_nonzero(lead)))]
+            lead[i, j] *= 1 + 1e-6
+            got = verify_theorem(r, s, Pencil(lead, pencil.tail, pencil.row_sizes, pencil.col_sizes), u, v)
+            assert got.max_residual >= 1e-7
+            assert max(got.block_residuals.values()) == got.max_residual
+
+    def test_overflow_marks_every_block(self, rng):
+        # witnesses whose products overflow: no residual can be certified, in any block
+        r = random_rsmp(rng, 2, 1, 3, 3, 2)
         s = next(all_decision_strings(r.degree))
         pencil, u, v = linearization_with_witnesses(r, s)
-        got = verify_theorem(r, s, pencil, u, v)
+        got = verify_theorem(r, s, pencil, _scaled(u, 1e200), _scaled(v, 1e200))
         assert got.block_residuals and all(x == np.inf for x in got.block_residuals.values())
 
 
 class TestNonFiniteResiduals:
-    def test_overflowing_instance_fails_every_string(self, overflowing_example):
+    def test_overflowing_instance_fails_every_string(self, rng):
+        # witnesses scaled by 1e200: U L V overflows, so the residual is infinite and the verdict fails
+        r = random_rsmp(rng, 1, 2, 2, 3, 3)
+        for s in all_decision_strings(3):
+            pencil, u, v = linearization_with_witnesses(r, s)
+            rep = verify_theorem(r, s, pencil, _scaled(u, 1e200), _scaled(v, 1e200))
+            assert not rep.verdict
+            assert rep.max_residual == np.inf
+            assert rep.corollary_residual == np.inf
+
+    def test_overflowing_fixture_certifies_exactly(self, overflowing_example):
+        # coefficients near 1e160: the certificate never multiplies two of them
         r = overflowing_example
         for s in all_decision_strings(3):
             pencil, u, v = linearization_with_witnesses(r, s)
             rep = verify_theorem(r, s, pencil, u, v)
-            assert not rep.verdict
-            assert rep.max_residual == np.inf
-            assert rep.corollary_residual == np.inf
+            assert rep.verdict
+            assert (rep.max_residual, rep.corollary_residual, rep.u_unimodularity, rep.v_unimodularity) == (0, 0, 0, 0)
 
     def test_non_finite_figure_fails_any_tolerance(self):
         for tol in (1e-8, np.inf):
@@ -617,7 +594,7 @@ class TestLaplaceDeterminant:
     def _check(r, s, u, v):
         pencil = fiedler_pencil_rect(r, s)
         samples = equivalence._Samples(r, 20, np.random.default_rng(7))
-        return equivalence._check_chunks(r, s, pencil, u, v, samples, 1e-8)
+        return equivalence._certify(r, s, pencil, u, v, samples, 1e-8)
 
     def test_figures_are_exactly_zero_on_recursion_witnesses(self, rng):
         r = random_rsmp(rng, 2, 3, 1, 4, 3)
@@ -635,6 +612,17 @@ class TestLaplaceDeterminant:
         rep = self._check(r, s, bad, v)
         assert 0.9e-9 <= rep.u_unimodularity <= 1.1e-9
         assert rep.v_unimodularity == 0.0
+
+    def test_varying_pivot_goes_to_the_points(self, rng):
+        # a pivot of lambda-dependent value: det U is not constant, which the degree-0 product alone would miss
+        r = random_rsmp(rng, 2, 3, 1, 4, 3)
+        s = SigmaSeq("CIC")
+        u, v = equivalence._witness_stacks(r, s, {})
+        plan = equivalence._det_plan(u)
+        bad = u.copy()
+        bad[1, plan.pivots[0][0], plan.pivots[1][0]] = 0.5
+        rep = self._check(r, s, bad, v)
+        assert rep.u_unimodularity >= 0.2 and not rep.verdict
 
     def test_non_triangular_unimodular_witness_goes_through_the_core(self, rng):
         r = random_rsmp(rng, 2, 3, 1, 4, 3)
@@ -660,3 +648,118 @@ class TestLaplaceDeterminant:
         for bad in (no_column, repeated_row):
             rep = self._check(r, s, bad, v)
             assert rep.u_unimodularity >= 0.5 and not rep.verdict
+
+    def test_points_are_drawn_only_for_a_witness_with_a_core(self, rng):
+        r = random_rsmp(rng, 2, 3, 1, 4, 3)
+        s = SigmaSeq("ICI")
+        pencil, u, v = linearization_with_witnesses(r, s)
+        untouched = np.random.default_rng(5).bit_generator.state
+        gen = np.random.default_rng(5)
+        verify_theorem(r, s, pencil, u, v, rng=gen)
+        assert gen.bit_generator.state == untouched
+        k = u.shape[0]
+        lower = np.tril(rng.integers(-2, 3, size=(k, k)), -1) + np.eye(k)
+        mixed = PolyBlockMatrix(MatrixPolynomial(u.poly.coeffs @ (lower @ lower.T)), u.row_sizes, u.col_sizes)
+        rep = verify_theorem(r, s, pencil, mixed, v, rng=gen)
+        assert gen.bit_generator.state != untouched
+        assert rep.u_unimodularity <= 1e-8 and rep.max_residual > 1e-8
+
+
+def _tail_mutated(pencil, rng, rel=1e-6):
+    """``pencil`` with one nonzero tail entry, picked by ``rng``, raised by ``rel`` relative."""
+    tail = pencil.tail.copy()
+    nonzero = np.argwhere(tail != 0)
+    i, j = nonzero[int(rng.integers(len(nonzero)))]
+    tail[i, j] *= 1 + rel
+    return Pencil(pencil.lead, tail, pencil.row_sizes, pencil.col_sizes)
+
+
+def _times(r, c):
+    """The system with A, B, C and D all multiplied by ``c``."""
+    return Rsmp(MatrixPolynomial(r.A.coeffs * c), r.B * c, r.C * c, MatrixPolynomial(r.D.coeffs * c), check_regular=False)
+
+
+_GRID = [(n, p, m, d_a, d_d) for n in (1, 2, 3) for p in (1, 2, 3) for m in (1, 2, 3)
+         for d_a in range(1, 6) for d_d in range(1, 6)]
+
+
+class TestCertificate:
+    """U L V = T coefficient by coefficient, against the componentwise scale |U| |L| |V|."""
+
+    def test_products_equal_targets_exactly(self):
+        # a seeded sample of the acceptance grid, integer and spread draws: the
+        # pencils and witnesses are operation-free, and U L V is T bit for bit
+        rng = np.random.default_rng(1501)
+        cells = [_GRID[k] for k in rng.choice(len(_GRID), size=30, replace=False)]
+        for draw in (random_rsmp, oracles.spread_rsmp):
+            for cell in cells:
+                r = draw(rng, *cell)
+                for s in all_decision_strings(r.degree):
+                    pencil, u, v = linearization_with_witnesses(r, s)
+                    lp = np.stack([-pencil.tail, pencil.lead])
+                    prod = oracles.poly_matmul(oracles.poly_matmul(u.poly.coeffs, lp), v.poly.coeffs)
+                    target = oracles.target_coeffs(r, *equivalence._padding_sizes(r, s))
+                    assert np.array_equal(prod[: len(target)], target), (cell, s.decisions)
+                    assert not prod[len(target) :].any(), (cell, s.decisions)
+                    rep = verify_theorem(r, s, pencil, u, v)
+                    assert rep.max_residual == rep.corollary_residual == 0.0, (cell, s.decisions)
+
+    def test_tail_mutation_fails_every_spread_instance(self):
+        # one nonzero tail entry raised by 1e-6 relative on 40 spread instances,
+        # an error far below what a normwise figure at sample points can see
+        rng = np.random.default_rng(11)
+        cells = [c for c in _GRID if max(c[3:]) >= 2]
+        for k in rng.choice(len(cells), size=40, replace=False):
+            r = oracles.spread_rsmp(rng, *cells[k])
+            strings = list(all_decision_strings(r.degree))
+            s = strings[int(rng.integers(len(strings)))]
+            pencil, u, v = linearization_with_witnesses(r, s)
+            rep = verify_theorem(r, s, _tail_mutated(pencil, rng), u, v)
+            assert not rep.verdict and rep.max_residual >= 1e-7, (cells[k], s.decisions, rep.max_residual)
+
+    @settings(derandomize=True, deadline=None, max_examples=150)
+    @given(
+        st.tuples(st.integers(1, 3), st.integers(1, 3), st.integers(1, 3)),
+        st.tuples(st.integers(1, 5), st.integers(1, 5)),
+        st.lists(st.sampled_from("CI"), min_size=4, max_size=4),
+        st.integers(-300, 300),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_passes_at_any_scale_and_catches_a_mutation(self, dims, degrees, decisions, exponent, seed):
+        rng = np.random.default_rng(seed)
+        r = _times(random_rsmp(rng, *dims, *degrees), 10.0**exponent)
+        s = SigmaSeq("".join(decisions[: r.degree - 1]))
+        pencil, u, v = linearization_with_witnesses(r, s)
+        rep = verify_theorem(r, s, pencil, u, v)
+        assert rep.verdict and rep.max_residual <= 1e-15 and rep.corollary_residual == rep.max_residual
+        bad = verify_theorem(r, s, _tail_mutated(pencil, rng), u, v)
+        assert not bad.verdict and bad.max_residual >= 1e-7
+
+    def test_assemble_s_is_the_permuted_middle_of_the_target(self, rng):
+        # the corollary form: T with the feedthrough padding's rows and columns
+        # moved last is blkdiag(I, S, I), coefficient by coefficient
+        for cell in [(2, 1, 3, 3, 2), (1, 2, 2, 2, 4), (3, 2, 1, 1, 1), (2, 2, 2, 4, 4)]:
+            r = random_rsmp(rng, *cell)
+            n, p, m = cell[:3]
+            for s in all_decision_strings(r.degree):
+                ap, al = equivalence._padding_sizes(r, s)
+                t = oracles.target_coeffs(r, ap, al)
+                rows = np.r_[0 : ap + n, ap + n + al : ap + n + al + p, ap + n : ap + n + al]
+                cols = np.r_[0 : ap + n, ap + n + al : ap + n + al + m, ap + n : ap + n + al]
+                want = np.zeros_like(t)
+                want[0, :ap, :ap] = np.eye(ap)
+                want[:, ap : ap + n + p, ap : ap + n + m] = r.assemble_s().coeffs
+                want[0, ap + n + p :, ap + n + m :] = np.eye(al)
+                assert np.array_equal(t[:, rows][:, :, cols], want), (cell, s.decisions)
+
+    def test_witnesses_short_of_the_target_degree_fail(self, rng):
+        # identity witnesses leave U L V of degree 1 under a degree-3 target: the
+        # coefficients of A and D above degree 1 sit over a zero scale
+        r = random_rsmp(rng, 2, 1, 2, 3, 3)
+        s = SigmaSeq("CI")
+        pencil = fiedler_pencil_rect(r, s)
+        u = PolyBlockMatrix(MatrixPolynomial.identity(pencil.shape[0]), pencil.row_sizes, pencil.row_sizes)
+        v = PolyBlockMatrix(MatrixPolynomial.identity(pencil.shape[1]), pencil.col_sizes, pencil.col_sizes)
+        rep = verify_theorem(r, s, pencil, u, v)
+        assert rep.max_residual == np.inf and not rep.verdict
+        assert rep.u_unimodularity == rep.v_unimodularity == 0.0

@@ -18,8 +18,10 @@ the same checkout), and SHA-256-hashes:
 - stdout, stderr and exit code of ``cli.main`` for ``verify FILE --all``
   over the instance files of the ``grid_verify`` and ``deep_verify``
   benchmark workloads at seeds 0 and 1, for ``verify FILE --all --trials
-  41`` over those of ``deep_verify`` at seed 0 (where every string's
-  points fill several chunks), and for the default ``fuzz --out FILE``,
+  41`` over those of ``deep_verify`` at seed 0 (a point count other than
+  the default, which must change no record: the points serve only a
+  witness determinant that the exact expansion does not make constant),
+  and for the default ``fuzz --out FILE``,
   with the file it writes;
 - the same for ``pencil FILE --sigma S`` over the instance files of both
   verify workloads at seed 0, with S the first, a middle and the last
