@@ -18,6 +18,16 @@ builders pass a fresh memo, and a caller that walks many decision strings
 of one system passes one memo for all of them and builds each prefix once.
 Grids are never changed after they are built, nor can their blocks be, so
 a memoised grid can be shared.
+
+A grid can carry the pivots of an exact Laplace expansion of its
+determinant, as one block column per block row: row i's pivot block is a
+constant +-I in block column ``piv[i]``, with no other nonzero in its
+rows once the later pivots' rows and columns are struck out.  A base grid
+gets them from its caller; ``insert`` extends them only while the claim
+goes on holding, that is while the inserted block row holds one cell, in
+the inserted column, and that cell is a constant +-I (the grid then has
+determinant +-1 times its predecessor's), and drops them otherwise.
+``pivot_indices`` turns them into the scalar indices of the assembled stack.
 """
 
 from __future__ import annotations
@@ -29,7 +39,7 @@ import numpy as np
 
 from .errors import DimensionError
 
-__all__ = ["Grid", "assemble", "eye", "insert", "schedule"]
+__all__ = ["Grid", "assemble", "eye", "insert", "neg_eye", "pivot_indices", "schedule"]
 
 
 def _freeze(blocks) -> None:
@@ -49,26 +59,35 @@ def _deg(blocks, deg: int = 0) -> int:
 class Grid:
     """One recursion step: ``cells[i][j]``, block (i, j), is a read-only coefficient stack or None."""
 
-    __slots__ = ("cells", "rsz", "csz", "a", "deg")
+    __slots__ = ("cells", "rsz", "csz", "a", "deg", "piv")
 
-    def __init__(self, cells, rsz, csz, a, deg):
+    def __init__(self, cells, rsz, csz, a, deg, piv=None):
         self.cells = cells
         self.rsz = list(rsz)
         self.csz = list(csz)
         self.a = a  # leading block rows, and block cols, belonging to the A side
         self.deg = deg  # the highest degree of a block
+        self.piv = piv  # the carried pivots' block columns, a tuple with one per block row, or None
 
     @classmethod
-    def base(cls, cells, rsz, csz) -> "Grid":
+    def base(cls, cells, rsz, csz, piv=None) -> "Grid":
         """A degree-1 grid, one block row and column per side; its blocks are marked read-only."""
         _freeze(block for row in cells for block in row)
-        return cls(cells, rsz, csz, 1, _deg(block for row in cells for block in row))
+        return cls(cells, rsz, csz, 1, _deg(block for row in cells for block in row), piv)
 
 
 @lru_cache(maxsize=256)
 def eye(k: int) -> np.ndarray:
     """The k-by-k identity as a read-only degree-0 stack, one shared per size."""
     out = np.eye(k, dtype=complex)[None]
+    out.setflags(write=False)
+    return out
+
+
+@lru_cache(maxsize=256)
+def neg_eye(k: int) -> np.ndarray:
+    """``-eye(k)``, read-only, one shared per size."""
+    out = -eye(k)
     out.setflags(write=False)
     return out
 
@@ -89,7 +108,36 @@ def insert(prev: Grid, at_row: int, at_col: int, size: int, extra, grown: bool) 
     _freeze(val for _, _, val in extra)
     rsz = prev.rsz[:at_row] + [size] + prev.rsz[at_row:]
     csz = prev.csz[:at_col] + [size] + prev.csz[at_col:]
-    return Grid(cells, rsz, csz, prev.a + grown, _deg((val for _, _, val in extra), prev.deg))
+    piv = _carry(prev, at_row, at_col, size, extra)
+    return Grid(cells, rsz, csz, prev.a + grown, _deg((val for _, _, val in extra), prev.deg), piv)
+
+
+def _carry(prev: Grid, at_row: int, at_col: int, size: int, extra):
+    """``prev``'s pivots moved past the inserted column, plus the inserted row's; None if the claim fails.
+
+    The claim: every ``extra`` cell lies in the inserted row or column, so
+    striking both out leaves ``prev``, and the inserted row holds exactly
+    one cell, in the inserted column, the shared read-only ``eye`` or
+    ``neg_eye`` of its size.
+    """
+    if prev.piv is None or any(rr != at_row and cc != at_col for rr, cc, _ in extra):
+        return None
+    row = [(cc, val) for rr, cc, val in extra if rr == at_row and val is not None]
+    if len(row) != 1 or row[0][0] != at_col or not (row[0][1] is eye(size) or row[0][1] is neg_eye(size)):
+        return None
+    piv = [c + (c >= at_col) for c in prev.piv]
+    piv.insert(at_row, at_col)
+    return tuple(piv)
+
+
+def pivot_indices(g: Grid, transpose: bool = False) -> tuple[np.ndarray, np.ndarray] | None:
+    """The (rows, cols) indices of ``g``'s carried pivots in ``assemble(g, transpose)``, or None if it carries none."""
+    if g.piv is None:
+        return None
+    cc = list(accumulate(g.csz, initial=0))
+    cols = np.array([c for size, j in zip(g.rsz, g.piv) for c in range(cc[j], cc[j] + size)])
+    rows = np.arange(len(cols))
+    return (cols, rows) if transpose else (rows, cols)
 
 
 def assemble(g: Grid, transpose: bool = False) -> np.ndarray:

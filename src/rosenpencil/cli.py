@@ -122,7 +122,9 @@ def _verify_instance(r: Rsmp, sigmas, instance: dict, trials: int, tol: float, s
     Recursion steps are built and checked once per decision prefix, so
     strings in lexicographic order walk the prefix trie depth first.  The
     witnesses are checked as the coefficient stacks the recursion
-    assembles, and strings of one pencil shape share one pencil lead.
+    assembles, with the determinant pivots their grids carry, in real
+    arithmetic when the instance is real; strings of one pencil shape
+    share one pencil lead.
     """
     memo, step_ok, leads = {}, {}, {}
     samples = equivalence._Samples(r, trials, np.random.default_rng(seed))
@@ -130,12 +132,12 @@ def _verify_instance(r: Rsmp, sigmas, instance: dict, trials: int, tol: float, s
         if r.degree >= 2:
             tail, sizes_ok, structure_ok = _checked_tail(r, s, memo, step_ok)
             pencil = fiedler.pencil_from_tail(r, tail, leads)
-            u, v = equivalence._witness_stacks(r, s, memo)
         else:
-            pencil, u, v = equivalence.linearization_with_witnesses(r, s)
-            u, v = u.poly.coeffs, v.poly.coeffs
+            pencil = fiedler.fiedler_pencil_rect(r, s)
             sizes_ok = structure_ok = True
-        report = equivalence._certify(r, s, pencil, u, v, samples, tol)
+        u, v = equivalence._witness_stacks(r, s, memo)
+        pivots = equivalence._witness_pivots(r, s, memo)
+        report = equivalence._certify(r, s, pencil, u, v, samples, tol, real=r.real, pivots=pivots)
         ok = report.verdict and sizes_ok and structure_ok
         yield RunReport(
             instance=instance,

@@ -16,24 +16,34 @@ coefficient stacks: U L V and the componentwise scale |U| |L| |V| are
 formed coefficient by coefficient, and the residual is the largest ratio
 of |U L V - T| to that scale.  The pencils and witnesses are
 operation-free (every entry is 0, +-1 or a coefficient entry), and on
-them the difference comes out exactly zero.  The determinants of U and V
-come from exact Laplace expansion along the rows with one structural
-nonzero, found once per witness from its coefficients: the recursion's
-witnesses leave nothing else and their pivots are constant +-1, so their
-determinant is one exact constant; any other witness has its
-determinant taken at random sample points, by the expansion and an LU of
-what is left.
+them the difference comes out exactly zero.  A real system's products
+are formed in float64, a complex one's in complex128, and near the float
+maximum the three factors are scaled by one power of two first.
+
+Each recursion step adds one block row that holds only a constant +-I,
+so det N = +-det of the previous step's N: unimodularity is a fact about
+the decision prefix.  The grids carry these pivots (``_gridops``), the
+claim is checked once per prefix, and the CLI gathers the pivots from
+the stacks it certifies: when they read exactly +-1 at degree 0 and zero
+above, det is +-1 and nothing else is computed.  Every other witness
+(``verify_theorem``'s, or a stack changed after assembly) gets an exact
+Laplace expansion along the rows with one structural nonzero, found from
+its coefficients (``_det_plan``): the recursion's witnesses leave nothing
+else and their pivots are constant +-1, so their determinant is one
+exact constant; any other witness has its determinant taken at random
+sample points, by the expansion and an LU of what is left.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
 
-from ._gridops import Grid, assemble, eye, insert, schedule
+from ._gridops import Grid, assemble, eye, insert, neg_eye, pivot_indices, schedule
 from .blocks import Pencil, PolyBlockMatrix
 from .errors import DimensionError
 from .polycore import MatrixPolynomial, horner_stack, varying_entries
@@ -83,8 +93,8 @@ def _mul(p: np.ndarray | None, q: np.ndarray) -> np.ndarray | None:
 
 
 def _n_base(r: Rsmp) -> Grid:
-    """The degree-1 left witness blkdiag(I_n, I_p), which every recursion grows."""
-    return Grid.base([[eye(r.n), None], [None, eye(r.p)]], [r.n, r.p], [r.n, r.p])
+    """The degree-1 left witness blkdiag(I_n, I_p), which every recursion grows; its two identities are the pivots."""
+    return Grid.base([[eye(r.n), None], [None, eye(r.p)]], [r.n, r.p], [r.n, r.p], (0, 1))
 
 
 def _n_step(g: Grid, consec: bool, r: Rsmp, i: int, state: bool) -> Grid:
@@ -110,7 +120,7 @@ def _n_step(g: Grid, consec: bool, r: Rsmp, i: int, state: bool) -> Grid:
     else:
         shift = (r.A if state else r.D).coeffs[i + 1 :]
         col = a + 1
-        extra = [(a, col, -eye(size))]
+        extra = [(a, col, neg_eye(size))]
         extra += [(k + 1, col, _mul(g.cells[k][a], shift)) for k in rows]
     return insert(g, a, col, size, extra, state)
 
@@ -149,11 +159,29 @@ def unimodular_pair(r: Rsmp, s: SigmaSeq) -> tuple[PolyBlockMatrix, PolyBlockMat
     return u, v
 
 
+def _final_grids(r: Rsmp, s: SigmaSeq, memo: dict) -> tuple[Grid, Grid]:
+    """The last grids of the recursions for U and (transposed) V; at degree 1 the base grids, identities."""
+    if r.degree == 1:
+        return _n_base(r), _n_base(r.transpose())
+    return _last_grid(r, s, memo), _last_grid(r.transpose(), s.flipped(), memo)
+
+
+def _last_grid(r: Rsmp, s: SigmaSeq, memo: dict) -> Grid:
+    """The grid after every decision of ``s``, looked up in ``memo`` under ``schedule``'s key, else scheduled."""
+    g = memo.get((r, _n_step, s.decisions)) if len(s) == r.degree - 1 else None
+    return _n_grids(r, s, memo)[-1] if g is None else g
+
+
 def _witness_stacks(r: Rsmp, s: SigmaSeq, memo: dict) -> tuple[np.ndarray, np.ndarray]:
-    """The coefficient stacks of ``unimodular_pair``, with both recursions kept in ``memo`` (see ``_gridops.schedule``)."""
-    u = assemble(_n_grids(r, s, memo)[-1])
-    v = assemble(_n_grids(r.transpose(), s.flipped(), memo)[-1], transpose=True)
-    return u, v
+    """The coefficient stacks of the witnesses of ``linearization_with_witnesses``, with both recursions kept in ``memo`` (see ``_gridops.schedule``)."""
+    gu, gv = _final_grids(r, s, memo)
+    return assemble(gu), assemble(gv, transpose=True)
+
+
+def _witness_pivots(r: Rsmp, s: SigmaSeq, memo: dict) -> tuple:
+    """The pivots the grids of ``_witness_stacks`` carry, as (rows, cols) of each stack, or None for a grid without."""
+    gu, gv = _final_grids(r, s, memo)
+    return pivot_indices(gu), pivot_indices(gv, transpose=True)
 
 
 def linearization_with_witnesses(r: Rsmp, s: SigmaSeq):
@@ -161,10 +189,8 @@ def linearization_with_witnesses(r: Rsmp, s: SigmaSeq):
     from .fiedler import fiedler_pencil_rect
 
     pencil = fiedler_pencil_rect(r, s)
-    if r.degree == 1:
-        # the base grids of the two witness recursions: blkdiag(I_n, I_p) and blkdiag(I_n, I_m)
-        return pencil, _grid_to_pbm(_n_base(r)), _grid_to_pbm(_n_base(r.transpose()), transpose=True)
-    return (pencil, *unimodular_pair(r, s))
+    gu, gv = _final_grids(r, s, {})
+    return pencil, _grid_to_pbm(gu), _grid_to_pbm(gv, transpose=True)
 
 
 # -- verification ------------------------------------------------------------
@@ -367,9 +393,13 @@ def verify_theorem(
     entry (Oettli-Prager), with 0/0 read as 0 and a nonzero over a zero
     scale as infinite; when a product or scale entry is not finite, no
     residual can be certified and every figure is infinite.  The
-    corollary's residual is the same number.  Unimodularity: each witness
-    is expanded exactly along its rows with one structural nonzero (one
-    plan per witness, from its coefficients' nonzero pattern); when
+    corollary's residual is the same number.  The products are formed in
+    float64 when neither the system nor the pencil nor a witness has an
+    imaginary part, else in complex128; near the float maximum the
+    factors are scaled by a power of two first (see ``_certify``).
+    Unimodularity: each witness is expanded exactly along its rows with
+    one structural nonzero (one plan per witness, from its coefficients'
+    nonzero pattern, since these witnesses carry no pivots); when
     nothing is left and no pivot varies with lambda, det is the constant
     product of the pivots, otherwise the determinants are taken at
     ``points`` random points drawn from ``rng``, with only the rows and
@@ -379,7 +409,21 @@ def verify_theorem(
     """
     rng = np.random.default_rng(0) if rng is None else rng
     samples = _Samples(r, points, rng)
-    return _certify(r, s, pencil, u.poly.coeffs, v.poly.coeffs, samples, tol, blocks=True)
+    uc, vc = u.poly.coeffs, v.poly.coeffs
+    real = r.real and not any(x.imag.any() for x in (uc, vc, pencil.lead, pencil.tail))
+    return _certify(r, s, pencil, uc, vc, samples, tol, blocks=True, real=real)
+
+
+# An entry of |U|, |L| or |V| above 2**_TOP_EXP scales the three factors down
+# (see ``_certify``): the scale |U| |L| |V| adds up terms that cancel in U L V,
+# so near the float maximum it overflows while the product does not.
+_TOP_EXP = 1000
+
+
+def _down_shift(*stacks: np.ndarray) -> int:
+    """The least s >= 0 for which 2**-s brings every entry of ``stacks``, all >= 0, below 2**_TOP_EXP."""
+    top = max(float(x.max()) for x in stacks)
+    return max(0, math.frexp(top)[1] - _TOP_EXP) if math.isfinite(top) else 0
 
 
 def _certify(
@@ -391,14 +435,24 @@ def _certify(
     samples: _Samples,
     tol: float,
     blocks: bool = False,
+    real: bool = False,
+    pivots: tuple = (None, None),
 ) -> EquivalenceReport:
     """The check of ``verify_theorem`` on the coefficient stacks ``u`` and ``v`` of the witnesses.
 
     The frame of the pencil's shape and, if a witness needs them, the
-    points come from ``samples``.  The worst residual per block of the
-    four-block target, an entrywise maximum over the coefficients, is
-    taken only when ``blocks`` asks for it (``verify_theorem``); the CLI's
-    records do not carry it.
+    points come from ``samples``.  ``real`` says that the system, the
+    pencil and both stacks have no imaginary part; the products are then
+    formed in float64, which gives the same figures where U L V is exact.
+    ``pivots`` holds the expansion pivots each stack's recursion grid
+    carries (see ``_unimodularity``), None for a stack without.  When an
+    entry of |U|, |L| or |V| is above 2**_TOP_EXP, all three factors are
+    multiplied by one power of two 2**-s and T by 2**-3s, which leaves
+    every ratio as it is (until a scaled entry falls below the normal
+    range) and keeps the scale from overflowing near the float maximum.
+    The worst residual per block of the four-block target, an entrywise
+    maximum over the coefficients, is taken only when ``blocks`` asks for
+    it (``verify_theorem``); the CLI's records do not carry it.
     """
     f = samples.frame(*_padding_sizes(r, s))
     rows, cols = f.rows, f.cols
@@ -408,25 +462,34 @@ def _certify(
             f"to the {rows}x{cols} target"
         )
     lp = np.stack([-pencil.tail, pencil.lead])
+    target, a, d = f.target, r.A.coeffs, r.D.coeffs
     # an overflowing product is reported as an infinite residual, not as a warning
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        u_dev, v_dev = _unimodularity(u, samples, pivots[0]), _unimodularity(v, samples, pivots[1])
+        if real:
+            u, v, lp, target, a, d = (np.ascontiguousarray(x.real) for x in (u, v, lp, target, a, d))
+        au, al, av = np.abs(u), np.abs(lp), np.abs(v)
+        shift = _down_shift(au, al, av)
+        if shift:
+            down = 2.0**-shift
+            u, lp, v, au, al, av = (x * down for x in (u, lp, v, au, al, av))
+            target, a, d = (x * down**3 for x in (target, a, d))
         prod = _mul(_mul(u, lp), v)
-        scale = _mul(_mul(np.abs(u), np.abs(lp)), np.abs(v))
+        scale = _mul(_mul(au, al), av)
         short = r.degree + 1 - len(prod)
         if short > 0:  # witnesses of too low a degree to reach the target's
             pad = np.zeros((short, rows, cols))
             prod, scale = np.concatenate([prod, pad]), np.concatenate([scale, pad])
         # prod becomes U L V minus the four-block target
-        prod[0] -= f.target
-        prod[: len(r.A.coeffs), f.state, f.state] -= r.A.coeffs
-        prod[: len(r.D.coeffs), f.feed_rows, f.feed_cols] -= r.D.coeffs
+        prod[0] -= target
+        prod[: len(a), f.state, f.state] -= a
+        prod[: len(d), f.feed_rows, f.feed_cols] -= d
         err = np.abs(prod)
         if np.isfinite(err.max()) and np.isfinite(scale.max()):
             ratio = np.divide(err, scale, out=np.zeros_like(err), where=err > 0)
         else:
             ratio = np.full_like(err, np.inf)
         residual = float(ratio.max())
-        u_dev, v_dev = _unimodularity(u, samples), _unimodularity(v, samples)
     return EquivalenceReport(
         max_residual=residual,
         corollary_residual=residual,
@@ -437,14 +500,24 @@ def _certify(
     )
 
 
-def _unimodularity(w: np.ndarray, samples: _Samples) -> float:
+def _unimodularity(w: np.ndarray, samples: _Samples, piv=None) -> float:
     """How far det W(lambda) is from one constant of modulus 1, for the coefficient stack ``w``.
 
-    The largest of | |det| - 1 | and |det - det_0| over the determinants
-    ``_dets`` takes: of the degree-0 coefficient alone when the plan
-    leaves no core and no pivot has a nonzero coefficient above degree 0,
-    so det is that constant, else at every point of ``samples``.
+    ``piv``, the (rows, cols) of the pivots that the recursion grid of
+    ``w`` carries, settles it at once when ``w`` holds them as its grid
+    did: every pivot entry exactly +-1 at degree 0 and zero above.  Then
+    det W is their signed product, exactly +-1, and the figure is 0.
+    Otherwise (no pivots, or a stack changed after assembly) ``_det_plan``
+    finds an expansion from the nonzero pattern of ``w``, and the figure
+    is the largest of | |det| - 1 | and |det - det_0| over the
+    determinants ``_dets`` takes: of the degree-0 coefficient alone when
+    the plan leaves no core and no pivot has a nonzero coefficient above
+    degree 0, so det is that constant, else at every point of ``samples``.
     """
+    if piv is not None:
+        at = w[:, piv[0], piv[1]]
+        if np.all((at[0] == 1) | (at[0] == -1)) and not at[1:].any():
+            return 0.0
     plan = _det_plan(w)
     if plan.core is None and not w[1:, plan.pivots[0], plan.pivots[1]].any():
         dets = _dets(w[:1], plan)

@@ -31,7 +31,7 @@ class Rsmp:
     to run.
     """
 
-    __slots__ = ("A", "B", "C", "D", "a_regular", "_transposed", "_s")
+    __slots__ = ("A", "B", "C", "D", "a_regular", "_real", "_transposed", "_s")
 
     def __init__(self, A: MatrixPolynomial, B, C, D: MatrixPolynomial, check_regular: bool = True):
         B = as_matrix(B)
@@ -49,7 +49,9 @@ class Rsmp:
         B.setflags(write=False)
         C.setflags(write=False)
         a_regular = is_regular(A) if check_regular else True
-        fields = {"A": A, "B": B, "C": C, "D": D, "a_regular": a_regular, "_transposed": None, "_s": None}
+        fields = {
+            "A": A, "B": B, "C": C, "D": D, "a_regular": a_regular, "_real": None, "_transposed": None, "_s": None,
+        }
         for name, value in fields.items():
             object.__setattr__(self, name, value)
         if not a_regular:
@@ -87,6 +89,16 @@ class Rsmp:
     def degree(self) -> int:
         return max(self.d_a, self.d_d)
 
+    @property
+    def real(self) -> bool:
+        """Whether no coefficient of A, B, C or D has an imaginary part; found at first use and kept, as is the transpose's."""
+        if self._real is None:
+            real = not (self.A.coeffs.imag.any() or self.B.imag.any() or self.C.imag.any() or self.D.coeffs.imag.any())
+            object.__setattr__(self, "_real", real)
+            if self._transposed is not None:
+                object.__setattr__(self._transposed, "_real", real)
+        return self._real
+
     def __repr__(self):
         return (
             f"Rsmp(n={self.n}, p={self.p}, m={self.m}, d_A={self.d_a}, d_D={self.d_d})"
@@ -101,6 +113,7 @@ class Rsmp:
         if self._transposed is None:
             t = Rsmp(_transpose(self.A), -self.C.T, -self.B.T, _transpose(self.D), check_regular=False)
             object.__setattr__(t, "a_regular", self.a_regular)
+            object.__setattr__(t, "_real", self._real)
             object.__setattr__(t, "_transposed", self)
             object.__setattr__(self, "_transposed", t)
         return self._transposed

@@ -246,10 +246,19 @@ class TestStreamMatchesPublicCalls:
     its report stream must be the per-string public calls' byte for byte."""
 
     @pytest.mark.parametrize(
-        "cell", [(2, 1, 2, 1, 1), (2, 2, 1, 4, 2), (1, 2, 2, 2, 4), (2, 1, 2, 3, 3), "overflowing"]
+        "cell",
+        [(2, 1, 2, 1, 1), (2, 2, 1, 4, 2), (1, 2, 2, 2, 4), (2, 1, 2, 3, 3), "overflowing"]
+        + [pytest.param(("spread", c), id=f"spread{k}")
+           for k, c in enumerate([(2, 1, 2, 1, 1), (2, 2, 1, 4, 2), (1, 2, 2, 2, 4), (3, 2, 3, 3, 3)])],
     )
     def test_verify_all(self, tmp_path, overflowing_example, capsys, cell):
-        drawn = overflowing_example if cell == "overflowing" else random_rsmp(np.random.default_rng(7), *cell)
+        # spread cells: complex coefficients over 1e-4..1e4, certified in complex arithmetic
+        if cell == "overflowing":
+            drawn = overflowing_example
+        elif cell[0] == "spread":
+            drawn = oracles.spread_rsmp(np.random.default_rng(7), *cell[1])
+        else:
+            drawn = random_rsmp(np.random.default_rng(7), *cell)
         path = tmp_path / "inst.json"
         path.write_text(emit_rsmp(drawn))
         r = parse_rsmp(path.read_text())
@@ -261,6 +270,43 @@ class TestStreamMatchesPublicCalls:
         if cell == "overflowing":
             # coefficients near 1e160: the certificate never multiplies two of them, so it reads exactly zero
             assert failed == 0 and all('"max_residual": 0.0, "corollary_residual": 0.0' in line for line in want)
+
+    def test_one_complex_entry_takes_the_complex_path(self, tmp_path, capsys, monkeypatch):
+        # a real instance's certificate multiplies in float64 only; one complex
+        # entry in B sends U L V to complex128 (|U| |L| |V| stays float64), with
+        # the records of the public calls either way
+        mul, certify = equivalence._mul, equivalence._certify
+        dtypes, inside = set(), []
+
+        def certify_spy(*args, **kwargs):
+            inside.append(True)
+            try:
+                return certify(*args, **kwargs)
+            finally:
+                inside.pop()
+
+        def mul_spy(p, q):
+            if inside:
+                dtypes.add(np.result_type(p, q))
+            return mul(p, q)
+
+        monkeypatch.setattr(equivalence, "_certify", certify_spy)
+        monkeypatch.setattr(equivalence, "_mul", mul_spy)
+        real = random_rsmp(np.random.default_rng(7), 2, 2, 1, 4, 2)
+        b = real.B.copy()
+        b[1, 0] += 0.5j
+        mixed = Rsmp(real.A, b, real.C, real.D)
+        for drawn, want_dtypes in ((real, {np.dtype(float)}), (mixed, {np.dtype(float), np.dtype(complex)})):
+            path = tmp_path / "inst.json"
+            path.write_text(emit_rsmp(drawn))
+            r = parse_rsmp(path.read_text())
+            assert r.real == (drawn is real) and r.transpose().real == r.real
+            instance = {"file": str(path), "n": r.n, "p": r.p, "m": r.m, "d_A": r.d_a, "d_D": r.d_d}
+            dtypes.clear()
+            assert main(["verify", str(path), "--all"]) == 0
+            assert dtypes == want_dtypes
+            want = [_public_record(r, s, instance) for s in all_decision_strings(r.degree)]
+            assert capsys.readouterr().out == "".join(line + "\n" for line in want)
 
     def test_verify_all_across_chunks(self, tmp_path, capsys):
         # --trials 41 on 24x24 pencils, at one frame per shape
@@ -312,6 +358,22 @@ class TestPerStringWork:
         every = constructions("--all")
         capsys.readouterr()
         assert every == one
+
+
+    def test_recursion_witnesses_need_no_determinant_plan(self, tmp_path, capsys, monkeypatch):
+        # the pivots their grids carry settle det U and det V, at every degree
+        def no_plan(stack):
+            raise AssertionError("_det_plan ran")
+
+        monkeypatch.setattr(equivalence, "_det_plan", no_plan)
+        rng = np.random.default_rng(12)
+        for k, draw in enumerate((random_rsmp, oracles.spread_rsmp)):
+            for cell in [(2, 1, 2, 1, 1), (3, 2, 1, 5, 3), (1, 3, 2, 2, 6)]:
+                path = tmp_path / f"inst{k}.json"
+                path.write_text(emit_rsmp(draw(rng, *cell)))
+                assert main(["verify", str(path), "--all"]) == 0
+        assert main(["fuzz", "--max-dim", "2", "--max-deg", "3", "--out", str(tmp_path / "fuzz.jsonl")]) == 0
+        capsys.readouterr()
 
 
 _NUM = r"(?:\d+(?:\.\d*)?(?:e[-+]\d+)?)"

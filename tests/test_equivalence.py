@@ -20,6 +20,7 @@ from rosenpencil import (
 )
 from rosenpencil.blocks import Pencil, PolyBlockMatrix
 from rosenpencil import equivalence
+from rosenpencil._gridops import eye, insert, neg_eye, pivot_indices
 from rosenpencil.equivalence import _mul
 from rosenpencil.sampling import random_rsmp
 
@@ -665,6 +666,78 @@ class TestLaplaceDeterminant:
         assert rep.u_unimodularity <= 1e-8 and rep.max_residual > 1e-8
 
 
+class TestCarriedPivots:
+    """The pivots the witness grids carry per decision prefix, against the ``_det_plan``/``_dets`` oracle."""
+
+    _DEEP = [(3, 3, 3, 7, 7), (2, 2, 2, 7, 7), (3, 2, 1, 7, 3), (3, 1, 2, 7, 5),
+             (1, 2, 3, 7, 1), (2, 3, 1, 2, 7), (2, 3, 3, 4, 7), (1, 3, 3, 1, 7)]
+
+    def test_carried_figures_match_the_expansion_oracle(self, monkeypatch):
+        # every witness of the acceptance grid under both draws and of the
+        # eight deep cells: the carried pivots are the oracle's expansion
+        # pivots, and the carried figure, taken with _det_plan forbidden, is
+        # the oracle's
+        rng = np.random.default_rng(1601)
+        plan = equivalence._det_plan
+        samples = equivalence._Samples(random_rsmp(rng, 1, 1, 1, 1, 1), 5, rng)
+        checked = 0
+        for draw in (random_rsmp, oracles.spread_rsmp):
+            for cell in _GRID + self._DEEP:
+                r = draw(rng, *cell)
+                memo = {}
+                for s in all_decision_strings(r.degree):
+                    stacks = equivalence._witness_stacks(r, s, memo)
+                    for w, piv in zip(stacks, equivalence._witness_pivots(r, s, memo)):
+                        monkeypatch.setattr(equivalence, "_det_plan", None)
+                        carried = equivalence._unimodularity(w, samples, piv)
+                        monkeypatch.setattr(equivalence, "_det_plan", plan)
+                        assert carried == equivalence._unimodularity(w, samples) == 0.0, (cell, s.decisions)
+                        want = plan(w).pivots
+                        assert set(zip(*piv)) == set(zip(*want)), (cell, s.decisions)
+                        checked += 1
+        assert checked == 2 * 2 * (6129 + sum(2 ** (max(c[3:]) - 1) for c in self._DEEP))
+
+    def test_pivot_scaled_after_assembly_falls_back(self, rng):
+        # the stack no longer holds +-1 where its grid put the pivot: the check
+        # takes the expansion from the stack, as verify_theorem does
+        r = random_rsmp(rng, 2, 3, 1, 4, 3)
+        s = SigmaSeq("ICC")
+        memo = {}
+        u, v = equivalence._witness_stacks(r, s, memo)
+        piv_u, piv_v = equivalence._witness_pivots(r, s, memo)
+        bad = u.copy()
+        bad[0, piv_u[0][4], piv_u[1][4]] *= 1 + 1e-9
+        pencil, pu, pv = linearization_with_witnesses(r, s)
+        samples = equivalence._Samples(r, 20, np.random.default_rng(7))
+        got = equivalence._certify(r, s, pencil, bad, v, samples, 1e-8, real=True, pivots=(piv_u, piv_v))
+        wrapped = PolyBlockMatrix(MatrixPolynomial(bad), pu.row_sizes, pu.col_sizes)
+        want = verify_theorem(r, s, pencil, wrapped, pv, rng=np.random.default_rng(7))
+        assert 0.9e-9 <= got.u_unimodularity == want.u_unimodularity <= 1.1e-9
+        assert got.v_unimodularity == want.v_unimodularity == 0.0
+        assert got.max_residual == want.max_residual
+        # a pivot that varies with lambda: det V is no constant, seen at the points
+        varying = v.copy()
+        varying[1, piv_v[0][2], piv_v[1][2]] = 0.5
+        got = equivalence._certify(r, s, pencil, u, varying, samples, 1e-8, real=True, pivots=(piv_u, piv_v))
+        wrapped = PolyBlockMatrix(MatrixPolynomial(varying), pv.row_sizes, pv.col_sizes)
+        want = verify_theorem(r, s, pencil, pu, wrapped, rng=np.random.default_rng(7))
+        assert got.v_unimodularity == want.v_unimodularity >= 0.2 and not got.verdict
+
+    def test_a_step_without_a_unit_pivot_row_drops_the_pivots(self, rng):
+        # an inserted row whose one cell is not the shared +-I breaks the claim
+        # for that grid and every grid grown from it
+        r = random_rsmp(rng, 2, 1, 2, 3, 2)
+        g = equivalence._n_base(r)
+        assert g.piv == (0, 1)
+        kept = insert(g, 0, 0, 2, [(0, 0, neg_eye(2))], True)
+        assert kept.piv == (0, 1, 2)
+        for extra in ([(0, 0, eye(2) * 2.0)], [(0, 1, eye(2))], [(0, 0, eye(2)), (0, 1, eye(2))],
+                      [(0, 0, eye(2)), (1, 1, eye(2))]):
+            lost = insert(g, 0, 0, 2, extra, True)
+            assert lost.piv is None and pivot_indices(lost) is None
+            assert insert(lost, 0, 0, 2, [(0, 0, eye(2))], True).piv is None
+
+
 def _tail_mutated(pencil, rng, rel=1e-6):
     """``pencil`` with one nonzero tail entry, picked by ``rng``, raised by ``rel`` relative."""
     tail = pencil.tail.copy()
@@ -717,23 +790,46 @@ class TestCertificate:
             rep = verify_theorem(r, s, _tail_mutated(pencil, rng), u, v)
             assert not rep.verdict and rep.max_residual >= 1e-7, (cells[k], s.decisions, rep.max_residual)
 
-    @settings(derandomize=True, deadline=None, max_examples=150)
+    @settings(derandomize=True, deadline=None, max_examples=300)
     @given(
         st.tuples(st.integers(1, 3), st.integers(1, 3), st.integers(1, 3)),
         st.tuples(st.integers(1, 5), st.integers(1, 5)),
         st.lists(st.sampled_from("CI"), min_size=4, max_size=4),
-        st.integers(-300, 300),
+        st.one_of(st.integers(-300, 300).map(lambda e: 10.0**e), st.sampled_from([1e307, 1.7e308])),
         st.integers(0, 2**32 - 1),
     )
-    def test_passes_at_any_scale_and_catches_a_mutation(self, dims, degrees, decisions, exponent, seed):
+    def test_passes_at_any_scale_and_catches_a_mutation(self, dims, degrees, decisions, scale, seed):
+        # ``scale`` is the largest entry's magnitude; near the float maximum the
+        # scale |U| |L| |V| overflows unless the factors are scaled down first
         rng = np.random.default_rng(seed)
-        r = _times(random_rsmp(rng, *dims, *degrees), 10.0**exponent)
+        r = random_rsmp(rng, *dims, *degrees)
+        largest = max(np.abs(x).max() for x in (r.A.coeffs, r.B, r.C, r.D.coeffs))
+        r = _times(r, scale / largest)
         s = SigmaSeq("".join(decisions[: r.degree - 1]))
         pencil, u, v = linearization_with_witnesses(r, s)
         rep = verify_theorem(r, s, pencil, u, v)
         assert rep.verdict and rep.max_residual <= 1e-15 and rep.corollary_residual == rep.max_residual
         bad = verify_theorem(r, s, _tail_mutated(pencil, rng), u, v)
         assert not bad.verdict and bad.max_residual >= 1e-7
+
+    def test_imaginary_part_of_a_foreign_factor_is_seen(self, rng):
+        # a real instance whose pencil or witness gains a small imaginary part:
+        # verify_theorem must not take the real path, which would drop it
+        r = random_rsmp(rng, 2, 2, 1, 3, 2)
+        for s in all_decision_strings(r.degree):
+            pencil, u, v = linearization_with_witnesses(r, s)
+            tail = pencil.tail.copy()
+            i, j = np.argwhere(tail != 0)[0]
+            tail[i, j] += 1e-6j * tail[i, j]
+            coeffs = u.poly.coeffs.copy()
+            i, j = np.argwhere(coeffs[0] != 0)[-1]
+            coeffs[0, i, j] += 1e-6j * coeffs[0, i, j]
+            for args in (
+                (Pencil(pencil.lead, tail, pencil.row_sizes, pencil.col_sizes), u, v),
+                (pencil, PolyBlockMatrix(MatrixPolynomial(coeffs), u.row_sizes, u.col_sizes), v),
+            ):
+                rep = verify_theorem(r, s, *args)
+                assert not rep.verdict and rep.max_residual >= 1e-7, s.decisions
 
     def test_assemble_s_is_the_permuted_middle_of_the_target(self, rng):
         # the corollary form: T with the feedthrough padding's rows and columns

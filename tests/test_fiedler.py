@@ -438,6 +438,15 @@ class TestPrefixMemo:
         for block in blocks:
             with pytest.raises(ValueError, match="read-only"):
                 block[0, 0, 0] += 1.0
+        # the N and H grids carry their expansion pivots, one block column per
+        # block row, as tuples, which cannot be written either; W carries none
+        for (system, step, _), g in memo.items():
+            if step is fiedler._w_step:
+                assert g.piv is None
+            else:
+                assert isinstance(g.piv, tuple) and len(g.piv) == len(g.rsz)
+                with pytest.raises(TypeError):
+                    g.piv[0] = 0
 
     @pytest.mark.parametrize(
         "build", [build_w_sequence, build_n_sequence, build_h_sequence, unimodular_pair, fiedler_pencil_rect]

@@ -21,8 +21,11 @@ the same checkout), and SHA-256-hashes:
   41`` over those of ``deep_verify`` at seed 0 (a point count other than
   the default, which must change no record: the points serve only a
   witness determinant that the exact expansion does not make constant),
-  and for the default ``fuzz --out FILE``,
-  with the file it writes;
+  over ``oracles.spread_rsmp`` instances (seed 90212: complex coefficients
+  over 1e-4..1e4) on the cells of both workloads at seed 0, which the
+  certificate multiplies in complex arithmetic where the integer
+  instances take real arithmetic, and for the default ``fuzz --out
+  FILE``, with the file it writes;
 - the same for ``pencil FILE --sigma S`` over the instance files of both
   verify workloads at seed 0, with S the first, a middle and the last
   decision string of the instance's degree;
@@ -63,6 +66,7 @@ CLI_RUNS = [
     ("deep_verify", 0, ("--trials", "41")),
 ]
 EIG_SEEDS = (0, 1)
+SPREAD_SEED = 90212
 
 
 def _feed(h, out) -> None:
@@ -150,8 +154,13 @@ def _sample_sigmas(degree: int) -> list[str]:
 
 
 def _cli_digests(checkout: Path, digests: dict, streams: dict) -> None:
-    import workloads
+    import numpy as np
 
+    import oracles
+    import workloads
+    from rosenpencil import emit_rsmp
+
+    spread_cells = []
     # relative instance paths, so the records, which name the file, match across checkouts
     with tempfile.TemporaryDirectory() as tmp:
         os.chdir(tmp)
@@ -170,11 +179,26 @@ def _cli_digests(checkout: Path, digests: dict, streams: dict) -> None:
             digests[key] = h.hexdigest()
             streams[key] = "".join(records)
             if not flags and seed == 0:
+                spread_cells += [op.cell for op in ops]
                 h = hashlib.sha256()
                 for op in ops:
                     for sigma in _sample_sigmas(max(op.cell[3:])):
                         _feed(h, _run_cli(["pencil", op.path, "--sigma", sigma]))
                 digests[f"cli/pencil --sigma/{name} seed {seed}"] = h.hexdigest()
+        work = Path("spread")
+        work.mkdir()
+        rng = np.random.default_rng(SPREAD_SEED)
+        h = hashlib.sha256()
+        records = []
+        for k, cell in enumerate(spread_cells):
+            path = work / f"{k:04d}.json"
+            path.write_text(emit_rsmp(oracles.spread_rsmp(rng, *cell)), encoding="utf-8")
+            result = _run_cli(["verify", str(path), "--all"])
+            _feed(h, result)
+            records.append(result[1])
+        key = "cli/verify --all/spread_rsmp on the grid_verify and deep_verify cells of seed 0"
+        digests[key] = h.hexdigest()
+        streams[key] = "".join(records)
         for seed in EIG_SEEDS:
             work = Path(f"spectra-{seed}")
             blocks, cells = workloads.plan("spectra", seed, checkout, work)
