@@ -12,13 +12,16 @@ elements U and V satisfy, for the pencil L of the same decision sequence,
 with the identity paddings sized (d_A - 1)n and p*c0 + m*i0 (counts over
 the decisions that grew the feedthrough side).  All witnesses are
 unimodular with determinant +-1.  Verification is a certificate on
-coefficient stacks: U L V and the componentwise scale |U| |L| |V| are
-formed coefficient by coefficient, and the residual is the largest ratio
-of |U L V - T| to that scale.  The pencils and witnesses are
+coefficient stacks: U L V is formed coefficient by coefficient, and the
+residual is the largest ratio of |U L V - T| to the componentwise scale
+|U| |L| |V| (Oettli-Prager).  The pencils and witnesses are
 operation-free (every entry is 0, +-1 or a coefficient entry), and on
-them the difference comes out exactly zero.  A real system's products
-are formed in float64, a complex one's in complex128, and near the float
-maximum the three factors are scaled by one power of two first.
+them the difference comes out exactly zero; then every ratio is 0/0,
+read as 0, and the scale is formed only if a bound from the largest
+entries of |U|, |L| and |V| cannot prove it finite (``_certify``).  A
+real system's products are formed in float64, a complex one's in
+complex128, and near the float maximum each factor is scaled by a power
+of two of its own first.
 
 Each recursion step adds one block row that holds only a constant +-I,
 so det N = +-det of the previous step's N: unimodularity is a fact about
@@ -385,18 +388,20 @@ def verify_theorem(
 ) -> EquivalenceReport:
     """Certify that U L V equals the padded system matrix, coefficient by coefficient.
 
-    U L V is formed as a coefficient stack, and so is the componentwise
-    scale |U| |L| |V| from the absolute values; the four-block target T
+    U L V is formed as a coefficient stack, and the four-block target T
     is subtracted at each degree (identity paddings, -B and C at degree 0,
     the coefficients of A and D in their blocks).  The residual is the
     largest ratio |U L V - T| / (|U| |L| |V|) over every coefficient and
     entry (Oettli-Prager), with 0/0 read as 0 and a nonzero over a zero
     scale as infinite; when a product or scale entry is not finite, no
-    residual can be certified and every figure is infinite.  The
-    corollary's residual is the same number.  The products are formed in
-    float64 when neither the system nor the pencil nor a witness has an
-    imaginary part, else in complex128; near the float maximum the
-    factors are scaled by a power of two first (see ``_certify``).
+    residual can be certified and every figure is infinite.  The scale
+    is formed from the absolute values only when the difference is not
+    exactly zero or cannot be shown to stay finite; an exactly zero
+    difference under a provably finite scale reads 0 (see ``_certify``).
+    The corollary's residual is the same number.  The products are formed
+    in float64 when neither the system nor the pencil nor a witness has
+    an imaginary part, else in complex128; near the float maximum each
+    factor is scaled by a power of two of its own first.
     Unimodularity: each witness is expanded exactly along its rows with
     one structural nonzero (one plan per witness, from its coefficients'
     nonzero pattern, since these witnesses carry no pivots); when
@@ -414,16 +419,41 @@ def verify_theorem(
     return _certify(r, s, pencil, uc, vc, samples, tol, blocks=True, real=real)
 
 
-# An entry of |U|, |L| or |V| above 2**_TOP_EXP scales the three factors down
-# (see ``_certify``): the scale |U| |L| |V| adds up terms that cancel in U L V,
-# so near the float maximum it overflows while the product does not.
+# An entry of |U|, |L| or |V| above 2**_TOP_EXP scales that factor down (see
+# ``_certify``): the scale |U| |L| |V| adds up terms that cancel in U L V, so
+# near the float maximum it overflows while the product does not.
 _TOP_EXP = 1000
+# The scale is skipped on an exactly zero difference only when its entries
+# are provably below 2**(1024 - _SCALE_MARGIN): the margin absorbs rounding.
+_SCALE_MARGIN = 2
 
 
-def _down_shift(*stacks: np.ndarray) -> int:
-    """The least s >= 0 for which 2**-s brings every entry of ``stacks``, all >= 0, below 2**_TOP_EXP."""
-    top = max(float(x.max()) for x in stacks)
+def _top(x: np.ndarray) -> float:
+    """The largest magnitude of an entry of ``x`` (NaN if there is one); a real ``x`` needs no array of magnitudes."""
+    if x.dtype.kind == "f":
+        return float(np.maximum(x.max(), -x.min()))
+    return float(np.abs(x).max())
+
+
+def _down_shift(top: float) -> int:
+    """The least s >= 0 for which 2**-s brings ``top``, a largest magnitude, below 2**_TOP_EXP; 0 if it is not finite."""
     return max(0, math.frexp(top)[1] - _TOP_EXP) if math.isfinite(top) else 0
+
+
+def _scale_is_finite(tops: list[float], shifts: list[int], terms: int) -> bool:
+    """Whether every entry of the scale |U| |L| |V| is provably finite, from the factors' largest magnitudes alone.
+
+    ``tops`` are the largest magnitudes of |U|, |L| and |V| before the
+    shifts 2**-``shifts``; ``terms`` bounds the number of products summed
+    into one scale entry.  With e the frexp exponents of the shifted
+    maxima (each maximum is below 2**e), every entry of the scale, and of
+    the partial product |U| |L|, is below 2**(sum of max(e, 0) +
+    bit_length(terms)); the margin covers the rounding of the sums.
+    """
+    if not all(math.isfinite(t) for t in tops):
+        return False
+    bits = sum(max(0, math.frexp(t)[1] - k) for t, k in zip(tops, shifts))
+    return bits + terms.bit_length() < 1024 - _SCALE_MARGIN
 
 
 def _certify(
@@ -445,14 +475,22 @@ def _certify(
     pencil and both stacks have no imaginary part; the products are then
     formed in float64, which gives the same figures where U L V is exact.
     ``pivots`` holds the expansion pivots each stack's recursion grid
-    carries (see ``_unimodularity``), None for a stack without.  When an
-    entry of |U|, |L| or |V| is above 2**_TOP_EXP, all three factors are
-    multiplied by one power of two 2**-s and T by 2**-3s, which leaves
-    every ratio as it is (until a scaled entry falls below the normal
-    range) and keeps the scale from overflowing near the float maximum.
-    The worst residual per block of the four-block target, an entrywise
-    maximum over the coefficients, is taken only when ``blocks`` asks for
-    it (``verify_theorem``); the CLI's records do not carry it.
+    carries (see ``_unimodularity``), None for a stack without.  Each
+    factor with an entry of magnitude above 2**_TOP_EXP is multiplied by
+    a power of two of its own, U by 2**-s_U, L by 2**-s_L and V by
+    2**-s_V, and T, A and D by 2**-(s_U + s_L + s_V); this leaves every
+    ratio as it is (until a scaled entry falls below the normal range)
+    and keeps the scale from overflowing near the float maximum, while a
+    factor of modest entries keeps its small terms in the normal range.
+    The scale |U| |L| |V| is formed only when it can change a figure: when
+    U L V - T is exactly zero (a NaN counts as nonzero) and
+    ``_scale_is_finite`` proves every scale entry finite from the shifted
+    maxima of the three factors, every ratio is 0/0, read as 0, and the
+    scale is skipped; otherwise it is formed and divided into the
+    difference.  The worst residual per block of the four-block target,
+    an entrywise maximum over the coefficients, is taken only when
+    ``blocks`` asks for it (``verify_theorem``); the CLI's records do not
+    carry it.
     """
     f = samples.frame(*_padding_sizes(r, s))
     rows, cols = f.rows, f.cols
@@ -468,32 +506,36 @@ def _certify(
         u_dev, v_dev = _unimodularity(u, samples, pivots[0]), _unimodularity(v, samples, pivots[1])
         if real:
             u, v, lp, target, a, d = (np.ascontiguousarray(x.real) for x in (u, v, lp, target, a, d))
-        au, al, av = np.abs(u), np.abs(lp), np.abs(v)
-        shift = _down_shift(au, al, av)
-        if shift:
-            down = 2.0**-shift
-            u, lp, v, au, al, av = (x * down for x in (u, lp, v, au, al, av))
-            target, a, d = (x * down**3 for x in (target, a, d))
+        tops = [_top(x) for x in (u, lp, v)]
+        shifts = [_down_shift(t) for t in tops]
+        if any(shifts):
+            u, lp, v = (x * 2.0**-k for x, k in zip((u, lp, v), shifts))
+            target, a, d = (x * 2.0 ** -sum(shifts) for x in (target, a, d))
         prod = _mul(_mul(u, lp), v)
-        scale = _mul(_mul(au, al), av)
         short = r.degree + 1 - len(prod)
         if short > 0:  # witnesses of too low a degree to reach the target's
-            pad = np.zeros((short, rows, cols))
-            prod, scale = np.concatenate([prod, pad]), np.concatenate([scale, pad])
+            prod = np.concatenate([prod, np.zeros((short, rows, cols))])
         # prod becomes U L V minus the four-block target
         prod[0] -= target
         prod[: len(a), f.state, f.state] -= a
         prod[: len(d), f.feed_rows, f.feed_cols] -= d
-        err = np.abs(prod)
-        if np.isfinite(err.max()) and np.isfinite(scale.max()):
-            ratio = np.divide(err, scale, out=np.zeros_like(err), where=err > 0)
+        if not prod.any() and _scale_is_finite(tops, shifts, len(u) * len(lp) * len(v) * rows * cols):
+            worst = np.zeros((rows, cols))
         else:
-            ratio = np.full_like(err, np.inf)
-        residual = float(ratio.max())
+            scale = _mul(_mul(np.abs(u), np.abs(lp)), np.abs(v))
+            if short > 0:
+                scale = np.concatenate([scale, np.zeros((short, rows, cols))])
+            err = np.abs(prod)
+            if np.isfinite(err.max()) and np.isfinite(scale.max()):
+                ratio = np.divide(err, scale, out=np.zeros_like(err), where=err > 0)
+            else:
+                ratio = np.full_like(err, np.inf)
+            worst = ratio.max(axis=0)
+        residual = float(worst.max())
     return EquivalenceReport(
         max_residual=residual,
         corollary_residual=residual,
-        block_residuals=_block_residuals(ratio.max(axis=0), f.rcuts, f.ccuts) if blocks else {},
+        block_residuals=_block_residuals(worst, f.rcuts, f.ccuts) if blocks else {},
         u_unimodularity=u_dev,
         v_unimodularity=v_dev,
         tol=tol,

@@ -13,6 +13,8 @@ arrays of coefficients, low degree to high, mirroring
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .errors import DimensionError
@@ -200,18 +202,22 @@ def is_regular(p: MatrixPolynomial, trials: int = 8, rng_seed: int = 0) -> bool:
     """Probabilistic regularity test: does det p(lambda) vanish identically?
 
     Samples ``trials`` points from the disc of radius 2 and reports True as
-    soon as the determinant of p(z) scaled to unit 1-norm exceeds 1e-10
-    (scaling first keeps large coefficients from overflowing the test; a
-    point where p(z) is zero is skipped).  For a regular polynomial this
-    succeeds with probability one; for det identically zero it is False
-    for every seed.
+    soon as the determinant of p(z) scaled to unit 1-norm exceeds 1e-10 (a
+    point where p(z) is zero is skipped).  The coefficients are first
+    divided by the power of two that brings their largest entry into
+    [1/2, 1), so that evaluating p(z) cannot overflow on large
+    coefficients; the scaled p(z) over its 1-norm is the unscaled one's bit
+    for bit while no entry leaves the normal range.  For a regular
+    polynomial this succeeds with probability one; for det identically
+    zero it is False for every seed.
     """
     if p.rows != p.cols:
         raise DimensionError("regularity is defined for square matrix polynomials")
+    coeffs = p.coeffs * 2.0 ** -math.frexp(float(np.abs(p.coeffs).max(initial=0.0)))[1]
     rng = np.random.default_rng(rng_seed)
     for _ in range(max(1, trials)):
         z = 2.0 * np.sqrt(rng.uniform()) * np.exp(2j * np.pi * rng.uniform())
-        m = p.eval(z)
+        m = _horner(coeffs, z)
         norm1 = np.max(np.abs(m).sum(axis=0)) if m.size else 1.0
         if norm1 > 0 and abs(np.linalg.det(m / norm1)) > 1e-10:
             return True

@@ -215,6 +215,45 @@ def test_non_finite_token_is_input_error(tmp_path, worked_example, capsys, token
     assert captured.err == f"error: instance: {token} is not a JSON number\n"
 
 
+def _certify_products(monkeypatch) -> list:
+    """Record, per ``_certify`` call, the dtype of each ``_mul`` product it forms, in order.
+
+    Two products (U L, then U L V) mean that no scale was formed; a call
+    that forms the scale |U| |L| |V| makes two more.
+    """
+    mul, certify = equivalence._mul, equivalence._certify
+    calls, inside = [], []
+
+    def certify_spy(*args, **kwargs):
+        calls.append([])
+        inside.append(True)
+        try:
+            return certify(*args, **kwargs)
+        finally:
+            inside.pop()
+
+    def mul_spy(p, q):
+        if inside:
+            calls[-1].append(np.result_type(p, q))
+        return mul(p, q)
+
+    monkeypatch.setattr(equivalence, "_certify", certify_spy)
+    monkeypatch.setattr(equivalence, "_mul", mul_spy)
+    return calls
+
+
+def _mutable_witnesses(monkeypatch) -> list:
+    """Make the CLI check U times 1 + 1e-6 while the returned list is not empty."""
+    stacks, mutate = equivalence._witness_stacks, []
+
+    def witness_spy(*args):
+        u, v = stacks(*args)
+        return (u * (1 + 1e-6), v) if mutate else (u, v)
+
+    monkeypatch.setattr(equivalence, "_witness_stacks", witness_spy)
+    return mutate
+
+
 def _overflowing_witnesses(monkeypatch):
     """Make the CLI check its witnesses times 1e200, so that U L V overflows."""
     stacks = equivalence._witness_stacks
@@ -273,40 +312,33 @@ class TestStreamMatchesPublicCalls:
 
     def test_one_complex_entry_takes_the_complex_path(self, tmp_path, capsys, monkeypatch):
         # a real instance's certificate multiplies in float64 only; one complex
-        # entry in B sends U L V to complex128 (|U| |L| |V| stays float64), with
-        # the records of the public calls either way
-        mul, certify = equivalence._mul, equivalence._certify
-        dtypes, inside = set(), []
-
-        def certify_spy(*args, **kwargs):
-            inside.append(True)
-            try:
-                return certify(*args, **kwargs)
-            finally:
-                inside.pop()
-
-        def mul_spy(p, q):
-            if inside:
-                dtypes.add(np.result_type(p, q))
-            return mul(p, q)
-
-        monkeypatch.setattr(equivalence, "_certify", certify_spy)
-        monkeypatch.setattr(equivalence, "_mul", mul_spy)
+        # entry in B sends U L V to complex128, with the records of the public
+        # calls either way.  A certified string forms no scale; a mutated
+        # witness makes the check form |U| |L| |V| too, in float64 on both paths
+        calls = _certify_products(monkeypatch)
+        mutate = _mutable_witnesses(monkeypatch)
         real = random_rsmp(np.random.default_rng(7), 2, 2, 1, 4, 2)
         b = real.B.copy()
         b[1, 0] += 0.5j
         mixed = Rsmp(real.A, b, real.C, real.D)
-        for drawn, want_dtypes in ((real, {np.dtype(float)}), (mixed, {np.dtype(float), np.dtype(complex)})):
+        f64, c128 = np.dtype(float), np.dtype(complex)
+        for drawn, product in ((real, f64), (mixed, c128)):
             path = tmp_path / "inst.json"
             path.write_text(emit_rsmp(drawn))
             r = parse_rsmp(path.read_text())
             assert r.real == (drawn is real) and r.transpose().real == r.real
             instance = {"file": str(path), "n": r.n, "p": r.p, "m": r.m, "d_A": r.d_a, "d_D": r.d_d}
-            dtypes.clear()
+            calls.clear()
             assert main(["verify", str(path), "--all"]) == 0
-            assert dtypes == want_dtypes
+            assert len(calls) == 8 and all(c == [product, product] for c in calls)
             want = [_public_record(r, s, instance) for s in all_decision_strings(r.degree)]
             assert capsys.readouterr().out == "".join(line + "\n" for line in want)
+            calls.clear()
+            mutate.append(True)
+            assert main(["verify", str(path), "--sigma", "CIC"]) == 1
+            mutate.clear()
+            assert calls == [[product, product, f64, f64]]
+            assert json.loads(capsys.readouterr().out)["max_residual"] >= 1e-7
 
     def test_verify_all_across_chunks(self, tmp_path, capsys):
         # --trials 41 on 24x24 pencils, at one frame per shape
@@ -332,6 +364,73 @@ class TestStreamMatchesPublicCalls:
             instance = {"n": n, "p": p, "m": m, "d_A": d_a, "d_D": d_d}
             want += [_public_record(r, s, instance, trials=6, seed=5) for s in all_decision_strings(r.degree)]
         assert out.read_text() == "".join(line + "\n" for line in want)
+
+
+# the eight cells of the deep_verify benchmark workload (degree 7)
+DEEP_CELLS = [
+    (3, 3, 3, 7, 7), (2, 2, 2, 7, 7), (3, 2, 1, 7, 3), (3, 1, 2, 7, 5),
+    (1, 2, 3, 7, 1), (2, 3, 1, 2, 7), (2, 3, 3, 4, 7), (1, 3, 3, 1, 7),
+]
+
+
+class TestOnDemandScale:
+    """``verify`` forms the scale |U| |L| |V| only where it can change a figure."""
+
+    def test_certified_deep_cells_form_no_scale(self, tmp_path, capsys, monkeypatch):
+        calls = _certify_products(monkeypatch)
+        mutate = _mutable_witnesses(monkeypatch)
+        rng = np.random.default_rng(1704)
+        for k, cell in enumerate(DEEP_CELLS):
+            path = tmp_path / f"{k}.json"
+            path.write_text(emit_rsmp(random_rsmp(rng, *cell)))
+            calls.clear()
+            assert main(["verify", str(path), "--all"]) == 0
+            assert len(calls) == 64 and all(len(c) == 2 for c in calls), cell
+        capsys.readouterr()
+        # a mutated witness does form one
+        calls.clear()
+        mutate.append(True)
+        assert main(["verify", str(path), "--sigma", "CICICI"]) == 1
+        assert [len(c) for c in calls] == [4]
+        assert json.loads(capsys.readouterr().out)["max_residual"] >= 1e-7
+
+    @pytest.mark.parametrize("case", ["overflowing witnesses", "mutated witness", "1.7e308", "spread"])
+    def test_full_scale_gives_the_same_stream(self, tmp_path, capsys, monkeypatch, case):
+        # the records with the scale on demand and with the scale formed on every string
+        rng = np.random.default_rng(1705)
+        r = random_rsmp(rng, 2, 1, 2, 3, 3)
+        if case == "overflowing witnesses":
+            _overflowing_witnesses(monkeypatch)
+        elif case == "mutated witness":
+            _mutable_witnesses(monkeypatch).append(True)
+        elif case == "1.7e308":
+            big = 1.7e308 / max(np.abs(x).max() for x in (r.A.coeffs, r.B, r.C, r.D.coeffs))
+            r = Rsmp(MatrixPolynomial(r.A.coeffs * big), r.B * big, r.C * big, MatrixPolynomial(r.D.coeffs * big))
+        else:
+            r = oracles.spread_rsmp(rng, 2, 3, 2, 3, 3)
+        path = tmp_path / "inst.json"
+        path.write_text(emit_rsmp(r))
+        code = main(["verify", str(path), "--all"])
+        on_demand = capsys.readouterr().out
+        monkeypatch.setattr(equivalence, "_scale_is_finite", lambda *args: False)
+        assert main(["verify", str(path), "--all"]) == code
+        assert capsys.readouterr().out == on_demand
+
+
+class TestSpreadSweep:
+    def test_every_small_spread_cell_passes(self, tmp_path, capsys):
+        # verify --all on oracles.spread_rsmp instances (complex, magnitudes
+        # 1e-4..1e4) of every shape in {1,2,3}^3 at degree pairs in {1..3}^2
+        rng = np.random.default_rng(1706)
+        records = []
+        for cell in itertools.product((1, 2, 3), (1, 2, 3), (1, 2, 3), (1, 2, 3), (1, 2, 3)):
+            path = tmp_path / "inst.json"
+            path.write_text(emit_rsmp(oracles.spread_rsmp(rng, *cell)))
+            assert main(["verify", str(path), "--all"]) == 0, cell
+            records += [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+        assert len(records) == 27 * (1 + 3 * 2 + 5 * 4)  # one string at degree 1, two at 2, four at 3
+        assert all(rec["verdict"] == "pass" for rec in records)
+        assert max(rec["max_residual"] for rec in records) == 0.0
 
 
 class TestPerStringWork:

@@ -812,6 +812,29 @@ class TestCertificate:
         bad = verify_theorem(r, s, _tail_mutated(pencil, rng), u, v)
         assert not bad.verdict and bad.max_residual >= 1e-7
 
+    @pytest.mark.parametrize("where", ["B", "A0", "D0"])
+    def test_one_huge_entry_leaves_the_tiny_ones_checked(self, where):
+        # every entry near 1e-300 but one at 1.7e308 that only the pencil holds:
+        # only L is shifted down, so U L V keeps its tiny terms in the normal
+        # range and a 1e-6 relative error in a tiny tail entry still shows
+        rng = np.random.default_rng(1701)
+        for _ in range(2):
+            r = random_rsmp(rng, 2, 2, 2, 3, 3)
+            r = _times(r, 1e-300 / max(np.abs(x).max() for x in (r.A.coeffs, r.B, r.C, r.D.coeffs)))
+            a, b, d = r.A.coeffs.copy(), r.B.copy(), r.D.coeffs.copy()
+            {"B": b, "A0": a[0], "D0": d[0]}[where][0, 0] = 1.7e308
+            r = Rsmp(MatrixPolynomial(a), b, r.C, MatrixPolynomial(d), check_regular=False)
+            for s in all_decision_strings(r.degree):
+                pencil, u, v = linearization_with_witnesses(r, s)
+                rep = verify_theorem(r, s, pencil, u, v)
+                assert rep.verdict and rep.max_residual == 0.0, s.decisions
+                tail = pencil.tail.copy()
+                tiny = np.argwhere((tail != 0) & (np.abs(tail) < 1e-200))
+                i, j = tiny[int(rng.integers(len(tiny)))]
+                tail[i, j] *= 1 + 1e-6
+                bad = verify_theorem(r, s, Pencil(pencil.lead, tail, pencil.row_sizes, pencil.col_sizes), u, v)
+                assert not bad.verdict and bad.max_residual >= 1e-7, (s.decisions, bad.max_residual)
+
     def test_imaginary_part_of_a_foreign_factor_is_seen(self, rng):
         # a real instance whose pencil or witness gains a small imaginary part:
         # verify_theorem must not take the real path, which would drop it
@@ -859,3 +882,96 @@ class TestCertificate:
         rep = verify_theorem(r, s, pencil, u, v)
         assert rep.max_residual == np.inf and not rep.verdict
         assert rep.u_unimodularity == rep.v_unimodularity == 0.0
+
+
+def _full_scale(monkeypatch):
+    """Make ``_certify`` form the scale |U| |L| |V| on every call, as it did before the scale became on demand."""
+    monkeypatch.setattr(equivalence, "_scale_is_finite", lambda *args: False)
+
+
+class TestOnDemandScale:
+    """The scale is formed only where it can change a figure; the reports stay those of the full check."""
+
+    def test_full_and_on_demand_agree_on_a_third_of_the_grid(self, monkeypatch):
+        # every string of 75 cells, integer and spread draws, certified as the
+        # CLI does (witness stacks with their pivots) but with the block
+        # residuals; per instance one string with a mutated pencil, which forms
+        # the scale on both sides
+        rng = np.random.default_rng(1702)
+        cells = [_GRID[k] for k in rng.choice(len(_GRID), size=len(_GRID) // 3, replace=False)]
+        cases = []
+        for draw in (random_rsmp, oracles.spread_rsmp):
+            for cell in cells:
+                r, memo = draw(rng, *cell), {}
+                samples = equivalence._Samples(r, 20, np.random.default_rng(0))
+                strings = list(all_decision_strings(r.degree))
+                for s in strings:
+                    w = (equivalence._witness_stacks(r, s, memo), equivalence._witness_pivots(r, s, memo))
+                    cases.append((r, s, fiedler_pencil_rect(r, s), w, samples))
+                r, s, pencil, w, samples = cases[-1 - int(rng.integers(len(strings)))]
+                cases.append((r, s, _tail_mutated(pencil, rng), w, samples))
+
+        def reports():
+            return [
+                equivalence._certify(r, s, pencil, *w[0], samples, 1e-8, blocks=True, real=r.real, pivots=w[1])
+                for r, s, pencil, w, samples in cases
+            ]
+
+        on_demand = reports()
+        with monkeypatch.context() as m:
+            _full_scale(m)
+            full = reports()
+        assert repr(on_demand) == repr(full)
+        assert sum(rep.max_residual > 0 for rep in full) == 2 * len(cells)
+        assert all(rep.block_residuals for rep in full)
+
+    def test_full_and_on_demand_agree_where_the_scale_overflows(self, monkeypatch, overflowing_example):
+        # witnesses times 1e200 (U L V overflows), the 1e160 fixture, and
+        # instances whose largest entry is 1e307 or 1.7e308
+        rng = np.random.default_rng(1703)
+        cases = []
+        r = random_rsmp(rng, 2, 1, 3, 3, 2)
+        for s in all_decision_strings(r.degree):
+            pencil, u, v = linearization_with_witnesses(r, s)
+            cases.append((r, s, pencil, _scaled(u, 1e200), _scaled(v, 1e200)))
+        for s in all_decision_strings(overflowing_example.degree):
+            cases.append((overflowing_example, s, *linearization_with_witnesses(overflowing_example, s)))
+        for scale in (1e307, 1.7e308):
+            for cell in [(2, 2, 2, 3, 3), (3, 1, 2, 4, 2), (1, 3, 3, 2, 4)]:
+                r = random_rsmp(rng, *cell)
+                r = _times(r, scale / max(np.abs(x).max() for x in (r.A.coeffs, r.B, r.C, r.D.coeffs)))
+                for s in all_decision_strings(r.degree):
+                    pencil, u, v = linearization_with_witnesses(r, s)
+                    cases += [(r, s, pencil, u, v), (r, s, _tail_mutated(pencil, rng), u, v)]
+        on_demand = [verify_theorem(*case) for case in cases]
+        with monkeypatch.context() as m:
+            _full_scale(m)
+            full = [verify_theorem(*case) for case in cases]
+        # repr tells every figure exactly, NaN included
+        assert repr(on_demand) == repr(full)
+        assert any(rep.max_residual == np.inf for rep in full)
+
+    def test_scale_bound(self):
+        # 2**1000 * 2**20 * 1 over one term is provably finite; one more bit is not
+        assert equivalence._scale_is_finite([2.0**999, 2.0**19, 0.5], [0, 0, 0], 1)
+        assert not equivalence._scale_is_finite([2.0**999, 2.0**19, 0.5], [0, 0, 0], 2)
+        assert not equivalence._scale_is_finite([2.0**1000, 2.0**19, 0.5], [0, 0, 0], 1)
+        # the bound reads the shifted maxima, and a maximum below 1 counts as 1
+        assert equivalence._scale_is_finite([2.0**1023, 1.0, 2.0**-900], [24, 0, 0], 2**10)
+        assert not equivalence._scale_is_finite([2.0**1023, 1.0, 2.0**-900], [0, 0, 0], 2**10)
+        assert equivalence._scale_is_finite([0.0, 2.0**-1000, 1.0], [0, 0, 0], 2**60)
+        for bad in (np.inf, np.nan):
+            assert not equivalence._scale_is_finite([1.0, bad, 1.0], [0, 0, 0], 1)
+
+    def test_nan_in_the_product_forms_the_scale(self, rng):
+        # a NaN entry is not a zero difference: the figure is infinite, not 0
+        r = random_rsmp(rng, 2, 1, 2, 2, 2)
+        s = SigmaSeq("C")
+        pencil, u, v = linearization_with_witnesses(r, s)
+        lead = pencil.lead.copy()
+        lead[0, 0] = np.nan
+        for blocks in (False, True):
+            samples = equivalence._Samples(r, 20, np.random.default_rng(0))
+            rep = equivalence._certify(r, s, Pencil(lead, pencil.tail, pencil.row_sizes, pencil.col_sizes),
+                                       u.poly.coeffs, v.poly.coeffs, samples, 1e-8, blocks=blocks)
+            assert rep.max_residual == np.inf and not rep.verdict

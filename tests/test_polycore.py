@@ -1,7 +1,9 @@
+import warnings
+
 import numpy as np
 import pytest
 
-from rosenpencil import DimensionError, MatrixPolynomial, is_regular
+from rosenpencil import DimensionError, MatrixPolynomial, Rsmp, emit_rsmp, is_regular, parse_rsmp
 from rosenpencil.equivalence import sample_points
 
 from oracles import horner_shift
@@ -183,6 +185,27 @@ class TestRegularity:
         p = MatrixPolynomial(np.ones((2, 2, 3)))
         with pytest.raises(DimensionError):
             is_regular(p)
+
+    def test_huge_leading_entry_is_regular_without_overflow(self):
+        # integer coefficients scaled so that the leading coefficient holds
+        # 1.7e308: p(z) and its 1-norm overflow unless the test scales first
+        c = np.array([[[6.0, -8.0], [-6.0, -5.0]], [[9.0, 6.0], [7.0, 2.0]]]) * (1.7e308 / 9.0)
+        p = MatrixPolynomial(c)
+        d = MatrixPolynomial([[[1.0]], [[2.0]]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for seed in range(6):
+                assert is_regular(p, rng_seed=seed)
+            r = parse_rsmp(emit_rsmp(Rsmp(p, [[1.0], [0.0]], [[0.0, 1.0]], d)))
+        assert r.a_regular
+
+    def test_huge_irregular_polynomial_stays_irregular(self):
+        # equal rows at every lambda, with the largest entry at 1.7e308
+        c = np.array([[[1.0, 2.0], [1.0, 2.0]], [[1.0, 1.0], [1.0, 1.0]]]) * (1.7e308 / 2.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for seed in range(6):
+                assert not is_regular(MatrixPolynomial(c), rng_seed=seed)
 
 
 class TestInvariants:

@@ -15,6 +15,17 @@ the same checkout), and SHA-256-hashes:
   pair in {1..5}^2, every decision string) under the ``random_rsmp`` draw
   of seed 90210 and the ``oracles.spread_rsmp`` draw of seed 90211; a call
   that raises contributes its error type and text;
+- the ``repr`` of every ``verify_theorem`` report (every figure, the
+  block residuals included) on the same grid with one nonzero tail entry of
+  each pencil raised by 1e-6 relative, under the ``random_rsmp`` draw of
+  seed 90213 and the ``oracles.spread_rsmp`` draw of seed 90214: figures
+  that are not zero, so the branch of the certificate that forms the scale
+  |U| |L| |V| is compared too;
+- apart from those, the same reports on ``random_rsmp`` instances (seed
+  90215) of every shape in {1,2,3}^3 and degree pair in {1..3}^2, scaled
+  so that the largest entry is 1e307 or 1.7e308, with the pencil as built
+  and mutated as above: near the float maximum the certificate scales its
+  factors down, so this digest follows a change to that scaling;
 - stdout, stderr and exit code of ``cli.main`` for ``verify FILE --all``
   over the instance files of the ``grid_verify`` and ``deep_verify``
   benchmark workloads at seeds 0 and 1, for ``verify FILE --all --trials
@@ -35,8 +46,9 @@ the same checkout), and SHA-256-hashes:
 
 Prints every digest that differs (and every other one, bar the eig ops,
 which it counts) and exits 1 if any does, else 0.  Under a ``verify`` or
-``fuzz`` stream that differs it prints which record keys differ, on how
-many records, and the range of each such key's values in the change.
+``fuzz`` stream or a report digest that differs it prints which record
+keys differ, on how many records, and the range of each such key's values
+in the change.
 Takes a few minutes; the two checkouts run side by side, one BLAS thread
 each.
 """
@@ -67,6 +79,12 @@ CLI_RUNS = [
 ]
 EIG_SEEDS = (0, 1)
 SPREAD_SEED = 90212
+# (digest name, draw, seed, scales to which the largest entry is brought, degrees)
+REPORT_RUNS = [
+    ("mutated random_rsmp", "random_rsmp", 90213, (None,), DEGREES),
+    ("mutated spread_rsmp", "spread_rsmp", 90214, (None,), DEGREES),
+    ("1e307 and 1.7e308 random_rsmp, as built and mutated", "random_rsmp", 90215, (1e307, 1.7e308), (1, 2, 3)),
+]
 
 
 def _feed(h, out) -> None:
@@ -134,6 +152,59 @@ def _builder_digests(digests: dict) -> int:
         for name, h in hashes.items():
             digests[f"{draw_name}/{name}"] = h.hexdigest()
     return cases
+
+
+def _mutated(pencil, rng):
+    """``pencil`` with one nonzero tail entry, picked by ``rng``, raised by 1e-6 relative."""
+    import numpy as np
+
+    from rosenpencil.blocks import Pencil
+
+    tail = pencil.tail.copy()
+    nonzero = np.argwhere(tail != 0)
+    i, j = nonzero[int(rng.integers(len(nonzero)))]
+    tail[i, j] *= 1 + 1e-6
+    return Pencil(pencil.lead, tail, pencil.row_sizes, pencil.col_sizes)
+
+
+def _report_record(cell, sigma, scale, rep) -> str:
+    """One ``verify_theorem`` report as a JSON record, for the differences ``record_diffs`` prints."""
+    rec = {"cell": list(cell), "sigma": sigma, "scale": scale, "verdict": rep.verdict}
+    for k in ("max_residual", "corollary_residual", "u_unimodularity", "v_unimodularity"):
+        rec[k] = getattr(rep, k)
+    rec.update({f"block {i},{j}": x for (i, j), x in rep.block_residuals.items()})
+    return json.dumps(rec) + "\n"
+
+
+def _report_digests(digests: dict, streams: dict) -> None:
+    import numpy as np
+
+    import oracles
+    import rosenpencil as rp
+    from rosenpencil.sampling import random_rsmp
+
+    draws = {"random_rsmp": random_rsmp, "spread_rsmp": oracles.spread_rsmp}
+    for name, draw, seed, scales, degrees in REPORT_RUNS:
+        rng = np.random.default_rng(seed)
+        h, records = hashlib.sha256(), []
+        for cell in product(DIMS, DIMS, DIMS, degrees, degrees):
+            drawn = draws[draw](rng, *cell)
+            for scale in scales:
+                r = drawn
+                if scale is not None:
+                    big = scale / max(np.abs(x).max() for x in (r.A.coeffs, r.B, r.C, r.D.coeffs))
+                    r = rp.Rsmp(rp.MatrixPolynomial(r.A.coeffs * big), r.B * big, r.C * big,
+                                rp.MatrixPolynomial(r.D.coeffs * big), check_regular=False)
+                for s in rp.all_decision_strings(r.degree):
+                    pencil, u, v = rp.linearization_with_witnesses(r, s)
+                    pencils = [_mutated(pencil, rng)] if scale is None else [pencil, _mutated(pencil, rng)]
+                    for L in pencils:
+                        rep = _call(rp.verify_theorem, r, s, L, u, v)
+                        h.update(repr(rep).encode())
+                        if isinstance(rep, rp.EquivalenceReport):
+                            records.append(_report_record(cell, s.decisions, scale, rep))
+        digests[f"reports/{name}"] = h.hexdigest()
+        streams[f"reports/{name}"] = "".join(records)
 
 
 def _run_cli(argv) -> tuple[int, str, str]:
@@ -244,6 +315,7 @@ def worker(checkout: Path) -> int:
     digests: dict[str, str] = {}
     streams: dict[str, str] = {}
     cases = _builder_digests(digests)
+    _report_digests(digests, streams)
     _cli_digests(checkout, digests, streams)
     print(json.dumps({"cases": cases, "digests": digests, "streams": streams}))
     return 0
