@@ -16,10 +16,14 @@ Sample points, drawn at most once per instance from the seed, serve only
 the determinant of a witness whose exact expansion is not one constant;
 the recursion's witnesses never need them.  Step i of the pencil and
 witness recursions, its size law and its structure claims depend only on
-decisions 0..i, so each decision prefix is built and checked once per
-instance; only the tail and witness assembly and the certificate run per
-string.  The records are those of the per-string public calls, byte for
-byte.
+decisions 0..i.  Each recursion keeps the grids of the last string it
+walked, and a string builds only the steps past the prefix it shares with
+that one, so in the lexicographic order of ``--all`` and ``fuzz`` each
+decision prefix is built once per instance, and it is checked once.  A
+grid is one coefficient stack, so the tail, the matrices checked and the
+witness ``U`` cost no assembly; ``V`` is one transposed copy, and the
+certificate runs per string.  The records are those of the per-string
+public calls, byte for byte.
 """
 
 from __future__ import annotations
@@ -95,22 +99,24 @@ def _checked_tail(r: Rsmp, s: SigmaSeq, memo: dict, step_ok: dict):
     """The last W matrix of ``s`` and whether every step meets its size law and structure claims.
 
     Step i, its size law and its structure claims depend only on decisions
-    0..i, so each prefix is built once (``memo``, see
-    ``_gridops.schedule``) and checked once (``step_ok`` maps it to the
-    pair of verdicts).
+    0..i, so ``memo`` keeps the grids of the last string walked and ``s``
+    builds only the steps past the prefix it shares with it (see
+    ``_gridops.schedule``), and each prefix is checked once (``step_ok``
+    maps it to the pair of verdicts).  The matrices checked are views of
+    the grids' stacks, so a check assembles nothing.
     """
     grids = fiedler._w_grids(r, s, memo)
-    tail = fiedler._grid_to_blockmatrix(grids[-1])
     verdicts = []
     for i, g in enumerate(grids):
         prefix = s.decisions[: i + 1]
         if prefix not in step_ok:
-            w = tail if i == len(grids) - 1 else fiedler._grid_to_blockmatrix(g)
+            w = fiedler._grid_to_blockmatrix(g)
             step_ok[prefix] = (
                 w.shape == fiedler.expected_size(r.n, r.p, r.m, r.d_a, r.d_d, s, i),
                 fiedler.check_block_structure(w, i, r, s).passed,
             )
         verdicts.append(step_ok[prefix])
+    tail = fiedler._grid_to_blockmatrix(grids[-1])
     return tail, all(size for size, _ in verdicts), all(structure for _, structure in verdicts)
 
 
@@ -119,10 +125,11 @@ def _verify_instance(r: Rsmp, sigmas, instance: dict, trials: int, tol: float, s
 
     A witness determinant that needs sample points gets the instance's
     ``trials`` points, drawn at most once from an rng seeded with ``seed``.
-    Recursion steps are built and checked once per decision prefix, so
-    strings in lexicographic order walk the prefix trie depth first.  The
-    witnesses are checked as the coefficient stacks the recursion
-    assembles, with the determinant pivots their grids carry, in real
+    Each recursion keeps the path of grids of the last string walked, so
+    strings in lexicographic order walk the prefix trie depth first and
+    build each prefix once; it is checked once.  The witnesses are checked
+    as the coefficient stacks of the recursion's grids, with the
+    determinant pivots those grids carry, in real
     arithmetic when the instance is real; strings of one pencil shape
     share one pencil lead.
     """

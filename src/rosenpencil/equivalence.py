@@ -26,10 +26,11 @@ of two of its own first.
 Each recursion step adds one block row that holds only a constant +-I,
 so det N = +-det of the previous step's N: unimodularity is a fact about
 the decision prefix.  The grids carry these pivots (``_gridops``), the
-claim is checked once per prefix, and the CLI gathers the pivots from
-the stacks it certifies: when they read exactly +-1 at degree 0 and zero
-above, det is +-1 and nothing else is computed.  Every other witness
-(``verify_theorem``'s, or a stack changed after assembly) gets an exact
+claim is checked once per prefix as the prefix's grid is built, and the
+CLI gathers the pivots from the stacks it certifies: when they read
+exactly +-1 at degree 0 and zero above, det is +-1 and nothing else is
+computed.  Every other witness (``verify_theorem``'s, or a stack changed
+after the grid was built) gets an exact
 Laplace expansion along the rows with one structural nonzero, found from
 its coefficients (``_det_plan``): the recursion's witnesses leave nothing
 else and their pivots are constant +-1, so their determinant is one
@@ -67,24 +68,20 @@ __all__ = [
 # -- coefficient-stack helpers (internal) ------------------------------------
 
 
-# Grid cells are read-only (degree + 1, rows, cols) coefficient stacks, low
-# degree to high, or None for a zero block; one identity per size is shared.
-def _lam(p: np.ndarray | None) -> np.ndarray | None:
-    """Multiply by lambda (shift coefficients up one degree); a zero block stays None."""
-    if p is None:
-        return None
+# A grid's stack is a read-only (degree + 1, rows, cols) coefficient stack,
+# low degree to high; one identity per size is shared.
+def _lam(p: np.ndarray) -> np.ndarray:
+    """Multiply by lambda (shift coefficients up one degree)."""
     return np.concatenate([np.zeros((1,) + p.shape[1:], dtype=complex), p])
 
 
-def _mul(p: np.ndarray | None, q: np.ndarray) -> np.ndarray | None:
-    """Matrix product with polynomial entries (coefficient convolution); a zero ``p`` stays None.
+def _mul(p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """Matrix product with polynomial entries (coefficient convolution).
 
     One batched product forms every coefficient pair p[a] @ q[b]; each
     coefficient of the result, in the pairs' dtype, then sums its pairs in
     the order of a, as a double loop over (a, b) would.
     """
-    if p is None:
-        return None
     pairs = p[:, None] @ q[None]
     out = np.zeros((len(p) + len(q) - 1,) + pairs.shape[2:], dtype=pairs.dtype)
     for a in range(len(p)):
@@ -97,7 +94,7 @@ def _mul(p: np.ndarray | None, q: np.ndarray) -> np.ndarray | None:
 
 def _n_base(r: Rsmp) -> Grid:
     """The degree-1 left witness blkdiag(I_n, I_p), which every recursion grows; its two identities are the pivots."""
-    return Grid.base([[eye(r.n), None], [None, eye(r.p)]], [r.n, r.p], [r.n, r.p], (0, 1))
+    return Grid.base(np.eye(r.n + r.p, dtype=complex)[None], [r.n, r.p], [r.n, r.p], (0, 1))
 
 
 def _n_step(g: Grid, consec: bool, r: Rsmp, i: int, state: bool) -> Grid:
@@ -107,25 +104,21 @@ def _n_step(g: Grid, consec: bool, r: Rsmp, i: int, state: bool) -> Grid:
     feedthrough step (p-sized after a consecution, m-sized after an
     inversion, rows a onward) at (a, a).  N is block diagonal over the
     two sides, so only those rows have a nonzero block in the anchor
-    column.  A consecution puts the new column at the anchor, holding I
-    and lambda times the anchor column below it; an inversion puts it after
-    the anchor, holding -I and the anchor column times the Horner shift
+    column; they are read as one slice, cut to the column's degree.  A
+    consecution puts the new column at the anchor, holding I and lambda
+    times the anchor column below it; an inversion puts it after the
+    anchor, holding -I and the anchor column times the Horner shift
     P_{i+1} + lambda P_{i+2} + ... of the side's polynomial P.
     """
     if state:
-        a, rows, size = 0, range(g.a), r.n
+        a, hi, size = 0, g.a, r.n
     else:
-        a, rows, size = g.a, range(g.a, len(g.rsz)), (r.p if consec else r.m)
+        a, hi, size = g.a, len(g.rsz), (r.p if consec else r.m)
+    col = g.stack[: g.cdeg[a] + 1, g.rc[a] : g.rc[hi], g.cc[a] : g.cc[a + 1]]
     if consec:
-        col = a
-        extra = [(a, col, eye(size))]
-        extra += [(k + 1, col, _lam(g.cells[k][a])) for k in rows]
-    else:
-        shift = (r.A if state else r.D).coeffs[i + 1 :]
-        col = a + 1
-        extra = [(a, col, neg_eye(size))]
-        extra += [(k + 1, col, _mul(g.cells[k][a], shift)) for k in rows]
-    return insert(g, a, col, size, extra, state)
+        return insert(g, a, a, size, [(a, a, eye(size)), (a + 1, a, _lam(col))], state)
+    shift = (r.A if state else r.D).coeffs[i + 1 :]
+    return insert(g, a, a + 1, size, [(a, a + 1, neg_eye(size)), (a + 1, a + 1, _mul(col, shift))], state)
 
 
 # -- sequence builders -------------------------------------------------------
@@ -166,17 +159,14 @@ def _final_grids(r: Rsmp, s: SigmaSeq, memo: dict) -> tuple[Grid, Grid]:
     """The last grids of the recursions for U and (transposed) V; at degree 1 the base grids, identities."""
     if r.degree == 1:
         return _n_base(r), _n_base(r.transpose())
-    return _last_grid(r, s, memo), _last_grid(r.transpose(), s.flipped(), memo)
-
-
-def _last_grid(r: Rsmp, s: SigmaSeq, memo: dict) -> Grid:
-    """The grid after every decision of ``s``, looked up in ``memo`` under ``schedule``'s key, else scheduled."""
-    g = memo.get((r, _n_step, s.decisions)) if len(s) == r.degree - 1 else None
-    return _n_grids(r, s, memo)[-1] if g is None else g
+    return _n_grids(r, s, memo)[-1], _n_grids(r.transpose(), s.flipped(), memo)[-1]
 
 
 def _witness_stacks(r: Rsmp, s: SigmaSeq, memo: dict) -> tuple[np.ndarray, np.ndarray]:
-    """The coefficient stacks of the witnesses of ``linearization_with_witnesses``, with both recursions kept in ``memo`` (see ``_gridops.schedule``)."""
+    """The coefficient stacks of the witnesses of ``linearization_with_witnesses``, with both recursions kept in ``memo`` (see ``_gridops.schedule``).
+
+    U is the grid's own read-only stack, V a contiguous transposed copy.
+    """
     gu, gv = _final_grids(r, s, memo)
     return assemble(gu), assemble(gv, transpose=True)
 

@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._gridops import Grid, assemble, eye, insert, schedule
+from ._gridops import Grid, eye, insert, schedule
 from .blocks import BlockMatrix, Pencil
 from .errors import DimensionError
 from .rsmp import Rsmp
@@ -174,8 +174,11 @@ def square_fiedler_pencil(r: Rsmp, s) -> Pencil:
 
 def _w_base(r: Rsmp) -> Grid:
     """The degree-1 system matrix [[-A_0, B], [-C, -D_0]], which every recursion grows."""
-    cells = [[-r.A.coeffs[:1], r.B[None]], [-r.C[None], -r.D.coeffs[:1]]]
-    return Grid.base(cells, [r.n, r.p], [r.n, r.m])
+    n = r.n
+    stack = np.zeros((1, n + r.p, n + r.m), dtype=complex)
+    stack[0, :n, :n], stack[0, :n, n:] = -r.A.coeffs[0], r.B
+    stack[0, n:, :n], stack[0, n:, n:] = -r.C, -r.D.coeffs[0]
+    return Grid.base(stack, [n, r.p], [n, r.m])
 
 
 def _w_step(g: Grid, consec: bool, r: Rsmp, i: int, state: bool) -> Grid:
@@ -201,8 +204,10 @@ def _w_grids(r: Rsmp, s: SigmaSeq, memo: dict) -> list[Grid]:
     return schedule(r, s, _w_base, _w_step, memo)
 
 
-def _grid_to_blockmatrix(g: Grid) -> BlockMatrix:
-    return BlockMatrix(assemble(g)[0], g.rsz, g.csz)
+def _grid_to_blockmatrix(g: Grid, copy: bool = False) -> BlockMatrix:
+    """The grid's matrix: a read-only view of its stack, or with ``copy`` a writable copy for the public builders."""
+    data = g.stack[0]
+    return BlockMatrix(data.copy() if copy else data, g.rsz, g.csz)
 
 
 def build_w_sequence(r: Rsmp, s: SigmaSeq) -> list[BlockMatrix]:
@@ -214,7 +219,7 @@ def build_w_sequence(r: Rsmp, s: SigmaSeq) -> list[BlockMatrix]:
     while the feedthrough degree has.  The decision at each step picks
     which of the two printed layouts is inserted.
     """
-    return [_grid_to_blockmatrix(g) for g in _w_grids(r, s, {})]
+    return [_grid_to_blockmatrix(g, copy=True) for g in _w_grids(r, s, {})]
 
 
 def _rect_lead(r: Rsmp, row_sizes) -> np.ndarray:
@@ -239,8 +244,8 @@ def fiedler_pencil_rect(r: Rsmp, s: SigmaSeq) -> Pencil:
     if r.degree == 1:
         if len(s) != 0:
             raise DimensionError("degree-1 systems take an empty decision sequence")
-        return pencil_from_tail(r, _grid_to_blockmatrix(_w_base(r)))
-    return pencil_from_tail(r, _grid_to_blockmatrix(_w_grids(r, s, {})[-1]))
+        return pencil_from_tail(r, _grid_to_blockmatrix(_w_base(r), copy=True))
+    return pencil_from_tail(r, _grid_to_blockmatrix(_w_grids(r, s, {})[-1], copy=True))
 
 
 def pencil_from_tail(r: Rsmp, w: BlockMatrix, leads: dict | None = None) -> Pencil:

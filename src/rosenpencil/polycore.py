@@ -13,8 +13,6 @@ arrays of coefficients, low degree to high, mirroring
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from .errors import DimensionError
@@ -198,26 +196,40 @@ def horner_stack(coeffs: np.ndarray, zs, varying: tuple[np.ndarray, np.ndarray])
     return out.reshape(points, rows, cols)
 
 
+def _column_scales(x: np.ndarray) -> np.ndarray:
+    """Per column of ``x`` (its last axis), the power of two that brings the column's largest entry into [1/2, 1).
+
+    A zero column gets 1; a column of subnormal entries at most 2**1021,
+    which cannot overflow.
+    """
+    top = np.abs(x).max(axis=tuple(range(x.ndim - 1)), initial=0.0)
+    return np.ldexp(1.0, -np.maximum(np.frexp(top)[1], -1021))
+
+
 def is_regular(p: MatrixPolynomial, trials: int = 8, rng_seed: int = 0) -> bool:
     """Probabilistic regularity test: does det p(lambda) vanish identically?
 
     Samples ``trials`` points from the disc of radius 2 and reports True as
-    soon as the determinant of p(z) scaled to unit 1-norm exceeds 1e-10 (a
-    point where p(z) is zero is skipped).  The coefficients are first
-    divided by the power of two that brings their largest entry into
-    [1/2, 1), so that evaluating p(z) cannot overflow on large
-    coefficients; the scaled p(z) over its 1-norm is the unscaled one's bit
-    for bit while no entry leaves the normal range.  For a regular
-    polynomial this succeeds with probability one; for det identically
-    zero it is False for every seed.
+    soon as the determinant of p(z), with its columns scaled by powers of
+    two and then to unit 1-norm, exceeds 1e-10 (a point where p(z) is zero
+    is skipped).  Each column of the coefficients is first divided by the
+    power of two that brings its largest entry into [1/2, 1), so that
+    evaluating p(z) cannot overflow on large coefficients, and each column
+    of p(z) is divided the same way before the determinant: scaling a
+    column by a power of two scales the determinant exactly, so the test
+    does not depend on how the columns are scaled (a badly scaled column
+    such as ``1 + 1e12 z`` beside ones of order 1 no longer reads as
+    singular).  For a regular polynomial this succeeds with probability
+    one; for det identically zero it is False for every seed.
     """
     if p.rows != p.cols:
         raise DimensionError("regularity is defined for square matrix polynomials")
-    coeffs = p.coeffs * 2.0 ** -math.frexp(float(np.abs(p.coeffs).max(initial=0.0)))[1]
+    coeffs = p.coeffs * _column_scales(p.coeffs)
     rng = np.random.default_rng(rng_seed)
     for _ in range(max(1, trials)):
         z = 2.0 * np.sqrt(rng.uniform()) * np.exp(2j * np.pi * rng.uniform())
         m = _horner(coeffs, z)
+        m = m * _column_scales(m)
         norm1 = np.max(np.abs(m).sum(axis=0)) if m.size else 1.0
         if norm1 > 0 and abs(np.linalg.det(m / norm1)) > 1e-10:
             return True

@@ -441,9 +441,6 @@ class TestBatchedProduct:
             got, want = _mul(p, q), oracles.poly_matmul(p, q)
             assert got.shape == want.shape and got.tobytes() == want.tobytes(), (dp, dq, rows, inner, cols)
 
-    def test_zero_block_stays_none(self):
-        assert _mul(None, np.ones((3, 2, 2), dtype=complex)) is None
-
 
 class TestBlockResiduals:
     def test_only_verify_theorem_takes_them(self, rng):
@@ -736,6 +733,11 @@ class TestCarriedPivots:
             lost = insert(g, 0, 0, 2, extra, True)
             assert lost.piv is None and pivot_indices(lost) is None
             assert insert(lost, 0, 0, 2, [(0, 0, eye(2))], True).piv is None
+        # a block may span several block rows of the inserted column: below
+        # the inserted row it keeps the claim, reaching into that row it breaks it
+        below = insert(g, 0, 0, 2, [(0, 0, neg_eye(2)), (1, 0, np.ones((2, 3, 2)))], True)
+        assert below.piv == (0, 1, 2) and below.cdeg == (1, 0, 0)
+        assert insert(g, 1, 0, 2, [(1, 0, neg_eye(2)), (0, 0, np.ones((1, 4, 2)))], True).piv is None
 
 
 def _tail_mutated(pencil, rng, rel=1e-6):

@@ -15,6 +15,7 @@ from rosenpencil import (
     companion_first,
     companion_second,
     eigenvalues_square,
+    emit_rsmp,
     equivalence,
     expected_size,
     fiedler,
@@ -24,7 +25,7 @@ from rosenpencil import (
     unimodular_pair,
 )
 from rosenpencil import cli
-from rosenpencil.blocks import BlockMatrix
+from rosenpencil.blocks import BlockMatrix, Pencil
 from rosenpencil.sampling import random_bijection, random_rsmp
 
 
@@ -400,53 +401,147 @@ def _grid_record(g, to_matrix):
     return data.shape, data.tobytes(), mat.row_sizes, mat.col_sizes, g.a
 
 
+def _recursions(r, s):
+    """The three recursions of one string, as ``verify --all`` runs them: W and N of ``r``, N of its transpose."""
+    rt = r.transpose()
+    return [
+        (fiedler._w_grids, r, s, fiedler._grid_to_blockmatrix),
+        (equivalence._n_grids, r, s, equivalence._grid_to_pbm),
+        (equivalence._n_grids, rt, s.flipped(), equivalence._grid_to_pbm),
+    ]
+
+
+def _assert_path_memo(memo, r):
+    """One entry per recursion, each the last string walked and at most ``degree`` grids, the base grid first."""
+    assert len(memo) == 3
+    for walked, grids in memo.values():
+        assert len(walked) == r.degree - 1 and len(grids) == r.degree
+
+
 class TestPrefixMemo:
     def test_shared_memo_gives_the_fresh_grids(self):
         # one memo serves W, N and H of an instance, as in verify --all; every
         # string must get the grids a fresh build gives it, and every
-        # recursion must hold one grid per decision prefix
+        # recursion must keep one path of grids, the base grid and one per step
         rng = np.random.default_rng(20261018)
         for cell in _grid_sample()[::2]:
             r = random_rsmp(rng, *cell)
-            rt = r.transpose()
             memo = {}
             for s in all_decision_strings(r.degree):
-                runs = [
-                    (fiedler._w_grids, r, s, fiedler._grid_to_blockmatrix),
-                    (equivalence._n_grids, r, s, equivalence._grid_to_pbm),
-                    (equivalence._n_grids, rt, s.flipped(), equivalence._grid_to_pbm),
-                ]
-                for grids, system, seq, to_matrix in runs:
+                for grids, system, seq, to_matrix in _recursions(r, s):
                     shared, fresh = grids(system, seq, memo), grids(system, seq, {})
                     assert [_grid_record(g, to_matrix) for g in shared] == [
                         _grid_record(g, to_matrix) for g in fresh
                     ], (cell, s.decisions)
-            assert len(memo) == 3 * (2 ** r.degree - 1)
+                _assert_path_memo(memo, r)
+
+    @pytest.mark.parametrize("order", ["shuffled", "reversed"])
+    def test_any_string_order_gives_the_fresh_grids(self, order):
+        # the path memo shares only the prefix a string has in common with the
+        # last one walked; out of lexicographic order it builds more, never other grids
+        rng = np.random.default_rng(20261019)
+        for cell in _grid_sample()[1::4] + [(2, 2, 1, 5, 3), (1, 2, 2, 2, 5)]:
+            r = random_rsmp(rng, *cell)
+            sigmas = list(all_decision_strings(r.degree))
+            sigmas = [sigmas[k] for k in rng.permutation(len(sigmas))] if order == "shuffled" else sigmas[::-1]
+            memo = {}
+            for s in sigmas:
+                for grids, system, seq, to_matrix in _recursions(r, s):
+                    shared, fresh = grids(system, seq, memo), grids(system, seq, {})
+                    assert [_grid_record(g, to_matrix) for g in shared] == [
+                        _grid_record(g, to_matrix) for g in fresh
+                    ], (cell, order, s.decisions)
+                _assert_path_memo(memo, r)
 
     @pytest.mark.parametrize("cell", [(2, 1, 3, 4, 2), (1, 2, 1, 2, 5)])
     def test_memoised_grids_are_read_only(self, rng, cell):
         # the walk of verify --all: one memo for W, N and H of every string;
-        # a shared cell written in place would change every grid holding it
+        # a shared stack written in place would change every string built on it
         r = random_rsmp(rng, *cell)
-        memo = {}
+        memo, seen = {}, {}
         for s in all_decision_strings(r.degree):
             cli._checked_tail(r, s, memo, {})
             equivalence._witness_stacks(r, s, memo)
-        assert len(memo) == 3 * (2 ** r.degree - 1)
-        blocks = [block for g in memo.values() for row in g.cells for block in row if block is not None]
-        assert blocks and all(block.ndim == 3 and not block.flags.writeable for block in blocks)
-        for block in blocks:
+            _assert_path_memo(memo, r)
+            for key, (_, grids) in memo.items():
+                for g in grids:
+                    seen[id(g)] = (key[1], g)
+        assert len(seen) == 3 * (2 ** r.degree - 1)  # every prefix, and the base grid, built once
+        for step, g in seen.values():
+            assert g.stack.ndim == 3 and not g.stack.flags.writeable
+            assert len(g.stack) == max(g.cdeg) + 1 and len(g.cdeg) == len(g.csz)
             with pytest.raises(ValueError, match="read-only"):
-                block[0, 0, 0] += 1.0
-        # the N and H grids carry their expansion pivots, one block column per
-        # block row, as tuples, which cannot be written either; W carries none
-        for (system, step, _), g in memo.items():
+                g.stack[0, 0, 0] += 1.0
+            # the N and H grids carry their expansion pivots, one block column
+            # per block row, as tuples, which cannot be written either; W carries none
             if step is fiedler._w_step:
                 assert g.piv is None
             else:
                 assert isinstance(g.piv, tuple) and len(g.piv) == len(g.rsz)
                 with pytest.raises(TypeError):
                     g.piv[0] = 0
+
+    @pytest.mark.parametrize("cell", [(2, 2, 1, 5, 3), (1, 2, 3, 2, 5), (2, 1, 2, 4, 4), (1, 1, 1, 1, 3)])
+    def test_verify_all_builds_each_prefix_once(self, tmp_path, monkeypatch, capsys, cell):
+        # as many inserts as one per prefix and side of each of the three
+        # recursions: each prefix grows the state side while i < d_A - 1 and
+        # the feedthrough side while i < d_D - 1
+        r = random_rsmp(np.random.default_rng(20261020), *cell)
+        path = tmp_path / "inst.json"
+        path.write_text(emit_rsmp(r))
+        calls = []
+
+        def spy(*args):
+            calls.append(args[1:4])
+            return insert(*args)
+
+        insert = fiedler.insert
+        monkeypatch.setattr(fiedler, "insert", spy)
+        monkeypatch.setattr(equivalence, "insert", spy)
+        assert cli.main(["verify", str(path), "--all"]) == 0
+        per_prefix = sum(2 ** (i + 1) * ((i < r.d_a - 1) + (i < r.d_d - 1)) for i in range(r.degree - 1))
+        assert len(calls) == 3 * per_prefix
+        assert capsys.readouterr().out.count("\n") == 2 ** (r.degree - 1)
+
+    def test_public_outputs_are_writable_copies(self, rng, monkeypatch):
+        # what the builders return is the caller's: BlockMatrix and Pencil
+        # arrays are writable as before (a view of a read-only grid stack
+        # would not be), and no output shares memory with a grid stack of the
+        # recursions behind it
+        stacks = []
+
+        def keep(schedule):
+            def spy(*args):
+                grids = schedule(*args)
+                stacks.extend(g.stack for g in grids)
+                return grids
+
+            return spy
+
+        monkeypatch.setattr(fiedler, "schedule", keep(fiedler.schedule))
+        monkeypatch.setattr(equivalence, "schedule", keep(equivalence.schedule))
+        builders = [build_w_sequence, build_n_sequence, build_h_sequence, unimodular_pair, fiedler_pencil_rect,
+                    equivalence.linearization_with_witnesses]
+        for cell in [(2, 1, 3, 4, 2), (1, 2, 2, 2, 3), (2, 2, 1, 1, 1)]:
+            r = random_rsmp(rng, *cell)
+            outs = [companion_first(r), companion_second(r)]
+            for s in all_decision_strings(r.degree):
+                outs += [build(r, s) for build in builders if r.degree >= 2 or build in
+                         (fiedler_pencil_rect, equivalence.linearization_with_witnesses)]
+            arrays = []
+            for out in outs:
+                for x in out if isinstance(out, (list, tuple)) else [out]:
+                    if isinstance(x, BlockMatrix):
+                        arrays.append((x.data, True))
+                    elif isinstance(x, Pencil):
+                        arrays += [(x.lead, True), (x.tail, True)]
+                    else:  # a PolyBlockMatrix: MatrixPolynomial coefficients are read-only by contract
+                        arrays.append((x.poly.coeffs, False))
+            assert arrays and (stacks or r.degree == 1)
+            for data, writable in arrays:
+                assert data.flags.writeable == writable
+                assert not any(np.shares_memory(data, stack) for stack in stacks)
+            stacks.clear()
 
     @pytest.mark.parametrize(
         "build", [build_w_sequence, build_n_sequence, build_h_sequence, unimodular_pair, fiedler_pencil_rect]

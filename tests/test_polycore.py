@@ -3,7 +3,7 @@ import warnings
 import numpy as np
 import pytest
 
-from rosenpencil import DimensionError, MatrixPolynomial, Rsmp, emit_rsmp, is_regular, parse_rsmp
+from rosenpencil import DimensionError, IrregularWarning, MatrixPolynomial, Rsmp, emit_rsmp, is_regular, parse_rsmp
 from rosenpencil.equivalence import sample_points
 
 from oracles import horner_shift
@@ -206,6 +206,29 @@ class TestRegularity:
             warnings.simplefilter("error")
             for seed in range(6):
                 assert not is_regular(MatrixPolynomial(c), rng_seed=seed)
+
+    @pytest.mark.parametrize("big", [1e12, 1.7e308])
+    def test_badly_scaled_column_is_regular(self, big):
+        # det = (1 + big z)(4 + z) - 6: regular, with one column far larger than the other
+        c = np.array([[[1.0, 2.0], [3.0, 4.0]], [[big, 0.0], [0.0, 1.0]]])
+        p = MatrixPolynomial(c)
+        d = MatrixPolynomial([[[1.0]], [[2.0]]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for seed in range(4):
+                assert is_regular(p, rng_seed=seed)
+            r = Rsmp(p, [[1.0], [0.0]], [[0.0, 1.0]], d)
+        assert r.a_regular
+
+    def test_badly_scaled_singular_polynomial_stays_singular(self):
+        # the second column is twice the first at every lambda, and the first holds 1 + 1e12 z
+        c = np.array([[[1.0, 2.0], [1.0, 2.0]], [[1e12, 2e12], [0.0, 0.0]]])
+        p = MatrixPolynomial(c)
+        for seed in range(6):
+            assert not is_regular(p, rng_seed=seed)
+        with pytest.warns(IrregularWarning):
+            r = Rsmp(p, [[1.0], [0.0]], [[0.0, 1.0]], MatrixPolynomial([[[1.0]], [[2.0]]]))
+        assert not r.a_regular
 
 
 class TestInvariants:

@@ -11,7 +11,7 @@ the same checkout), and SHA-256-hashes:
   ``build_n_sequence``, ``build_h_sequence``, ``unimodular_pair``,
   ``fiedler_pencil_rect``), the two companion forms,
   ``linearization_with_witnesses`` and the ``emit_rsmp`` text of every
-  instance, on the acceptance grid (every shape in {1,2,3}^3, every degree
+  instance, each array with its ``flags.writeable``, on the acceptance grid (every shape in {1,2,3}^3, every degree
   pair in {1..5}^2, every decision string) under the ``random_rsmp`` draw
   of seed 90210 and the ``oracles.spread_rsmp`` draw of seed 90211; a call
   that raises contributes its error type and text;
@@ -88,7 +88,11 @@ REPORT_RUNS = [
 
 
 def _feed(h, out) -> None:
-    """Hash one builder output: arrays by dtype, shape and bytes, partitions by value."""
+    """Hash one builder output: arrays by dtype, shape, writability and bytes, partitions by value.
+
+    The writability is hashed so that an output that turns into a view of a
+    read-only internal array, or stops being one, shows as a difference.
+    """
     import numpy as np
 
     from rosenpencil.blocks import BlockMatrix, Pencil, PolyBlockMatrix
@@ -99,7 +103,7 @@ def _feed(h, out) -> None:
             _feed(h, x)
         h.update(b"]")
     elif isinstance(out, np.ndarray):
-        h.update(f"{out.dtype}{out.shape}".encode())
+        h.update(f"{out.dtype}{out.shape}{out.flags.writeable}".encode())
         h.update(out.tobytes())
     elif isinstance(out, BlockMatrix):
         _feed(h, ("BlockMatrix", out.data, out.row_sizes, out.col_sizes))

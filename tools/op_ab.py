@@ -15,8 +15,12 @@ runs and a SHA-256 of the exit code, stdout and stderr of every run.
 Prints the summed per-op minima of each side, their ratio (change over
 parent), the median per-op ratio, and every op whose outputs differ
 between the sides or between runs; over the ``verify`` ops among them,
-which record keys differ and on how many records.  Exits 1 if any op
-differs, else 0.  BLAS runs on one thread.
+which record keys differ and on how many records.  A separate pass, after
+the timed runs and not timed itself, runs every op once more on each side
+under ``tracemalloc`` and prints each side's peak of traced memory per op
+and in total (the sum over ops and the largest op), so that a change to
+what the package holds while it runs shows side by side.  Exits 1 if any
+op differs, else 0.  BLAS runs on one thread.
 """
 
 from __future__ import annotations
@@ -31,6 +35,7 @@ import statistics
 import sys
 import tempfile
 import time
+import tracemalloc
 from pathlib import Path
 
 from byte_identity import record_diffs
@@ -77,6 +82,19 @@ def _run(modules: dict, argv: list[str]) -> tuple[float, str, str]:
     return spent, digest, out.getvalue()
 
 
+def _peak(modules: dict, argv: list[str]) -> int:
+    """Peak bytes traced by ``tracemalloc`` during one ``cli.main(argv)``, its output discarded."""
+    _activate(modules)
+    main = modules[PACKAGE + ".cli"].main
+    tracemalloc.start()
+    try:
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            main(argv)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 def _ops(parent: Path, parent_modules: dict, workload: str, seed: int, work: Path) -> list:
     """The ops of one run of the workload, with their instance files written."""
     _activate(parent_modules)
@@ -118,6 +136,10 @@ def main(argv=None) -> int:
                     digests[side][k].add(digest)
                     if rep == 0:
                         stdout[side][k] = out
+        peaks = {side: [0] * len(ops) for side in sides}
+        for k, op in enumerate(ops):
+            for side in ("parent", "change") if k % 2 == 0 else ("change", "parent"):
+                peaks[side][k] = _peak(sides[side], op.argv)
 
     differ = [k for k in range(len(ops)) if len(digests["parent"][k] | digests["change"][k]) != 1]
     for k in differ:
@@ -134,6 +156,13 @@ def main(argv=None) -> int:
     print(f"CPU s, sum of per-op minima: parent {total['parent']:.4f}, change {total['change']:.4f}")
     print(f"total ratio change/parent: {total['change'] / total['parent']:.4f}")
     print(f"median per-op ratio: {statistics.median(ratios):.4f}")
+    print("tracemalloc peak per op, KiB (untimed pass):")
+    for k, op in enumerate(ops):
+        p, c = peaks["parent"][k], peaks["change"][k]
+        print(f"  op {k:04d}  parent {p / 1024:10.1f}  change {c / 1024:10.1f}  ratio {c / p:.4f}  {Path(op.argv[1]).name}")
+    for label, reduce in (("sum over ops", sum), ("largest op", max)):
+        p, c = reduce(peaks["parent"]), reduce(peaks["change"])
+        print(f"tracemalloc peak, {label}: parent {p / 2**20:.2f} MiB, change {c / 2**20:.2f} MiB, ratio {c / p:.4f}")
     print(f"outputs: {len(ops) - len(differ)}/{len(ops)} ops identical")
     return 1 if differ else 0
 
