@@ -14,15 +14,17 @@ block column of one size, and a handful of prescribed blocks are written
 into them.  ``schedule`` runs every recursion: it checks the degree and
 the decision count, then grows the degree-1 grid per decision with the
 state step while the state degree has coefficients left, and with the
-feedthrough step while the feedthrough degree has.  Step i depends only on
+feedthrough step while the feedthrough degree has, and hands each
+decision's result to an optional check.  Step i depends only on
 decisions 0..i, so ``schedule`` keeps, per system and step function, the
 last decision string it walked and that string's grids in a memo, a path
 through the prefix trie: a string shares the grids of its common prefix
-with the last one and builds the rest.  The public builders pass a fresh
-memo; a caller that walks many decision strings of one system in
-lexicographic order passes one memo for all of them and builds each prefix
-once, holding at most ``degree`` grids per recursion.  Stacks are never
-written after they are built, so a memoised grid can be shared.
+with the last one and builds (and checks) the rest.  The public builders
+pass a fresh memo and one recursion's step; the CLI passes one memo per
+instance and a step that grows the pencil and both witness recursions
+together, so in lexicographic order each prefix is built and checked
+once, with at most ``degree`` prefixes held.  Stacks are never written
+after they are built, so a memoised grid can be shared.
 
 A grid can carry the pivots of an exact Laplace expansion of its
 determinant, as one block column per block row: row i's pivot block is a
@@ -161,36 +163,39 @@ def assemble(g: Grid, transpose: bool = False) -> np.ndarray:
     return np.ascontiguousarray(g.stack.transpose(0, 2, 1)) if transpose else g.stack
 
 
-def schedule(r, s, base, step, memo: dict) -> list[Grid]:
+def schedule(r, s, base, step, memo: dict, check=None) -> list:
     """Grids of steps 0..d-2 of one recursion for system ``r`` and decisions ``s``.
 
     Starts from ``base(r)``, the degree-1 grid.  Step i grows the state side
     while i < d_A - 1 and then the feedthrough side while i < d_D - 1, each
     as ``step(previous_grid, consec, r, i, state)`` with ``consec`` the
-    decision at i and ``state`` naming the side.  ``memo`` maps
-    ``(r, step)`` to the last decision string scheduled for them and its
-    grids, the base grid first: the grids of the prefix that ``s`` shares
-    with that string are taken from there, the rest are built, and ``s``
-    and its grids replace the entry.
+    decision at i and ``state`` naming the side; ``check(grid, r, s, i)``,
+    if given, then maps step i's grid to what the path keeps for it, so it
+    runs once per prefix built.  ``memo`` maps ``(r, step)`` to the last
+    decision string scheduled for them and its grids, the base grid first:
+    the grids of the prefix that ``s`` shares with that string are taken
+    from there, the rest are built, and ``s`` and its grids replace the
+    entry.  A "grid" is whatever ``base`` and ``step`` return.
     """
     d = r.degree
     if len(s) != d - 1:
         raise DimensionError(f"need {d - 1} decisions for degree {d}, got {len(s)}")
     if d < 2:
         raise DimensionError("the recursions need pencil degree >= 2")
-    walked, grids = memo.get((r, step), ("", None))
+    walked, grids = memo.pop((r, step), ("", None))  # the old path's tail goes as the new one grows
     if grids is None:
         grids = [base(r)]
     shared = 0
     while shared < len(walked) and walked[shared] == s.decisions[shared]:
         shared += 1
     grids = grids[: shared + 1]
+    d_a, d_d = r.d_a, r.d_d
     for i in range(shared, d - 1):
         g, consec = grids[-1], s.has_consecution(i)
-        if i < r.d_a - 1:
+        if i < d_a - 1:
             g = step(g, consec, r, i, True)
-        if i < r.d_d - 1:
+        if i < d_d - 1:
             g = step(g, consec, r, i, False)
-        grids.append(g)
+        grids.append(g if check is None else check(g, r, s, i))
     memo[(r, step)] = (s.decisions, grids)
     return grids[1:]

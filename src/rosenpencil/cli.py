@@ -14,16 +14,20 @@ kept out of the records for exactly that reason).
 every decision string of one instance (``equivalence.verify_theorem``).
 Sample points, drawn at most once per instance from the seed, serve only
 the determinant of a witness whose exact expansion is not one constant;
-the recursion's witnesses never need them.  Step i of the pencil and
-witness recursions, its size law and its structure claims depend only on
-decisions 0..i.  Each recursion keeps the grids of the last string it
-walked, and a string builds only the steps past the prefix it shares with
+the recursion's witnesses never need them.  Step i of the pencil
+recursion W and the witness recursions N and H (N of the transposed
+system under the flipped decisions), W's size law and its structure
+claims depend only on decisions 0..i.  So each string is one walk
+(``_walk``): one ``_gridops.schedule`` call whose step grows W, N and H
+together and whose check takes the new prefix's size law and structure
+claims on its W grid, by the grid's block offsets, with no block matrix
+built and no claim named.  The walk keeps the prefixes of the last string
+walked, and a string builds only those past the prefix it shares with
 that one, so in the lexicographic order of ``--all`` and ``fuzz`` each
-decision prefix is built once per instance, and it is checked once.  A
-grid is one coefficient stack, so the tail, the matrices checked and the
-witness ``U`` cost no assembly; ``V`` is one transposed copy, and the
-certificate runs per string.  The records are those of the per-string
-public calls, byte for byte.
+decision prefix is built and checked once per instance.  A grid is one
+coefficient stack, so the tail and the witness ``U`` cost no assembly;
+``V`` is one transposed copy, and the certificate runs per string.  The
+records are those of the per-string public calls, byte for byte.
 """
 
 from __future__ import annotations
@@ -34,10 +38,12 @@ import json
 import math
 import sys
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from . import equivalence, fiedler, spectral
+from ._gridops import Grid, schedule
 from .errors import DimensionError, NumericalFailure, ParseError
 from .rsmp import Rsmp
 from .sampling import random_rsmp
@@ -95,29 +101,55 @@ def _sigma_for(r: Rsmp, text: str) -> SigmaSeq:
     return parse_sigma(text, degree=r.degree)
 
 
-def _checked_tail(r: Rsmp, s: SigmaSeq, memo: dict, step_ok: dict):
-    """The last W matrix of ``s`` and whether every step meets its size law and structure claims.
+class _Prefix(NamedTuple):
+    """One decision prefix of an instance: its grids of W, N and H, and whether W meets the prefix's size law and structure claims."""
 
-    Step i, its size law and its structure claims depend only on decisions
-    0..i, so ``memo`` keeps the grids of the last string walked and ``s``
-    builds only the steps past the prefix it shares with it (see
-    ``_gridops.schedule``), and each prefix is checked once (``step_ok``
-    maps it to the pair of verdicts).  The matrices checked are views of
-    the grids' stacks, so a check assembles nothing.
+    w: Grid
+    n: Grid
+    h: Grid
+    size_ok: bool = True
+    structure_ok: bool = True
+
+
+def _base(r: Rsmp) -> _Prefix:
+    """The degree-1 grids of the three recursions; H's is that of N for the transposed system."""
+    return _Prefix(fiedler._w_base(r), equivalence._n_base(r), equivalence._n_base(r.transpose()))
+
+
+def _step(g: _Prefix, consec: bool, r: Rsmp, i: int, state: bool) -> _Prefix:
+    """One side's growth of W, N and H together; H is N of the transposed system under the flipped decision."""
+    return _Prefix(
+        fiedler._w_step(g.w, consec, r, i, state),
+        equivalence._n_step(g.n, consec, r, i, state),
+        equivalence._n_step(g.h, not consec, r.transpose(), i, state),
+    )
+
+
+def _check(g: _Prefix, r: Rsmp, s: SigmaSeq, i: int) -> _Prefix:
+    """Step i's grids with the verdicts of W's size law and structure claims, taken on its grid."""
+    return _Prefix(g.w, g.n, g.h, *fiedler._step_verdicts(g.w, r, s, i))
+
+
+def _walk(r: Rsmp, s: SigmaSeq, memo: dict) -> list[_Prefix]:
+    """Every prefix of ``s``, each with its grids and verdicts; at degree 1 the base grids alone, with nothing to check.
+
+    One ``_gridops.schedule`` call grows W, N and H together and checks
+    each prefix as it is built; ``memo`` keeps the path of the last string
+    walked, so a string builds and checks only the prefixes past the one
+    it shares with that string.
     """
-    grids = fiedler._w_grids(r, s, memo)
-    verdicts = []
-    for i, g in enumerate(grids):
-        prefix = s.decisions[: i + 1]
-        if prefix not in step_ok:
-            w = fiedler._grid_to_blockmatrix(g)
-            step_ok[prefix] = (
-                w.shape == fiedler.expected_size(r.n, r.p, r.m, r.d_a, r.d_d, s, i),
-                fiedler.check_block_structure(w, i, r, s).passed,
-            )
-        verdicts.append(step_ok[prefix])
-    tail = fiedler._grid_to_blockmatrix(grids[-1])
-    return tail, all(size for size, _ in verdicts), all(structure for _, structure in verdicts)
+    if r.degree == 1:
+        return [_base(r)]
+    return schedule(r, s, _base, _step, memo, _check)
+
+
+def _last(path: list[_Prefix]) -> tuple[_Prefix, bool, bool]:
+    """The last prefix of a walk, and whether every prefix meets its size law, and its structure claims.
+
+    Only the last prefix outlives the call, so the next string's walk does
+    not run while this string's whole path is still held.
+    """
+    return path[-1], all(g.size_ok for g in path), all(g.structure_ok for g in path)
 
 
 def _verify_instance(r: Rsmp, sigmas, instance: dict, trials: int, tol: float, seed: int):
@@ -125,25 +157,19 @@ def _verify_instance(r: Rsmp, sigmas, instance: dict, trials: int, tol: float, s
 
     A witness determinant that needs sample points gets the instance's
     ``trials`` points, drawn at most once from an rng seeded with ``seed``.
-    Each recursion keeps the path of grids of the last string walked, so
-    strings in lexicographic order walk the prefix trie depth first and
-    build each prefix once; it is checked once.  The witnesses are checked
-    as the coefficient stacks of the recursion's grids, with the
-    determinant pivots those grids carry, in real
-    arithmetic when the instance is real; strings of one pencil shape
-    share one pencil lead.
+    Each string is one walk (``_walk``) over the path memo, so strings in
+    lexicographic order walk the prefix trie depth first and build and
+    check each prefix once.  The pencil's tail and the witnesses are the
+    stacks of the last prefix's grids, checked with the determinant pivots
+    those grids carry, in real arithmetic when the instance is real;
+    strings of one pencil shape share one pencil lead.
     """
-    memo, step_ok, leads = {}, {}, {}
+    memo, leads = {}, {}
     samples = equivalence._Samples(r, trials, np.random.default_rng(seed))
     for s in sigmas:
-        if r.degree >= 2:
-            tail, sizes_ok, structure_ok = _checked_tail(r, s, memo, step_ok)
-            pencil = fiedler.pencil_from_tail(r, tail, leads)
-        else:
-            pencil = fiedler.fiedler_pencil_rect(r, s)
-            sizes_ok = structure_ok = True
-        u, v = equivalence._witness_stacks(r, s, memo)
-        pivots = equivalence._witness_pivots(r, s, memo)
+        last, sizes_ok, structure_ok = _last(_walk(r, s, memo))
+        pencil = fiedler.pencil_from_tail(r, fiedler._grid_to_blockmatrix(last.w), leads)
+        u, v, pivots = equivalence._witnesses(last.n, last.h)
         report = equivalence._certify(r, s, pencil, u, v, samples, tol, real=r.real, pivots=pivots)
         ok = report.verdict and sizes_ok and structure_ok
         yield RunReport(

@@ -155,26 +155,21 @@ def unimodular_pair(r: Rsmp, s: SigmaSeq) -> tuple[PolyBlockMatrix, PolyBlockMat
     return u, v
 
 
-def _final_grids(r: Rsmp, s: SigmaSeq, memo: dict) -> tuple[Grid, Grid]:
+def _final_grids(r: Rsmp, s: SigmaSeq) -> tuple[Grid, Grid]:
     """The last grids of the recursions for U and (transposed) V; at degree 1 the base grids, identities."""
     if r.degree == 1:
         return _n_base(r), _n_base(r.transpose())
-    return _n_grids(r, s, memo)[-1], _n_grids(r.transpose(), s.flipped(), memo)[-1]
+    return _n_grids(r, s, {})[-1], _n_grids(r.transpose(), s.flipped(), {})[-1]
 
 
-def _witness_stacks(r: Rsmp, s: SigmaSeq, memo: dict) -> tuple[np.ndarray, np.ndarray]:
-    """The coefficient stacks of the witnesses of ``linearization_with_witnesses``, with both recursions kept in ``memo`` (see ``_gridops.schedule``).
+def _witnesses(gu: Grid, gv: Grid) -> tuple[np.ndarray, np.ndarray, tuple]:
+    """U and V as coefficient stacks, from the last grids of the N recursion and of its transposed twin, and their pivots.
 
-    U is the grid's own read-only stack, V a contiguous transposed copy.
+    U is the grid's own read-only stack, V a contiguous transposed copy;
+    the pivots each grid carries come as (rows, cols) of its stack, or
+    None for a grid without (see ``_unimodularity``).
     """
-    gu, gv = _final_grids(r, s, memo)
-    return assemble(gu), assemble(gv, transpose=True)
-
-
-def _witness_pivots(r: Rsmp, s: SigmaSeq, memo: dict) -> tuple:
-    """The pivots the grids of ``_witness_stacks`` carry, as (rows, cols) of each stack, or None for a grid without."""
-    gu, gv = _final_grids(r, s, memo)
-    return pivot_indices(gu), pivot_indices(gv, transpose=True)
+    return assemble(gu), assemble(gv, transpose=True), (pivot_indices(gu), pivot_indices(gv, transpose=True))
 
 
 def linearization_with_witnesses(r: Rsmp, s: SigmaSeq):
@@ -182,7 +177,7 @@ def linearization_with_witnesses(r: Rsmp, s: SigmaSeq):
     from .fiedler import fiedler_pencil_rect
 
     pencil = fiedler_pencil_rect(r, s)
-    gu, gv = _final_grids(r, s, {})
+    gu, gv = _final_grids(r, s)
     return pencil, _grid_to_pbm(gu), _grid_to_pbm(gv, transpose=True)
 
 
@@ -321,6 +316,8 @@ class _Frame:
     The target T(lambda) is ``target`` at degree 0 plus A(lambda) in rows
     and columns ``state`` and D(lambda) in rows ``feed_rows`` and columns
     ``feed_cols``: ``target`` holds the identity paddings, -B and C.
+    ``parts`` holds ``target`` and the coefficients of A and D, and
+    ``real_parts`` their real parts, which a real system's certificate uses.
     """
 
     def __init__(self, r: Rsmp, alpha_prime: int, alpha: int):
@@ -336,6 +333,12 @@ class _Frame:
         self.target[state, self.feed_cols] = -r.B
         _add_eye(self.target, rcuts[2], ccuts[2], alpha)
         self.target[self.feed_rows, state] = r.C
+        self.parts = (self.target, r.A.coeffs, r.D.coeffs)
+
+    @cached_property
+    def real_parts(self) -> tuple[np.ndarray, ...]:
+        """``parts``, the target and the coefficients of A and D, as float64 copies, taken once per frame."""
+        return tuple(np.ascontiguousarray(x.real) for x in self.parts)
 
 
 @dataclass
@@ -490,12 +493,12 @@ def _certify(
             f"to the {rows}x{cols} target"
         )
     lp = np.stack([-pencil.tail, pencil.lead])
-    target, a, d = f.target, r.A.coeffs, r.D.coeffs
+    target, a, d = f.real_parts if real else f.parts
     # an overflowing product is reported as an infinite residual, not as a warning
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         u_dev, v_dev = _unimodularity(u, samples, pivots[0]), _unimodularity(v, samples, pivots[1])
         if real:
-            u, v, lp, target, a, d = (np.ascontiguousarray(x.real) for x in (u, v, lp, target, a, d))
+            u, v, lp = (np.ascontiguousarray(x.real) for x in (u, v, lp))
         tops = [_top(x) for x in (u, lp, v)]
         shifts = [_down_shift(t) for t in tops]
         if any(shifts):

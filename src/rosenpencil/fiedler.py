@@ -304,6 +304,48 @@ class StructureReport:
         return [name for name, ok in self.checks if not ok]
 
 
+def _claims(i: int, r: Rsmp, s: SigmaSeq, total: int) -> list[tuple]:
+    """The structure claims of recursion step i on a matrix of ``total`` block rows, in order.
+
+    Each claim is ``(name, args, row, col, shape, want)``: the 1-based block
+    (row, col) has ``shape`` and equals ``want``, or is zero where ``want``
+    is None.  Its name is ``name % args``, formed only where it is read.
+    """
+    n, p, m, da, dd = r.n, r.p, r.m, r.d_a, r.d_d
+    a_blocks = min(i + 2, da)  # state-side block count at step i
+    d_pos = a_blocks + 1  # 1-based block position of the mixed diagonal block
+    a_idx = min(i + 1, da - 1)  # state coefficient on the (1,1) anchor
+    d_idx = min(i + 1, dd - 1)  # feedthrough coefficient on the mixed diagonal block
+    trailing = min(i, dd - 2)  # last decision that grew the feedthrough side
+    claims = [
+        ("(1,1) block is -A_{i+1}", (), 1, 1, (n, n), -r.A.coeff(a_idx)),
+        ("mixed diagonal block is -D_k", (), d_pos, d_pos, (p, m), -r.D.coeff(d_idx)),
+    ]
+    claims += [("state diagonal block %d is 0_n", (k,), k, k, (n, n), None) for k in range(2, a_blocks + 1)]
+    for j in range(trailing + 1):
+        pos = total - j
+        if pos <= d_pos:
+            break
+        want = p if s.has_consecution(j) else m
+        name = "feedthrough diagonal block %d is 0 of decision size (j=%d)"
+        claims.append((name, (pos, j), pos, pos, (want, want), None))
+    # coupling zero created by this step
+    # block 2 is the state row/column this step added, when it grew the state side
+    near = 2 if i <= da - 2 else 1
+    if s.has_consecution(i):
+        claims.append(("consecution coupling zero is 0_{p x n}", (), d_pos, near, (p, n), None))
+    else:
+        claims.append(("inversion coupling zero is 0_{n x m}", (), near, d_pos, (n, m), None))
+    return claims
+
+
+def _holds(block: np.ndarray, shape: tuple[int, int], want) -> bool:
+    """Whether ``block`` has ``shape`` and equals ``want``, or is zero where ``want`` is None."""
+    if block.shape != shape:
+        return False
+    return not np.count_nonzero(block if want is None else block != want)
+
+
 def check_block_structure(w: BlockMatrix, i: int, r: Rsmp, s: SigmaSeq) -> StructureReport:
     """Verify the structural claims for recursion step i.
 
@@ -317,48 +359,22 @@ def check_block_structure(w: BlockMatrix, i: int, r: Rsmp, s: SigmaSeq) -> Struc
     stop where its degree runs out, and the coupling zero meets state
     block 2 when the step grew the state side, block 1 otherwise.
     """
-    n, p, m, da, dd = r.n, r.p, r.m, r.d_a, r.d_d
     rep = StructureReport()
-
-    def is_zero(block):
-        return block.size == 0 or not block.any()
-
-    a_blocks = min(i + 2, da)  # state-side block count at step i
-    d_pos = a_blocks + 1  # 1-based block position of the mixed diagonal block
-    a_idx = min(i + 1, da - 1)  # state coefficient on the (1,1) anchor
-    d_idx = min(i + 1, dd - 1)  # feedthrough coefficient on the mixed diagonal block
-    trailing = min(i, dd - 2)  # last decision that grew the feedthrough side
-    b11 = w.block(1, 1)
-    rep.add(
-        "(1,1) block is -A_{i+1}",
-        b11.shape == (n, n) and (b11 == -r.A.coeff(a_idx)).all(),
-    )
-    bdd = w.block(d_pos, d_pos)
-    rep.add(
-        "mixed diagonal block is -D_k",
-        bdd.shape == (p, m) and (bdd == -r.D.coeff(d_idx)).all(),
-    )
-    for k in range(2, a_blocks + 1):
-        blk = w.block(k, k)
-        rep.add(f"state diagonal block {k} is 0_n", blk.shape == (n, n) and is_zero(blk))
-    total = w.nblock_rows
-    for j in range(trailing + 1):
-        pos = total - j
-        if pos <= d_pos:
-            break
-        blk = w.block(pos, pos)
-        want = p if s.has_consecution(j) else m
-        rep.add(
-            f"feedthrough diagonal block {pos} is 0 of decision size (j={j})",
-            blk.shape == (want, want) and is_zero(blk),
-        )
-    # coupling zero created by this step
-    # block 2 is the state row/column this step added, when it grew the state side
-    near = 2 if i <= da - 2 else 1
-    if s.has_consecution(i):
-        blk = w.block(d_pos, near)
-        rep.add("consecution coupling zero is 0_{p x n}", blk.shape == (p, n) and is_zero(blk))
-    else:
-        blk = w.block(near, d_pos)
-        rep.add("inversion coupling zero is 0_{n x m}", blk.shape == (n, m) and is_zero(blk))
+    for name, args, bi, bj, shape, want in _claims(i, r, s, w.nblock_rows):
+        rep.add(name % args, _holds(w.block(bi, bj), shape, want))
     return rep
+
+
+def _step_verdicts(g: Grid, r: Rsmp, s: SigmaSeq, i: int) -> tuple[bool, bool]:
+    """Whether the grid of recursion step i meets its size law, and whether it meets every claim of ``check_block_structure``.
+
+    The claims read their blocks from the grid's matrix by its block
+    offsets: no BlockMatrix is built, no claim is named, and the first
+    claim that fails settles the verdict.
+    """
+    w, rc, cc = g.stack[0], g.rc, g.cc
+    size_ok = w.shape == expected_size(r.n, r.p, r.m, r.d_a, r.d_d, s, i)
+    for _, _, bi, bj, shape, want in _claims(i, r, s, len(g.rsz)):
+        if not _holds(w[rc[bi - 1] : rc[bi], cc[bj - 1] : cc[bj]], shape, want):
+            return size_ok, False
+    return size_ok, True

@@ -210,17 +210,19 @@ def is_regular(p: MatrixPolynomial, trials: int = 8, rng_seed: int = 0) -> bool:
     """Probabilistic regularity test: does det p(lambda) vanish identically?
 
     Samples ``trials`` points from the disc of radius 2 and reports True as
-    soon as the determinant of p(z), with its columns scaled by powers of
-    two and then to unit 1-norm, exceeds 1e-10 (a point where p(z) is zero
-    is skipped).  Each column of the coefficients is first divided by the
-    power of two that brings its largest entry into [1/2, 1), so that
-    evaluating p(z) cannot overflow on large coefficients, and each column
-    of p(z) is divided the same way before the determinant: scaling a
+    soon as the determinant of p(z), with its columns and then its rows
+    scaled by powers of two and the whole then to unit 1-norm, exceeds
+    1e-10 (a point where p(z) is zero is skipped).  Each column of the
+    coefficients is first divided by the power of two that brings its
+    largest entry into [1/2, 1), so that evaluating p(z) cannot overflow
+    on large coefficients, and each column of p(z), then each row, is
+    divided the same way before the determinant: scaling a row or a
     column by a power of two scales the determinant exactly, so the test
-    does not depend on how the columns are scaled (a badly scaled column
-    such as ``1 + 1e12 z`` beside ones of order 1 no longer reads as
-    singular).  For a regular polynomial this succeeds with probability
-    one; for det identically zero it is False for every seed.
+    does not depend on how the rows and columns are scaled (a badly scaled
+    column such as ``1 + 1e12 z`` beside ones of order 1, or a row such as
+    ``[1e12 z, 1e12]`` above ``[1, 2]``, no longer reads as singular).  For
+    a regular polynomial this succeeds with probability one; for det
+    identically zero it is False for every seed.
     """
     if p.rows != p.cols:
         raise DimensionError("regularity is defined for square matrix polynomials")
@@ -230,6 +232,7 @@ def is_regular(p: MatrixPolynomial, trials: int = 8, rng_seed: int = 0) -> bool:
         z = 2.0 * np.sqrt(rng.uniform()) * np.exp(2j * np.pi * rng.uniform())
         m = _horner(coeffs, z)
         m = m * _column_scales(m)
+        m = m * _column_scales(m.T)[:, None]
         norm1 = np.max(np.abs(m).sum(axis=0)) if m.size else 1.0
         if norm1 > 0 and abs(np.linalg.det(m / norm1)) > 1e-10:
             return True

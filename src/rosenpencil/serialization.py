@@ -42,7 +42,8 @@ def _entry(v, where: str) -> complex:
     raise ParseError(f"{where}: expected a number or [re, im] pair, got {v!r}")
 
 
-def _matrix(obj, rows: int, cols: int, where: str) -> np.ndarray:
+def _walk(obj, rows: int, cols: int, where: str) -> np.ndarray:
+    """The matrix, read entry by entry; every malformed row or entry raises its own ParseError."""
     if not isinstance(obj, list) or len(obj) != rows:
         raise ParseError(f"{where}: expected {rows} rows")
     out = np.zeros((rows, cols), dtype=complex)
@@ -51,6 +52,41 @@ def _matrix(obj, rows: int, cols: int, where: str) -> np.ndarray:
             raise ParseError(f"{where}[{i}]: expected {cols} entries")
         for j, v in enumerate(row):
             out[i, j] = _entry(v, f"{where}[{i}][{j}]")
+    return out
+
+
+def _numbers(obj, rows: int, cols: int) -> np.ndarray | None:
+    """The matrix, if one ``np.array`` reads it as rows x cols numbers or [re, im] pairs of numbers; else None.
+
+    A JSON boolean would read as 0 or 1 here, so only a document that
+    holds none may come this way.  A Python int beyond the float range
+    makes an object array, which is not read.
+    """
+    try:
+        arr = np.array(obj)
+    except (ValueError, OverflowError):  # rows of unequal shapes
+        return None
+    if arr.dtype.kind not in "iuf":
+        return None
+    if arr.shape == (rows, cols):
+        return arr.astype(complex)
+    if arr.shape == (rows, cols, 2):
+        return np.ascontiguousarray(arr, dtype=float).view(complex)[..., 0]
+    return None
+
+
+def _matrix(obj, rows: int, cols: int, where: str, fast: bool = False) -> np.ndarray:
+    """A rows x cols complex matrix from its JSON form.
+
+    With ``fast`` (the document holds no boolean), a well-formed matrix
+    is read by one ``np.array`` (``_numbers``); anything else, and every
+    matrix without ``fast``, is walked entry by entry (``_walk``), which
+    gives the same values and raises the error for the first bad row or
+    entry.
+    """
+    out = _numbers(obj, rows, cols) if fast else None
+    if out is None:
+        out = _walk(obj, rows, cols, where)
     # Python's nan and inf in a dict, and overflowing literals such as 1e400
     # in text, pass the JSON token check
     if not np.isfinite(out).all():
@@ -108,10 +144,12 @@ def parse_rsmp(document) -> Rsmp:
         raise ParseError(f"A: expected {d_a + 1} coefficient matrices")
     if not isinstance(doc["D"], list) or len(doc["D"]) != d_d + 1:
         raise ParseError(f"D: expected {d_d + 1} coefficient matrices")
-    a = MatrixPolynomial([_matrix(c, n, n, f"A[{k}]") for k, c in enumerate(doc["A"])])
-    d = MatrixPolynomial([_matrix(c, p, m, f"D[{k}]") for k, c in enumerate(doc["D"])])
-    b = _matrix(doc["B"], n, m, "B")
-    c = _matrix(doc["C"], p, n, "C")
+    # JSON writes a boolean only as the token true or false
+    fast = isinstance(document, str) and "true" not in document and "false" not in document
+    a = MatrixPolynomial([_matrix(c, n, n, f"A[{k}]", fast) for k, c in enumerate(doc["A"])])
+    d = MatrixPolynomial([_matrix(c, p, m, f"D[{k}]", fast) for k, c in enumerate(doc["D"])])
+    b = _matrix(doc["B"], n, m, "B", fast)
+    c = _matrix(doc["C"], p, n, "C", fast)
     try:
         return Rsmp(a, b, c, d)
     except DimensionError as exc:

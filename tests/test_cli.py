@@ -15,6 +15,7 @@ from rosenpencil import (
     NonConvergence,
     Rsmp,
     all_decision_strings,
+    cli,
     companion_first,
     emit_rsmp,
     equivalence,
@@ -23,6 +24,7 @@ from rosenpencil import (
     parse_rsmp,
     spectral,
 )
+from rosenpencil._gridops import Grid
 from rosenpencil.blocks import Pencil
 from rosenpencil.cli import RunReport, main
 from rosenpencil.sampling import random_rsmp
@@ -243,21 +245,29 @@ def _certify_products(monkeypatch) -> list:
 
 
 def _mutable_witnesses(monkeypatch) -> list:
-    """Make the CLI check U times 1 + 1e-6 while the returned list is not empty."""
-    stacks, mutate = equivalence._witness_stacks, []
+    """Make the CLI check U times 1 + 1e-6 while the returned list is not empty.
+
+    The pivots stay those the grid carries, which U then no longer holds.
+    """
+    witnesses, mutate = equivalence._witnesses, []
 
     def witness_spy(*args):
-        u, v = stacks(*args)
-        return (u * (1 + 1e-6), v) if mutate else (u, v)
+        u, v, pivots = witnesses(*args)
+        return (u * (1 + 1e-6), v, pivots) if mutate else (u, v, pivots)
 
-    monkeypatch.setattr(equivalence, "_witness_stacks", witness_spy)
+    monkeypatch.setattr(equivalence, "_witnesses", witness_spy)
     return mutate
 
 
 def _overflowing_witnesses(monkeypatch):
     """Make the CLI check its witnesses times 1e200, so that U L V overflows."""
-    stacks = equivalence._witness_stacks
-    monkeypatch.setattr(equivalence, "_witness_stacks", lambda *args: tuple(w * 1e200 for w in stacks(*args)))
+    witnesses = equivalence._witnesses
+
+    def overflowing(*args):
+        u, v, pivots = witnesses(*args)
+        return u * 1e200, v * 1e200, pivots
+
+    monkeypatch.setattr(equivalence, "_witnesses", overflowing)
 
 
 def _public_record(r, s, instance, trials=20, tol=1e-8, seed=0):
@@ -473,6 +483,102 @@ class TestPerStringWork:
                 assert main(["verify", str(path), "--all"]) == 0
         assert main(["fuzz", "--max-dim", "2", "--max-deg", "3", "--out", str(tmp_path / "fuzz.jsonl")]) == 0
         capsys.readouterr()
+
+
+    def test_one_walk_per_string(self, tmp_path, capsys, monkeypatch):
+        # W, N and H grow together: one schedule call per string on the
+        # eight deep_verify cells, wherever the package looks schedule up
+        calls = []
+
+        def spy(schedule):
+            def counted(*args, **kwargs):
+                calls.append(args[1].decisions)
+                return schedule(*args, **kwargs)
+
+            return counted
+
+        for module in (cli, fiedler, equivalence):
+            monkeypatch.setattr(module, "schedule", spy(module.schedule))
+        rng = np.random.default_rng(1901)
+        for k, cell in enumerate(DEEP_CELLS):
+            path = tmp_path / f"{k}.json"
+            path.write_text(emit_rsmp(random_rsmp(rng, *cell)))
+            calls.clear()
+            assert main(["verify", str(path), "--all"]) == 0
+            assert calls == [s.decisions for s in all_decision_strings(7)], cell
+        capsys.readouterr()
+
+
+# every cell of the acceptance grid: (n, p, m) in {1,2,3}^3, (d_A, d_D) in {1..5}^2
+GRID = list(itertools.product((1, 2, 3), (1, 2, 3), (1, 2, 3), range(1, 6), range(1, 6)))
+
+
+def _faulted(g):
+    """A copy of the W grid ``g`` whose (1,1) block, the claimed -A_{i+1}, is off by one."""
+    stack = g.stack.copy()
+    stack[0, : g.rc[1], : g.cc[1]] += 1.0
+    return Grid(stack, g.rsz, g.csz, g.a, g.cdeg, g.piv)
+
+
+class TestWalkVerdicts:
+    """The walk of ``verify --all`` checks each prefix on its W grid, against the public checks."""
+
+    @pytest.mark.parametrize("draw", [random_rsmp, oracles.spread_rsmp], ids=["integer", "spread"])
+    def test_prefix_verdicts_are_the_public_checks(self, draw):
+        # every prefix of every acceptance-grid cell: the walk's size and
+        # structure verdicts against expected_size and check_block_structure
+        # on the matrices of the W recursion alone
+        rng = np.random.default_rng(1902)
+        checked = 0
+        for cell in GRID:
+            r = draw(rng, *cell)
+            memo, w_memo, seen = {}, {}, set()
+            for s in all_decision_strings(r.degree):
+                path = cli._walk(r, s, memo)
+                if r.degree == 1:
+                    assert len(path) == 1 and path[0].size_ok and path[0].structure_ok
+                    continue
+                for i, (node, g) in enumerate(zip(path, fiedler._w_grids(r, s, w_memo))):
+                    if s.decisions[: i + 1] in seen:
+                        continue
+                    seen.add(s.decisions[: i + 1])
+                    w = fiedler._grid_to_blockmatrix(g)
+                    size_ok = w.shape == fiedler.expected_size(r.n, r.p, r.m, r.d_a, r.d_d, s, i)
+                    assert (node.size_ok, node.structure_ok) == (size_ok, fiedler.check_block_structure(w, i, r, s).passed)
+                    assert node.size_ok and node.structure_ok
+                    checked += 1
+        assert checked == 27 * sum(2 ** max(d_a, d_d) - 2 for d_a in range(1, 6) for d_d in range(1, 6))
+
+    @pytest.mark.parametrize("draw", [random_rsmp, oracles.spread_rsmp], ids=["integer", "spread"])
+    def test_a_fault_flips_only_its_prefix(self, monkeypatch, draw):
+        # one cell per degree pair; for every prefix P, a walk over all strings
+        # in which the check of P sees a faulted W grid: P's structure verdict
+        # is the only one to fail, every string through P carries it, and the
+        # public check fails on the faulted matrix too
+        check, target = cli._check, []
+
+        def faulty_check(g, r, s, i):
+            if s.decisions[: i + 1] == target[0]:
+                verdict = check(g._replace(w=_faulted(g.w)), r, s, i)
+                w = fiedler._grid_to_blockmatrix(_faulted(g.w))
+                assert not fiedler.check_block_structure(w, i, r, s).passed
+                return g._replace(size_ok=verdict.size_ok, structure_ok=verdict.structure_ok)
+            return check(g, r, s, i)
+
+        monkeypatch.setattr(cli, "_check", faulty_check)
+        rng = np.random.default_rng(1903)
+        shapes = list(itertools.product((1, 2, 3), repeat=3))
+        for k, (d_a, d_d) in enumerate(itertools.product(range(1, 6), repeat=2)):
+            r = draw(rng, *shapes[k], d_a, d_d)
+            strings = list(all_decision_strings(r.degree))
+            prefixes = {s.decisions[: i + 1] for s in strings for i in range(r.degree - 1)}
+            for fault in sorted(prefixes):
+                target[:] = [fault]
+                memo = {}
+                for s in strings:
+                    for i, node in enumerate(cli._walk(r, s, memo)):
+                        assert node.size_ok
+                        assert node.structure_ok == (s.decisions[: i + 1] != fault), (d_a, d_d, fault, s.decisions)
 
 
 _NUM = r"(?:\d+(?:\.\d*)?(?:e[-+]\d+)?)"

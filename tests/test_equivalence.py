@@ -19,7 +19,7 @@ from rosenpencil import (
     verify_theorem,
 )
 from rosenpencil.blocks import Pencil, PolyBlockMatrix
-from rosenpencil import equivalence
+from rosenpencil import cli, equivalence
 from rosenpencil._gridops import eye, insert, neg_eye, pivot_indices
 from rosenpencil.equivalence import _mul
 from rosenpencil.sampling import random_rsmp
@@ -507,6 +507,12 @@ class TestNonFiniteResiduals:
                 assert not EquivalenceReport(0.0, 0.0, u_unimodularity=bad, tol=tol).verdict
 
 
+def _cli_witnesses(r, s, memo):
+    """U, V and their carried pivots as ``verify --all`` certifies them: from the last prefix of its walk over ``memo``."""
+    last = cli._walk(r, s, memo)[-1]
+    return equivalence._witnesses(last.n, last.h)
+
+
 def _stack(kind: str, k: int, points: int, rng) -> np.ndarray:
     """A ``(points, k, k)`` stack of one kind: dense, sparse, structurally singular, or permuted triangular with +-1 pivots."""
     values = rng.standard_normal((points, k, k)) + 1j * rng.standard_normal((points, k, k))
@@ -565,7 +571,7 @@ class TestLaplaceDeterminant:
     def _witnesses(r):
         memo = {}
         for s in all_decision_strings(r.degree):
-            yield s, *equivalence._witness_stacks(r, s, memo)
+            yield s, *_cli_witnesses(r, s, memo)[:2]
 
     def test_recursion_witnesses_expand_to_empty_core(self):
         # a seeded sample of the acceptance grid and the degree-7 cells of the benchmark, integer and spread draws
@@ -603,7 +609,7 @@ class TestLaplaceDeterminant:
     def test_scaled_pivot_shows_in_the_figure(self, rng):
         r = random_rsmp(rng, 2, 3, 1, 4, 3)
         s = SigmaSeq("CIC")
-        u, v = equivalence._witness_stacks(r, s, {})
+        u, v, _ = _cli_witnesses(r, s, {})
         plan = equivalence._det_plan(u)
         bad = u.copy()
         bad[0, plan.pivots[0][3], plan.pivots[1][3]] *= 1 + 1e-9
@@ -615,7 +621,7 @@ class TestLaplaceDeterminant:
         # a pivot of lambda-dependent value: det U is not constant, which the degree-0 product alone would miss
         r = random_rsmp(rng, 2, 3, 1, 4, 3)
         s = SigmaSeq("CIC")
-        u, v = equivalence._witness_stacks(r, s, {})
+        u, v, _ = _cli_witnesses(r, s, {})
         plan = equivalence._det_plan(u)
         bad = u.copy()
         bad[1, plan.pivots[0][0], plan.pivots[1][0]] = 0.5
@@ -625,7 +631,7 @@ class TestLaplaceDeterminant:
     def test_non_triangular_unimodular_witness_goes_through_the_core(self, rng):
         r = random_rsmp(rng, 2, 3, 1, 4, 3)
         s = SigmaSeq("ICI")
-        u, v = equivalence._witness_stacks(r, s, {})
+        u, v, _ = _cli_witnesses(r, s, {})
         k = u.shape[1]
         # a dense integer matrix of determinant 1: unit lower times unit upper triangular
         lower = np.tril(rng.integers(-2, 3, size=(k, k)), -1) + np.eye(k)
@@ -638,7 +644,7 @@ class TestLaplaceDeterminant:
     def test_singular_witness_fails(self, rng):
         r = random_rsmp(rng, 2, 3, 1, 4, 3)
         s = SigmaSeq("CCI")
-        u, v = equivalence._witness_stacks(r, s, {})
+        u, v, _ = _cli_witnesses(r, s, {})
         no_column = u.copy()
         no_column[:, :, 2] = 0.0  # structurally singular
         repeated_row = u.copy()
@@ -683,8 +689,8 @@ class TestCarriedPivots:
                 r = draw(rng, *cell)
                 memo = {}
                 for s in all_decision_strings(r.degree):
-                    stacks = equivalence._witness_stacks(r, s, memo)
-                    for w, piv in zip(stacks, equivalence._witness_pivots(r, s, memo)):
+                    u, v, pivots = _cli_witnesses(r, s, memo)
+                    for w, piv in zip((u, v), pivots):
                         monkeypatch.setattr(equivalence, "_det_plan", None)
                         carried = equivalence._unimodularity(w, samples, piv)
                         monkeypatch.setattr(equivalence, "_det_plan", plan)
@@ -700,8 +706,7 @@ class TestCarriedPivots:
         r = random_rsmp(rng, 2, 3, 1, 4, 3)
         s = SigmaSeq("ICC")
         memo = {}
-        u, v = equivalence._witness_stacks(r, s, memo)
-        piv_u, piv_v = equivalence._witness_pivots(r, s, memo)
+        u, v, (piv_u, piv_v) = _cli_witnesses(r, s, memo)
         bad = u.copy()
         bad[0, piv_u[0][4], piv_u[1][4]] *= 1 + 1e-9
         pencil, pu, pv = linearization_with_witnesses(r, s)
@@ -908,7 +913,8 @@ class TestOnDemandScale:
                 samples = equivalence._Samples(r, 20, np.random.default_rng(0))
                 strings = list(all_decision_strings(r.degree))
                 for s in strings:
-                    w = (equivalence._witness_stacks(r, s, memo), equivalence._witness_pivots(r, s, memo))
+                    u, v, pivots = _cli_witnesses(r, s, memo)
+                    w = ((u, v), pivots)
                     cases.append((r, s, fiedler_pencil_rect(r, s), w, samples))
                 r, s, pencil, w, samples = cases[-1 - int(rng.integers(len(strings)))]
                 cases.append((r, s, _tail_mutated(pencil, rng), w, samples))

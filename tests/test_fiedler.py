@@ -455,26 +455,27 @@ class TestPrefixMemo:
 
     @pytest.mark.parametrize("cell", [(2, 1, 3, 4, 2), (1, 2, 1, 2, 5)])
     def test_memoised_grids_are_read_only(self, rng, cell):
-        # the walk of verify --all: one memo for W, N and H of every string;
-        # a shared stack written in place would change every string built on it
+        # the walk of verify --all: one path memo grows W, N and H of every
+        # string together; a shared stack written in place would change
+        # every string built on it
         r = random_rsmp(rng, *cell)
         memo, seen = {}, {}
         for s in all_decision_strings(r.degree):
-            cli._checked_tail(r, s, memo, {})
-            equivalence._witness_stacks(r, s, memo)
-            _assert_path_memo(memo, r)
-            for key, (_, grids) in memo.items():
-                for g in grids:
-                    seen[id(g)] = (key[1], g)
+            cli._walk(r, s, memo)
+            ((walked, path),) = memo.values()  # one entry: the last string and its prefixes, the base first
+            assert walked == s.decisions and len(path) == r.degree
+            for node in path:
+                for kind, g in zip("wnh", node[:3]):
+                    seen[id(g)] = (kind, g)
         assert len(seen) == 3 * (2 ** r.degree - 1)  # every prefix, and the base grid, built once
-        for step, g in seen.values():
+        for kind, g in seen.values():
             assert g.stack.ndim == 3 and not g.stack.flags.writeable
             assert len(g.stack) == max(g.cdeg) + 1 and len(g.cdeg) == len(g.csz)
             with pytest.raises(ValueError, match="read-only"):
                 g.stack[0, 0, 0] += 1.0
             # the N and H grids carry their expansion pivots, one block column
             # per block row, as tuples, which cannot be written either; W carries none
-            if step is fiedler._w_step:
+            if kind == "w":
                 assert g.piv is None
             else:
                 assert isinstance(g.piv, tuple) and len(g.piv) == len(g.rsz)

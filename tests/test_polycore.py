@@ -220,6 +220,15 @@ class TestRegularity:
             r = Rsmp(p, [[1.0], [0.0]], [[0.0, 1.0]], d)
         assert r.a_regular
 
+    @pytest.mark.parametrize("transpose", [False, True], ids=["rows", "columns"])
+    def test_badly_scaled_row_is_regular(self, transpose):
+        # det [[1e12 z, 1e12], [1, 2]] = 1e12 (2z - 1): regular, with one row,
+        # or in the transpose one column, far larger than the other
+        c = np.array([[[0.0, 1e12], [1.0, 2.0]], [[1e12, 0.0], [0.0, 0.0]]])
+        p = MatrixPolynomial(c.transpose(0, 2, 1) if transpose else c)
+        for seed in range(4):
+            assert is_regular(p, rng_seed=seed)
+
     def test_badly_scaled_singular_polynomial_stays_singular(self):
         # the second column is twice the first at every lambda, and the first holds 1 + 1e12 z
         c = np.array([[[1.0, 2.0], [1.0, 2.0]], [[1e12, 2e12], [0.0, 0.0]]])

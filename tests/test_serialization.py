@@ -19,6 +19,7 @@ from rosenpencil import (
     parse_rsmp,
     square_fiedler_pencil,
 )
+from rosenpencil import serialization
 from rosenpencil.sampling import random_rsmp
 from rosenpencil.sigma import SigmaSeq
 
@@ -147,6 +148,78 @@ class TestParse:
         doc["row_sizes"] = sizes
         with pytest.raises(ParseError, match=r"^row_sizes: expected a list of integers >= 0$"):
             parse_pencil(json.dumps(doc))
+
+
+def _read(obj, rows, cols, fast):
+    """``(matrix bytes, None)`` or ``(None, ParseError text)`` for one matrix read with or without the fast path."""
+    try:
+        return serialization._matrix(obj, rows, cols, "X", fast).tobytes(), None
+    except ParseError as exc:
+        return None, str(exc)
+
+
+class TestFastMatrixRead:
+    """``parse_rsmp`` reads a matrix with one ``np.array`` and walks it entry by entry only to find what is wrong."""
+
+    VALID = [
+        [[1, -2], [3, 0]],
+        [[1.5, -0.0], [2, 1e-310]],
+        [[[1, 2], [3.5, -0.0]], [[0, 0], [-1e308, 4]]],
+        [[[2**62 + 1, 0], [2**63, 1.5]], [[2**64 - 1, 0], [-(2**63), -(2**62 + 3)]]],
+        [[2**63, 1], [2**64 - 1, -(2**63)]],
+    ]
+
+    @pytest.mark.parametrize("obj", VALID)
+    def test_valid_matrices_read_as_the_walk_reads_them(self, obj):
+        assert serialization._numbers(obj, 2, 2) is not None
+        fast, walked = _read(obj, 2, 2, True), _read(obj, 2, 2, False)
+        assert fast == walked and fast[0] is not None
+
+    def test_numbers_beside_pairs_are_walked(self):
+        obj = [[1, [2, -0.5]], [3, 4]]
+        assert serialization._numbers(obj, 2, 2) is None
+        fast, walked = _read(obj, 2, 2, True), _read(obj, 2, 2, False)
+        assert fast == walked and fast[0] is not None
+
+    def test_valid_documents_read_as_the_walk_reads_them(self, rng):
+        # a dict is always walked; its text form takes the fast path
+        for draw in (random_rsmp, oracles.spread_rsmp):
+            for cell in [(1, 1, 1, 1, 1), (2, 3, 1, 3, 2), (3, 2, 2, 1, 4)]:
+                text = emit_rsmp(draw(rng, *cell))
+                fast, walked = parse_rsmp(text), parse_rsmp(json.loads(text))
+                for x, y in [(fast.A.coeffs, walked.A.coeffs), (fast.B, walked.B), (fast.C, walked.C),
+                             (fast.D.coeffs, walked.D.coeffs)]:
+                    assert x.tobytes() == y.tobytes()
+
+    REJECTED = {
+        "too few rows": [[1, 2]],
+        "not a list": {"a": 1},
+        "short row": [[1, 2], [3]],
+        "row not a list": [[1, 2], 3],
+        "three-part entry": [[[1, 2, 3], [1, 2, 3]], [[1, 2, 3], [1, 2, 3]]],
+        "string entry": [[1, "2"], [3, 4]],
+        "null entry": [[1, None], [3, 4]],
+        "overflowing literal": [[1, float("inf")], [3, 4]],
+        "overflowing imaginary part": [[[1, 0], [0, -float("inf")]], [[3, 0], [4, 0]]],
+        "int beyond float range": [[1, 10**400], [3, 4]],
+        "pair with an int beyond float range": [[[1, 10**400], [0, 0]], [[3, 0], [4, 0]]],
+    }
+
+    @pytest.mark.parametrize("kind", REJECTED)
+    def test_rejected_matrices_give_the_walks_error(self, kind):
+        fast, walked = _read(self.REJECTED[kind], 2, 2, True), _read(self.REJECTED[kind], 2, 2, False)
+        assert fast == walked and walked[1] is not None
+
+    @pytest.mark.parametrize("entry", ["true", "false", "[1.0, false]", "[true, 0.0]"])
+    def test_a_boolean_in_the_text_is_walked_and_rejected(self, entry):
+        # np.array would read [1.5, true] as [1.5, 1.0]; a text that holds a boolean is walked
+        text = json.dumps(WORKED_EXAMPLE_DOC).replace('"B": [[-1, 0]]', '"B": [[-1.5, "TOKEN"]]')
+        text = text.replace('"TOKEN"', entry)
+        with pytest.raises(ParseError) as fast:
+            parse_rsmp(text)
+        with pytest.raises(ParseError) as walked:
+            parse_rsmp(json.loads(text))
+        assert str(fast.value) == str(walked.value) == f"B[0][1]: expected a number or [re, im] pair, got {json.loads(entry)!r}"
 
 
 class TestShippedInstance:
