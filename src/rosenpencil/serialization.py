@@ -64,7 +64,7 @@ def _numbers(obj, rows: int, cols: int) -> np.ndarray | None:
     """
     try:
         arr = np.array(obj)
-    except (ValueError, OverflowError):  # rows of unequal shapes
+    except (ValueError, OverflowError):  # rows of unequal shapes, or an int out of numpy's range
         return None
     if arr.dtype.kind not in "iuf":
         return None
