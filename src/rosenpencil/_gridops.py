@@ -1,17 +1,20 @@
 """Internal block-grid plumbing for the pencil recursions.
 
-A grid is one read-only ``(degree + 1, rows, cols)`` complex coefficient
-stack (degree 0 in W) plus its partition: the block-size lists, the count
+A grid is one read-only ``(degree + 1, rows, cols)`` coefficient stack
+(degree 0 in W) in the instance's dtype (float64 for a real instance on
+the CLI's walk, complex128 otherwise and in the public builders) plus its
+partition: the block-size lists, the block offsets, the count
 ``a`` of leading block rows, and equally many leading block columns, that
 belong to the state (A) side, so block (a, a) is the first feedthrough
 block, and the degree of each block column.  A column's degree is that of
 the blocks written into it, not a numerical trim, so every stack keeps the
 length its blocks give it even where its top coefficients are zero.
 ``assemble`` returns the stack itself, or a contiguous transposed copy.
-Every recursion step is one ``insert``: the grown stack is allocated, the
-predecessor's four quadrants are copied around a zero block row and a zero
-block column of one size, and a handful of prescribed blocks are written
-into them.  ``schedule`` runs every recursion: it checks the degree and
+Every recursion step is one ``insert``: the grown stack is allocated in the
+dtype of the grid it grows, the predecessor's nonempty quadrants are
+copied around a zero block row and a zero block column of one size, the
+offsets are the predecessor's with those past the insertion shifted, and
+a handful of prescribed blocks are written into them.  ``schedule`` runs every recursion: it checks the degree and
 the decision count, then grows the degree-1 grid per decision with the
 state step while the state degree has coefficients left, and with the
 feedthrough step while the feedthrough degree has, and hands each
@@ -32,7 +35,8 @@ constant +-I in block column ``piv[i]``, with no other nonzero in its
 rows once the later pivots' rows and columns are struck out.  A base grid
 gets them from its caller; ``insert`` extends them only while the claim
 goes on holding, that is while the inserted block row holds one block, in
-the inserted column, and that block is a constant +-I (the grid then has
+the inserted column, and that block is the shared ``eye`` or ``neg_eye``
+of its size and dtype (the grid then has
 determinant +-1 times its predecessor's), and drops them otherwise.
 ``pivot_indices`` turns them into the scalar indices of the assembled stack.
 """
@@ -59,11 +63,12 @@ class Grid:
 
     __slots__ = ("stack", "rsz", "csz", "rc", "cc", "a", "cdeg", "piv")
 
-    def __init__(self, stack, rsz, csz, a, cdeg, piv=None):
+    def __init__(self, stack, rsz, csz, a, cdeg, piv=None, cuts=None):
         self.stack = stack  # (degree + 1, rows, cols), read-only
         self.rsz = rsz
         self.csz = csz
-        self.rc, self.cc = _cuts(rsz), _cuts(csz)  # the blocks' scalar offsets
+        # the blocks' scalar offsets, from the sizes unless ``cuts`` gives them
+        self.rc, self.cc = cuts if cuts is not None else (_cuts(rsz), _cuts(csz))
         self.a = a  # leading block rows, and block cols, belonging to the A side
         self.cdeg = cdeg  # the degree of each block column, a tuple
         self.piv = piv  # the carried pivots' block columns, a tuple with one per block row, or None
@@ -75,18 +80,22 @@ class Grid:
         return cls(stack, list(rsz), list(csz), 1, (len(stack) - 1,) * len(csz), piv)
 
 
-@lru_cache(maxsize=256)
-def eye(k: int) -> np.ndarray:
-    """The k-by-k identity as a read-only degree-0 stack, one shared per size."""
-    out = np.eye(k, dtype=complex)[None]
-    out.setflags(write=False)
-    return out
+def eye(k: int, dtype=complex) -> np.ndarray:
+    """The k-by-k identity as a read-only degree-0 stack, one shared per size and dtype."""
+    return _identity(k, np.dtype(dtype), 1.0)
 
 
-@lru_cache(maxsize=256)
-def neg_eye(k: int) -> np.ndarray:
-    """``-eye(k)``, read-only, one shared per size."""
-    out = -eye(k)
+def neg_eye(k: int, dtype=complex) -> np.ndarray:
+    """``-eye(k, dtype)``, read-only, one shared per size and dtype."""
+    return _identity(k, np.dtype(dtype), -1.0)
+
+
+@lru_cache(maxsize=512)
+def _identity(k: int, dtype: np.dtype, sign: float) -> np.ndarray:
+    """``sign`` times the k-by-k identity in ``dtype``, a read-only degree-0 stack; keyed on a canonical dtype, so each is one object."""
+    out = np.eye(k, dtype=dtype)[None]
+    if sign < 0:
+        out = -out
     out.setflags(write=False)
     return out
 
@@ -99,30 +108,45 @@ def insert(prev: Grid, at_row: int, at_col: int, size: int, extra, grown: bool) 
     positions, written into the result: a block is a coefficient stack one
     block column wide that starts at block row ``row`` and may span several
     block rows.  Everything else new stays zero.  ``grown`` marks a state
-    step, whose new row and column join the state side.
+    step, whose new row and column join the state side.  The result takes
+    the dtype of ``prev``'s stack, or a wider one that a block needs, so a
+    real grid stays real under real blocks and no block loses a part.
     """
-    old, d = prev.stack, len(prev.stack)
-    r0, c0 = prev.rc[at_row], prev.cc[at_col]
-    depth = max([d] + [len(val) for _, _, val in extra])
-    out = np.zeros((depth, old.shape[1] + size, old.shape[2] + size), dtype=complex)
-    # the predecessor's four quadrants around the new row and column; a step
-    # at block row or column 0 has nothing before it to copy
-    bands = [(slice(r0 + size, None), slice(r0, None))] + ([(slice(r0), slice(r0))] if r0 else [])
-    for dst, src in bands:
+    old = prev.stack
+    d, rows, cols = old.shape
+    rc, cc = prev.rc, prev.cc
+    r0, c0 = rc[at_row], cc[at_col]
+    dtype, depth = old.dtype, d
+    for _, _, val in extra:
+        if val.dtype != dtype:
+            dtype = np.result_type(dtype, val.dtype)
+        depth = max(depth, len(val))
+    out = np.zeros((depth, rows + size, cols + size), dtype=dtype)
+    # the predecessor's four quadrants around the new row and column; one
+    # before row or column 0, or past the last, is empty and not copied
+    r1, c1 = r0 + size, c0 + size
+    if r0:
         if c0:
-            out[:d, dst, :c0] = old[:, src, :c0]
-        out[:d, dst, c0 + size :] = old[:, src, c0:]
-    rsz = prev.rsz[:at_row] + [size] + prev.rsz[at_row:]
-    csz = prev.csz[:at_col] + [size] + prev.csz[at_col:]
-    g = Grid(out, rsz, csz, prev.a + grown, None)
+            out[:d, :r0, :c0] = old[:, :r0, :c0]
+        if c0 < cols:
+            out[:d, :r0, c1:] = old[:, :r0, c0:]
+    if r0 < rows:
+        if c0:
+            out[:d, r1:, :c0] = old[:, r0:, :c0]
+        if c0 < cols:
+            out[:d, r1:, c1:] = old[:, r0:, c0:]
+    rc = rc[: at_row + 1] + [x + size for x in rc[at_row:]]
+    cc = cc[: at_col + 1] + [x + size for x in cc[at_col:]]
     cdeg = list(prev.cdeg)
     cdeg.insert(at_col, 0)
     for rr, col, val in extra:
-        out[: len(val), g.rc[rr] : g.rc[rr] + val.shape[1], g.cc[col] : g.cc[col + 1]] = val
+        out[: len(val), rc[rr] : rc[rr] + val.shape[1], cc[col] : cc[col + 1]] = val
         cdeg[col] = max(cdeg[col], len(val) - 1)
     out.setflags(write=False)
-    g.cdeg, g.piv = tuple(cdeg), _carry(prev, at_row, at_col, size, extra, g.rc)
-    return g
+    rsz = prev.rsz[:at_row] + [size] + prev.rsz[at_row:]
+    csz = prev.csz[:at_col] + [size] + prev.csz[at_col:]
+    piv = _carry(prev, at_row, at_col, size, extra, rc)
+    return Grid(out, rsz, csz, prev.a + grown, tuple(cdeg), piv, (rc, cc))
 
 
 def _carry(prev: Grid, at_row: int, at_col: int, size: int, extra, rc: list[int]):
@@ -131,18 +155,22 @@ def _carry(prev: Grid, at_row: int, at_col: int, size: int, extra, rc: list[int]
     The claim: every ``extra`` block starts in the inserted row or lies in
     the inserted column, and the inserted row meets exactly one block, in
     the inserted column, the shared read-only ``eye`` or ``neg_eye`` of its
-    size; so a block that starts in the inserted row is that one, every
-    other block lies in the inserted column, and striking both out leaves
-    ``prev``.
+    size and dtype; so a block that starts in the inserted row is that one,
+    every other block lies in the inserted column, and striking both out
+    leaves ``prev``.  One pass over ``extra`` tests it.
     """
-    if prev.piv is None or any(rr != at_row and col != at_col for rr, col, _ in extra):
+    if prev.piv is None:
         return None
     lo, hi = rc[at_row], rc[at_row] + size
-    in_row = [(rr, col, val) for rr, col, val in extra if rc[rr] < hi and rc[rr] + val.shape[1] > lo]
-    if len(in_row) != 1:
-        return None
-    rr, col, val = in_row[0]
-    if (rr, col) != (at_row, at_col) or not (val is eye(size) or val is neg_eye(size)):
+    unit = None
+    for rr, col, val in extra:
+        if rr != at_row and col != at_col:
+            return None
+        if rc[rr] < hi and rc[rr] + val.shape[1] > lo:  # the block meets the inserted row
+            if unit is not None or rr != at_row or col != at_col:
+                return None
+            unit = val
+    if unit is None or not (unit is _identity(size, unit.dtype, 1.0) or unit is _identity(size, unit.dtype, -1.0)):
         return None
     piv = [c + (c >= at_col) for c in prev.piv]
     piv.insert(at_row, at_col)

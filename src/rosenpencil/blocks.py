@@ -3,7 +3,9 @@
 Every matrix produced by the pencil constructions carries its block
 partition, so sub-block addressing stays index-arithmetic free.  Block
 selectors are 1-based to match the conventions used when the recursions
-are written out by hand.
+are written out by hand.  A matrix or pencil keeps a float64 array as
+float64, which a real instance's walk builds, and holds anything else as
+complex128.
 """
 
 from __future__ import annotations
@@ -18,6 +20,13 @@ from .polycore import MatrixPolynomial
 __all__ = ["BlockMatrix", "Pencil", "PolyBlockMatrix"]
 
 
+def _as_data(x) -> np.ndarray:
+    """``x`` itself if it is a float64 array, else ``x`` as a complex128 array."""
+    if isinstance(x, np.ndarray) and x.dtype == np.float64:
+        return x
+    return np.asarray(x, dtype=complex)
+
+
 def _cuts(sizes) -> tuple[int, ...]:
     out = [0]
     for s in sizes:
@@ -28,12 +37,12 @@ def _cuts(sizes) -> tuple[int, ...]:
 
 
 class BlockMatrix:
-    """A dense complex matrix with row/column block-partition boundaries."""
+    """A dense float64 or complex matrix with row/column block-partition boundaries."""
 
     __slots__ = ("data", "row_sizes", "col_sizes", "row_cuts", "col_cuts")
 
     def __init__(self, data, row_sizes, col_sizes):
-        data = np.asarray(data, dtype=complex)
+        data = _as_data(data)
         row_sizes = tuple(int(s) for s in row_sizes)
         col_sizes = tuple(int(s) for s in col_sizes)
         if data.shape != (sum(row_sizes), sum(col_sizes)):
@@ -87,8 +96,8 @@ class Pencil:
     col_sizes: tuple[int, ...]
 
     def __post_init__(self):
-        lead = np.asarray(self.lead, dtype=complex)
-        tail = np.asarray(self.tail, dtype=complex)
+        lead = _as_data(self.lead)
+        tail = _as_data(self.tail)
         if lead.shape != tail.shape:
             raise DimensionError("lead and tail must have identical dimensions")
         if lead.shape != (sum(self.row_sizes), sum(self.col_sizes)):

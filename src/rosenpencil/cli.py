@@ -17,7 +17,10 @@ the determinant of a witness whose exact expansion is not one constant;
 the recursion's witnesses never need them.  Step i of the pencil
 recursion W and the witness recursions N and H (N of the transposed
 system under the flipped decisions), W's size law and its structure
-claims depend only on decisions 0..i.  So each string is one walk
+claims depend only on decisions 0..i.  Their entries are 0, +-1 or
+coefficient entries, so a real instance is walked in float64 and a
+complex one in complex128: every grid is a stack in the instance's
+dtype, and the certificate multiplies in it.  Each string is one walk
 (``_walk``): one ``_gridops.schedule`` call whose step grows W, N and H
 together and whose check takes the new prefix's size law and structure
 claims on its W grid, by the grid's block offsets, with no block matrix
@@ -112,8 +115,9 @@ class _Prefix(NamedTuple):
 
 
 def _base(r: Rsmp) -> _Prefix:
-    """The degree-1 grids of the three recursions; H's is that of N for the transposed system."""
-    return _Prefix(fiedler._w_base(r), equivalence._n_base(r), equivalence._n_base(r.transpose()))
+    """The degree-1 grids of the three recursions in the instance's dtype; H's is that of N for the transposed system."""
+    dtype = r.dtype
+    return _Prefix(fiedler._w_base(r, dtype), equivalence._n_base(r, dtype), equivalence._n_base(r.transpose(), dtype))
 
 
 def _step(g: _Prefix, consec: bool, r: Rsmp, i: int, state: bool) -> _Prefix:
@@ -161,8 +165,9 @@ def _verify_instance(r: Rsmp, sigmas, instance: dict, trials: int, tol: float, s
     lexicographic order walk the prefix trie depth first and build and
     check each prefix once.  The pencil's tail and the witnesses are the
     stacks of the last prefix's grids, checked with the determinant pivots
-    those grids carry, in real arithmetic when the instance is real;
-    strings of one pencil shape share one pencil lead.
+    those grids carry, in the dtype the grids were walked in: float64
+    when the instance is real.  Strings of one pencil shape share one
+    pencil lead, in the tail's dtype.
     """
     memo, leads = {}, {}
     samples = equivalence._Samples(r, trials, np.random.default_rng(seed))
@@ -170,7 +175,7 @@ def _verify_instance(r: Rsmp, sigmas, instance: dict, trials: int, tol: float, s
         last, sizes_ok, structure_ok = _last(_walk(r, s, memo))
         pencil = fiedler.pencil_from_tail(r, fiedler._grid_to_blockmatrix(last.w), leads)
         u, v, pivots = equivalence._witnesses(last.n, last.h)
-        report = equivalence._certify(r, s, pencil, u, v, samples, tol, real=r.real, pivots=pivots)
+        report = equivalence._certify(r, s, pencil, u, v, samples, tol, pivots=pivots)
         ok = report.verdict and sizes_ok and structure_ok
         yield RunReport(
             instance=instance,

@@ -18,9 +18,13 @@ residual is the largest ratio of |U L V - T| to the componentwise scale
 operation-free (every entry is 0, +-1 or a coefficient entry), and on
 them the difference comes out exactly zero; then every ratio is 0/0,
 read as 0, and the scale is formed only if a bound from the largest
-entries of |U|, |L| and |V| cannot prove it finite (``_certify``).  A
-real system's products are formed in float64, a complex one's in
-complex128, and near the float maximum each factor is scaled by a power
+entries of |U|, |L| and |V| cannot prove it finite (``_certify``).  The
+products are formed in the dtype of the stacks certified: the CLI walks
+a real system's recursions, so its grids, witnesses and pencil, in
+float64 and a complex one's in complex128 (every grid is a stack in the
+instance's dtype), while the public builders return complex128 and
+``verify_theorem`` hands their real parts over when none has an
+imaginary part.  Near the float maximum each factor is scaled by a power
 of two of its own first.
 
 Each recursion step adds one block row that holds only a constant +-I,
@@ -69,10 +73,11 @@ __all__ = [
 
 
 # A grid's stack is a read-only (degree + 1, rows, cols) coefficient stack,
-# low degree to high; one identity per size is shared.
+# low degree to high, in the instance's dtype; one identity per size and
+# dtype is shared.
 def _lam(p: np.ndarray) -> np.ndarray:
-    """Multiply by lambda (shift coefficients up one degree)."""
-    return np.concatenate([np.zeros((1,) + p.shape[1:], dtype=complex), p])
+    """Multiply by lambda (shift coefficients up one degree), in the dtype of ``p``."""
+    return np.concatenate([np.zeros((1,) + p.shape[1:], dtype=p.dtype), p])
 
 
 def _mul(p: np.ndarray, q: np.ndarray) -> np.ndarray:
@@ -92,9 +97,9 @@ def _mul(p: np.ndarray, q: np.ndarray) -> np.ndarray:
 # -- recursion steps ---------------------------------------------------------
 
 
-def _n_base(r: Rsmp) -> Grid:
-    """The degree-1 left witness blkdiag(I_n, I_p), which every recursion grows; its two identities are the pivots."""
-    return Grid.base(np.eye(r.n + r.p, dtype=complex)[None], [r.n, r.p], [r.n, r.p], (0, 1))
+def _n_base(r: Rsmp, dtype=complex) -> Grid:
+    """The degree-1 left witness blkdiag(I_n, I_p) in ``dtype``, which every recursion grows; its two identities are the pivots."""
+    return Grid.base(np.eye(r.n + r.p, dtype=dtype)[None], [r.n, r.p], [r.n, r.p], (0, 1))
 
 
 def _n_step(g: Grid, consec: bool, r: Rsmp, i: int, state: bool) -> Grid:
@@ -108,17 +113,21 @@ def _n_step(g: Grid, consec: bool, r: Rsmp, i: int, state: bool) -> Grid:
     consecution puts the new column at the anchor, holding I and lambda
     times the anchor column below it; an inversion puts it after the
     anchor, holding -I and the anchor column times the Horner shift
-    P_{i+1} + lambda P_{i+2} + ... of the side's polynomial P.
+    P_{i+1} + lambda P_{i+2} + ... of the side's polynomial P.  Every
+    block comes in the dtype of ``g``'s stack, so a real grid is grown
+    in real arithmetic.
     """
+    dtype = g.stack.dtype
     if state:
         a, hi, size = 0, g.a, r.n
     else:
         a, hi, size = g.a, len(g.rsz), (r.p if consec else r.m)
     col = g.stack[: g.cdeg[a] + 1, g.rc[a] : g.rc[hi], g.cc[a] : g.cc[a + 1]]
     if consec:
-        return insert(g, a, a, size, [(a, a, eye(size)), (a + 1, a, _lam(col))], state)
-    shift = (r.A if state else r.D).coeffs[i + 1 :]
-    return insert(g, a, a + 1, size, [(a, a + 1, neg_eye(size)), (a + 1, a + 1, _mul(col, shift))], state)
+        return insert(g, a, a, size, [(a, a, eye(size, dtype)), (a + 1, a, _lam(col))], state)
+    c = r.coefficients(dtype)
+    shift = (c.A if state else c.D)[i + 1 :]
+    return insert(g, a, a + 1, size, [(a, a + 1, neg_eye(size, dtype)), (a + 1, a + 1, _mul(col, shift))], state)
 
 
 # -- sequence builders -------------------------------------------------------
@@ -282,25 +291,25 @@ class _Samples:
     One set serves every check of one system.  The points feed only the
     determinant fallback of ``_unimodularity``, so they are drawn, once,
     when the first witness that needs them comes; strings of one shape
-    share one frame.
+    and dtype share one frame.
     """
 
     def __init__(self, r: Rsmp, points: int, rng):
         if points < 1:
             raise ValueError("the sampled check needs at least one point")
         self._r, self._count, self._rng = r, points, rng
-        self._frames: dict[tuple[int, int], _Frame] = {}
+        self._frames: dict[tuple, _Frame] = {}
 
     @cached_property
     def points(self) -> np.ndarray:
         """The sample points, drawn from the rng at first use."""
         return sample_points(self._count, self._rng)
 
-    def frame(self, alpha_prime: int, alpha: int) -> "_Frame":
-        """The frame of the pencil shape with these paddings, built at first use."""
-        key = (alpha_prime, alpha)
+    def frame(self, alpha_prime: int, alpha: int, dtype) -> "_Frame":
+        """The frame of the pencil shape with these paddings, in ``dtype``, built at first use."""
+        key = (alpha_prime, alpha, dtype)
         if key not in self._frames:
-            self._frames[key] = _Frame(self._r, alpha_prime, alpha)
+            self._frames[key] = _Frame(self._r, alpha_prime, alpha, dtype)
         return self._frames[key]
 
 
@@ -316,11 +325,12 @@ class _Frame:
     The target T(lambda) is ``target`` at degree 0 plus A(lambda) in rows
     and columns ``state`` and D(lambda) in rows ``feed_rows`` and columns
     ``feed_cols``: ``target`` holds the identity paddings, -B and C.
-    ``parts`` holds ``target`` and the coefficients of A and D, and
-    ``real_parts`` their real parts, which a real system's certificate uses.
+    ``parts`` holds ``target`` and the coefficients of A and D, all in
+    ``dtype``, that of the stacks the certificate multiplies.
     """
 
-    def __init__(self, r: Rsmp, alpha_prime: int, alpha: int):
+    def __init__(self, r: Rsmp, alpha_prime: int, alpha: int, dtype):
+        c = r.coefficients(dtype)
         n, p, m = r.n, r.p, r.m
         self.rows = alpha_prime + n + alpha + p
         self.cols = alpha_prime + n + alpha + m
@@ -328,17 +338,12 @@ class _Frame:
         self.ccuts = ccuts = np.cumsum([0, alpha_prime, n, alpha, m])
         self.state = state = slice(alpha_prime, alpha_prime + n)
         self.feed_rows, self.feed_cols = slice(rcuts[3], None), slice(ccuts[3], None)
-        self.target = np.zeros((self.rows, self.cols), dtype=complex)
+        self.target = np.zeros((self.rows, self.cols), dtype=dtype)
         _add_eye(self.target, 0, 0, alpha_prime)
-        self.target[state, self.feed_cols] = -r.B
+        self.target[state, self.feed_cols] = -c.B
         _add_eye(self.target, rcuts[2], ccuts[2], alpha)
-        self.target[self.feed_rows, state] = r.C
-        self.parts = (self.target, r.A.coeffs, r.D.coeffs)
-
-    @cached_property
-    def real_parts(self) -> tuple[np.ndarray, ...]:
-        """``parts``, the target and the coefficients of A and D, as float64 copies, taken once per frame."""
-        return tuple(np.ascontiguousarray(x.real) for x in self.parts)
+        self.target[self.feed_rows, state] = c.C
+        self.parts = (self.target, c.A, c.D)
 
 
 @dataclass
@@ -393,8 +398,9 @@ def verify_theorem(
     difference under a provably finite scale reads 0 (see ``_certify``).
     The corollary's residual is the same number.  The products are formed
     in float64 when neither the system nor the pencil nor a witness has
-    an imaginary part, else in complex128; near the float maximum each
-    factor is scaled by a power of two of its own first.
+    an imaginary part (the pencil and witnesses go to the check as
+    float64 copies of their real parts), else in complex128; near the
+    float maximum each factor is scaled by a power of two of its own first.
     Unimodularity: each witness is expanded exactly along its rows with
     one structural nonzero (one plan per witness, from its coefficients'
     nonzero pattern, since these witnesses carry no pivots); when
@@ -408,8 +414,10 @@ def verify_theorem(
     rng = np.random.default_rng(0) if rng is None else rng
     samples = _Samples(r, points, rng)
     uc, vc = u.poly.coeffs, v.poly.coeffs
-    real = r.real and not any(x.imag.any() for x in (uc, vc, pencil.lead, pencil.tail))
-    return _certify(r, s, pencil, uc, vc, samples, tol, blocks=True, real=real)
+    if r.real and not any(x.imag.any() for x in (uc, vc, pencil.lead, pencil.tail)):
+        uc, vc, lead, tail = (np.ascontiguousarray(x.real) for x in (uc, vc, pencil.lead, pencil.tail))
+        pencil = Pencil(lead, tail, pencil.row_sizes, pencil.col_sizes)
+    return _certify(r, s, pencil, uc, vc, samples, tol, blocks=True)
 
 
 # An entry of |U|, |L| or |V| above 2**_TOP_EXP scales that factor down (see
@@ -458,16 +466,15 @@ def _certify(
     samples: _Samples,
     tol: float,
     blocks: bool = False,
-    real: bool = False,
     pivots: tuple = (None, None),
 ) -> EquivalenceReport:
     """The check of ``verify_theorem`` on the coefficient stacks ``u`` and ``v`` of the witnesses.
 
     The frame of the pencil's shape and, if a witness needs them, the
-    points come from ``samples``.  ``real`` says that the system, the
-    pencil and both stacks have no imaginary part; the products are then
-    formed in float64, which gives the same figures where U L V is exact.
-    ``pivots`` holds the expansion pivots each stack's recursion grid
+    points come from ``samples``.  The products and the frame take the
+    dtype of the witness stacks and the pencil: float64 when all three are
+    float64, which only a real system's walk gives and which gives the
+    figures of complex128 where U L V is exact.  ``pivots`` holds the expansion pivots each stack's recursion grid
     carries (see ``_unimodularity``), None for a stack without.  Each
     factor with an entry of magnitude above 2**_TOP_EXP is multiplied by
     a power of two of its own, U by 2**-s_U, L by 2**-s_L and V by
@@ -485,20 +492,18 @@ def _certify(
     ``blocks`` asks for it (``verify_theorem``); the CLI's records do not
     carry it.
     """
-    f = samples.frame(*_padding_sizes(r, s))
+    lp = np.stack([-pencil.tail, pencil.lead])
+    f = samples.frame(*_padding_sizes(r, s), np.result_type(u, lp, v))
     rows, cols = f.rows, f.cols
     if u.shape[1:] != (rows, rows) or v.shape[1:] != (cols, cols) or pencil.shape != (rows, cols):
         raise DimensionError(
             f"witness/pencil dimensions {u.shape[1:]}/{pencil.shape}/{v.shape[1:]} do not conform "
             f"to the {rows}x{cols} target"
         )
-    lp = np.stack([-pencil.tail, pencil.lead])
-    target, a, d = f.real_parts if real else f.parts
+    target, a, d = f.parts
     # an overflowing product is reported as an infinite residual, not as a warning
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         u_dev, v_dev = _unimodularity(u, samples, pivots[0]), _unimodularity(v, samples, pivots[1])
-        if real:
-            u, v, lp = (np.ascontiguousarray(x.real) for x in (u, v, lp))
         tops = [_top(x) for x in (u, lp, v)]
         shifts = [_down_shift(t) for t in tops]
         if any(shifts):

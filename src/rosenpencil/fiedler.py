@@ -95,11 +95,11 @@ def _factor(poly, k: int, i: int) -> np.ndarray:
     return _block_diag(_eye((d - i - 1) * k), mid, _eye((i - 1) * k))
 
 
-def _block_diag(*mats) -> np.ndarray:
+def _block_diag(*mats, dtype=complex) -> np.ndarray:
     mats = [m for m in mats if m.shape != (0, 0)]
     rows = sum(m.shape[0] for m in mats)
     cols = sum(m.shape[1] for m in mats)
-    out = _zeros(rows, cols)
+    out = np.zeros((rows, cols), dtype=dtype)
     r0 = c0 = 0
     for m in mats:
         out[r0 : r0 + m.shape[0], c0 : c0 + m.shape[1]] = m
@@ -172,12 +172,12 @@ def square_fiedler_pencil(r: Rsmp, s) -> Pencil:
 # ---------------------------------------------------------------------------
 
 
-def _w_base(r: Rsmp) -> Grid:
-    """The degree-1 system matrix [[-A_0, B], [-C, -D_0]], which every recursion grows."""
-    n = r.n
-    stack = np.zeros((1, n + r.p, n + r.m), dtype=complex)
-    stack[0, :n, :n], stack[0, :n, n:] = -r.A.coeffs[0], r.B
-    stack[0, n:, :n], stack[0, n:, n:] = -r.C, -r.D.coeffs[0]
+def _w_base(r: Rsmp, dtype=complex) -> Grid:
+    """The degree-1 system matrix [[-A_0, B], [-C, -D_0]] in ``dtype``, which every recursion grows."""
+    n, c = r.n, r.coefficients(dtype)
+    stack = np.zeros((1, n + r.p, n + r.m), dtype=dtype)
+    stack[0, :n, :n], stack[0, :n, n:] = -c.A[0], c.B
+    stack[0, n:, :n], stack[0, n:, n:] = -c.C, -c.D[0]
     return Grid.base(stack, [n, r.p], [n, r.m])
 
 
@@ -190,13 +190,16 @@ def _w_step(g: Grid, consec: bool, r: Rsmp, i: int, state: bool) -> Grid:
     lands on the anchor and the identity where the new row meets the new
     column: a consecution inserts the row at the anchor and the column
     after it, an inversion the column at the anchor and the row after it.
+    Both come in the dtype of ``g``'s stack.
     """
+    dtype = g.stack.dtype
+    c = r.coefficients(dtype)
     if state:
-        a, poly, size = 0, r.A, r.n
+        a, poly, size = 0, c.A, r.n
     else:
-        a, poly, size = g.a, r.D, (r.p if consec else r.m)
+        a, poly, size = g.a, c.D, (r.p if consec else r.m)
     new_r, new_c = (a, a + 1) if consec else (a + 1, a)
-    extra = [(a, a, -poly.coeffs[i + 1 : i + 2]), (new_r, new_c, eye(size))]
+    extra = [(a, a, -poly[i + 1 : i + 2]), (new_r, new_c, eye(size, dtype))]
     return insert(g, new_r, new_c, size, extra, state)
 
 
@@ -222,15 +225,17 @@ def build_w_sequence(r: Rsmp, s: SigmaSeq) -> list[BlockMatrix]:
     return [_grid_to_blockmatrix(g, copy=True) for g in _w_grids(r, s, {})]
 
 
-def _rect_lead(r: Rsmp, row_sizes) -> np.ndarray:
-    """Leading matrix aligned with the final tail row partition.
+def _rect_lead(r: Rsmp, row_sizes, dtype=complex) -> np.ndarray:
+    """Leading matrix aligned with the final tail row partition, in ``dtype``.
 
     Block diagonal: leading state coefficient, n-identities over the
     remaining state blocks, leading feedthrough coefficient on the mixed
     p-by-m block, then identities over the trailing decision blocks.
     """
-    trailing = [_eye(k) for k in row_sizes[r.d_a + 1 :]]
-    return _block_diag(r.A.coeff(r.d_a), _eye((r.d_a - 1) * r.n), r.D.coeff(r.d_d), *trailing)
+    c = r.coefficients(dtype)
+    trailing = [np.eye(k, dtype=dtype) for k in row_sizes[r.d_a + 1 :]]
+    eyes = np.eye((r.d_a - 1) * r.n, dtype=dtype)
+    return _block_diag(c.A[r.d_a], eyes, c.D[r.d_d], *trailing, dtype=dtype)
 
 
 def fiedler_pencil_rect(r: Rsmp, s: SigmaSeq) -> Pencil:
@@ -252,15 +257,19 @@ def pencil_from_tail(r: Rsmp, w: BlockMatrix, leads: dict | None = None) -> Penc
     """The pencil whose tail is the last matrix of ``build_w_sequence``, or the degree-1 grid.
 
     The lead of such a tail depends only on the system and the tail's
-    shape.  A caller that builds many pencils of one system passes one
-    ``leads`` dict for all of them; it keeps one read-only lead per shape.
+    shape, and comes in the tail's dtype (complex128 for a complex
+    system).  A caller that builds many pencils of one system passes one
+    ``leads`` dict for all of them; it keeps one read-only lead per shape
+    and dtype.
     """
-    lead = None if leads is None else leads.get(w.shape)
+    dtype = np.result_type(w.data, r.dtype)
+    key = (w.shape, dtype)
+    lead = None if leads is None else leads.get(key)
     if lead is None:
-        lead = _rect_lead(r, w.row_sizes)
+        lead = _rect_lead(r, w.row_sizes, dtype)
         if leads is not None:
             lead.setflags(write=False)
-            leads[w.shape] = lead
+            leads[key] = lead
     return Pencil(lead, w.data, w.row_sizes, w.col_sizes)
 
 
@@ -304,22 +313,24 @@ class StructureReport:
         return [name for name, ok in self.checks if not ok]
 
 
-def _claims(i: int, r: Rsmp, s: SigmaSeq, total: int) -> list[tuple]:
+def _claims(i: int, r: Rsmp, s: SigmaSeq, total: int, dtype=complex) -> list[tuple]:
     """The structure claims of recursion step i on a matrix of ``total`` block rows, in order.
 
     Each claim is ``(name, args, row, col, shape, want)``: the 1-based block
     (row, col) has ``shape`` and equals ``want``, or is zero where ``want``
-    is None.  Its name is ``name % args``, formed only where it is read.
+    is None; a ``want`` comes in ``dtype``, that of the matrix checked.
+    Its name is ``name % args``, formed only where it is read.
     """
     n, p, m, da, dd = r.n, r.p, r.m, r.d_a, r.d_d
+    c = r.coefficients(dtype)
     a_blocks = min(i + 2, da)  # state-side block count at step i
     d_pos = a_blocks + 1  # 1-based block position of the mixed diagonal block
     a_idx = min(i + 1, da - 1)  # state coefficient on the (1,1) anchor
     d_idx = min(i + 1, dd - 1)  # feedthrough coefficient on the mixed diagonal block
     trailing = min(i, dd - 2)  # last decision that grew the feedthrough side
     claims = [
-        ("(1,1) block is -A_{i+1}", (), 1, 1, (n, n), -r.A.coeff(a_idx)),
-        ("mixed diagonal block is -D_k", (), d_pos, d_pos, (p, m), -r.D.coeff(d_idx)),
+        ("(1,1) block is -A_{i+1}", (), 1, 1, (n, n), -c.A[a_idx]),
+        ("mixed diagonal block is -D_k", (), d_pos, d_pos, (p, m), -c.D[d_idx]),
     ]
     claims += [("state diagonal block %d is 0_n", (k,), k, k, (n, n), None) for k in range(2, a_blocks + 1)]
     for j in range(trailing + 1):
@@ -360,7 +371,7 @@ def check_block_structure(w: BlockMatrix, i: int, r: Rsmp, s: SigmaSeq) -> Struc
     block 2 when the step grew the state side, block 1 otherwise.
     """
     rep = StructureReport()
-    for name, args, bi, bj, shape, want in _claims(i, r, s, w.nblock_rows):
+    for name, args, bi, bj, shape, want in _claims(i, r, s, w.nblock_rows, np.result_type(w.data, r.dtype)):
         rep.add(name % args, _holds(w.block(bi, bj), shape, want))
     return rep
 
@@ -374,7 +385,7 @@ def _step_verdicts(g: Grid, r: Rsmp, s: SigmaSeq, i: int) -> tuple[bool, bool]:
     """
     w, rc, cc = g.stack[0], g.rc, g.cc
     size_ok = w.shape == expected_size(r.n, r.p, r.m, r.d_a, r.d_d, s, i)
-    for _, _, bi, bj, shape, want in _claims(i, r, s, len(g.rsz)):
+    for _, _, bi, bj, shape, want in _claims(i, r, s, len(g.rsz), w.dtype):
         if not _holds(w[rc[bi - 1] : rc[bi], cc[bj - 1] : cc[bj]], shape, want):
             return size_ok, False
     return size_ok, True

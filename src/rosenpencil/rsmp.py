@@ -14,6 +14,7 @@ the pencil constructions branch on the declared pair (d_A, d_D).
 from __future__ import annotations
 
 import warnings
+from typing import NamedTuple
 
 import numpy as np
 
@@ -21,6 +22,18 @@ from .errors import DimensionError, InterpolationResidual, IrregularWarning, Pol
 from .polycore import MatrixPolynomial, as_matrix, is_regular, scalar_poly_eval, scalar_poly_trim
 
 __all__ = ["Rsmp", "assemble_s", "transfer_eval", "transfer_eval_stack", "clear_denominator"]
+
+
+class Coefficients(NamedTuple):
+    """The coefficient arrays of one instance in one dtype: A and D as ``(degree + 1, rows, cols)`` stacks, B and C as matrices."""
+
+    A: np.ndarray
+    B: np.ndarray
+    C: np.ndarray
+    D: np.ndarray
+
+
+_F64, _C128 = np.dtype(np.float64), np.dtype(np.complex128)
 
 
 class Rsmp:
@@ -31,7 +44,7 @@ class Rsmp:
     to run.
     """
 
-    __slots__ = ("A", "B", "C", "D", "a_regular", "_real", "_transposed", "_s")
+    __slots__ = ("A", "B", "C", "D", "a_regular", "_real", "_transposed", "_s", "_coeffs")
 
     def __init__(self, A: MatrixPolynomial, B, C, D: MatrixPolynomial, check_regular: bool = True):
         B = as_matrix(B)
@@ -51,6 +64,7 @@ class Rsmp:
         a_regular = is_regular(A) if check_regular else True
         fields = {
             "A": A, "B": B, "C": C, "D": D, "a_regular": a_regular, "_real": None, "_transposed": None, "_s": None,
+            "_coeffs": {},
         }
         for name, value in fields.items():
             object.__setattr__(self, name, value)
@@ -98,6 +112,35 @@ class Rsmp:
             if self._transposed is not None:
                 object.__setattr__(self._transposed, "_real", real)
         return self._real
+
+    @property
+    def dtype(self) -> np.dtype:
+        """float64 for a real instance, else complex128: the dtype its pencils and witnesses can be walked in."""
+        return _F64 if self.real else _C128
+
+    def coefficients(self, dtype) -> Coefficients:
+        """A, B, C and D in ``dtype``, read-only.
+
+        complex128 gives the instance's own arrays; float64, for a real
+        instance only, one copy of their real parts, made at first use and
+        kept.
+        """
+        out = self._coeffs.get(dtype)
+        if out is None:
+            dtype = np.dtype(dtype)
+            out = self._coeffs.get(dtype)
+        if out is None:
+            own = Coefficients(self.A.coeffs, self.B, self.C, self.D.coeffs)
+            if dtype == _C128:
+                out = own
+            elif dtype == _F64 and self.real:
+                out = Coefficients(*(np.ascontiguousarray(x.real) for x in own))
+                for x in out:
+                    x.setflags(write=False)
+            else:
+                raise ValueError(f"no {dtype} coefficients for this instance")
+            self._coeffs[dtype] = out
+        return out
 
     def __repr__(self):
         return (

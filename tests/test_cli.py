@@ -14,6 +14,7 @@ from rosenpencil import (
     MatrixPolynomial,
     NonConvergence,
     Rsmp,
+    SigmaSeq,
     all_decision_strings,
     cli,
     companion_first,
@@ -25,7 +26,7 @@ from rosenpencil import (
     spectral,
 )
 from rosenpencil._gridops import Grid
-from rosenpencil.blocks import Pencil
+from rosenpencil.blocks import BlockMatrix, Pencil
 from rosenpencil.cli import RunReport, main
 from rosenpencil.sampling import random_rsmp
 
@@ -579,6 +580,123 @@ class TestWalkVerdicts:
                     for i, node in enumerate(cli._walk(r, s, memo)):
                         assert node.size_ok
                         assert node.structure_ok == (s.decisions[: i + 1] != fault), (d_a, d_d, fault, s.decisions)
+
+
+def _same_grid(walked, public, dtype):
+    """Assert that a grid of the walk is in ``dtype``, has the partition, pivots and column degrees of the complex
+    builders' grid ``public``, and that its stack is the real part of ``public``'s (a float64 walk), or the same bytes."""
+    assert walked.stack.dtype == dtype
+    assert (walked.rsz, walked.csz, walked.rc, walked.cc) == (public.rsz, public.csz, public.rc, public.cc)
+    assert (walked.a, walked.cdeg, walked.piv) == (public.a, public.cdeg, public.piv)
+    assert public.stack.dtype == np.complex128
+    if dtype == np.float64:
+        assert not public.stack.imag.any() and np.array_equal(walked.stack, public.stack.real)
+    else:
+        assert walked.stack.tobytes() == public.stack.tobytes()
+
+
+class TestRealWalk:
+    """A real instance is walked in float64, a complex one in complex128; the public builders stay complex."""
+
+    @pytest.mark.parametrize("draw", [random_rsmp, oracles.spread_rsmp], ids=["integer", "spread"])
+    def test_walk_grids_are_the_public_builders(self, draw):
+        # every cell of the acceptance grid and every decision string: each
+        # prefix's W, N and H grids of the walk against the grids of the
+        # complex builders, and for the integer draw against the real parts
+        # of build_w_sequence, build_n_sequence and build_h_sequence
+        rng = np.random.default_rng(2001)
+        dtype = np.float64 if draw is random_rsmp else np.complex128
+        strings = 0
+        for cell in GRID:
+            r = draw(rng, *cell)
+            assert r.real == (draw is random_rsmp) and r.dtype == dtype
+            memo, public, seen = {}, ({}, {}, {}), set()
+            for s in all_decision_strings(r.degree):
+                path = cli._walk(r, s, memo)
+                strings += 1
+                if r.degree == 1:
+                    (node,) = path
+                    _same_grid(node.w, fiedler._w_base(r), dtype)
+                    _same_grid(node.n, equivalence._n_base(r), dtype)
+                    _same_grid(node.h, equivalence._n_base(r.transpose()), dtype)
+                    continue
+                grids = (
+                    fiedler._w_grids(r, s, public[0]),
+                    equivalence._n_grids(r, s, public[1]),
+                    equivalence._n_grids(r.transpose(), s.flipped(), public[2]),
+                )
+                if dtype == np.float64:
+                    ws, ns, hs = (build(r, s) for build in (fiedler.build_w_sequence, equivalence.build_n_sequence,
+                                                             equivalence.build_h_sequence))
+                for i, node in enumerate(path):
+                    if s.decisions[: i + 1] in seen:
+                        continue
+                    seen.add(s.decisions[: i + 1])
+                    for walked, g in zip((node.w, node.n, node.h), grids):
+                        _same_grid(walked, g[i], dtype)
+                    if dtype == np.float64:
+                        assert np.array_equal(node.w.stack[0], ws[i].data)
+                        assert np.array_equal(node.n.stack, ns[i].poly.coeffs)
+                        assert np.array_equal(node.h.stack.transpose(0, 2, 1), hs[i].poly.coeffs)
+        assert strings == 6129
+
+    @pytest.mark.parametrize("draw", [random_rsmp, oracles.spread_rsmp], ids=["integer", "spread"])
+    def test_every_witness_grid_carries_its_pivots(self, monkeypatch, draw):
+        # verify --all on every cell of the acceptance grid: every N and H grid
+        # the walk builds carries its pivots, so no determinant plan is made
+        walk, plans, walked = cli._walk, [], []
+        plan = equivalence._det_plan
+
+        def walk_spy(r, s, memo):
+            path = walk(r, s, memo)
+            walked.extend(path)
+            return path
+
+        def plan_spy(stack):
+            plans.append(stack.shape)
+            return plan(stack)
+
+        monkeypatch.setattr(cli, "_walk", walk_spy)
+        monkeypatch.setattr(equivalence, "_det_plan", plan_spy)
+        rng = np.random.default_rng(2002)
+        dtype = np.float64 if draw is random_rsmp else np.complex128
+        strings = 0
+        for cell in GRID:
+            r = draw(rng, *cell)
+            sigmas = list(all_decision_strings(r.degree))
+            reports = cli._verify_instance(r, sigmas, {}, 20, 1e-8, 0)
+            assert all(rep.verdict == "pass" for rep in reports), cell
+            strings += len(sigmas)
+        assert strings == 6129 and plans == []
+        assert all(g.stack.dtype == dtype and g.piv is not None for node in walked for g in (node.n, node.h))
+
+    def test_public_builders_stay_complex(self, rng):
+        r = random_rsmp(rng, 2, 3, 1, 4, 3)
+        s = SigmaSeq("CIC")
+        assert r.real
+        pencil = fiedler.fiedler_pencil_rect(r, s)
+        assert pencil.lead.dtype == pencil.tail.dtype == np.complex128
+        for p in (companion_first(r), fiedler.companion_second(r), *equivalence.linearization_with_witnesses(r, s)[:1]):
+            assert p.lead.dtype == p.tail.dtype == np.complex128
+        assert all(w.data.dtype == np.complex128 for w in fiedler.build_w_sequence(r, s))
+        for seq in (equivalence.build_n_sequence(r, s), equivalence.build_h_sequence(r, s), equivalence.unimodular_pair(r, s)):
+            assert all(w.poly.coeffs.dtype == np.complex128 for w in seq)
+
+    def test_lead_comes_in_the_tails_dtype(self, rng):
+        # one read-only lead per shape and dtype, the real part of the complex lead
+        r = random_rsmp(rng, 2, 3, 1, 4, 3)
+        s = SigmaSeq("ICC")
+        leads = {}
+        last = cli._walk(r, s, {})[-1]
+        real = fiedler.pencil_from_tail(r, fiedler._grid_to_blockmatrix(last.w), leads)
+        want = fiedler.fiedler_pencil_rect(r, s)
+        assert real.lead.dtype == real.tail.dtype == np.float64
+        assert np.array_equal(real.lead, want.lead.real) and np.array_equal(real.tail, want.tail.real)
+        again = fiedler.pencil_from_tail(r, fiedler._grid_to_blockmatrix(last.w), leads)
+        assert again.lead is real.lead and not real.lead.flags.writeable
+        cplx = fiedler.pencil_from_tail(r, BlockMatrix(want.tail, want.row_sizes, want.col_sizes), leads)
+        assert cplx.lead.dtype == np.complex128 and cplx.lead.tobytes() == want.lead.tobytes()
+        assert len(leads) == 2
 
 
 _NUM = r"(?:\d+(?:\.\d*)?(?:e[-+]\d+)?)"

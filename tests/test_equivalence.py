@@ -513,6 +513,12 @@ def _cli_witnesses(r, s, memo):
     return equivalence._witnesses(last.n, last.h)
 
 
+def _real_pencil(pencil):
+    """``pencil`` with float64 copies of the real parts of its lead and tail, as a real instance's walk builds it."""
+    lead, tail = (np.ascontiguousarray(x.real) for x in (pencil.lead, pencil.tail))
+    return Pencil(lead, tail, pencil.row_sizes, pencil.col_sizes)
+
+
 def _stack(kind: str, k: int, points: int, rng) -> np.ndarray:
     """A ``(points, k, k)`` stack of one kind: dense, sparse, structurally singular, or permuted triangular with +-1 pivots."""
     values = rng.standard_normal((points, k, k)) + 1j * rng.standard_normal((points, k, k))
@@ -711,7 +717,9 @@ class TestCarriedPivots:
         bad[0, piv_u[0][4], piv_u[1][4]] *= 1 + 1e-9
         pencil, pu, pv = linearization_with_witnesses(r, s)
         samples = equivalence._Samples(r, 20, np.random.default_rng(7))
-        got = equivalence._certify(r, s, pencil, bad, v, samples, 1e-8, real=True, pivots=(piv_u, piv_v))
+        assert u.dtype == v.dtype == np.float64
+        real = _real_pencil(pencil)
+        got = equivalence._certify(r, s, real, bad, v, samples, 1e-8, pivots=(piv_u, piv_v))
         wrapped = PolyBlockMatrix(MatrixPolynomial(bad), pu.row_sizes, pu.col_sizes)
         want = verify_theorem(r, s, pencil, wrapped, pv, rng=np.random.default_rng(7))
         assert 0.9e-9 <= got.u_unimodularity == want.u_unimodularity <= 1.1e-9
@@ -720,7 +728,7 @@ class TestCarriedPivots:
         # a pivot that varies with lambda: det V is no constant, seen at the points
         varying = v.copy()
         varying[1, piv_v[0][2], piv_v[1][2]] = 0.5
-        got = equivalence._certify(r, s, pencil, u, varying, samples, 1e-8, real=True, pivots=(piv_u, piv_v))
+        got = equivalence._certify(r, s, real, u, varying, samples, 1e-8, pivots=(piv_u, piv_v))
         wrapped = PolyBlockMatrix(MatrixPolynomial(varying), pv.row_sizes, pv.col_sizes)
         want = verify_theorem(r, s, pencil, pu, wrapped, rng=np.random.default_rng(7))
         assert got.v_unimodularity == want.v_unimodularity >= 0.2 and not got.verdict
@@ -743,6 +751,33 @@ class TestCarriedPivots:
         below = insert(g, 0, 0, 2, [(0, 0, neg_eye(2)), (1, 0, np.ones((2, 3, 2)))], True)
         assert below.piv == (0, 1, 2) and below.cdeg == (1, 0, 0)
         assert insert(g, 1, 0, 2, [(1, 0, neg_eye(2)), (0, 0, np.ones((1, 4, 2)))], True).piv is None
+
+
+class TestSharedIdentity:
+    def test_one_identity_per_size_and_dtype(self):
+        # the pivot claim tests the identity with ``is``, so every way of naming a dtype gives one object
+        for make in (eye, neg_eye):
+            assert make(3) is make(3, complex) is make(3, np.complex128) is make(3, np.dtype("complex128"))
+            assert make(3, float) is make(3, np.float64) is make(3, np.dtype(float))
+            assert make(3) is not make(3, float) and make(3) is not make(2)
+            for dtype in (complex, float):
+                x = make(3, dtype)
+                assert x.dtype == dtype and x.shape == (1, 3, 3) and not x.flags.writeable
+                assert np.array_equal(x[0], np.eye(3) * (1 if make is eye else -1))
+        assert neg_eye(2).tobytes() == (-eye(2)).tobytes()
+
+    def test_a_float64_grid_keeps_its_pivots_in_any_dtype(self, rng):
+        r = random_rsmp(rng, 2, 1, 2, 3, 2)
+        g = equivalence._n_base(r, np.float64)
+        assert g.stack.dtype == np.float64 and g.piv == (0, 1)
+        real = insert(g, 0, 0, 2, [(0, 0, neg_eye(2, g.stack.dtype))], True)
+        assert real.stack.dtype == np.float64 and real.piv == (0, 1, 2)
+        # a complex block widens the grid rather than losing its imaginary part
+        block = np.full((1, 3, 2), 1j)
+        wide = insert(g, 0, 0, 2, [(0, 0, neg_eye(2)), (1, 0, block)], True)
+        assert wide.stack.dtype == np.complex128 and wide.piv == (0, 1, 2)
+        assert np.array_equal(wide.stack[0, 2:, :2], block[0])
+        assert insert(g, 0, 0, 2, [(0, 0, -np.eye(2)[None])], True).piv is None
 
 
 def _tail_mutated(pencil, rng, rel=1e-6):
@@ -915,13 +950,14 @@ class TestOnDemandScale:
                 for s in strings:
                     u, v, pivots = _cli_witnesses(r, s, memo)
                     w = ((u, v), pivots)
-                    cases.append((r, s, fiedler_pencil_rect(r, s), w, samples))
+                    pencil = fiedler_pencil_rect(r, s)
+                    cases.append((r, s, _real_pencil(pencil) if r.real else pencil, w, samples))
                 r, s, pencil, w, samples = cases[-1 - int(rng.integers(len(strings)))]
                 cases.append((r, s, _tail_mutated(pencil, rng), w, samples))
 
         def reports():
             return [
-                equivalence._certify(r, s, pencil, *w[0], samples, 1e-8, blocks=True, real=r.real, pivots=w[1])
+                equivalence._certify(r, s, pencil, *w[0], samples, 1e-8, blocks=True, pivots=w[1])
                 for r, s, pencil, w, samples in cases
             ]
 

@@ -618,6 +618,19 @@ class TestRectPencil:
         assert np.array_equal(p1.tail, p2.tail) and np.array_equal(p1.lead, p2.lead)
 
 
+class TestBlockDtype:
+    def test_float64_stays_anything_else_is_complex(self):
+        # a real instance's walk hands float64 tails and leads over; every other input is held as complex128
+        real = np.arange(6.0).reshape(2, 3)
+        assert BlockMatrix(real, [1, 1], [2, 1]).data is real
+        p = Pencil(real, -real, [2], [3])
+        assert p.lead is real and p.tail.dtype == np.float64
+        for other in (real.astype(np.float32), real.astype(int), real.tolist(), real.astype(np.complex64)):
+            assert BlockMatrix(other, [1, 1], [2, 1]).data.dtype == np.complex128
+            assert Pencil(other, other, [2], [3]).tail.dtype == np.complex128
+        assert Pencil(real, real.astype(complex), [2], [3]).tail.dtype == np.complex128
+
+
 class TestDeterminantIdentity:
     def test_pencil_determinants_equal_system_determinant(self, rng):
         # stronger than root agreement: the determinant polynomials of the

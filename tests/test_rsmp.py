@@ -107,6 +107,31 @@ class TestTranspose:
         assert not r.transpose().a_regular
 
 
+class TestCoefficients:
+    def test_float64_copy_of_a_real_instance(self, rng):
+        r = random_rsmp(rng, 2, 3, 1, 3, 2)
+        assert r.real and r.dtype == np.float64
+        own = r.coefficients(np.complex128)
+        assert own == (r.A.coeffs, r.B, r.C, r.D.coeffs)
+        assert all(x is y for x, y in zip(own, (r.A.coeffs, r.B, r.C, r.D.coeffs)))
+        real = r.coefficients(np.float64)
+        assert real is r.coefficients(np.dtype(float)) is r.coefficients(float)
+        for x, y in zip(real, own):
+            assert x.dtype == np.float64 and x.flags.c_contiguous and not x.flags.writeable
+            assert np.array_equal(x, y.real) and not y.imag.any()
+        t = r.transpose()
+        assert t.dtype == np.float64 and t.coefficients(np.float64) is not real
+        assert np.array_equal(t.coefficients(np.float64).B, -real.C.T)
+
+    def test_complex_instance_has_no_float64_copy(self, rng):
+        r = oracles.spread_rsmp(rng, 2, 1, 2, 2, 3)
+        assert not r.real and r.dtype == np.complex128
+        assert r.coefficients(complex).A is r.A.coeffs
+        for dtype in (np.float64, np.float32, np.int64):
+            with pytest.raises(ValueError):
+                r.coefficients(dtype)
+
+
 class TestTransfer:
     def test_worked_example_at_two(self, worked_example):
         got = transfer_eval(worked_example, 2.0)
