@@ -14,8 +14,9 @@ Every recursion step is one ``insert``: the grown stack is allocated in the
 dtype of the grid it grows, the predecessor's nonempty quadrants are
 copied around a zero block row and a zero block column of one size, the
 offsets are the predecessor's with those past the insertion shifted, and
-a handful of prescribed blocks are written into them.  ``schedule`` runs every recursion: it checks the degree and
-the decision count, then grows the degree-1 grid per decision with the
+a handful of prescribed blocks are written into them.  ``schedule`` runs
+every recursion: it checks the degree and the decision count, then
+grows the degree-1 grid per decision with the
 state step while the state degree has coefficients left, and with the
 feedthrough step while the feedthrough degree has, and hands each
 decision's result to an optional check.  Step i depends only on
