@@ -14,9 +14,10 @@ Every recursion step is one ``insert``: the grown stack is allocated in the
 dtype of the grid it grows, the predecessor's nonempty quadrants are
 copied around a zero block row and a zero block column of one size, the
 offsets are the predecessor's with those past the insertion shifted, and
-a handful of prescribed blocks are written into them.  ``schedule`` runs
-every recursion: it checks the degree and the decision count, then
-grows the degree-1 grid per decision with the
+a handful of prescribed blocks are written into them, each from a degree
+offset of its own (a block times lambda starts one degree up).
+``schedule`` runs every recursion: it checks the degree and the decision
+count, then grows the degree-1 grid per decision with the
 state step while the state degree has coefficients left, and with the
 feedthrough step while the feedthrough degree has, and hands each
 decision's result to an optional check.  Step i depends only on
@@ -37,8 +38,8 @@ rows once the later pivots' rows and columns are struck out.  A base grid
 gets them from its caller; ``insert`` extends them only while the claim
 goes on holding, that is while the inserted block row holds one block, in
 the inserted column, and that block is the shared ``eye`` or ``neg_eye``
-of its size and dtype (the grid then has
-determinant +-1 times its predecessor's), and drops them otherwise.
+of its size and dtype at degree 0 (the grid then has determinant +-1
+times its predecessor's), and drops them otherwise.
 ``pivot_indices`` turns them into the scalar indices of the assembled stack.
 """
 
@@ -105,23 +106,26 @@ def insert(prev: Grid, at_row: int, at_col: int, size: int, extra, grown: bool) 
     """``prev`` with a zero block row at ``at_row`` and a zero block column at ``at_col``.
 
     Both new blocks are ``size`` wide; old blocks at or past the insertion
-    shift by one.  ``extra`` lists (row, col, block) entries, in the new
-    positions, written into the result: a block is a coefficient stack one
-    block column wide that starts at block row ``row`` and may span several
-    block rows.  Everything else new stays zero.  ``grown`` marks a state
-    step, whose new row and column join the state side.  The result takes
-    the dtype of ``prev``'s stack, or a wider one that a block needs, so a
-    real grid stays real under real blocks and no block loses a part.
+    shift by one.  ``extra`` lists (row, col, block, lift) entries, in the
+    new positions, written into the result: a block is a coefficient stack
+    one block column wide that starts at block row ``row`` and may span
+    several block rows, and its coefficient k lands at degree ``lift`` + k,
+    so a block times lambda is the block with ``lift`` 1.  Everything else
+    new stays zero.  ``grown`` marks a state step, whose new row and column
+    join the state side.  The result takes the dtype of ``prev``'s stack,
+    or a wider one that a block needs, so a real grid stays real under
+    real blocks and no block loses a part.
     """
     old = prev.stack
     d, rows, cols = old.shape
     rc, cc = prev.rc, prev.cc
     r0, c0 = rc[at_row], cc[at_col]
     dtype, depth = old.dtype, d
-    for _, _, val in extra:
+    for _, _, val, lift in extra:
         if val.dtype != dtype:
             dtype = np.result_type(dtype, val.dtype)
-        depth = max(depth, len(val))
+        if lift + len(val) > depth:
+            depth = lift + len(val)
     out = np.zeros((depth, rows + size, cols + size), dtype=dtype)
     # the predecessor's four quadrants around the new row and column; one
     # before row or column 0, or past the last, is empty and not copied
@@ -140,42 +144,38 @@ def insert(prev: Grid, at_row: int, at_col: int, size: int, extra, grown: bool) 
     cc = cc[: at_col + 1] + [x + size for x in cc[at_col:]]
     cdeg = list(prev.cdeg)
     cdeg.insert(at_col, 0)
-    for rr, col, val in extra:
-        out[: len(val), rc[rr] : rc[rr] + val.shape[1], cc[col] : cc[col + 1]] = val
-        cdeg[col] = max(cdeg[col], len(val) - 1)
-    out.setflags(write=False)
-    rsz = prev.rsz[:at_row] + [size] + prev.rsz[at_row:]
-    csz = prev.csz[:at_col] + [size] + prev.csz[at_col:]
-    piv = _carry(prev, at_row, at_col, size, extra, rc)
-    return Grid(out, rsz, csz, prev.a + grown, tuple(cdeg), piv, (rc, cc))
-
-
-def _carry(prev: Grid, at_row: int, at_col: int, size: int, extra, rc: list[int]):
-    """``prev``'s pivots moved past the inserted column, plus the inserted row's; None if the claim fails.
-
-    The claim: every ``extra`` block starts in the inserted row or lies in
-    the inserted column, and the inserted row meets exactly one block, in
-    the inserted column, the shared read-only ``eye`` or ``neg_eye`` of its
-    size and dtype; so a block that starts in the inserted row is that one,
-    every other block lies in the inserted column, and striking both out
-    leaves ``prev``.  One pass over ``extra`` tests it.
-    """
-    if prev.piv is None:
-        return None
-    lo, hi = rc[at_row], rc[at_row] + size
-    unit = None
-    for rr, col, val in extra:
+    # the pivot claim: every block starts in the inserted row or lies in
+    # the inserted column, and the inserted row meets exactly one block, in
+    # the inserted column at degree 0, the shared read-only ``eye`` or
+    # ``neg_eye`` of its size and dtype; so a block that starts in the
+    # inserted row is that one, every other block lies in the inserted
+    # column, and striking both out leaves ``prev``, whose pivots then
+    # move past the inserted column
+    piv, unit = prev.piv, None
+    for rr, col, val, lift in extra:
+        top, start = lift + len(val), rc[rr]
+        end = start + val.shape[1]
+        out[lift:top, start:end, cc[col] : cc[col + 1]] = val
+        cdeg[col] = max(cdeg[col], top - 1)
+        if piv is None:
+            continue
         if rr != at_row and col != at_col:
-            return None
-        if rc[rr] < hi and rc[rr] + val.shape[1] > lo:  # the block meets the inserted row
-            if unit is not None or rr != at_row or col != at_col:
-                return None
+            piv = None
+        elif start < r1 and end > r0:  # the block meets the inserted row
+            if unit is not None or rr != at_row or col != at_col or lift:
+                piv = None
             unit = val
-    if unit is None or not (unit is _identity(size, unit.dtype, 1.0) or unit is _identity(size, unit.dtype, -1.0)):
-        return None
-    piv = [c + (c >= at_col) for c in prev.piv]
-    piv.insert(at_row, at_col)
-    return tuple(piv)
+    out.setflags(write=False)
+    if piv is not None:
+        if unit is None or not (unit is _identity(size, unit.dtype, 1.0) or unit is _identity(size, unit.dtype, -1.0)):
+            piv = None
+        else:
+            piv = [c + (c >= at_col) for c in piv]
+            piv.insert(at_row, at_col)
+            piv = tuple(piv)
+    rsz, csz = prev.rsz, prev.csz
+    rsz, csz = rsz[:at_row] + [size] + rsz[at_row:], csz[:at_col] + [size] + csz[at_col:]
+    return Grid(out, rsz, csz, prev.a + grown, tuple(cdeg), piv, (rc, cc))
 
 
 def pivot_indices(g: Grid, transpose: bool = False) -> tuple[np.ndarray, np.ndarray] | None:

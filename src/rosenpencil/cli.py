@@ -56,10 +56,34 @@ from .sigma import SigmaSeq, all_decision_strings, parse_sigma
 __all__ = ["main", "RunReport"]
 
 
-def _figure(x) -> float | None:
-    """A figure for a record: non-finite values become null."""
+def _figure(x) -> str:
+    """A figure as a record writes it: ``repr`` of the float, as ``json.dumps`` writes one, or null when it is not finite."""
     x = float(x)
-    return x if math.isfinite(x) else None
+    return repr(x) if math.isfinite(x) else "null"
+
+
+class _Records:
+    """The record writer of one instance: its JSON text is made once, and each record is written around it.
+
+    A record reads, byte for byte, as ``json.dumps`` writes the dict of
+    ``RunReport.to_record``: keys in that order, ``", "`` and ``": "``
+    between them, ASCII only, a non-finite figure as null.  The decision
+    string holds only C and I, so it needs no escape.
+    """
+
+    __slots__ = ("_head",)
+
+    def __init__(self, instance: dict):
+        self._head = '{"instance": ' + json.dumps(instance) + ', "sigma": "'
+
+    def line(self, sigma, rows, cols, max_residual, corollary_residual, u_unimodularity, v_unimodularity,
+             sizes_ok, structure_ok, verdict) -> str:
+        return (
+            f'{self._head}{sigma}", "rows": {rows:d}, "cols": {cols:d}, "max_residual": {_figure(max_residual)}, '
+            f'"corollary_residual": {_figure(corollary_residual)}, "u_unimodularity": {_figure(u_unimodularity)}, '
+            f'"v_unimodularity": {_figure(v_unimodularity)}, "sizes_ok": {"true" if sizes_ok else "false"}, '
+            f'"structure_ok": {"true" if structure_ok else "false"}, "verdict": "{verdict}"}}'
+        )
 
 
 @dataclass
@@ -79,20 +103,11 @@ class RunReport:
     verdict: str
 
     def to_record(self) -> str:
-        data = {
-            "instance": self.instance,
-            "sigma": self.sigma,
-            "rows": self.rows,
-            "cols": self.cols,
-            "max_residual": _figure(self.max_residual),
-            "corollary_residual": _figure(self.corollary_residual),
-            "u_unimodularity": _figure(self.u_unimodularity),
-            "v_unimodularity": _figure(self.v_unimodularity),
-            "sizes_ok": self.sizes_ok,
-            "structure_ok": self.structure_ok,
-            "verdict": self.verdict,
-        }
-        return json.dumps(data, sort_keys=False, allow_nan=False)
+        """The record as one line of strict JSON: the fields in order, a non-finite figure as null."""
+        return _Records(self.instance).line(
+            self.sigma, self.rows, self.cols, self.max_residual, self.corollary_residual, self.u_unimodularity,
+            self.v_unimodularity, self.sizes_ok, self.structure_ok, self.verdict,
+        )
 
 
 def _read_instance(path: str) -> Rsmp:
@@ -156,8 +171,15 @@ def _last(path: list[_Prefix]) -> tuple[_Prefix, bool, bool]:
     return path[-1], all(g.size_ok for g in path), all(g.structure_ok for g in path)
 
 
+class _Run(NamedTuple):
+    """One decision string's verdict, "pass" or "fail", and its record line."""
+
+    verdict: str
+    record: str
+
+
 def _verify_instance(r: Rsmp, sigmas, instance: dict, trials: int, tol: float, seed: int):
-    """The report of every decision string of ``sigmas``, in order, for one instance.
+    """The verdict and record of every decision string of ``sigmas``, in order, for one instance.
 
     A witness determinant that needs sample points gets the instance's
     ``trials`` points, drawn at most once from an rng seeded with ``seed``.
@@ -166,30 +188,24 @@ def _verify_instance(r: Rsmp, sigmas, instance: dict, trials: int, tol: float, s
     check each prefix once.  The pencil's tail and the witnesses are the
     stacks of the last prefix's grids, checked with the determinant pivots
     those grids carry, in the dtype the grids were walked in: float64
-    when the instance is real.  Strings of one pencil shape share one
-    pencil lead, in the tail's dtype.
+    when the instance is real.  The pencil takes the last W grid's stack
+    as its tail, with no block matrix built, and strings of one pencil
+    shape share one pencil lead, in the tail's dtype.  Each record is
+    written around the instance's JSON text, made once (``_Records``).
     """
-    memo, leads = {}, {}
+    memo, leads, records = {}, {}, _Records(instance)
     samples = equivalence._Samples(r, trials, np.random.default_rng(seed))
     for s in sigmas:
         last, sizes_ok, structure_ok = _last(_walk(r, s, memo))
-        pencil = fiedler.pencil_from_tail(r, fiedler._grid_to_blockmatrix(last.w), leads)
+        pencil = fiedler.pencil_from_tail(r, last.w, leads)
         u, v, pivots = equivalence._witnesses(last.n, last.h)
         report = equivalence._certify(r, s, pencil, u, v, samples, tol, pivots=pivots)
-        ok = report.verdict and sizes_ok and structure_ok
-        yield RunReport(
-            instance=instance,
-            sigma=s.decisions,
-            rows=pencil.shape[0],
-            cols=pencil.shape[1],
-            max_residual=report.max_residual,
-            corollary_residual=report.corollary_residual,
-            u_unimodularity=report.u_unimodularity,
-            v_unimodularity=report.v_unimodularity,
-            sizes_ok=sizes_ok,
-            structure_ok=structure_ok,
-            verdict="pass" if ok else "fail",
-        )
+        verdict = "pass" if report.verdict and sizes_ok and structure_ok else "fail"
+        rows, cols = pencil.shape
+        yield _Run(verdict, records.line(
+            s.decisions, rows, cols, report.max_residual, report.corollary_residual, report.u_unimodularity,
+            report.v_unimodularity, sizes_ok, structure_ok, verdict,
+        ))
 
 
 def _emit_lines(lines, out_path):
@@ -241,9 +257,9 @@ def cmd_verify(args) -> int:
         raise ParseError("verify needs --sigma or --all")
     lines = []
     failures = 0
-    for rep in _verify_instance(r, sigmas, instance, args.trials, args.tol, args.seed):
-        failures += rep.verdict != "pass"
-        lines.append(rep.to_record())
+    for run in _verify_instance(r, sigmas, instance, args.trials, args.tol, args.seed):
+        failures += run.verdict != "pass"
+        lines.append(run.record)
     _emit_lines(lines, args.out)
     print(f"{len(sigmas) - failures}/{len(sigmas)} decision strings passed", file=sys.stderr)
     return 1 if failures else 0
@@ -298,14 +314,14 @@ def cmd_fuzz(args) -> int:
                         r = random_rsmp(rng_master, n, p, m, d_a, d_d)
                         instance = {"n": n, "p": p, "m": m, "d_A": d_a, "d_D": d_d}
                         sigmas = all_decision_strings(max(d_a, d_d))
-                        for rep in _verify_instance(r, sigmas, instance, args.trials, args.tol, args.seed + 1):
+                        for run in _verify_instance(r, sigmas, instance, args.trials, args.tol, args.seed + 1):
                             total += 1
-                            failed = rep.verdict != "pass"
+                            failed = run.verdict != "pass"
                             failures += failed
                             cell = summary.setdefault((d_a, d_d), [0, 0])
                             cell[0] += not failed
                             cell[1] += 1
-                            lines.append(rep.to_record())
+                            lines.append(run.record)
     if args.out:
         _emit_lines(lines, args.out)
     print("degrees  passed/total")

@@ -55,7 +55,7 @@ from ._gridops import Grid, assemble, eye, insert, neg_eye, pivot_indices, sched
 from .blocks import Pencil, PolyBlockMatrix
 from .errors import DimensionError
 from .polycore import MatrixPolynomial, horner_stack, varying_entries
-from .rsmp import Rsmp
+from .rsmp import Coefficients, Rsmp
 from .sigma import SigmaSeq
 
 __all__ = [
@@ -75,11 +75,6 @@ __all__ = [
 # A grid's stack is a read-only (degree + 1, rows, cols) coefficient stack,
 # low degree to high, in the instance's dtype; one identity per size and
 # dtype is shared.
-def _lam(p: np.ndarray) -> np.ndarray:
-    """Multiply by lambda (shift coefficients up one degree), in the dtype of ``p``."""
-    return np.concatenate([np.zeros((1,) + p.shape[1:], dtype=p.dtype), p])
-
-
 def _mul(p: np.ndarray, q: np.ndarray) -> np.ndarray:
     """Matrix product with polynomial entries (coefficient convolution).
 
@@ -111,11 +106,11 @@ def _n_step(g: Grid, consec: bool, r: Rsmp, i: int, state: bool) -> Grid:
     two sides, so only those rows have a nonzero block in the anchor
     column; they are read as one slice, cut to the column's degree.  A
     consecution puts the new column at the anchor, holding I and lambda
-    times the anchor column below it; an inversion puts it after the
-    anchor, holding -I and the anchor column times the Horner shift
-    P_{i+1} + lambda P_{i+2} + ... of the side's polynomial P.  Every
-    block comes in the dtype of ``g``'s stack, so a real grid is grown
-    in real arithmetic.
+    times the anchor column below it, written one degree up as it stands;
+    an inversion puts it after the anchor, holding -I and the anchor
+    column times the Horner shift P_{i+1} + lambda P_{i+2} + ... of the
+    side's polynomial P.  Every block comes in the dtype of ``g``'s
+    stack, so a real grid is grown in real arithmetic.
     """
     dtype = g.stack.dtype
     if state:
@@ -124,10 +119,11 @@ def _n_step(g: Grid, consec: bool, r: Rsmp, i: int, state: bool) -> Grid:
         a, hi, size = g.a, len(g.rsz), (r.p if consec else r.m)
     col = g.stack[: g.cdeg[a] + 1, g.rc[a] : g.rc[hi], g.cc[a] : g.cc[a + 1]]
     if consec:
-        return insert(g, a, a, size, [(a, a, eye(size, dtype)), (a + 1, a, _lam(col))], state)
+        return insert(g, a, a, size, [(a, a, eye(size, dtype), 0), (a + 1, a, col, 1)], state)
     c = r.coefficients(dtype)
     shift = (c.A if state else c.D)[i + 1 :]
-    return insert(g, a, a + 1, size, [(a, a + 1, neg_eye(size, dtype)), (a + 1, a + 1, _mul(col, shift))], state)
+    extra = [(a, a + 1, neg_eye(size, dtype), 0), (a + 1, a + 1, _mul(col, shift), 0)]
+    return insert(g, a, a + 1, size, extra, state)
 
 
 # -- sequence builders -------------------------------------------------------
@@ -326,11 +322,16 @@ class _Frame:
     and columns ``state`` and D(lambda) in rows ``feed_rows`` and columns
     ``feed_cols``: ``target`` holds the identity paddings, -B and C.
     ``parts`` holds ``target`` and the coefficients of A and D, all in
-    ``dtype``, that of the stacks the certificate multiplies.
+    ``dtype``, that of the stacks the certificate multiplies.  They are
+    cast from the parsed arrays (their real parts for a real system), not
+    taken from ``Rsmp.coefficients``, the copy the recursions read: so a
+    defect in that copy moves the pencil and the witnesses but not the
+    target they must reach.
     """
 
     def __init__(self, r: Rsmp, alpha_prime: int, alpha: int, dtype):
-        c = r.coefficients(dtype)
+        parsed = (r.A.coeffs, r.B, r.C, r.D.coeffs)
+        c = Coefficients(*(np.asarray(x.real if r.real else x, dtype=dtype) for x in parsed))
         n, p, m = r.n, r.p, r.m
         self.rows = alpha_prime + n + alpha + p
         self.cols = alpha_prime + n + alpha + m
@@ -371,7 +372,7 @@ class EquivalenceReport:
     @property
     def verdict(self) -> bool:
         figures = (self.max_residual, self.corollary_residual, self.u_unimodularity, self.v_unimodularity)
-        return all(np.isfinite(x) and x <= self.tol for x in figures)
+        return all(math.isfinite(x) and x <= self.tol for x in figures)
 
 
 def verify_theorem(
@@ -492,7 +493,9 @@ def _certify(
     ``blocks`` asks for it (``verify_theorem``); the CLI's records do not
     carry it.
     """
-    lp = np.stack([-pencil.tail, pencil.lead])
+    lp = np.empty((2,) + pencil.tail.shape, dtype=np.result_type(pencil.tail, pencil.lead))
+    np.negative(pencil.tail, out=lp[0])
+    lp[1] = pencil.lead
     f = samples.frame(*_padding_sizes(r, s), np.result_type(u, lp, v))
     rows, cols = f.rows, f.cols
     if u.shape[1:] != (rows, rows) or v.shape[1:] != (cols, cols) or pencil.shape != (rows, cols):
@@ -518,7 +521,7 @@ def _certify(
         prod[: len(a), f.state, f.state] -= a
         prod[: len(d), f.feed_rows, f.feed_cols] -= d
         if not prod.any() and _scale_is_finite(tops, shifts, len(u) * len(lp) * len(v) * rows * cols):
-            worst = np.zeros((rows, cols))
+            worst = None  # every ratio is 0/0, read as 0
         else:
             scale = _mul(_mul(np.abs(u), np.abs(lp)), np.abs(v))
             if short > 0:
@@ -529,11 +532,13 @@ def _certify(
             else:
                 ratio = np.full_like(err, np.inf)
             worst = ratio.max(axis=0)
-        residual = float(worst.max())
+    residual = 0.0 if worst is None else float(worst.max())
+    if blocks:
+        block_residuals = _block_residuals(np.zeros((rows, cols)) if worst is None else worst, f.rcuts, f.ccuts)
     return EquivalenceReport(
         max_residual=residual,
         corollary_residual=residual,
-        block_residuals=_block_residuals(worst, f.rcuts, f.ccuts) if blocks else {},
+        block_residuals=block_residuals if blocks else {},
         u_unimodularity=u_dev,
         v_unimodularity=v_dev,
         tol=tol,
@@ -555,8 +560,10 @@ def _unimodularity(w: np.ndarray, samples: _Samples, piv=None) -> float:
     degree 0, so det is that constant, else at every point of ``samples``.
     """
     if piv is not None:
-        at = w[:, piv[0], piv[1]]
-        if np.all((at[0] == 1) | (at[0] == -1)) and not at[1:].any():
+        # every coefficient of the pivot entries, gathered by flat index
+        at = w.reshape(len(w), -1).take(piv[0] * w.shape[2] + piv[1], axis=1)
+        head = at[0]
+        if not at[1:].any() and ((head == 1) | (head == -1)).all():
             return 0.0
     plan = _det_plan(w)
     if plan.core is None and not w[1:, plan.pivots[0], plan.pivots[1]].any():

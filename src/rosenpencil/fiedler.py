@@ -190,16 +190,17 @@ def _w_step(g: Grid, consec: bool, r: Rsmp, i: int, state: bool) -> Grid:
     lands on the anchor and the identity where the new row meets the new
     column: a consecution inserts the row at the anchor and the column
     after it, an inversion the column at the anchor and the row after it.
-    Both come in the dtype of ``g``'s stack.
+    Both come in the dtype of ``g``'s stack; -P_{i+1} is a slice of the
+    instance's kept negation (``Rsmp.negated``).
     """
     dtype = g.stack.dtype
-    c = r.coefficients(dtype)
+    neg_a, neg_d = r.negated(dtype)
     if state:
-        a, poly, size = 0, c.A, r.n
+        a, neg, size = 0, neg_a, r.n
     else:
-        a, poly, size = g.a, c.D, (r.p if consec else r.m)
+        a, neg, size = g.a, neg_d, (r.p if consec else r.m)
     new_r, new_c = (a, a + 1) if consec else (a + 1, a)
-    extra = [(a, a, -poly[i + 1 : i + 2]), (new_r, new_c, eye(size, dtype))]
+    extra = [(a, a, neg[i + 1 : i + 2], 0), (new_r, new_c, eye(size, dtype), 0)]
     return insert(g, new_r, new_c, size, extra, state)
 
 
@@ -253,24 +254,30 @@ def fiedler_pencil_rect(r: Rsmp, s: SigmaSeq) -> Pencil:
     return pencil_from_tail(r, _grid_to_blockmatrix(_w_grids(r, s, {})[-1], copy=True))
 
 
-def pencil_from_tail(r: Rsmp, w: BlockMatrix, leads: dict | None = None) -> Pencil:
+def pencil_from_tail(r: Rsmp, w: BlockMatrix | Grid, leads: dict | None = None) -> Pencil:
     """The pencil whose tail is the last matrix of ``build_w_sequence``, or the degree-1 grid.
 
+    ``w`` is that matrix, or the W grid itself, whose degree-0 stack is
+    then the tail as it stands, read-only, with no BlockMatrix built.
     The lead of such a tail depends only on the system and the tail's
     shape, and comes in the tail's dtype (complex128 for a complex
     system).  A caller that builds many pencils of one system passes one
     ``leads`` dict for all of them; it keeps one read-only lead per shape
     and dtype.
     """
-    dtype = np.result_type(w.data, r.dtype)
-    key = (w.shape, dtype)
+    if isinstance(w, Grid):
+        tail, rsz, csz = w.stack[0], w.rsz, w.csz
+    else:
+        tail, rsz, csz = w.data, w.row_sizes, w.col_sizes
+    dtype = np.result_type(tail, r.dtype)
+    key = (tail.shape, dtype)
     lead = None if leads is None else leads.get(key)
     if lead is None:
-        lead = _rect_lead(r, w.row_sizes, dtype)
+        lead = _rect_lead(r, rsz, dtype)
         if leads is not None:
             lead.setflags(write=False)
             leads[key] = lead
-    return Pencil(lead, w.data, w.row_sizes, w.col_sizes)
+    return Pencil(lead, tail, rsz, csz)
 
 
 # ---------------------------------------------------------------------------
@@ -292,7 +299,8 @@ def expected_size(n, p, m, d_a, d_d, s: SigmaSeq, i: int) -> tuple[int, int]:
         raise DimensionError(f"step {i} out of range 0..{d - 2}")
     state = n * (min(i, d_a - 2) + 2)
     hi = min(i, d_d - 2)
-    c, inv = s.c_count(0, hi), s.i_count(0, hi)
+    c = s.decisions.count("C", 0, hi + 1)
+    inv = hi + 1 - c
     return state + p + p * c + m * inv, state + m + p * c + m * inv
 
 
@@ -318,19 +326,20 @@ def _claims(i: int, r: Rsmp, s: SigmaSeq, total: int, dtype=complex) -> list[tup
 
     Each claim is ``(name, args, row, col, shape, want)``: the 1-based block
     (row, col) has ``shape`` and equals ``want``, or is zero where ``want``
-    is None; a ``want`` comes in ``dtype``, that of the matrix checked.
-    Its name is ``name % args``, formed only where it is read.
+    is None; a ``want`` comes in ``dtype``, that of the matrix checked, and
+    is a slice of the instance's kept negation (``Rsmp.negated``).  Its
+    name is ``name % args``, formed only where it is read.
     """
     n, p, m, da, dd = r.n, r.p, r.m, r.d_a, r.d_d
-    c = r.coefficients(dtype)
+    neg_a, neg_d = r.negated(dtype)
     a_blocks = min(i + 2, da)  # state-side block count at step i
     d_pos = a_blocks + 1  # 1-based block position of the mixed diagonal block
     a_idx = min(i + 1, da - 1)  # state coefficient on the (1,1) anchor
     d_idx = min(i + 1, dd - 1)  # feedthrough coefficient on the mixed diagonal block
     trailing = min(i, dd - 2)  # last decision that grew the feedthrough side
     claims = [
-        ("(1,1) block is -A_{i+1}", (), 1, 1, (n, n), -c.A[a_idx]),
-        ("mixed diagonal block is -D_k", (), d_pos, d_pos, (p, m), -c.D[d_idx]),
+        ("(1,1) block is -A_{i+1}", (), 1, 1, (n, n), neg_a[a_idx]),
+        ("mixed diagonal block is -D_k", (), d_pos, d_pos, (p, m), neg_d[d_idx]),
     ]
     claims += [("state diagonal block %d is 0_n", (k,), k, k, (n, n), None) for k in range(2, a_blocks + 1)]
     for j in range(trailing + 1):
@@ -352,9 +361,7 @@ def _claims(i: int, r: Rsmp, s: SigmaSeq, total: int, dtype=complex) -> list[tup
 
 def _holds(block: np.ndarray, shape: tuple[int, int], want) -> bool:
     """Whether ``block`` has ``shape`` and equals ``want``, or is zero where ``want`` is None."""
-    if block.shape != shape:
-        return False
-    return not np.count_nonzero(block if want is None else block != want)
+    return block.shape == shape and not np.count_nonzero(block if want is None else block != want)
 
 
 def check_block_structure(w: BlockMatrix, i: int, r: Rsmp, s: SigmaSeq) -> StructureReport:
@@ -385,7 +392,7 @@ def _step_verdicts(g: Grid, r: Rsmp, s: SigmaSeq, i: int) -> tuple[bool, bool]:
     """
     w, rc, cc = g.stack[0], g.rc, g.cc
     size_ok = w.shape == expected_size(r.n, r.p, r.m, r.d_a, r.d_d, s, i)
-    for _, _, bi, bj, shape, want in _claims(i, r, s, len(g.rsz), w.dtype):
+    for _, _, bi, bj, shape, want in _claims(i, r, s, len(rc) - 1, w.dtype):
         if not _holds(w[rc[bi - 1] : rc[bi], cc[bj - 1] : cc[bj]], shape, want):
             return size_ok, False
     return size_ok, True

@@ -41,10 +41,15 @@ class Rsmp:
 
     A failed regularity check on the state polynomial is a warning, not an
     error; transfer-function evaluation and pole computations then refuse
-    to run.
+    to run.  The dimensions ``n``, ``p``, ``m``, the declared degrees
+    ``d_a``, ``d_d`` and the pencil degree ``degree`` are plain attributes,
+    read from A and D once, since the recursions read them at every step.
     """
 
-    __slots__ = ("A", "B", "C", "D", "a_regular", "_real", "_transposed", "_s", "_coeffs")
+    __slots__ = (
+        "A", "B", "C", "D", "n", "p", "m", "d_a", "d_d", "degree", "a_regular", "_real", "_transposed", "_s",
+        "_coeffs", "_negated",
+    )
 
     def __init__(self, A: MatrixPolynomial, B, C, D: MatrixPolynomial, check_regular: bool = True):
         B = as_matrix(B)
@@ -63,8 +68,9 @@ class Rsmp:
         C.setflags(write=False)
         a_regular = is_regular(A) if check_regular else True
         fields = {
-            "A": A, "B": B, "C": C, "D": D, "a_regular": a_regular, "_real": None, "_transposed": None, "_s": None,
-            "_coeffs": {},
+            "A": A, "B": B, "C": C, "D": D, "n": n, "p": p, "m": m, "d_a": A.degree, "d_d": D.degree,
+            "degree": max(A.degree, D.degree), "a_regular": a_regular, "_real": None, "_transposed": None, "_s": None,
+            "_coeffs": {}, "_negated": {},
         }
         for name, value in fields.items():
             object.__setattr__(self, name, value)
@@ -78,30 +84,6 @@ class Rsmp:
 
     def __setattr__(self, name, value):
         raise AttributeError(f"Rsmp is immutable: cannot set {name!r}")
-
-    @property
-    def n(self) -> int:
-        return self.A.rows
-
-    @property
-    def p(self) -> int:
-        return self.D.rows
-
-    @property
-    def m(self) -> int:
-        return self.D.cols
-
-    @property
-    def d_a(self) -> int:
-        return self.A.degree
-
-    @property
-    def d_d(self) -> int:
-        return self.D.degree
-
-    @property
-    def degree(self) -> int:
-        return max(self.d_a, self.d_d)
 
     @property
     def real(self) -> bool:
@@ -140,6 +122,17 @@ class Rsmp:
             else:
                 raise ValueError(f"no {dtype} coefficients for this instance")
             self._coeffs[dtype] = out
+        return out
+
+    def negated(self, dtype) -> tuple[np.ndarray, np.ndarray]:
+        """-A and -D of ``coefficients(dtype)``, read-only, made at first use and kept: the blocks the pencil recursion writes and its structure claims read."""
+        out = self._negated.get(dtype)
+        if out is None:
+            c = self.coefficients(dtype)
+            out = (-c.A, -c.D)
+            for x in out:
+                x.setflags(write=False)
+            self._negated[dtype] = out
         return out
 
     def __repr__(self):

@@ -739,18 +739,18 @@ class TestCarriedPivots:
         r = random_rsmp(rng, 2, 1, 2, 3, 2)
         g = equivalence._n_base(r)
         assert g.piv == (0, 1)
-        kept = insert(g, 0, 0, 2, [(0, 0, neg_eye(2))], True)
+        kept = insert(g, 0, 0, 2, [(0, 0, neg_eye(2), 0)], True)
         assert kept.piv == (0, 1, 2)
-        for extra in ([(0, 0, eye(2) * 2.0)], [(0, 1, eye(2))], [(0, 0, eye(2)), (0, 1, eye(2))],
-                      [(0, 0, eye(2)), (1, 1, eye(2))]):
+        for extra in ([(0, 0, eye(2) * 2.0, 0)], [(0, 1, eye(2), 0)], [(0, 0, eye(2), 0), (0, 1, eye(2), 0)],
+                      [(0, 0, eye(2), 0), (1, 1, eye(2), 0)]):
             lost = insert(g, 0, 0, 2, extra, True)
             assert lost.piv is None and pivot_indices(lost) is None
-            assert insert(lost, 0, 0, 2, [(0, 0, eye(2))], True).piv is None
+            assert insert(lost, 0, 0, 2, [(0, 0, eye(2), 0)], True).piv is None
         # a block may span several block rows of the inserted column: below
         # the inserted row it keeps the claim, reaching into that row it breaks it
-        below = insert(g, 0, 0, 2, [(0, 0, neg_eye(2)), (1, 0, np.ones((2, 3, 2)))], True)
+        below = insert(g, 0, 0, 2, [(0, 0, neg_eye(2), 0), (1, 0, np.ones((2, 3, 2)), 0)], True)
         assert below.piv == (0, 1, 2) and below.cdeg == (1, 0, 0)
-        assert insert(g, 1, 0, 2, [(1, 0, neg_eye(2)), (0, 0, np.ones((1, 4, 2)))], True).piv is None
+        assert insert(g, 1, 0, 2, [(1, 0, neg_eye(2), 0), (0, 0, np.ones((1, 4, 2)), 0)], True).piv is None
 
 
 class TestSharedIdentity:
@@ -770,14 +770,14 @@ class TestSharedIdentity:
         r = random_rsmp(rng, 2, 1, 2, 3, 2)
         g = equivalence._n_base(r, np.float64)
         assert g.stack.dtype == np.float64 and g.piv == (0, 1)
-        real = insert(g, 0, 0, 2, [(0, 0, neg_eye(2, g.stack.dtype))], True)
+        real = insert(g, 0, 0, 2, [(0, 0, neg_eye(2, g.stack.dtype), 0)], True)
         assert real.stack.dtype == np.float64 and real.piv == (0, 1, 2)
         # a complex block widens the grid rather than losing its imaginary part
         block = np.full((1, 3, 2), 1j)
-        wide = insert(g, 0, 0, 2, [(0, 0, neg_eye(2)), (1, 0, block)], True)
+        wide = insert(g, 0, 0, 2, [(0, 0, neg_eye(2), 0), (1, 0, block, 0)], True)
         assert wide.stack.dtype == np.complex128 and wide.piv == (0, 1, 2)
         assert np.array_equal(wide.stack[0, 2:, :2], block[0])
-        assert insert(g, 0, 0, 2, [(0, 0, -np.eye(2)[None])], True).piv is None
+        assert insert(g, 0, 0, 2, [(0, 0, -np.eye(2)[None], 0)], True).piv is None
 
 
 def _tail_mutated(pencil, rng, rel=1e-6):
