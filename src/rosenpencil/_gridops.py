@@ -173,8 +173,8 @@ def insert(prev: Grid, at_row: int, at_col: int, size: int, extra, grown: bool) 
             piv = [c + (c >= at_col) for c in piv]
             piv.insert(at_row, at_col)
             piv = tuple(piv)
-    rsz, csz = prev.rsz, prev.csz
-    rsz, csz = rsz[:at_row] + [size] + rsz[at_row:], csz[:at_col] + [size] + csz[at_col:]
+    rsz = prev.rsz[:at_row] + [size] + prev.rsz[at_row:]
+    csz = prev.csz[:at_col] + [size] + prev.csz[at_col:]
     return Grid(out, rsz, csz, prev.a + grown, tuple(cdeg), piv, (rc, cc))
 
 

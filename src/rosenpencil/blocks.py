@@ -104,8 +104,8 @@ class Pencil:
             raise DimensionError("partition does not tile the pencil")
         object.__setattr__(self, "lead", lead)
         object.__setattr__(self, "tail", tail)
-        object.__setattr__(self, "row_sizes", tuple(int(s) for s in self.row_sizes))
-        object.__setattr__(self, "col_sizes", tuple(int(s) for s in self.col_sizes))
+        object.__setattr__(self, "row_sizes", tuple(map(int, self.row_sizes)))
+        object.__setattr__(self, "col_sizes", tuple(map(int, self.col_sizes)))
 
     @property
     def shape(self) -> tuple[int, int]:

@@ -431,9 +431,7 @@ _SCALE_MARGIN = 2
 
 
 def _top(x: np.ndarray) -> float:
-    """The largest magnitude of an entry of ``x`` (NaN if there is one); a real ``x`` needs no array of magnitudes."""
-    if x.dtype.kind == "f":
-        return float(np.maximum(x.max(), -x.min()))
+    """The largest magnitude of an entry of ``x`` (NaN if there is one)."""
     return float(np.abs(x).max())
 
 
@@ -487,8 +485,9 @@ def _certify(
     U L V - T is exactly zero (a NaN counts as nonzero) and
     ``_scale_is_finite`` proves every scale entry finite from the shifted
     maxima of the three factors, every ratio is 0/0, read as 0, and the
-    scale is skipped; otherwise it is formed and divided into the
-    difference.  The worst residual per block of the four-block target,
+    scale is skipped: the residual is 0.0, with no array of ratios formed
+    unless ``blocks`` needs one; otherwise the scale is formed and divided
+    into the difference.  The worst residual per block of the four-block target,
     an entrywise maximum over the coefficients, is taken only when
     ``blocks`` asks for it (``verify_theorem``); the CLI's records do not
     carry it.
@@ -533,12 +532,12 @@ def _certify(
                 ratio = np.full_like(err, np.inf)
             worst = ratio.max(axis=0)
     residual = 0.0 if worst is None else float(worst.max())
-    if blocks:
-        block_residuals = _block_residuals(np.zeros((rows, cols)) if worst is None else worst, f.rcuts, f.ccuts)
+    if blocks and worst is None:
+        worst = np.zeros((rows, cols))
     return EquivalenceReport(
         max_residual=residual,
         corollary_residual=residual,
-        block_residuals=block_residuals if blocks else {},
+        block_residuals=_block_residuals(worst, f.rcuts, f.ccuts) if blocks else {},
         u_unimodularity=u_dev,
         v_unimodularity=v_dev,
         tol=tol,

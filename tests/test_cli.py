@@ -377,6 +377,42 @@ class TestStreamMatchesPublicCalls:
         assert out.read_text() == "".join(line + "\n" for line in want)
 
 
+
+def _dumped(instance, sigma, rows, cols, figures, sizes_ok, structure_ok, verdict):
+    """A record as ``json.dumps`` writes its dict: strict JSON, a non-finite figure as null."""
+    names = ("max_residual", "corollary_residual", "u_unimodularity", "v_unimodularity")
+    data = {"instance": instance, "sigma": sigma, "rows": rows, "cols": cols}
+    data.update((name, x if np.isfinite(x) else None) for name, x in zip(names, figures))
+    data.update(sizes_ok=sizes_ok, structure_ok=structure_ok, verdict=verdict)
+    return json.dumps(data, sort_keys=False, allow_nan=False)
+
+
+class TestRecordWriter:
+    """The records are written around the instance's JSON text, made once; their bytes are json.dumps's."""
+
+    @pytest.mark.parametrize("instance", [
+        {"file": "plain.json", "n": 1, "p": 2, "m": 3, "d_A": 7, "d_D": 1},
+        {"file": 'dir/"quoted" name.json', "n": 2, "p": 2, "m": 2, "d_A": 3, "d_D": 3},
+        {"file": "C:\\data\\inst.json", "n": 3, "p": 1, "m": 2, "d_A": 4, "d_D": 2},
+        {"file": "donn\u00e9es/\u7cfb\u7d71 \u03bb.json", "n": 1, "p": 1, "m": 1, "d_A": 1, "d_D": 1},
+        {"n": 2, "p": 1, "m": 2, "d_A": 3, "d_D": 2},  # fuzz: no file
+    ], ids=["plain", "quotes", "backslash", "non-ascii", "fuzz"])
+    def test_bytes_are_those_of_json_dumps(self, instance):
+        records = cli._Records(instance)
+        values = [0.0, 5e-7, 1.7e308, np.inf, np.nan, -np.inf, np.float64(2.5e-9)]
+        lines = 0
+        for k, (sizes_ok, structure_ok) in enumerate(itertools.product((True, False), repeat=2)):
+            for j, x in enumerate(values):
+                figures = (x, x, values[(j + k + 1) % len(values)], values[(j + 2 * k + 3) % len(values)])
+                verdict = "pass" if j < 2 and sizes_ok and structure_ok else "fail"
+                args = ("CI" * k + "C", 7 + j, 9 + k, *figures, sizes_ok, structure_ok, verdict)
+                want = _dumped(instance, args[0], args[1], args[2], figures, sizes_ok, structure_ok, verdict)
+                assert records.line(*args) == want
+                assert RunReport(instance, *args).to_record() == want
+                lines += 1
+        assert lines == 4 * len(values)
+
+
 # the eight cells of the deep_verify benchmark workload (degree 7)
 DEEP_CELLS = [
     (3, 3, 3, 7, 7), (2, 2, 2, 7, 7), (3, 2, 1, 7, 3), (3, 1, 2, 7, 5),
@@ -428,6 +464,38 @@ class TestOnDemandScale:
         assert capsys.readouterr().out == on_demand
 
 
+
+class TestTargetFromParsedArrays:
+    def test_a_defect_in_the_walked_copy_fails_the_verdict(self, tmp_path, capsys, monkeypatch):
+        # the walk reads Rsmp.coefficients, the certificate's target the
+        # parsed arrays: 1 added to A_0 in the float64 copy moves the pencil
+        # but not the target, so every string fails
+        coefficients = Rsmp.coefficients
+
+        def shifted(self, dtype):
+            c = coefficients(self, dtype)
+            if np.dtype(dtype) != np.float64:
+                return c
+            a = c.A.copy()
+            a[0] += 1.0
+            return c._replace(A=a)
+
+        paths = []
+        for k, cell in enumerate([(2, 2, 2, 3, 3), (3, 1, 2, 4, 2), (1, 3, 3, 2, 5)]):
+            path = tmp_path / f"{k}.json"
+            path.write_text(emit_rsmp(random_rsmp(np.random.default_rng(0), *cell)))
+            assert main(["verify", str(path), "--all"]) == 0
+            paths.append(path)
+        capsys.readouterr()
+        monkeypatch.setattr(Rsmp, "coefficients", shifted)
+        for path, strings in zip(paths, (4, 8, 16)):
+            assert main(["verify", str(path), "--all"]) == 1
+            records = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+            assert len(records) == strings
+            # a difference over a zero scale entry reads as an infinite residual, written as null
+            assert all(rec["verdict"] == "fail" and (rec["max_residual"] or np.inf) > 1e-8 for rec in records)
+
+
 class TestSpreadSweep:
     def test_every_small_spread_cell_passes(self, tmp_path, capsys):
         # verify --all on oracles.spread_rsmp instances (complex, magnitudes
@@ -469,6 +537,25 @@ class TestPerStringWork:
         capsys.readouterr()
         assert every == one
 
+
+    def test_verify_all_builds_no_block_matrix(self, tmp_path, capsys, monkeypatch):
+        # the pencil takes the last W grid's stack as its tail: no BlockMatrix
+        # on the eight deep_verify cells, where one per string was built
+        built = []
+        init = BlockMatrix.__init__
+
+        def counting_init(self, *args):
+            built.append(1)
+            init(self, *args)
+
+        monkeypatch.setattr(BlockMatrix, "__init__", counting_init)
+        rng = np.random.default_rng(2101)
+        for k, cell in enumerate(DEEP_CELLS):
+            path = tmp_path / f"{k}.json"
+            path.write_text(emit_rsmp(random_rsmp(rng, *cell)))
+            assert main(["verify", str(path), "--all"]) == 0
+        capsys.readouterr()
+        assert built == []
 
     def test_recursion_witnesses_need_no_determinant_plan(self, tmp_path, capsys, monkeypatch):
         # the pivots their grids carry settle det U and det V, at every degree
