@@ -28,8 +28,13 @@ built and no claim named.  The walk keeps the prefixes of the last string
 walked, and a string builds only those past the prefix it shares with
 that one, so in the lexicographic order of ``--all`` and ``fuzz`` each
 decision prefix is built and checked once per instance.  A grid is one
-coefficient stack, so the tail and the witness ``U`` cost no assembly;
-``V`` is one transposed copy, and the certificate runs per string.  The
+coefficient stack, so the tail and the witness ``U`` cost no assembly:
+the last W grid goes to ``fiedler.pencil_from_tail`` as it stands, with
+no block matrix built, and ``V`` is one transposed copy.  Per string
+what is left is the certificate (its two products ``U L`` and ``(U L) V``
+and the checks around them, against a target cast from the parsed
+arrays, not from the copy the walk reads) and the record, written around
+the instance's JSON text, made once per instance (``_Records``).  The
 records are those of the per-string public calls, byte for byte.
 """
 
