@@ -61,6 +61,12 @@ from .sigma import SigmaSeq, all_decision_strings, parse_sigma
 __all__ = ["main", "RunReport"]
 
 
+def _finite(x) -> float | None:
+    """A figure for a record: non-finite values become null."""
+    x = float(x)
+    return x if math.isfinite(x) else None
+
+
 def _figure(x) -> str:
     """A figure as a record writes it: ``repr`` of the float, as ``json.dumps`` writes one, or null when it is not finite."""
     x = float(x)
@@ -72,8 +78,11 @@ class _Records:
 
     A record reads, byte for byte, as ``json.dumps`` writes the dict of
     ``RunReport.to_record``: keys in that order, ``", "`` and ``": "``
-    between them, ASCII only, a non-finite figure as null.  The decision
-    string holds only C and I, so it needs no escape.
+    between them, ASCII only, a non-finite figure as null.  It writes
+    ``sigma`` and ``verdict`` unescaped and ``rows`` and ``cols`` as
+    integers, so it takes only what ``_verify_instance`` gives it: a
+    decision string of C and I, ``pass`` or ``fail``, and integer sizes.
+    ``RunReport.to_record`` takes any fields, through ``json.dumps``.
     """
 
     __slots__ = ("_head",)
@@ -109,10 +118,20 @@ class RunReport:
 
     def to_record(self) -> str:
         """The record as one line of strict JSON: the fields in order, a non-finite figure as null."""
-        return _Records(self.instance).line(
-            self.sigma, self.rows, self.cols, self.max_residual, self.corollary_residual, self.u_unimodularity,
-            self.v_unimodularity, self.sizes_ok, self.structure_ok, self.verdict,
-        )
+        data = {
+            "instance": self.instance,
+            "sigma": self.sigma,
+            "rows": self.rows,
+            "cols": self.cols,
+            "max_residual": _finite(self.max_residual),
+            "corollary_residual": _finite(self.corollary_residual),
+            "u_unimodularity": _finite(self.u_unimodularity),
+            "v_unimodularity": _finite(self.v_unimodularity),
+            "sizes_ok": self.sizes_ok,
+            "structure_ok": self.structure_ok,
+            "verdict": self.verdict,
+        }
+        return json.dumps(data, sort_keys=False, allow_nan=False)
 
 
 def _read_instance(path: str) -> Rsmp:

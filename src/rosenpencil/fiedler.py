@@ -250,25 +250,24 @@ def fiedler_pencil_rect(r: Rsmp, s: SigmaSeq) -> Pencil:
     if r.degree == 1:
         if len(s) != 0:
             raise DimensionError("degree-1 systems take an empty decision sequence")
-        return pencil_from_tail(r, _grid_to_blockmatrix(_w_base(r), copy=True))
-    return pencil_from_tail(r, _grid_to_blockmatrix(_w_grids(r, s, {})[-1], copy=True))
+        return pencil_from_tail(r, _w_base(r), copy=True)
+    return pencil_from_tail(r, _w_grids(r, s, {})[-1], copy=True)
 
 
-def pencil_from_tail(r: Rsmp, w: BlockMatrix | Grid, leads: dict | None = None) -> Pencil:
-    """The pencil whose tail is the last matrix of ``build_w_sequence``, or the degree-1 grid.
+def pencil_from_tail(r: Rsmp, w: Grid, leads: dict | None = None, copy: bool = False) -> Pencil:
+    """The pencil whose tail is the last W grid of the recursion, or the degree-1 grid.
 
-    ``w`` is that matrix, or the W grid itself, whose degree-0 stack is
-    then the tail as it stands, read-only, with no BlockMatrix built.
-    The lead of such a tail depends only on the system and the tail's
-    shape, and comes in the tail's dtype (complex128 for a complex
-    system).  A caller that builds many pencils of one system passes one
-    ``leads`` dict for all of them; it keeps one read-only lead per shape
-    and dtype.
+    The tail is the grid's degree-0 stack as it stands, read-only, or
+    with ``copy`` a writable copy, as the public builders give it.  The
+    lead of such a tail depends only on the system and the tail's shape,
+    and comes in the tail's dtype (complex128 for a complex system).  A
+    caller that builds many pencils of one system passes one ``leads``
+    dict for all of them; it keeps one read-only lead per shape and
+    dtype.
     """
-    if isinstance(w, Grid):
-        tail, rsz, csz = w.stack[0], w.rsz, w.csz
-    else:
-        tail, rsz, csz = w.data, w.row_sizes, w.col_sizes
+    tail, rsz, csz = w.stack[0], w.rsz, w.csz
+    if copy:
+        tail = tail.copy()
     dtype = np.result_type(tail, r.dtype)
     key = (tail.shape, dtype)
     lead = None if leads is None else leads.get(key)
@@ -299,7 +298,7 @@ def expected_size(n, p, m, d_a, d_d, s: SigmaSeq, i: int) -> tuple[int, int]:
         raise DimensionError(f"step {i} out of range 0..{d - 2}")
     state = n * (min(i, d_a - 2) + 2)
     hi = min(i, d_d - 2)
-    c = s.decisions.count("C", 0, hi + 1)
+    c = s.c_count(0, hi)
     inv = hi + 1 - c
     return state + p + p * c + m * inv, state + m + p * c + m * inv
 

@@ -412,6 +412,14 @@ class TestRecordWriter:
                 lines += 1
         assert lines == 4 * len(values)
 
+    def test_run_report_escapes_any_field(self):
+        # only the CLI's own records skip the escapes; RunReport takes any str and number
+        instance = {"file": "x.json", "n": 1, "p": 1, "m": 1, "d_A": 2, "d_D": 1}
+        args = ('C"\\\u03bb', 2.0, 3, 0.0, np.nan, 1e-9, np.inf, True, False, 'f"ail')
+        record = RunReport(instance, *args).to_record()
+        assert record == _dumped(instance, args[0], args[1], args[2], args[3:7], True, False, args[9])
+        assert json.loads(record)["sigma"] == args[0] and json.loads(record)["rows"] == 2.0
+
 
 # the eight cells of the deep_verify benchmark workload (degree 7)
 DEEP_CELLS = [
@@ -775,13 +783,13 @@ class TestRealWalk:
         s = SigmaSeq("ICC")
         leads = {}
         last = cli._walk(r, s, {})[-1]
-        real = fiedler.pencil_from_tail(r, fiedler._grid_to_blockmatrix(last.w), leads)
+        real = fiedler.pencil_from_tail(r, last.w, leads)
         want = fiedler.fiedler_pencil_rect(r, s)
         assert real.lead.dtype == real.tail.dtype == np.float64
         assert np.array_equal(real.lead, want.lead.real) and np.array_equal(real.tail, want.tail.real)
-        again = fiedler.pencil_from_tail(r, fiedler._grid_to_blockmatrix(last.w), leads)
+        again = fiedler.pencil_from_tail(r, last.w, leads)
         assert again.lead is real.lead and not real.lead.flags.writeable
-        cplx = fiedler.pencil_from_tail(r, BlockMatrix(want.tail, want.row_sizes, want.col_sizes), leads)
+        cplx = fiedler.pencil_from_tail(r, Grid.base(want.tail[None], want.row_sizes, want.col_sizes), leads)
         assert cplx.lead.dtype == np.complex128 and cplx.lead.tobytes() == want.lead.tobytes()
         assert len(leads) == 2
 

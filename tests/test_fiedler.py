@@ -25,6 +25,7 @@ from rosenpencil import (
     unimodular_pair,
 )
 from rosenpencil import cli
+from rosenpencil._gridops import Grid
 from rosenpencil.blocks import BlockMatrix, Pencil
 from rosenpencil.sampling import random_bijection, random_rsmp
 
@@ -567,7 +568,7 @@ class TestRectPencil:
     def test_tail_with_non_square_trailing_block_rejected(self, rng):
         # the leading matrix puts an identity on every trailing diagonal block
         r = random_rsmp(rng, 1, 1, 1, 1, 2)
-        w = BlockMatrix(np.zeros((4, 5)), [1, 1, 2], [1, 1, 3])
+        w = Grid.base(np.zeros((1, 4, 5)), [1, 1, 2], [1, 1, 3])
         with pytest.raises(DimensionError):
             fiedler.pencil_from_tail(r, w)
 
@@ -671,6 +672,15 @@ class TestExpectedSize:
         n, p, m = 2, 3, 1
         s = SigmaSeq("I" + "C" * 2)
         assert expected_size(n, p, m, 4, 3, s, 0) == (2 * n + p + m, 2 * n + 2 * m)
+
+    def test_decisions_that_do_not_reach_the_step_are_an_error(self):
+        # the feedthrough side counts decisions 0..min(i, d_D - 2); a string
+        # shorter than that, or d_D = 0, is the caller's error, not a size
+        with pytest.raises(IndexError):
+            expected_size(2, 3, 1, 4, 4, SigmaSeq("C"), 2)
+        with pytest.raises(IndexError):
+            expected_size(2, 3, 1, 4, 0, SigmaSeq("CCC"), 1)
+        assert expected_size(2, 3, 1, 4, 1, SigmaSeq(""), 0) == (2 * 2 + 3, 2 * 2 + 1)
 
     def test_matches_construction_over_grid(self, rng):
         for n in (1, 2):

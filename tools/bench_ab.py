@@ -1,13 +1,13 @@
 #!/usr/bin/env python3
 """Run the benchmark of two checkouts in alternating pairs and summarise them.
 
-    python3 tools/bench_ab.py PARENT CHANGE --workload W --seeds A-B [--seconds S] [--out FILE]
+    python3 tools/bench_ab.py PARENT CHANGE --workload W --seeds A-B --out FILE
 
 Pair k runs ``perfbench/run.py --workload W --seed A+k --seconds S
---trace 0`` once in each checkout, each with that checkout's own
-``run.py`` and package, in a subprocess whose working directory is the
-checkout; the parent goes first in even pairs and the change in odd
-ones.  The last line of each run's stdout is its result (see
+--trace 0`` once in each checkout, S being the ``run_seconds`` of
+PARENT's ``BENCHMARK.json``, each with that checkout's own ``run.py``
+and package, in a subprocess whose working directory is the checkout;
+the parent goes first in even pairs and the change in odd ones.  The last line of each run's stdout is its result (see
 ``perfbench/run.py``).
 
 The summary is one ``workloads`` entry in the shape of the committed
@@ -20,9 +20,8 @@ and the claim rule: the change wins at least nine tenths of the pairs,
 and its median is better than the parent's by more than the parent's
 interquartile range.  Quartiles are those of ``statistics.quantiles``.
 
-With ``--out FILE`` the entry is written into FILE under
-``workloads.W``, keeping whatever else FILE holds; without it the entry
-is printed.  A run that exits non-zero or prints no result stops the
+The entry is written into FILE under ``workloads.W``, keeping whatever
+else FILE holds.  A run that exits non-zero or prints no result stops the
 tool with exit status 1.
 """
 
@@ -116,14 +115,13 @@ def main(argv=None) -> int:
     ap.add_argument("change", type=Path)
     ap.add_argument("--workload", required=True, choices=WORKLOADS)
     ap.add_argument("--seeds", required=True, type=_seeds, help="A-B: one pair per seed, A..B inclusive")
-    ap.add_argument("--seconds", type=float, default=None, help="run length (default: BENCHMARK.json's run_seconds)")
-    ap.add_argument("--out", type=Path, default=None, help="BENCH file to write the entry into")
+    ap.add_argument("--out", required=True, type=Path, help="BENCH file to write the entry into")
     args = ap.parse_args(argv)
     if len(args.seeds) < 2:
         ap.error("--seeds needs at least two pairs")
     checkouts = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     spec = json.loads((checkouts["parent"] / "BENCHMARK.json").read_text())
-    seconds = spec["run_seconds"] if args.seconds is None else args.seconds
+    seconds = spec["run_seconds"]
     results = []
     for k, seed in enumerate(args.seeds):
         order = SIDES if k % 2 == 0 else SIDES[::-1]
@@ -133,9 +131,6 @@ def main(argv=None) -> int:
         print(f"pair {k} seed {seed}: ops_per_s parent {rate['parent']:.4g}, change {rate['change']:.4g}",
               file=sys.stderr)
     entry = summarize(results, args.seeds, spec["end_to_end"])
-    if args.out is None:
-        print(json.dumps({args.workload: entry}, indent=1))
-        return 0
     data = json.loads(args.out.read_text()) if args.out.exists() else {}
     data.setdefault("workloads", {})[args.workload] = entry
     args.out.write_text(json.dumps(data, indent=1) + "\n")
