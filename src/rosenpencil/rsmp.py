@@ -229,7 +229,8 @@ def clear_denominator(r: Rsmp, s, tol: float = 1e-8) -> MatrixPolynomial:
     """Matrix polynomial s(lambda) * R(lambda), certified by interpolation.
 
     Samples s(z)R(z) at enough points for the degree bound, interpolates
-    entrywise, and validates at holdout points.  If s does not clear every
+    entrywise, and validates at two holdout points, drawn after the phase
+    and evaluated in one stack with the nodes.  If s does not clear every
     pole the holdout residual is large and InterpolationResidual is raised.
     """
     if not r.a_regular:
@@ -246,11 +247,12 @@ def clear_denominator(r: Rsmp, s, tol: float = 1e-8) -> MatrixPolynomial:
         rng = np.random.default_rng(1234 + attempt)
         rho = 1.1 + 0.2 * attempt
         phase = rng.uniform(0.0, 2.0 * np.pi)
-        zs = rho * np.exp(1j * (2.0 * np.pi * np.arange(npts) / npts + phase))
+        zh = [(0.7 + rng.uniform()) * np.exp(2j * np.pi * rng.uniform()) for _ in range(2)]
+        zs = np.append(rho * np.exp(1j * (2.0 * np.pi * np.arange(npts) / npts + phase)), zh)
         rz, poles = transfer_eval_stack(r, zs)
-        if poles.any():
+        if poles[:npts].any():
             continue
-        vals = np.stack([scalar_poly_eval(s, z) * rz[k] for k, z in enumerate(zs)])
+        vals = np.array([scalar_poly_eval(s, z) for z in zs[:npts]])[:, None, None] * rz[:npts]
         spec = np.fft.fft(vals, axis=0) / npts  # nodes carry positive angles
         ks = np.arange(npts)
         coeffs = spec / (rho**ks * np.exp(1j * ks * phase))[:, None, None]
@@ -262,12 +264,10 @@ def clear_denominator(r: Rsmp, s, tol: float = 1e-8) -> MatrixPolynomial:
         while top > 0 and np.max(np.abs(coeffs[top])) <= 1e-9 * scale:
             top -= 1
         result = MatrixPolynomial(coeffs[: top + 1].copy())
-        zh = [(0.7 + rng.uniform()) * np.exp(2j * np.pi * rng.uniform()) for _ in range(2)]
-        rh, poles = transfer_eval_stack(r, zh)
-        for k, z in enumerate(zh):
+        for k, z in enumerate(zh, start=npts):
             if poles[k]:
                 break
-            want = scalar_poly_eval(s, z) * rh[k]
+            want = scalar_poly_eval(s, z) * rz[k]
             got = result.eval(z)
             if np.max(np.abs(want - got)) > tol * scale * max(1.0, abs(z)) ** bound:
                 raise InterpolationResidual(

@@ -1,13 +1,15 @@
 """Eigenvalue and pole machinery at desk scale.
 
 Determinants of matrix polynomials are interpolated from point evaluations
-(Fourier nodes, holdout-certified); their roots are the eigenvalues of the
-companion matrix, found by LAPACK in one call, so nothing iterates in
-Python.  Every rank is the count of singular values above a fraction of
-the largest, from one batched SVD over a stack of points.  Eigenvalues of
-rectangular problems are exposed only as rank-drop tests at candidate
-points, since extracting them outright needs staircase machinery outside
-this package's scope.
+(Fourier nodes and holdouts, in one stack); their roots are the eigenvalues
+of the companion matrix, found by LAPACK in one call, so nothing iterates
+in Python.  Every rank is the count of singular values above a fraction of
+the largest, from one batched SVD over a stack of points.  A square
+transfer function R is tested against rank p unsampled: det S = det A *
+det R gives it full normal rank once S and A pass their rank prechecks.
+Eigenvalues of rectangular problems are exposed only as rank-drop tests
+at candidate points, since extracting them outright needs staircase
+machinery outside this package's scope.
 """
 
 from __future__ import annotations
@@ -51,6 +53,17 @@ def _as_poly(x) -> MatrixPolynomial:
     raise TypeError(f"expected a pencil or matrix polynomial, got {type(x).__name__}")
 
 
+def _sample_points(rng: np.random.Generator, count: int) -> list[complex]:
+    """``count`` random points with 0.5 <= |z| <= 2, as the rank tests draw them."""
+    return [rng.uniform(0.5, 2.0) * np.exp(2j * np.pi * rng.uniform()) for _ in range(count)]
+
+
+# drawn once per process: the rank precheck's six points, and the uniform
+# draws det_poly takes (at most three attempts of a phase and two holdouts)
+_PRECHECK_POINTS = _sample_points(np.random.default_rng(5), 6)
+_DET_DRAWS = np.random.default_rng(7).random(15).tolist()
+
+
 @dataclass
 class Spectrum:
     """Finite eigenvalues with cluster multiplicities, plus rank context."""
@@ -68,10 +81,13 @@ def det_poly(x, tol: float = 1e-8) -> np.ndarray:
     """Coefficients of det P(lambda), low to high, by evaluation/interpolation.
 
     Evaluates the determinant at size*degree + 1 Fourier nodes and inverts
-    the transform; a holdout point certifies the interpolant and the whole
+    the transform; two holdout points certify the interpolant and the whole
     procedure retries with fresh nodes up to three times before raising
     HoldoutResidual.  An attempt whose node values, coefficients or holdout
-    residual are not finite fails.  Desk-scale guard: size * degree <= 64.
+    residual are not finite fails.  An attempt's nodes and holdouts share
+    one stacked evaluation and determinant; it takes the uniform draws of
+    ``default_rng(7)`` in order, one for its phase and two per holdout it
+    checks.  Desk-scale guard: size * degree <= 64.
     """
     p = _as_poly(x)
     if p.rows != p.cols:
@@ -81,26 +97,30 @@ def det_poly(x, tol: float = 1e-8) -> np.ndarray:
     if bound > 64:
         raise DimensionError(f"size*degree = {bound} exceeds the desk-scale limit 64")
     npts = bound + 1
-    rng = np.random.default_rng(7)
+    ks = np.arange(npts)
+    taken = 0
     for attempt in range(3):
         rho = 1.0 + 0.15 * attempt
-        phase = rng.uniform(0.0, 2.0 * np.pi)
-        zs = rho * np.exp(1j * (2.0 * np.pi * np.arange(npts) / npts + phase))
+        u = _DET_DRAWS[taken : taken + 5]
+        phase = 2.0 * np.pi * u[0]
+        taken += 1
+        zs = rho * np.exp(1j * (2.0 * np.pi * ks / npts + phase))
+        zh = [(0.6 + u[1]) * np.exp(2j * np.pi * u[2]), (0.6 + u[3]) * np.exp(2j * np.pi * u[4])]
         # an overflowing or NaN determinant fails the attempt, not as a warning
         with np.errstate(over="ignore", invalid="ignore"):
-            vals = np.linalg.det(p.eval_stack(zs))
-            ks = np.arange(npts)
+            dets = np.linalg.det(p.eval_stack(np.append(zs, zh)))
+            vals = dets[:npts]
             coeffs = np.fft.fft(vals) / npts / (rho**ks * np.exp(1j * ks * phase))
             # the constant term is the mean of the node values, so this catches those too
             if not np.all(np.isfinite(coeffs)):
                 continue
             scale = max(1.0, float(np.max(np.abs(vals))), float(np.max(np.abs(coeffs))))
             ok = True
-            for _ in range(2):
-                zh = (0.6 + rng.uniform()) * np.exp(2j * np.pi * rng.uniform())
-                res = abs(scalar_poly_eval(coeffs, zh) - np.linalg.det(p.eval(zh)))
+            for z, det in zip(zh, dets[npts:]):
+                taken += 2
+                res = abs(scalar_poly_eval(coeffs, z) - det)
                 # written so that a NaN residual fails too
-                if not res <= tol * scale * max(1.0, abs(zh)) ** bound:
+                if not res <= tol * scale * max(1.0, abs(z)) ** bound:
                     ok = False
                     break
         if ok:
@@ -167,11 +187,7 @@ def _spectrum_and_det(x, tol: float) -> tuple[Spectrum, np.ndarray]:
         raise DimensionError("square eigenvalue extraction needs a square input")
     # probabilistic precheck via rank sampling: a determinant-magnitude
     # threshold would misjudge larger well-conditioned pencils
-    rng = np.random.default_rng(5)
-    full = any(
-        rank_at(p.eval(rng.uniform(0.5, 2.0) * np.exp(2j * np.pi * rng.uniform()))) == p.rows
-        for _ in range(6)
-    )
+    full = any(rank_at(p.eval(z)) == p.rows for z in _PRECHECK_POINTS)
     if not full:
         raise SingularInput("determinant vanishes identically; no discrete spectrum")
     detc = det_poly(p, tol=tol)
@@ -246,10 +262,7 @@ def normal_rank(f, trials: int = 12, tol: float = 1e-10, rng_seed: int = 3) -> i
     budget = 10 * trials
     while len(ranks) < trials and budget > 0:
         # the next points of the draw, as many as ranks are still missing
-        batch = [
-            rng.uniform(0.5, 2.0) * np.exp(2j * np.pi * rng.uniform())
-            for _ in range(min(trials - len(ranks), budget))
-        ]
+        batch = _sample_points(rng, min(trials - len(ranks), budget))
         budget -= len(batch)
         ranks.extend(_ranks(_values_off_poles(f, batch), tol).tolist())
     if not ranks:
@@ -299,6 +312,9 @@ def discrepancy_report(r: Rsmp, tol: float = 1e-8) -> DiscrepancyReport:
 
     Needs a square system (p == m) so that the system matrix and the
     cleared polynomial have determinants, and a regular state polynomial.
+    A candidate is a transfer eigenvalue where the rank of R drops below
+    p, its normal rank: S and A have passed their rank prechecks, and
+    det S = det A * det R (Rosenbrock 1970), so det R is not identically zero.
     """
     if not r.a_regular:
         raise SingularInput("state polynomial is singular")
@@ -314,14 +330,13 @@ def discrepancy_report(r: Rsmp, tol: float = 1e-8) -> DiscrepancyReport:
     for z, _k in s_spec.eigenvalues + pole_spec.eigenvalues:
         if all(abs(z - w) > 1e-8 for w in candidates):
             candidates.append(z)
-    nr = normal_rank(r)
     # all candidates in one stack: the same verdicts as is_eigenvalue point by point
     values, poles = transfer_eval_stack(r, candidates)
     ranks = np.zeros(len(candidates), dtype=int)
     ranks[~poles] = _ranks(values[~poles], tol=1e-10)
     tests: list[tuple[complex, str]] = []
     for z, pole, rank in zip(candidates, poles, ranks):
-        tests.append((z, "pole" if pole else "eigenvalue" if rank < nr else "regular"))
+        tests.append((z, "pole" if pole else "eigenvalue" if rank < r.p else "regular"))
 
     return DiscrepancyReport(
         s_eigenvalues=s_spec.eigenvalues,

@@ -9,17 +9,30 @@ and the componentwise residual of U L V against it by double loops, the
 reference for the certificate; the Horner shift and a
 double-loop product of coefficient stacks, as references for the witness
 recursion; two bijections with one decision string, for the acceptance
-suite; QZ on a companion pencil; and an Aberth root iteration and a
+suite; QZ on a companion pencil; an Aberth root iteration and a
 clustering that recomputes each cluster mean, as references for
-``poly_roots`` and ``cluster_roots``.
+``poly_roots`` and ``cluster_roots``; and ``det_poly_pointwise`` and
+``clear_denominator_pointwise``, the determinant and the cleared
+denominator with each holdout evaluated on its own after its draw, as
+references, bit for bit, for the stacked forms.
 """
 
 import numpy as np
 import scipy.linalg
 import scipy.optimize
 
-from rosenpencil import MatrixPolynomial, NonConvergence, Rsmp, SigmaSeq
+from rosenpencil import (
+    DimensionError,
+    HoldoutResidual,
+    InterpolationResidual,
+    MatrixPolynomial,
+    NonConvergence,
+    Rsmp,
+    SigmaSeq,
+    SingularInput,
+)
 from rosenpencil.polycore import scalar_poly_eval, scalar_poly_trim
+from rosenpencil.rsmp import transfer_eval_stack
 from rosenpencil.sampling import random_bijection
 
 
@@ -383,3 +396,80 @@ def clusters_match(eigs, values, rtol=2e-5, cluster_rtol=1e-2):
             return False
         left.pop(hits[0])
     return True
+
+
+def det_poly_pointwise(p, tol: float = 1e-8) -> np.ndarray:
+    """Reference for ``spectral.det_poly`` on a square matrix polynomial: one generator, each holdout drawn and evaluated on its own."""
+    if p.rows != p.cols:
+        raise DimensionError("determinant needs a square matrix polynomial")
+    size, deg = p.rows, p.degree
+    bound = size * deg
+    if bound > 64:
+        raise DimensionError(f"size*degree = {bound} exceeds the desk-scale limit 64")
+    npts = bound + 1
+    rng = np.random.default_rng(7)
+    for attempt in range(3):
+        rho = 1.0 + 0.15 * attempt
+        phase = rng.uniform(0.0, 2.0 * np.pi)
+        zs = rho * np.exp(1j * (2.0 * np.pi * np.arange(npts) / npts + phase))
+        with np.errstate(over="ignore", invalid="ignore"):
+            vals = np.linalg.det(p.eval_stack(zs))
+            ks = np.arange(npts)
+            coeffs = np.fft.fft(vals) / npts / (rho**ks * np.exp(1j * ks * phase))
+            if not np.all(np.isfinite(coeffs)):
+                continue
+            scale = max(1.0, float(np.max(np.abs(vals))), float(np.max(np.abs(coeffs))))
+            ok = True
+            for _ in range(2):
+                zh = (0.6 + rng.uniform()) * np.exp(2j * np.pi * rng.uniform())
+                res = abs(scalar_poly_eval(coeffs, zh) - np.linalg.det(p.eval(zh)))
+                if not res <= tol * scale * max(1.0, abs(zh)) ** bound:
+                    ok = False
+                    break
+        if ok:
+            return coeffs
+    raise HoldoutResidual("determinant interpolation failed its holdout check")
+
+
+def clear_denominator_pointwise(r, s, tol: float = 1e-8) -> MatrixPolynomial:
+    """Reference for ``rsmp.clear_denominator``: nodes and holdouts in separate stacks, s(z) multiplied in per node."""
+    if not r.a_regular:
+        raise SingularInput("transfer function undefined: state polynomial is singular")
+    s = scalar_poly_trim(s)
+    if np.max(np.abs(s)) == 0.0:
+        raise ValueError("clearing polynomial must be nonzero")
+    deg_s = s.size - 1
+    bound = deg_s + max(r.d_d, (r.n - 1) * r.d_a)
+    npts = bound + 1
+    for attempt in range(3):
+        rng = np.random.default_rng(1234 + attempt)
+        rho = 1.1 + 0.2 * attempt
+        phase = rng.uniform(0.0, 2.0 * np.pi)
+        zs = rho * np.exp(1j * (2.0 * np.pi * np.arange(npts) / npts + phase))
+        rz, poles = transfer_eval_stack(r, zs)
+        if poles.any():
+            continue
+        vals = np.stack([scalar_poly_eval(s, z) * rz[k] for k, z in enumerate(zs)])
+        spec = np.fft.fft(vals, axis=0) / npts
+        ks = np.arange(npts)
+        coeffs = spec / (rho**ks * np.exp(1j * ks * phase))[:, None, None]
+        scale = float(np.max(np.abs(vals)))
+        top = bound
+        while top > 0 and np.max(np.abs(coeffs[top])) <= 1e-9 * scale:
+            top -= 1
+        result = MatrixPolynomial(coeffs[: top + 1].copy())
+        zh = [(0.7 + rng.uniform()) * np.exp(2j * np.pi * rng.uniform()) for _ in range(2)]
+        rh, poles = transfer_eval_stack(r, zh)
+        for k, z in enumerate(zh):
+            if poles[k]:
+                break
+            want = scalar_poly_eval(s, z) * rh[k]
+            got = result.eval(z)
+            if np.max(np.abs(want - got)) > tol * scale * max(1.0, abs(z)) ** bound:
+                raise InterpolationResidual(
+                    "s(lambda)R(lambda) is not a polynomial of the expected degree; "
+                    "the clearing polynomial misses a pole"
+                )
+        else:
+            return result
+    raise InterpolationResidual("could not find pole-free sample points")

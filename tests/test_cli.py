@@ -23,6 +23,7 @@ from rosenpencil import (
     fiedler,
     parse_pencil,
     parse_rsmp,
+    rsmp,
     spectral,
 )
 from rosenpencil._gridops import Grid
@@ -518,6 +519,32 @@ class TestSpreadSweep:
         assert len(records) == 27 * (1 + 3 * 2 + 5 * 4)  # one string at degree 1, two at 2, four at 3
         assert all(rec["verdict"] == "pass" for rec in records)
         assert max(rec["max_residual"] for rec in records) == 0.0
+
+
+class TestEigWork:
+    def test_eig_samples_no_normal_rank_and_evaluates_r_twice(self, tmp_path, capsys, monkeypatch):
+        # R has normal rank p once S and A pass their prechecks, and the
+        # cleared polynomial takes its nodes and holdouts in one stack: R is
+        # evaluated there and at the candidates (the parent sampled the
+        # normal rank and evaluated R four times)
+        path = tmp_path / "eig.json"
+        path.write_text(emit_rsmp(random_rsmp(np.random.default_rng(5), 2, 2, 2, 3, 2)))
+        calls = []
+
+        def counted(fn):
+            def wrapped(*args, **kwargs):
+                calls.append(fn.__name__)
+                return fn(*args, **kwargs)
+
+            return wrapped
+
+        monkeypatch.setattr(spectral, "normal_rank", counted(spectral.normal_rank))
+        stack = counted(rsmp.transfer_eval_stack)
+        monkeypatch.setattr(rsmp, "transfer_eval_stack", stack)
+        monkeypatch.setattr(spectral, "transfer_eval_stack", stack)
+        assert main(["eig", str(path)]) == 0
+        capsys.readouterr()
+        assert calls == ["transfer_eval_stack"] * 2
 
 
 class TestPerStringWork:

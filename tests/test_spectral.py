@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -6,12 +8,14 @@ from rosenpencil import (
     AllSamplesSingular,
     DimensionError,
     HoldoutResidual,
+    InterpolationResidual,
     MatrixPolynomial,
     PoleError,
     Rsmp,
     SigmaSeq,
     SingularInput,
     assemble_s,
+    clear_denominator,
     companion_first,
     companion_second,
     det_poly,
@@ -64,6 +68,75 @@ class TestDetPoly:
         # which no holdout check may certify
         with pytest.raises(HoldoutResidual):
             det_poly(assemble_s(overflowing_example))
+
+
+# every square cell of the eig benchmark workload's grid, the cells it leaves out included
+SQUARE_CELLS = [(n, p, p, d_a, d_d) for n in (1, 2, 3) for p in (1, 2, 3) for d_a in range(1, 6) for d_d in range(1, 6)]
+
+
+def _outcome(fn, *args):
+    """A call's coefficient stack, or the type and text of the interpolation error it raised."""
+    try:
+        out = fn(*args)
+    except (HoldoutResidual, InterpolationResidual) as exc:
+        return type(exc), str(exc)
+    return getattr(out, "coeffs", out)
+
+
+def _assert_same(new, old):
+    if isinstance(old, np.ndarray):
+        assert isinstance(new, np.ndarray) and new.dtype == old.dtype and np.array_equal(new, old)
+    else:
+        assert new == old
+
+
+def _nan_on_call(real, k):
+    """``real``, except that its k-th call returns NaN in place of its result."""
+    calls = []
+
+    def wrapped(*args):
+        calls.append(1)
+        out = real(*args)
+        return out * np.nan if len(calls) == k else out
+
+    return wrapped
+
+
+class TestStackedAgainstPointwise:
+    """det_poly and clear_denominator against their pointwise references, bit for bit."""
+
+    @pytest.mark.parametrize("seed", [2201, 2202])
+    def test_the_square_cells(self, seed):
+        rng = np.random.default_rng(seed)
+        for cell in SQUARE_CELLS:
+            for r in (random_rsmp(rng, *cell), oracles.spread_rsmp(rng, *cell)):
+                for x in (assemble_s(r), r.A):
+                    _assert_same(_outcome(det_poly, x), _outcome(oracles.det_poly_pointwise, x))
+                det_a = scalar_poly_trim(det_poly(r.A), rel_tol=1e-9)
+                cleared = _outcome(clear_denominator, r, det_a)
+                _assert_same(cleared, _outcome(oracles.clear_denominator_pointwise, r, det_a))
+                if isinstance(cleared, np.ndarray):
+                    x = MatrixPolynomial(cleared)
+                    _assert_same(_outcome(det_poly, x), _outcome(oracles.det_poly_pointwise, x))
+
+    @pytest.mark.parametrize(
+        "target, k",
+        [("scalar_poly_eval", 1), ("scalar_poly_eval", 2), ("det", 1)],
+        ids=["first holdout", "second holdout", "non-finite nodes"],
+    )
+    def test_a_failed_attempt_takes_the_draws_it_reached(self, monkeypatch, target, k):
+        # the first attempt fails at its first holdout, at its second, or
+        # before its holdouts; the retry's phase is the next draw after those
+        p = assemble_s(random_rsmp(np.random.default_rng(3), 2, 2, 2, 2, 3))
+        clean = det_poly(p)
+        got = []
+        for fn, module in ((det_poly, spectral), (oracles.det_poly_pointwise, oracles)):
+            where = np.linalg if target == "det" else module
+            monkeypatch.setattr(where, target, _nan_on_call(getattr(where, target), k))
+            got.append(fn(p))
+            monkeypatch.undo()
+        _assert_same(got[0], got[1])
+        assert not np.array_equal(got[0], clean)
 
 
 class TestPolyRoots:
@@ -250,6 +323,36 @@ class TestNormalRank:
 
         assert normal_rank(every_third_a_pole, trials=12) == 1
         assert seen == drawn[:17]  # 12 points that are not poles, 5 that are
+
+
+class TestNormalRankOfSquareSystems:
+    @pytest.mark.parametrize("n, p", list(itertools.product((1, 2, 3), repeat=2)))
+    def test_the_transfer_function_has_full_normal_rank(self, n, p):
+        # det S = det A det R: where S and A pass their rank prechecks, R has
+        # normal rank p, which discrepancy_report takes without sampling it
+        rng = np.random.default_rng([11, n, p])
+        checked = 0
+        for d_a, d_d in itertools.product(range(1, 6), repeat=2):
+            for draw in (random_rsmp,) * 3 + (oracles.spread_rsmp,) * 3:
+                r = draw(rng, n, p, p, d_a, d_d)
+                try:
+                    tests = discrepancy_report(r).transfer_tests
+                except SingularInput:
+                    # a precheck failed (one spread draw of (1,2,2,1,1) here):
+                    # the report reaches no verdict
+                    continue
+                checked += 1
+                nr = normal_rank(r)
+                assert nr == p
+                # the verdicts of the sampled normal rank, point by point
+                sampled = []
+                for z, _verdict in tests:
+                    try:
+                        sampled.append((z, "eigenvalue" if is_eigenvalue(r.transfer_eval, z, nr) else "regular"))
+                    except PoleError:
+                        sampled.append((z, "pole"))
+                assert tests == sampled
+        assert checked >= 149
 
 
 class TestIsEigenvalue:

@@ -42,7 +42,12 @@ the same checkout), and SHA-256-hashes:
   decision string of the instance's degree;
 - the same for ``eig FILE`` over the instance files of the ``spectra``
   workload at seeds 0 and 1, one digest per op, keyed by the op's place
-  in the run and its file name, so that a difference names its file.
+  in the run and its file name, so that a difference names its file;
+- the same for ``eig FILE`` over ``oracles.spread_rsmp`` instances (seed
+  90216) of every cell of the ``spectra`` workload, with entries over
+  1e-2..1e2 and over 1e-4..1e4 (426 ops, every one exit 0 when written):
+  complex, badly scaled instances, where the workload's own are small
+  integers; one digest per op, keyed by the spread and the cell.
 
 Prints every digest that differs (and every other one, bar the eig ops,
 which it counts) and exits 1 if any does, else 0.  Under a ``verify`` or
@@ -79,6 +84,8 @@ CLI_RUNS = [
 ]
 EIG_SEEDS = (0, 1)
 SPREAD_SEED = 90212
+EIG_SPREAD_SEED = 90216
+EIG_SPREAD_DECADES = (2, 4)
 # (digest name, draw, seed, scales to which the largest entry is brought, degrees)
 REPORT_RUNS = [
     ("mutated random_rsmp", "random_rsmp", 90213, (None,), DEGREES),
@@ -282,6 +289,15 @@ def _cli_digests(checkout: Path, digests: dict, streams: dict) -> None:
                 h = hashlib.sha256()
                 _feed(h, _run_cli(op.argv))
                 digests[f"cli/eig/spectra seed {seed}/op {k:03d} {Path(op.path).name}"] = h.hexdigest()
+        eig_cells = sorted({cell for block in workloads.WORKLOADS["spectra"][1] for cell in block})
+        rng = np.random.default_rng(EIG_SPREAD_SEED)
+        for decades in EIG_SPREAD_DECADES:
+            for cell in eig_cells:
+                path = Path("spread") / f"eig-{decades}-{''.join(map(str, cell))}.json"
+                path.write_text(emit_rsmp(oracles.spread_rsmp(rng, *cell, decades=decades)), encoding="utf-8")
+                h = hashlib.sha256()
+                _feed(h, _run_cli(["eig", str(path)]))
+                digests[f"cli/eig/spread_rsmp 1e-{decades}..1e{decades}/{cell}"] = h.hexdigest()
         h = hashlib.sha256()
         _feed(h, _run_cli(["fuzz", "--out", "fuzz.jsonl"]))
         streams["cli/fuzz --out"] = Path("fuzz.jsonl").read_text(encoding="utf-8")
