@@ -314,7 +314,8 @@ def discrepancy_report(r: Rsmp, tol: float = 1e-8) -> DiscrepancyReport:
     cleared polynomial have determinants, and a regular state polynomial.
     A candidate is a transfer eigenvalue where the rank of R drops below
     p, its normal rank: S and A have passed their rank prechecks, and
-    det S = det A * det R (Rosenbrock 1970), so det R is not identically zero.
+    det S = det A * det R (Rosenbrock 1970), so det R is not identically
+    zero; and s R, the cleared polynomial, has passed its own.
     """
     if not r.a_regular:
         raise SingularInput("state polynomial is singular")
