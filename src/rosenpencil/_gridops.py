@@ -9,7 +9,9 @@ belong to the state (A) side, so block (a, a) is the first feedthrough
 block, and the degree of each block column.  A column's degree is that of
 the blocks written into it, not a numerical trim, so every stack keeps the
 length its blocks give it even where its top coefficients are zero.
-``assemble`` returns the stack itself, or a contiguous transposed copy.
+``assemble`` returns the stack itself, or a contiguous transposed copy,
+made once per grid and kept read-only, so that a stack can be told for
+the grid's own by identity.
 Every recursion step is one ``insert``: the grown stack is allocated in the
 dtype of the grid it grows, the predecessor's nonempty quadrants are
 copied around a zero block row and a zero block column of one size, the
@@ -52,7 +54,7 @@ import numpy as np
 
 from .errors import DimensionError
 
-__all__ = ["Grid", "assemble", "eye", "insert", "neg_eye", "pivot_indices", "schedule"]
+__all__ = ["Grid", "assemble", "eye", "insert", "neg_eye", "owns", "pivot_indices", "schedule"]
 
 
 def _cuts(sizes) -> list[int]:
@@ -63,7 +65,7 @@ def _cuts(sizes) -> list[int]:
 class Grid:
     """One recursion step: a read-only coefficient stack and its block partition."""
 
-    __slots__ = ("stack", "rsz", "csz", "rc", "cc", "a", "cdeg", "piv")
+    __slots__ = ("stack", "rsz", "csz", "rc", "cc", "a", "cdeg", "piv", "t")
 
     def __init__(self, stack, rsz, csz, a, cdeg, piv=None, cuts=None):
         self.stack = stack  # (degree + 1, rows, cols), read-only
@@ -74,6 +76,7 @@ class Grid:
         self.a = a  # leading block rows, and block cols, belonging to the A side
         self.cdeg = cdeg  # the degree of each block column, a tuple
         self.piv = piv  # the carried pivots' block columns, a tuple with one per block row, or None
+        self.t = None  # the read-only transposed copy, made by the first ``assemble(self, True)``
 
     @classmethod
     def base(cls, stack: np.ndarray, rsz, csz, piv=None) -> "Grid":
@@ -188,8 +191,18 @@ def pivot_indices(g: Grid, transpose: bool = False) -> tuple[np.ndarray, np.ndar
 
 
 def assemble(g: Grid, transpose: bool = False) -> np.ndarray:
-    """The grid's stack itself, read-only; with ``transpose``, a contiguous copy with every coefficient transposed."""
-    return np.ascontiguousarray(g.stack.transpose(0, 2, 1)) if transpose else g.stack
+    """The grid's stack itself, read-only; with ``transpose``, a contiguous read-only copy with every coefficient transposed, made once and kept."""
+    if not transpose:
+        return g.stack
+    if g.t is None:
+        g.t = np.ascontiguousarray(g.stack.transpose(0, 2, 1))
+        g.t.setflags(write=False)
+    return g.t
+
+
+def owns(g: Grid | None, stack: np.ndarray, transpose: bool = False) -> bool:
+    """Whether ``stack`` is the very array ``assemble(g, transpose)`` returns, and ``g`` carries its pivots; False for no grid."""
+    return g is not None and g.piv is not None and stack is (g.t if transpose else g.stack)
 
 
 def schedule(r, s, base, step, memo: dict, check=None) -> list:

@@ -30,10 +30,13 @@ that one, so in the lexicographic order of ``--all`` and ``fuzz`` each
 decision prefix is built and checked once per instance.  A grid is one
 coefficient stack, so the tail and the witness ``U`` cost no assembly:
 the last W grid goes to ``fiedler.pencil_from_tail`` as it stands, with
-no block matrix built, and ``V`` is one transposed copy.  Per string
-what is left is the certificate (its two products ``U L`` and ``(U L) V``
-and the checks around them, against a target cast from the parsed
-arrays, not from the copy the walk reads) and the record, written around
+no block matrix built, and ``V`` is one transposed copy that its grid
+keeps.  The certificate trusts the walk's own ``U`` and ``V`` by
+identity, with no pivot gathered and no entry scanned, and checks any
+other stack in full.  Per string what is left is the certificate (its
+two products ``U L`` and ``(U L) V``, the scan of the pencil and one
+subtraction of a target cast from the parsed arrays, not from the copy
+the walk reads) and the record, written around
 the instance's JSON text, made once per instance (``_Records``).  The
 records are those of the per-string public calls, byte for byte.
 """
@@ -210,9 +213,11 @@ def _verify_instance(r: Rsmp, sigmas, instance: dict, trials: int, tol: float, s
     Each string is one walk (``_walk``) over the path memo, so strings in
     lexicographic order walk the prefix trie depth first and build and
     check each prefix once.  The pencil's tail and the witnesses are the
-    stacks of the last prefix's grids, checked with the determinant pivots
-    those grids carry, in the dtype the grids were walked in: float64
-    when the instance is real.  The pencil takes the last W grid's stack
+    stacks of the last prefix's grids, in the dtype the grids were walked
+    in (float64 when the instance is real), and go to the certificate with
+    those grids: a witness that is still its grid's own array is trusted
+    by identity (no determinant pivot gathered, no entry scanned, see
+    ``equivalence._certify``).  The pencil takes the last W grid's stack
     as its tail, with no block matrix built, and strings of one pencil
     shape share one pencil lead, in the tail's dtype.  Each record is
     written around the instance's JSON text, made once (``_Records``).
@@ -222,8 +227,8 @@ def _verify_instance(r: Rsmp, sigmas, instance: dict, trials: int, tol: float, s
     for s in sigmas:
         last, sizes_ok, structure_ok = _last(_walk(r, s, memo))
         pencil = fiedler.pencil_from_tail(r, last.w, leads)
-        u, v, pivots = equivalence._witnesses(last.n, last.h)
-        report = equivalence._certify(r, s, pencil, u, v, samples, tol, pivots=pivots)
+        u, v, grids = equivalence._witnesses(last.n, last.h)
+        report = equivalence._certify(r, s, pencil, u, v, samples, tol, grids=grids)
         verdict = "pass" if report.verdict and sizes_ok and structure_ok else "fail"
         rows, cols = pencil.shape
         yield _Run(verdict, records.line(

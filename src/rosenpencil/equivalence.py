@@ -19,6 +19,7 @@ operation-free (every entry is 0, +-1 or a coefficient entry), and on
 them the difference comes out exactly zero; then every ratio is 0/0,
 read as 0, and the scale is formed only if a bound from the largest
 entries of |U|, |L| and |V| cannot prove it finite (``_certify``).  The
+target is one coefficient stack per pencil shape, subtracted at once.  The
 products are formed in the dtype of the stacks certified: the CLI walks
 a real system's recursions, so its grids, witnesses and pencil, in
 float64 and a complex one's in complex128 (every grid is a stack in the
@@ -29,12 +30,15 @@ of two of its own first.
 
 Each recursion step adds one block row that holds only a constant +-I,
 so det N = +-det of the previous step's N: unimodularity is a fact about
-the decision prefix.  The grids carry these pivots (``_gridops``), the
-claim is checked once per prefix as the prefix's grid is built, and the
-CLI gathers the pivots from the stacks it certifies: when they read
-exactly +-1 at degree 0 and zero above, det is +-1 and nothing else is
-computed.  Every other witness (``verify_theorem``'s, or a stack changed
-after the grid was built) gets an exact
+the decision prefix.  The grids carry these pivots (``_gridops``), and
+the claim is checked once per prefix as the prefix's grid is built.  The
+CLI trusts a witness only by identity: U must be the very read-only stack
+of its grid, V the read-only transposed copy its grid keeps; then det is
++-1 with nothing computed, and no entry exceeds one bound per instance
+(``_Samples.bound``), so none is scanned.  Any other stack the CLI
+certifies has its carried pivots gathered: when they read exactly +-1 at
+degree 0 and zero above, det is +-1.  Every other witness
+(``verify_theorem``'s, or a stack changed after the grid was built) gets an exact
 Laplace expansion along the rows with one structural nonzero, found from
 its coefficients (``_det_plan``): the recursion's witnesses leave nothing
 else and their pivots are constant +-1, so their determinant is one
@@ -51,7 +55,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ._gridops import Grid, assemble, eye, insert, neg_eye, pivot_indices, schedule
+from ._gridops import Grid, assemble, eye, insert, neg_eye, owns, pivot_indices, schedule
 from .blocks import Pencil, PolyBlockMatrix
 from .errors import DimensionError
 from .polycore import MatrixPolynomial, horner_stack, varying_entries
@@ -167,14 +171,14 @@ def _final_grids(r: Rsmp, s: SigmaSeq) -> tuple[Grid, Grid]:
     return _n_grids(r, s, {})[-1], _n_grids(r.transpose(), s.flipped(), {})[-1]
 
 
-def _witnesses(gu: Grid, gv: Grid) -> tuple[np.ndarray, np.ndarray, tuple]:
-    """U and V as coefficient stacks, from the last grids of the N recursion and of its transposed twin, and their pivots.
+def _witnesses(gu: Grid, gv: Grid) -> tuple[np.ndarray, np.ndarray, tuple[Grid, Grid]]:
+    """U and V as coefficient stacks, from the last grids of the N recursion and of its transposed twin, and those grids.
 
-    U is the grid's own read-only stack, V a contiguous transposed copy;
-    the pivots each grid carries come as (rows, cols) of its stack, or
-    None for a grid without (see ``_unimodularity``).
+    U is the grid's own read-only stack, V the read-only transposed copy
+    its grid makes once and keeps; ``_certify`` trusts a witness that is
+    still that very array (``_gridops.owns``) and checks any other in full.
     """
-    return assemble(gu), assemble(gv, transpose=True), (pivot_indices(gu), pivot_indices(gv, transpose=True))
+    return assemble(gu), assemble(gv, transpose=True), (gu, gv)
 
 
 def linearization_with_witnesses(r: Rsmp, s: SigmaSeq):
@@ -282,12 +286,12 @@ def _padding_sizes(r: Rsmp, s: SigmaSeq) -> tuple[int, int]:
 
 
 class _Samples:
-    """Sample points, drawn at first use, and the frame of each pencil shape.
+    """Sample points, drawn at first use, the frame of each pencil shape, and the walk's magnitude bound.
 
     One set serves every check of one system.  The points feed only the
     determinant fallback of ``_unimodularity``, so they are drawn, once,
     when the first witness that needs them comes; strings of one shape
-    and dtype share one frame.
+    and dtype share one frame, and witnesses of one dtype one bound.
     """
 
     def __init__(self, r: Rsmp, points: int, rng):
@@ -295,6 +299,7 @@ class _Samples:
             raise ValueError("the sampled check needs at least one point")
         self._r, self._count, self._rng = r, points, rng
         self._frames: dict[tuple, _Frame] = {}
+        self._bounds: dict[np.dtype, float] = {}
 
     @cached_property
     def points(self) -> np.ndarray:
@@ -308,6 +313,19 @@ class _Samples:
             self._frames[key] = _Frame(self._r, alpha_prime, alpha, dtype)
         return self._frames[key]
 
+    def bound(self, dtype) -> float:
+        """max(1, |entry|) over ``coefficients(dtype)`` of the system and of its transpose, found once per dtype; NaN if an entry is NaN.
+
+        These are the arrays the walks copy from: every entry of a walk's
+        grid is 0, +-1 or a copy of one of their entries, so no entry of a
+        witness the walk made exceeds the bound.
+        """
+        key = np.dtype(dtype)
+        if key not in self._bounds:
+            arrays = (*self._r.coefficients(key), *self._r.transpose().coefficients(key))
+            self._bounds[key] = float(np.max([1.0] + [np.abs(x).max() for x in arrays]))
+        return self._bounds[key]
+
 
 def _add_eye(m: np.ndarray, row: int, col: int, size: int) -> None:
     """Add a size-by-size identity at (row, col) of the matrix, in place."""
@@ -316,17 +334,18 @@ def _add_eye(m: np.ndarray, row: int, col: int, size: int) -> None:
 
 
 class _Frame:
-    """The four-block target of one pencil shape, less A and D.
+    """The four-block target of one pencil shape, as one coefficient stack.
 
-    The target T(lambda) is ``target`` at degree 0 plus A(lambda) in rows
-    and columns ``state`` and D(lambda) in rows ``feed_rows`` and columns
-    ``feed_cols``: ``target`` holds the identity paddings, -B and C.
-    ``parts`` holds ``target`` and the coefficients of A and D, all in
-    ``dtype``, that of the stacks the certificate multiplies.  They are
-    cast from the parsed arrays (their real parts for a real system), not
-    taken from ``Rsmp.coefficients``, the copy the recursions read: so a
-    defect in that copy moves the pencil and the witnesses but not the
-    target they must reach.
+    ``target`` is T(lambda) as a read-only ``(degree + 1, rows, cols)``
+    stack in ``dtype``, that of the stacks the certificate multiplies: the
+    identity paddings, -B and C at degree 0, the coefficients of A in the
+    state rows and columns and those of D in the feedthrough ones.  Its
+    blocks do not overlap, so one subtraction of the stack gives, bit for
+    bit, what one subtraction per block gives (x - 0 is x).  It is cast
+    from the parsed arrays (their real parts for a real system), not taken
+    from ``Rsmp.coefficients``, the copy the recursions read: so a defect
+    in that copy moves the pencil and the witnesses but not the target
+    they must reach.  ``rcuts`` and ``ccuts`` hold the block offsets.
     """
 
     def __init__(self, r: Rsmp, alpha_prime: int, alpha: int, dtype):
@@ -337,14 +356,17 @@ class _Frame:
         self.cols = alpha_prime + n + alpha + m
         self.rcuts = rcuts = np.cumsum([0, alpha_prime, n, alpha, p])
         self.ccuts = ccuts = np.cumsum([0, alpha_prime, n, alpha, m])
-        self.state = state = slice(alpha_prime, alpha_prime + n)
-        self.feed_rows, self.feed_cols = slice(rcuts[3], None), slice(ccuts[3], None)
-        self.target = np.zeros((self.rows, self.cols), dtype=dtype)
-        _add_eye(self.target, 0, 0, alpha_prime)
-        self.target[state, self.feed_cols] = -c.B
-        _add_eye(self.target, rcuts[2], ccuts[2], alpha)
-        self.target[self.feed_rows, state] = c.C
-        self.parts = (self.target, c.A, c.D)
+        state = slice(alpha_prime, alpha_prime + n)
+        feed_rows, feed_cols = slice(rcuts[3], None), slice(ccuts[3], None)
+        t = np.zeros((r.degree + 1, self.rows, self.cols), dtype=dtype)
+        _add_eye(t[0], 0, 0, alpha_prime)
+        t[0, state, feed_cols] = -c.B
+        _add_eye(t[0], rcuts[2], ccuts[2], alpha)
+        t[0, feed_rows, state] = c.C
+        t[: len(c.A), state, state] = c.A
+        t[: len(c.D), feed_rows, feed_cols] = c.D
+        t.setflags(write=False)
+        self.target = t
 
 
 @dataclass
@@ -465,7 +487,7 @@ def _certify(
     samples: _Samples,
     tol: float,
     blocks: bool = False,
-    pivots: tuple = (None, None),
+    grids: tuple = (None, None),
 ) -> EquivalenceReport:
     """The check of ``verify_theorem`` on the coefficient stacks ``u`` and ``v`` of the witnesses.
 
@@ -473,22 +495,31 @@ def _certify(
     points come from ``samples``.  The products and the frame take the
     dtype of the witness stacks and the pencil: float64 when all three are
     float64, which only a real system's walk gives and which gives the
-    figures of complex128 where U L V is exact.  ``pivots`` holds the expansion pivots each stack's recursion grid
-    carries (see ``_unimodularity``), None for a stack without.  Each
-    factor with an entry of magnitude above 2**_TOP_EXP is multiplied by
-    a power of two of its own, U by 2**-s_U, L by 2**-s_L and V by
-    2**-s_V, and T, A and D by 2**-(s_U + s_L + s_V); this leaves every
-    ratio as it is (until a scaled entry falls below the normal range)
-    and keeps the scale from overflowing near the float maximum, while a
-    factor of modest entries keeps its small terms in the normal range.
+    figures of complex128 where U L V is exact.  ``grids`` holds the
+    grid each witness came from, or None.  A witness that is still its
+    grid's own array (``_gridops.owns``) is the walk's: ``insert`` checked
+    its pivots, so its figure is 0.0, and its largest magnitude is taken
+    to be ``samples.bound`` when that is below 2**_TOP_EXP.  The bound is
+    never below the largest entry, so every shift is 0 as with a scan and
+    ``_scale_is_finite`` stays a proof; where it proves less than a scan
+    would, the scale is formed and the figure is the same.  Any other
+    witness, and the pencil, is scanned (``_top``), and a witness's figure
+    is taken by ``_unimodularity`` with its grid's pivots, if any.  Each
+    factor with an entry of magnitude above 2**_TOP_EXP is multiplied by a
+    power of two of its own, U by 2**-s_U, L by 2**-s_L and V by 2**-s_V,
+    and T by 2**-(s_U + s_L + s_V); this leaves every ratio as it is
+    (until a scaled entry falls below the normal range) and keeps the
+    scale from overflowing near the float maximum, while a factor of
+    modest entries keeps its small terms in the normal range.  T is
+    subtracted from U L V in one operation.
     The scale |U| |L| |V| is formed only when it can change a figure: when
     U L V - T is exactly zero (a NaN counts as nonzero) and
     ``_scale_is_finite`` proves every scale entry finite from the shifted
     maxima of the three factors, every ratio is 0/0, read as 0, and the
     scale is skipped: the residual is 0.0, with no array of ratios formed
     unless ``blocks`` needs one; otherwise the scale is formed and divided
-    into the difference.  The worst residual per block of the four-block target,
-    an entrywise maximum over the coefficients, is taken only when
+    into the difference.  The worst residual per block of the four-block
+    target, an entrywise maximum over the coefficients, is taken only when
     ``blocks`` asks for it (``verify_theorem``); the CLI's records do not
     carry it.
     """
@@ -502,23 +533,25 @@ def _certify(
             f"witness/pencil dimensions {u.shape[1:]}/{pencil.shape}/{v.shape[1:]} do not conform "
             f"to the {rows}x{cols} target"
         )
-    target, a, d = f.parts
+    gu, gv = grids
+    own_u, own_v = owns(gu, u), owns(gv, v, transpose=True)
+    bound = samples.bound((u if own_u else v).dtype) if own_u or own_v else math.inf
+    bounded = bound < 2.0**_TOP_EXP
+    target = f.target
     # an overflowing product is reported as an infinite residual, not as a warning
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        u_dev, v_dev = _unimodularity(u, samples, pivots[0]), _unimodularity(v, samples, pivots[1])
-        tops = [_top(x) for x in (u, lp, v)]
+        u_dev = 0.0 if own_u else _unimodularity(u, samples, None if gu is None else pivot_indices(gu))
+        v_dev = 0.0 if own_v else _unimodularity(v, samples, None if gv is None else pivot_indices(gv, True))
+        tops = [bound if own and bounded else _top(x) for x, own in ((u, own_u), (lp, False), (v, own_v))]
         shifts = [_down_shift(t) for t in tops]
         if any(shifts):
             u, lp, v = (x * 2.0**-k for x, k in zip((u, lp, v), shifts))
-            target, a, d = (x * 2.0 ** -sum(shifts) for x in (target, a, d))
+            target = target * 2.0 ** -sum(shifts)
         prod = _mul(_mul(u, lp), v)
         short = r.degree + 1 - len(prod)
         if short > 0:  # witnesses of too low a degree to reach the target's
             prod = np.concatenate([prod, np.zeros((short, rows, cols))])
-        # prod becomes U L V minus the four-block target
-        prod[0] -= target
-        prod[: len(a), f.state, f.state] -= a
-        prod[: len(d), f.feed_rows, f.feed_cols] -= d
+        prod[: len(target)] -= target  # prod becomes U L V minus the four-block target
         if not prod.any() and _scale_is_finite(tops, shifts, len(u) * len(lp) * len(v) * rows * cols):
             worst = None  # every ratio is 0/0, read as 0
         else:
@@ -547,11 +580,13 @@ def _certify(
 def _unimodularity(w: np.ndarray, samples: _Samples, piv=None) -> float:
     """How far det W(lambda) is from one constant of modulus 1, for the coefficient stack ``w``.
 
-    ``piv``, the (rows, cols) of the pivots that the recursion grid of
-    ``w`` carries, settles it at once when ``w`` holds them as its grid
-    did: every pivot entry exactly +-1 at degree 0 and zero above.  Then
-    det W is their signed product, exactly +-1, and the figure is 0.
-    Otherwise (no pivots, or a stack changed after assembly) ``_det_plan``
+    ``_certify`` calls it only for a witness that is not its grid's own
+    array.  ``piv``, the (rows, cols) of the pivots that the recursion
+    grid of ``w`` carries, gathered from ``w``, settles it at once when
+    ``w`` holds them as its grid did: every pivot entry exactly +-1 at
+    degree 0 and zero above.  Then det W is their signed product, exactly
+    +-1, and the figure is 0.  Otherwise (no grid or no pivots, or a stack
+    changed after assembly) ``_det_plan``
     finds an expansion from the nonzero pattern of ``w``, and the figure
     is the largest of | |det| - 1 | and |det - det_0| over the
     determinants ``_dets`` takes: of the degree-0 coefficient alone when

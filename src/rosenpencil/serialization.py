@@ -55,12 +55,13 @@ def _walk(obj, rows: int, cols: int, where: str) -> np.ndarray:
     return out
 
 
-def _numbers(obj, rows: int, cols: int) -> np.ndarray | None:
-    """The matrix, if one ``np.array`` reads it as rows x cols numbers or [re, im] pairs of numbers; else None.
+def _numbers(obj, *shape: int) -> np.ndarray | None:
+    """The array, if one ``np.array`` reads it as numbers or [re, im] pairs of numbers of ``shape``; else None.
 
-    A JSON boolean would read as 0 or 1 here, so only a document that
-    holds none may come this way.  A Python int beyond the float range
-    makes an object array, which is not read.
+    ``shape`` is (rows, cols) for a matrix, (count, rows, cols) for a list
+    of coefficient matrices.  A JSON boolean would read as 0 or 1 here, so
+    only a document that holds none may come this way.  A Python int
+    beyond the float range makes an object array, which is not read.
     """
     try:
         arr = np.array(obj)
@@ -68,9 +69,9 @@ def _numbers(obj, rows: int, cols: int) -> np.ndarray | None:
         return None
     if arr.dtype.kind not in "iuf":
         return None
-    if arr.shape == (rows, cols):
+    if arr.shape == shape:
         return arr.astype(complex)
-    if arr.shape == (rows, cols, 2):
+    if arr.shape == shape + (2,):
         return np.ascontiguousarray(arr, dtype=float).view(complex)[..., 0]
     return None
 
@@ -92,6 +93,21 @@ def _matrix(obj, rows: int, cols: int, where: str, fast: bool = False) -> np.nda
     if not np.isfinite(out).all():
         i, j = np.argwhere(~np.isfinite(out))[0]
         raise ParseError(f"{where}[{i}][{j}]: expected a finite number, got {obj[i][j]!r}")
+    return out
+
+
+def _coefficients(obj: list, rows: int, cols: int, where: str, fast: bool) -> np.ndarray:
+    """The coefficient matrices of the list ``obj`` as one ``(len(obj), rows, cols)`` complex stack.
+
+    With ``fast``, a list of well-formed matrices of finite numbers is
+    read by one ``np.array`` and checked for finiteness once; anything
+    else is read matrix by matrix (``_matrix``), which gives the same
+    values and raises the error of the first bad matrix, named
+    ``where[k]``.
+    """
+    out = _numbers(obj, len(obj), rows, cols) if fast else None
+    if out is None or not np.isfinite(out).all():
+        out = np.array([_matrix(c, rows, cols, f"{where}[{k}]", fast) for k, c in enumerate(obj)])
     return out
 
 
@@ -146,8 +162,8 @@ def parse_rsmp(document) -> Rsmp:
         raise ParseError(f"D: expected {d_d + 1} coefficient matrices")
     # JSON writes a boolean only as the token true or false
     fast = isinstance(document, str) and "true" not in document and "false" not in document
-    a = MatrixPolynomial([_matrix(c, n, n, f"A[{k}]", fast) for k, c in enumerate(doc["A"])])
-    d = MatrixPolynomial([_matrix(c, p, m, f"D[{k}]", fast) for k, c in enumerate(doc["D"])])
+    a = MatrixPolynomial(_coefficients(doc["A"], n, n, "A", fast))
+    d = MatrixPolynomial(_coefficients(doc["D"], p, m, "D", fast))
     b = _matrix(doc["B"], n, m, "B", fast)
     c = _matrix(doc["C"], p, n, "C", fast)
     try:

@@ -272,6 +272,20 @@ def _overflowing_witnesses(monkeypatch):
     monkeypatch.setattr(equivalence, "_witnesses", overflowing)
 
 
+def _replaced_witness(monkeypatch, which: int, change) -> None:
+    """Make the CLI check ``change(copy)`` in place of witness ``which`` (0 for U, 1 for V); the grids stay the walk's."""
+    witnesses = equivalence._witnesses
+
+    def replacing(*args):
+        u, v, grids = witnesses(*args)
+        pair = [u, v]
+        pair[which] = pair[which].copy()
+        change(pair[which])
+        return (*pair, grids)
+
+    monkeypatch.setattr(equivalence, "_witnesses", replacing)
+
+
 def _public_record(r, s, instance, trials=20, tol=1e-8, seed=0):
     """The report record of one decision string, from public calls alone, with an rng of its own."""
     rng = np.random.default_rng(seed)
@@ -545,6 +559,79 @@ class TestEigWork:
         assert main(["eig", str(path)]) == 0
         capsys.readouterr()
         assert calls == ["transfer_eval_stack"] * 2
+
+
+class TestCertifyWork:
+    def test_the_walks_witnesses_are_trusted_by_identity(self, tmp_path, capsys, monkeypatch):
+        # one verify --all of a deep_verify cell (64 strings): U and V are the
+        # walk's own arrays, so no pivot indices, no gather and no scan of
+        # them; only the pencil is scanned (the parent made 128, 128 and 192)
+        path = tmp_path / "deep.json"
+        path.write_text(emit_rsmp(random_rsmp(np.random.default_rng(2301), *DEEP_CELLS[0])))
+        indices, gathers, scans = [], [], []
+        pivot_indices, unimodularity, top, certify = (
+            equivalence.pivot_indices, equivalence._unimodularity, equivalence._top, equivalence._certify)
+
+        def indices_spy(*args, **kwargs):
+            indices.append(1)
+            return pivot_indices(*args, **kwargs)
+
+        def unimodularity_spy(w, samples, piv=None):
+            if piv is not None:
+                gathers.append(1)
+            return unimodularity(w, samples, piv)
+
+        def certify_spy(r, s, pencil, u, v, *args, **kwargs):
+            scans.append((pencil, u, v, []))
+            return certify(r, s, pencil, u, v, *args, **kwargs)
+
+        def top_spy(x):
+            scans[-1][3].append(x)
+            return top(x)
+
+        for name, spy in [("pivot_indices", indices_spy), ("_unimodularity", unimodularity_spy), ("_top", top_spy),
+                          ("_certify", certify_spy)]:
+            monkeypatch.setattr(equivalence, name, spy)
+        assert main(["verify", str(path), "--all"]) == 0
+        capsys.readouterr()
+        assert len(indices) == 0 and len(gathers) == 0
+        assert len(scans) == 64 and sum(len(scanned) for *_, scanned in scans) == 64
+        for pencil, u, v, (x,) in scans:
+            assert x is not u and x is not v and x.shape == (2, *pencil.shape)
+            assert np.array_equal(x[0], -pencil.tail) and np.array_equal(x[1], pencil.lead)
+
+    @pytest.mark.parametrize("case", ["V replaced", "entry above 2**1000"])
+    def test_a_replaced_witness_is_checked_in_full(self, tmp_path, capsys, monkeypatch, case):
+        # a witness replaced after the walk is not the grid's own array: its
+        # figures are those of the check that trusts nothing by identity
+        if case == "V replaced":
+            _replaced_witness(monkeypatch, 1, lambda v: v.__imul__(1 + 1e-6))
+        else:
+            # the scan shifts U down by 2**24, without which U L V overflows
+            _replaced_witness(monkeypatch, 0, lambda u: u.__setitem__((0, 0, -1), 2.0**1023))
+        calls, certify = [], equivalence._certify
+
+        def certify_spy(*args, **kwargs):
+            report = certify(*args, **kwargs)
+            calls.append((args, kwargs, report))
+            return report
+
+        monkeypatch.setattr(equivalence, "_certify", certify_spy)
+        path = tmp_path / "inst.json"
+        path.write_text(emit_rsmp(random_rsmp(np.random.default_rng(2302), 2, 2, 1, 4, 3)))
+        assert main(["verify", str(path), "--all"]) == 1
+        records = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+        assert len(calls) == len(records) == 8 and all(rec["verdict"] == "fail" for rec in records)
+        monkeypatch.setattr(equivalence, "owns", lambda *args, **kwargs: False)
+        for args, kwargs, report in calls:
+            assert kwargs["grids"][0].piv is not None and kwargs["grids"][1].piv is not None
+            untrusted = certify(*args, **kwargs)
+            assert repr(report) == repr(untrusted)
+        figures = [(rep.max_residual, rep.u_unimodularity, rep.v_unimodularity) for _, _, rep in calls]
+        if case == "V replaced":
+            assert all(res >= 1e-7 and u_dev == 0.0 and v_dev > 1e-7 for res, u_dev, v_dev in figures)
+        else:
+            assert all(0.0 < res < np.inf for res, _, _ in figures)
 
 
 class TestPerStringWork:

@@ -508,7 +508,7 @@ class TestNonFiniteResiduals:
 
 
 def _cli_witnesses(r, s, memo):
-    """U, V and their carried pivots as ``verify --all`` certifies them: from the last prefix of its walk over ``memo``."""
+    """U, V and the grids they come from, as ``verify --all`` certifies them: from the last prefix of its walk over ``memo``."""
     last = cli._walk(r, s, memo)[-1]
     return equivalence._witnesses(last.n, last.h)
 
@@ -695,8 +695,8 @@ class TestCarriedPivots:
                 r = draw(rng, *cell)
                 memo = {}
                 for s in all_decision_strings(r.degree):
-                    u, v, pivots = _cli_witnesses(r, s, memo)
-                    for w, piv in zip((u, v), pivots):
+                    u, v, (gu, gv) = _cli_witnesses(r, s, memo)
+                    for w, piv in zip((u, v), (pivot_indices(gu), pivot_indices(gv, transpose=True))):
                         monkeypatch.setattr(equivalence, "_det_plan", None)
                         carried = equivalence._unimodularity(w, samples, piv)
                         monkeypatch.setattr(equivalence, "_det_plan", plan)
@@ -712,14 +712,15 @@ class TestCarriedPivots:
         r = random_rsmp(rng, 2, 3, 1, 4, 3)
         s = SigmaSeq("ICC")
         memo = {}
-        u, v, (piv_u, piv_v) = _cli_witnesses(r, s, memo)
+        u, v, grids = _cli_witnesses(r, s, memo)
+        piv_u, piv_v = pivot_indices(grids[0]), pivot_indices(grids[1], transpose=True)
         bad = u.copy()
         bad[0, piv_u[0][4], piv_u[1][4]] *= 1 + 1e-9
         pencil, pu, pv = linearization_with_witnesses(r, s)
         samples = equivalence._Samples(r, 20, np.random.default_rng(7))
         assert u.dtype == v.dtype == np.float64
         real = _real_pencil(pencil)
-        got = equivalence._certify(r, s, real, bad, v, samples, 1e-8, pivots=(piv_u, piv_v))
+        got = equivalence._certify(r, s, real, bad, v, samples, 1e-8, grids=grids)
         wrapped = PolyBlockMatrix(MatrixPolynomial(bad), pu.row_sizes, pu.col_sizes)
         want = verify_theorem(r, s, pencil, wrapped, pv, rng=np.random.default_rng(7))
         assert 0.9e-9 <= got.u_unimodularity == want.u_unimodularity <= 1.1e-9
@@ -728,7 +729,7 @@ class TestCarriedPivots:
         # a pivot that varies with lambda: det V is no constant, seen at the points
         varying = v.copy()
         varying[1, piv_v[0][2], piv_v[1][2]] = 0.5
-        got = equivalence._certify(r, s, real, u, varying, samples, 1e-8, pivots=(piv_u, piv_v))
+        got = equivalence._certify(r, s, real, u, varying, samples, 1e-8, grids=grids)
         wrapped = PolyBlockMatrix(MatrixPolynomial(varying), pv.row_sizes, pv.col_sizes)
         want = verify_theorem(r, s, pencil, pu, wrapped, rng=np.random.default_rng(7))
         assert got.v_unimodularity == want.v_unimodularity >= 0.2 and not got.verdict
@@ -948,8 +949,8 @@ class TestOnDemandScale:
                 samples = equivalence._Samples(r, 20, np.random.default_rng(0))
                 strings = list(all_decision_strings(r.degree))
                 for s in strings:
-                    u, v, pivots = _cli_witnesses(r, s, memo)
-                    w = ((u, v), pivots)
+                    u, v, grids = _cli_witnesses(r, s, memo)
+                    w = ((u, v), grids)
                     pencil = fiedler_pencil_rect(r, s)
                     cases.append((r, s, _real_pencil(pencil) if r.real else pencil, w, samples))
                 r, s, pencil, w, samples = cases[-1 - int(rng.integers(len(strings)))]
@@ -957,7 +958,7 @@ class TestOnDemandScale:
 
         def reports():
             return [
-                equivalence._certify(r, s, pencil, *w[0], samples, 1e-8, blocks=True, pivots=w[1])
+                equivalence._certify(r, s, pencil, *w[0], samples, 1e-8, blocks=True, grids=w[1])
                 for r, s, pencil, w, samples in cases
             ]
 

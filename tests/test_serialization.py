@@ -158,6 +158,40 @@ def _read(obj, rows, cols, fast):
         return None, str(exc)
 
 
+def _coefficient_lists(text, read):
+    """``((A bytes, D bytes), None)`` or ``(None, ParseError text)`` for the coefficient lists of an instance text."""
+    try:
+        a, d = read(text)
+        return (a.tobytes(), d.tobytes()), None
+    except ParseError as exc:
+        return None, str(exc)
+
+
+def _stacked(text):
+    r = parse_rsmp(text)
+    return r.A.coeffs, r.D.coeffs
+
+
+def _per_matrix(text):
+    """A and D read one matrix at a time with the fast path, as ``parse_rsmp`` read them before the stacked read."""
+    doc = json.loads(text)
+    n, p, m = doc["n"], doc["p"], doc["m"]
+    a = np.array([serialization._matrix(c, n, n, f"A[{k}]", True) for k, c in enumerate(doc["A"])])
+    d = np.array([serialization._matrix(c, p, m, f"D[{k}]", True) for k, c in enumerate(doc["D"])])
+    return a, d
+
+
+def _set(path, value):
+    def change(doc):
+        *keys, last = path
+        target = doc
+        for key in keys:
+            target = target[key]
+        target[last] = value(target[last]) if callable(value) else value
+
+    return change
+
+
 class TestFastMatrixRead:
     """``parse_rsmp`` reads a matrix with one ``np.array`` and walks it entry by entry only to find what is wrong."""
 
@@ -220,6 +254,49 @@ class TestFastMatrixRead:
         with pytest.raises(ParseError) as walked:
             parse_rsmp(json.loads(text))
         assert str(fast.value) == str(walked.value) == f"B[0][1]: expected a number or [re, im] pair, got {json.loads(entry)!r}"
+
+
+    # parse_rsmp reads each of the A and D lists with one np.array; a list that
+    # is not a well-formed stack of finite numbers is read matrix by matrix,
+    # with the same values or error
+    MALFORMED = {
+        "ragged row": (_set(("A", 1, 0), lambda row: row[:1]), "A[1][0]: expected 2 entries"),
+        "wrong shape at A[2]": (_set(("A", 2), lambda c: c[:1]), "A[2]: expected 2 rows"),
+        "numbers beside pairs in D[1]": (_set(("D", 1, 0, 1), 2.5), None),
+        "string entry": (_set(("A", 0, 1, 0), "2"), "A[0][1][0]: expected a number or [re, im] pair, got '2'"),
+        "1e400": (_set(("D", 2, 1, 1), "TOKEN"), "D[2][1][1]: expected a finite number, got inf"),
+        "plain A[0] beside pairs": (_set(("A", 0), lambda c: [[x[0] for x in row] for row in c]), None),
+        "large ints beside floats": (_set(("A", 3), [[2**63, -(2**62 + 3)], [2**64 - 1, 7]]), None),
+    }
+
+    @pytest.mark.parametrize("kind", MALFORMED)
+    def test_a_malformed_coefficient_reads_as_the_per_matrix_read(self, kind):
+        change, error = self.MALFORMED[kind]
+        doc = json.loads(emit_rsmp(random_rsmp(np.random.default_rng(2303), 2, 2, 2, 3, 3)))
+        change(doc)
+        text = json.dumps(doc).replace('"TOKEN"', "1e400")
+        got, want = _coefficient_lists(text, _stacked), _coefficient_lists(text, _per_matrix)
+        assert got == want
+        assert got[1] == error and (error is not None or got[0] is not None)
+        if error is not None:
+            with pytest.raises(ParseError) as walked:
+                parse_rsmp(json.loads(text))
+            assert str(walked.value) == error
+
+    def test_well_formed_lists_take_one_read(self, rng, monkeypatch):
+        # two np.array reads per document for A and D, none per matrix of them
+        text = emit_rsmp(random_rsmp(rng, 2, 3, 1, 4, 3))
+        shapes, numbers = [], serialization._numbers
+
+        def spy(obj, *shape):
+            shapes.append(shape)
+            return numbers(obj, *shape)
+
+        monkeypatch.setattr(serialization, "_numbers", spy)
+        got = _stacked(text)
+        assert shapes == [(5, 2, 2), (4, 3, 1), (2, 1), (3, 2)]  # A, D, then B and C
+        monkeypatch.setattr(serialization, "_numbers", numbers)
+        assert all(x.tobytes() == y.tobytes() for x, y in zip(got, _per_matrix(text)))
 
 
 class TestShippedInstance:

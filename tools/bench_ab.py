@@ -130,11 +130,15 @@ def main(argv=None) -> int:
         rate = {side: res[side]["metrics"]["ops_per_s"]["value"] for side in SIDES}
         print(f"pair {k} seed {seed}: ops_per_s parent {rate['parent']:.4g}, change {rate['change']:.4g}",
               file=sys.stderr)
-    entry = summarize(results, args.seeds, spec["end_to_end"])
-    data = json.loads(args.out.read_text()) if args.out.exists() else {}
-    data.setdefault("workloads", {})[args.workload] = entry
-    args.out.write_text(json.dumps(data, indent=1) + "\n")
+    write_entry(args.out, "workloads", args.workload, summarize(results, args.seeds, spec["end_to_end"]))
     return 0
+
+
+def write_entry(path: Path, section: str, key: str, entry: dict) -> None:
+    """Write ``entry`` into the JSON file ``path`` under ``section.key``, keeping whatever else it holds."""
+    data = json.loads(path.read_text()) if path.exists() else {}
+    data.setdefault(section, {})[key] = entry
+    path.write_text(json.dumps(data, indent=1) + "\n")
 
 
 if __name__ == "__main__":

@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Time the ops of one benchmark workload on two checkouts, in one process.
 
-    python3 tools/op_ab.py PARENT CHANGE --workload W [--seed N] [--reps K]
+    python3 tools/op_ab.py PARENT CHANGE --workload W [--seed N] [--reps K] [--out FILE]
 
 Both checkouts' ``rosenpencil`` packages are imported into this process,
 each from its own ``src/``; the one whose turn it is stands in
@@ -21,6 +21,12 @@ under ``tracemalloc`` and prints each side's peak of traced memory per op
 and in total (the sum over ops and the largest op), so that a change to
 what the package holds while it runs shows side by side.  Exits 1 if any
 op differs, else 0.  BLAS runs on one thread.
+
+With ``--out FILE`` the summary (the seed, op and run counts, the CPU
+totals and their ratio, the median per-op ratio, the count of identical
+ops and the two tracemalloc peaks of each side) is also written into FILE
+under ``op_ab.W``, keeping whatever else FILE holds, as
+``tools/bench_ab.py`` does for ``workloads.W``.
 """
 
 from __future__ import annotations
@@ -38,6 +44,7 @@ import time
 import tracemalloc
 from pathlib import Path
 
+from bench_ab import write_entry
 from byte_identity import record_diffs
 
 PACKAGE = "rosenpencil"
@@ -108,6 +115,26 @@ def _ops(parent: Path, parent_modules: dict, workload: str, seed: int, work: Pat
     return [op for block in blocks for op in block]
 
 
+def summarize(best: dict, peaks: dict, identical: int, seed: int, reps: int) -> dict:
+    """The summary of one comparison: ``best`` and ``peaks`` map each side to its per-op CPU minima and tracemalloc peaks (bytes)."""
+    total = {side: sum(best[side]) for side in best}
+    ratios = [c / p for p, c in zip(best["parent"], best["change"]) if p > 0]
+    mib = {}
+    for label, reduce in (("sum_over_ops", sum), ("largest_op", max)):
+        p, c = reduce(peaks["parent"]), reduce(peaks["change"])
+        mib[label] = {"parent": round(p / 2**20, 2), "change": round(c / 2**20, 2), "ratio": round(c / p, 4)}
+    return {
+        "seed": seed,
+        "ops": len(best["parent"]),
+        "runs_per_op_and_side": reps,
+        "cpu_s": {side: round(total[side], 4) for side in total},
+        "cpu_ratio_change_over_parent": round(total["change"] / total["parent"], 4),
+        "median_per_op_ratio": round(statistics.median(ratios), 4),
+        "identical_ops": identical,
+        "tracemalloc_peak_mib": mib,
+    }
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(prog="op_ab.py", description=__doc__.split("\n\n")[0])
     ap.add_argument("parent", type=Path)
@@ -115,6 +142,7 @@ def main(argv=None) -> int:
     ap.add_argument("--workload", required=True, choices=["grid_verify", "deep_verify", "spectra"])
     ap.add_argument("--seed", type=int, default=0)
     ap.add_argument("--reps", type=int, default=3)
+    ap.add_argument("--out", type=Path, default=None, help="JSON file to write the summary into, under op_ab.W")
     args = ap.parse_args(argv)
     if args.reps < 1:
         ap.error("--reps must be at least 1")
@@ -150,20 +178,22 @@ def main(argv=None) -> int:
         joined = {side: "".join(stdout[side][k] for k in records) for side in sides}
         for line in record_diffs(joined["parent"], joined["change"]):
             print(f"  {line}")
-    total = {side: sum(best[side]) for side in sides}
-    ratios = [c / p for p, c in zip(best["parent"], best["change"]) if p > 0]
+    summary = summarize(best, peaks, len(ops) - len(differ), args.seed, args.reps)
+    cpu = summary["cpu_s"]
     print(f"workload {args.workload}, seed {args.seed}: {len(ops)} ops, {args.reps} runs per op and side")
-    print(f"CPU s, sum of per-op minima: parent {total['parent']:.4f}, change {total['change']:.4f}")
-    print(f"total ratio change/parent: {total['change'] / total['parent']:.4f}")
-    print(f"median per-op ratio: {statistics.median(ratios):.4f}")
+    print(f"CPU s, sum of per-op minima: parent {cpu['parent']:.4f}, change {cpu['change']:.4f}")
+    print(f"total ratio change/parent: {summary['cpu_ratio_change_over_parent']:.4f}")
+    print(f"median per-op ratio: {summary['median_per_op_ratio']:.4f}")
     print("tracemalloc peak per op, KiB (untimed pass):")
     for k, op in enumerate(ops):
         p, c = peaks["parent"][k], peaks["change"][k]
         print(f"  op {k:04d}  parent {p / 1024:10.1f}  change {c / 1024:10.1f}  ratio {c / p:.4f}  {Path(op.argv[1]).name}")
-    for label, reduce in (("sum over ops", sum), ("largest op", max)):
-        p, c = reduce(peaks["parent"]), reduce(peaks["change"])
-        print(f"tracemalloc peak, {label}: parent {p / 2**20:.2f} MiB, change {c / 2**20:.2f} MiB, ratio {c / p:.4f}")
-    print(f"outputs: {len(ops) - len(differ)}/{len(ops)} ops identical")
+    for label, mib in summary["tracemalloc_peak_mib"].items():
+        print(f"tracemalloc peak, {label.replace('_', ' ')}: parent {mib['parent']:.2f} MiB, "
+              f"change {mib['change']:.2f} MiB, ratio {mib['ratio']:.4f}")
+    print(f"outputs: {summary['identical_ops']}/{len(ops)} ops identical")
+    if args.out:
+        write_entry(args.out, "op_ab", args.workload, summary)
     return 1 if differ else 0
 
 
