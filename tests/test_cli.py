@@ -565,7 +565,8 @@ class TestCertifyWork:
     def test_the_walks_witnesses_are_trusted_by_identity(self, tmp_path, capsys, monkeypatch):
         # one verify --all of a deep_verify cell (64 strings): U and V are the
         # walk's own arrays, so no pivot indices, no gather and no scan of
-        # them; only the pencil is scanned (the parent made 128, 128 and 192)
+        # them; only the pencil is scanned (a pivot gather per witness and a
+        # scan per factor would make 128, 128 and 192)
         path = tmp_path / "deep.json"
         path.write_text(emit_rsmp(random_rsmp(np.random.default_rng(2301), *DEEP_CELLS[0])))
         indices, gathers, scans = [], [], []
@@ -604,11 +605,16 @@ class TestCertifyWork:
     def test_a_replaced_witness_is_checked_in_full(self, tmp_path, capsys, monkeypatch, case):
         # a witness replaced after the walk is not the grid's own array: its
         # figures are those of the check that trusts nothing by identity
+        def scaled(v):
+            v *= 1 + 1e-6
+
+        def huge(u):
+            u[0, 0, -1] = 2.0**1023  # the scan shifts U down by 2**24, without which U L V overflows
+
         if case == "V replaced":
-            _replaced_witness(monkeypatch, 1, lambda v: v.__imul__(1 + 1e-6))
+            _replaced_witness(monkeypatch, 1, scaled)
         else:
-            # the scan shifts U down by 2**24, without which U L V overflows
-            _replaced_witness(monkeypatch, 0, lambda u: u.__setitem__((0, 0, -1), 2.0**1023))
+            _replaced_witness(monkeypatch, 0, huge)
         calls, certify = [], equivalence._certify
 
         def certify_spy(*args, **kwargs):
