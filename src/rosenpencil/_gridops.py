@@ -26,12 +26,19 @@ decision's result to an optional check.  Step i depends only on
 decisions 0..i, so ``schedule`` keeps, per system and step function, the
 last decision string it walked and that string's grids in a memo, a path
 through the prefix trie: a string shares the grids of its common prefix
-with the last one and builds (and checks) the rest.  The public builders
-pass a fresh memo and one recursion's step; the CLI passes one memo per
-instance and a step that grows the pencil and both witness recursions
-together, so in lexicographic order each prefix is built and checked
-once, with at most ``degree`` prefixes held.  Stacks are never written
-after they are built, so a memoised grid can be shared.
+with the last one and builds (and checks) the rest.  The witness
+builders pass a fresh memo and one recursion's step; the CLI passes one
+memo per instance and a step that grows both witness recursions
+together; the pencil recursion W is walked only on the labelled probe of
+a cell shape, with one memo per shape (``fiedler._Plan``: keyed by the
+shape, packed into small integer arrays once every string is walked,
+kept in an LRU of 1,024 shapes).  The probe's stacks are in the smallest
+integer type that holds its labels, so its walk, the first time a
+process sees the shape, costs a little less than a walk of W on an
+instance, and the packing a little more.  So in
+lexicographic order each prefix is built and checked once, with at most
+``degree`` prefixes held.  Stacks are never written after they are
+built, so a memoised grid can be shared.
 
 A grid can carry the pivots of an exact Laplace expansion of its
 determinant, as one block column per block row: row i's pivot block is a
@@ -41,8 +48,8 @@ gets them from its caller; ``insert`` extends them only while the claim
 goes on holding, that is while the inserted block row holds one block, in
 the inserted column, and that block is the shared ``eye`` or ``neg_eye``
 of its size and dtype at degree 0 (the grid then has determinant +-1
-times its predecessor's), and drops them otherwise.
-``pivot_indices`` turns them into the scalar indices of the assembled stack.
+times its predecessor's), and drops them otherwise.  ``owns`` tells a
+stack for a grid's own, carried-pivot array by identity.
 """
 
 from __future__ import annotations
@@ -54,7 +61,7 @@ import numpy as np
 
 from .errors import DimensionError
 
-__all__ = ["Grid", "assemble", "eye", "insert", "neg_eye", "owns", "pivot_indices", "schedule"]
+__all__ = ["Grid", "assemble", "eye", "insert", "neg_eye", "owns", "schedule"]
 
 
 def _cuts(sizes) -> list[int]:
@@ -179,15 +186,6 @@ def insert(prev: Grid, at_row: int, at_col: int, size: int, extra, grown: bool) 
     rsz = prev.rsz[:at_row] + [size] + prev.rsz[at_row:]
     csz = prev.csz[:at_col] + [size] + prev.csz[at_col:]
     return Grid(out, rsz, csz, prev.a + grown, tuple(cdeg), piv, (rc, cc))
-
-
-def pivot_indices(g: Grid, transpose: bool = False) -> tuple[np.ndarray, np.ndarray] | None:
-    """The (rows, cols) indices of ``g``'s carried pivots in ``assemble(g, transpose)``, or None if it carries none."""
-    if g.piv is None:
-        return None
-    cols = np.array([c for size, j in zip(g.rsz, g.piv) for c in range(g.cc[j], g.cc[j] + size)])
-    rows = np.arange(len(cols))
-    return (cols, rows) if transpose else (rows, cols)
 
 
 def assemble(g: Grid, transpose: bool = False) -> np.ndarray:

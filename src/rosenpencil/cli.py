@@ -17,27 +17,32 @@ the determinant of a witness whose exact expansion is not one constant;
 the recursion's witnesses never need them.  Step i of the pencil
 recursion W and the witness recursions N and H (N of the transposed
 system under the flipped decisions), W's size law and its structure
-claims depend only on decisions 0..i.  Their entries are 0, +-1 or
-coefficient entries, so a real instance is walked in float64 and a
-complex one in complex128: every grid is a stack in the instance's
-dtype, and the certificate multiplies in it.  Each string is one walk
-(``_walk``): one ``_gridops.schedule`` call whose step grows W, N and H
-together and whose check takes the new prefix's size law and structure
-claims on its W grid, by the grid's block offsets, with no block matrix
-built and no claim named.  The walk keeps the prefixes of the last string
-walked, and a string builds only those past the prefix it shares with
-that one, so in the lexicographic order of ``--all`` and ``fuzz`` each
-decision prefix is built and checked once per instance.  A grid is one
-coefficient stack, so the tail and the witness ``U`` cost no assembly:
-the last W grid goes to ``fiedler.pencil_from_tail`` as it stands, with
-no block matrix built, and ``V`` is one transposed copy that its grid
-keeps.  The certificate trusts the walk's own ``U`` and ``V`` by
-identity, with no pivot gathered and no entry scanned, and checks any
-other stack in full.  Per string what is left is the certificate (its
-two products ``U L`` and ``(U L) V``, the scan of the pencil and one
-subtraction of a target cast from the parsed arrays, not from the copy
-the walk reads) and the record, written around
-the instance's JSON text, made once per instance (``_Records``).  The
+claims depend only on decisions 0..i.  W's entries are 0, 1 or plus or
+minus one coefficient entry, placed by the string alone, so W, its size
+law and its claims depend only on the cell shape and the string.  They
+come from the plan of the shape (``fiedler._Plan``): keyed by the shape
+alone, walked once per process on a labelled probe, one string at a
+time as the first instance of the shape asks for it, and kept packed in
+small integer arrays in an LRU of 1,024 shapes.  That first instance
+pays for the walk of W on the probe and the packing, a few percent of
+its op more than the walk of W on itself would cost; every later
+instance only gathers its tail from its coefficients, in its dtype.  N
+and H depend on the values and stay per instance: a real instance is
+walked in float64 and a complex one in complex128, and each string is
+one walk (``_walk``): one ``_gridops.schedule`` call whose step grows N
+and H together.  The walk keeps the prefixes of the last string walked,
+and a string builds only those past the prefix it shares with that
+one, so in the lexicographic order of ``--all`` and ``fuzz`` each
+decision prefix is built once per instance.  A grid is one coefficient
+stack, so the witness ``U`` costs no assembly, the tail goes to
+``fiedler.pencil_from_tail`` with no block matrix built, and ``V`` is
+one transposed copy that its grid keeps.  The certificate trusts the
+walk's own ``U`` and ``V`` by identity, with no entry scanned, and
+expands any other stack in full.  Per string what is left is the
+certificate (its two products ``U L`` and ``(U L) V``, the scan of the
+pencil and one subtraction of a target cast from the parsed arrays, not
+from the copy the walk reads) and the record, written around the
+instance's JSON text, made once per instance (``_Records``).  The
 records are those of the per-string public calls, byte for byte.
 """
 
@@ -147,55 +152,36 @@ def _sigma_for(r: Rsmp, text: str) -> SigmaSeq:
 
 
 class _Prefix(NamedTuple):
-    """One decision prefix of an instance: its grids of W, N and H, and whether W meets the prefix's size law and structure claims."""
+    """One decision prefix of an instance: its grids of the witness recursions N and H."""
 
-    w: Grid
     n: Grid
     h: Grid
-    size_ok: bool = True
-    structure_ok: bool = True
 
 
 def _base(r: Rsmp) -> _Prefix:
-    """The degree-1 grids of the three recursions in the instance's dtype; H's is that of N for the transposed system."""
+    """The degree-1 grids of N and H in the instance's dtype, H's that of N for the transposed system."""
     dtype = r.dtype
-    return _Prefix(fiedler._w_base(r, dtype), equivalence._n_base(r, dtype), equivalence._n_base(r.transpose(), dtype))
+    return _Prefix(equivalence._n_base(r, dtype), equivalence._n_base(r.transpose(), dtype))
 
 
 def _step(g: _Prefix, consec: bool, r: Rsmp, i: int, state: bool) -> _Prefix:
-    """One side's growth of W, N and H together; H is N of the transposed system under the flipped decision."""
+    """One side's growth of N and H together; H is N of the transposed system under the flipped decision."""
     return _Prefix(
-        fiedler._w_step(g.w, consec, r, i, state),
         equivalence._n_step(g.n, consec, r, i, state),
         equivalence._n_step(g.h, not consec, r.transpose(), i, state),
     )
 
 
-def _check(g: _Prefix, r: Rsmp, s: SigmaSeq, i: int) -> _Prefix:
-    """Step i's grids with the verdicts of W's size law and structure claims, taken on its grid."""
-    return _Prefix(g.w, g.n, g.h, *fiedler._step_verdicts(g.w, r, s, i))
-
-
 def _walk(r: Rsmp, s: SigmaSeq, memo: dict) -> list[_Prefix]:
-    """Every prefix of ``s``, each with its grids and verdicts; at degree 1 the base grids alone, with nothing to check.
+    """Every prefix of ``s``, each with its grids; at degree 1 the base grids alone.
 
-    One ``_gridops.schedule`` call grows W, N and H together and checks
-    each prefix as it is built; ``memo`` keeps the path of the last string
-    walked, so a string builds and checks only the prefixes past the one
-    it shares with that string.
+    One ``_gridops.schedule`` call grows N and H together; ``memo`` keeps
+    the path of the last string walked, so a string builds only the
+    prefixes past the one it shares with that string.
     """
     if r.degree == 1:
         return [_base(r)]
-    return schedule(r, s, _base, _step, memo, _check)
-
-
-def _last(path: list[_Prefix]) -> tuple[_Prefix, bool, bool]:
-    """The last prefix of a walk, and whether every prefix meets its size law, and its structure claims.
-
-    Only the last prefix outlives the call, so the next string's walk does
-    not run while this string's whole path is still held.
-    """
-    return path[-1], all(g.size_ok for g in path), all(g.structure_ok for g in path)
+    return schedule(r, s, _base, _step, memo)
 
 
 class _Run(NamedTuple):
@@ -209,24 +195,27 @@ def _verify_instance(r: Rsmp, sigmas, instance: dict, trials: int, tol: float, s
     """The verdict and record of every decision string of ``sigmas``, in order, for one instance.
 
     A witness determinant that needs sample points gets the instance's
-    ``trials`` points, drawn at most once from an rng seeded with ``seed``.
-    Each string is one walk (``_walk``) over the path memo, so strings in
-    lexicographic order walk the prefix trie depth first and build and
-    check each prefix once.  The pencil's tail and the witnesses are the
-    stacks of the last prefix's grids, in the dtype the grids were walked
-    in (float64 when the instance is real), and go to the certificate with
-    those grids: a witness that is still its grid's own array is trusted
-    by identity (no determinant pivot gathered, no entry scanned, see
-    ``equivalence._certify``).  The pencil takes the last W grid's stack
-    as its tail, with no block matrix built, and strings of one pencil
-    shape share one pencil lead, in the tail's dtype.  Each record is
-    written around the instance's JSON text, made once (``_Records``).
+    ``trials`` points, drawn at most once from an rng seeded with ``seed``,
+    made only then.  The tail, its partition and the string's size and
+    structure verdicts come from the plan of the instance's shape, the
+    tail gathered from the instance's coefficients in its dtype (float64
+    when the instance is real).  Each string is one walk of N and H
+    (``_walk``) over the path memo, so strings in lexicographic order walk
+    the prefix trie depth first and build each prefix once.  The witnesses
+    are the stacks of the last prefix's grids and go to the certificate
+    with those grids: a witness that is still its grid's own array is
+    trusted by identity (no determinant expansion, no entry scanned, see
+    ``equivalence._certify``).  Strings of one pencil shape share one
+    pencil lead, in the tail's dtype.  Each record is written around the
+    instance's JSON text, made once (``_Records``).
     """
     memo, leads, records = {}, {}, _Records(instance)
-    samples = equivalence._Samples(r, trials, np.random.default_rng(seed))
+    plan, source = fiedler._plan_of(r), fiedler._source(r, r.dtype)
+    samples = equivalence._Samples(r, trials, seed)
     for s in sigmas:
-        last, sizes_ok, structure_ok = _last(_walk(r, s, memo))
-        pencil = fiedler.pencil_from_tail(r, last.w, leads)
+        last = _walk(r, s, memo)[-1]
+        tail, sizes_ok, structure_ok = plan.tail(s, source)
+        pencil = fiedler.pencil_from_tail(r, tail, leads)
         u, v, grids = equivalence._witnesses(last.n, last.h)
         report = equivalence._certify(r, s, pencil, u, v, samples, tol, grids=grids)
         verdict = "pass" if report.verdict and sizes_ok and structure_ok else "fail"

@@ -35,15 +35,16 @@ the claim is checked once per prefix as the prefix's grid is built.  The
 CLI trusts a witness only by identity: U must be the very read-only stack
 of its grid, V the read-only transposed copy its grid keeps; then det is
 +-1 with nothing computed, and no entry exceeds one bound per instance
-(``_Samples.bound``), so none is scanned.  Any other stack the CLI
-certifies has its carried pivots gathered: when they read exactly +-1 at
-degree 0 and zero above, det is +-1.  Every other witness
+(``_Samples.bound``), so none is scanned.  Every other witness
 (``verify_theorem``'s, or a stack changed after the grid was built) gets an exact
 Laplace expansion along the rows with one structural nonzero, found from
 its coefficients (``_det_plan``): the recursion's witnesses leave nothing
 else and their pivots are constant +-1, so their determinant is one
 exact constant; any other witness has its determinant taken at random
-sample points, by the expansion and an LU of what is left.
+sample points, by the expansion and an LU of what is left.  A changed
+stack is expanded from its own coefficients, not read at its grid's
+pivots alone: a nonzero written beside a pivot changes det W while the
+pivots still read +-1.
 """
 
 from __future__ import annotations
@@ -55,7 +56,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ._gridops import Grid, assemble, eye, insert, neg_eye, owns, pivot_indices, schedule
+from ._gridops import Grid, assemble, eye, insert, neg_eye, owns, schedule
 from .blocks import Pencil, PolyBlockMatrix
 from .errors import DimensionError
 from .polycore import MatrixPolynomial, horner_stack, varying_entries
@@ -290,7 +291,8 @@ class _Samples:
 
     One set serves every check of one system.  The points feed only the
     determinant fallback of ``_unimodularity``, so they are drawn, once,
-    when the first witness that needs them comes; strings of one shape
+    when the first witness that needs them comes, from ``rng``: a
+    Generator, or a seed that becomes one only then; strings of one shape
     and dtype share one frame, and witnesses of one dtype one bound.
     """
 
@@ -304,7 +306,7 @@ class _Samples:
     @cached_property
     def points(self) -> np.ndarray:
         """The sample points, drawn from the rng at first use."""
-        return sample_points(self._count, self._rng)
+        return sample_points(self._count, np.random.default_rng(self._rng))
 
     def frame(self, alpha_prime: int, alpha: int, dtype) -> "_Frame":
         """The frame of the pencil shape with these paddings, in ``dtype``, built at first use."""
@@ -504,7 +506,7 @@ def _certify(
     ``_scale_is_finite`` stays a proof; where it proves less than a scan
     would, the scale is formed and the figure is the same.  Any other
     witness, and the pencil, is scanned (``_top``), and a witness's figure
-    is taken by ``_unimodularity`` with its grid's pivots, if any.  Each
+    is taken by ``_unimodularity``, from the stack alone.  Each
     factor with an entry of magnitude above 2**_TOP_EXP is multiplied by a
     power of two of its own, U by 2**-s_U, L by 2**-s_L and V by 2**-s_V,
     and T by 2**-(s_U + s_L + s_V); this leaves every ratio as it is
@@ -540,8 +542,8 @@ def _certify(
     target = f.target
     # an overflowing product is reported as an infinite residual, not as a warning
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        u_dev = 0.0 if own_u else _unimodularity(u, samples, None if gu is None else pivot_indices(gu))
-        v_dev = 0.0 if own_v else _unimodularity(v, samples, None if gv is None else pivot_indices(gv, True))
+        u_dev = 0.0 if own_u else _unimodularity(u, samples)
+        v_dev = 0.0 if own_v else _unimodularity(v, samples)
         tops = [bound if own and bounded else _top(x) for x, own in ((u, own_u), (lp, False), (v, own_v))]
         shifts = [_down_shift(t) for t in tops]
         if any(shifts):
@@ -577,28 +579,19 @@ def _certify(
     )
 
 
-def _unimodularity(w: np.ndarray, samples: _Samples, piv=None) -> float:
+def _unimodularity(w: np.ndarray, samples: _Samples) -> float:
     """How far det W(lambda) is from one constant of modulus 1, for the coefficient stack ``w``.
 
     ``_certify`` calls it only for a witness that is not its grid's own
-    array.  ``piv``, the (rows, cols) of the pivots that the recursion
-    grid of ``w`` carries, gathered from ``w``, settles it at once when
-    ``w`` holds them as its grid did: every pivot entry exactly +-1 at
-    degree 0 and zero above.  Then det W is their signed product, exactly
-    +-1, and the figure is 0.  Otherwise (no grid or no pivots, or a stack
-    changed after assembly) ``_det_plan``
-    finds an expansion from the nonzero pattern of ``w``, and the figure
-    is the largest of | |det| - 1 | and |det - det_0| over the
-    determinants ``_dets`` takes: of the degree-0 coefficient alone when
-    the plan leaves no core and no pivot has a nonzero coefficient above
-    degree 0, so det is that constant, else at every point of ``samples``.
+    array, whatever grid it came from: a stack changed after assembly can
+    differ from its grid anywhere, not only at the grid's pivots.
+    ``_det_plan`` finds an expansion from the nonzero pattern of ``w``,
+    and the figure is the largest of | |det| - 1 | and |det - det_0| over
+    the determinants ``_dets`` takes: of the degree-0 coefficient alone
+    when the plan leaves no core and no pivot has a nonzero coefficient
+    above degree 0, so det is that constant, else at every point of
+    ``samples``.
     """
-    if piv is not None:
-        # every coefficient of the pivot entries, gathered by flat index
-        at = w.reshape(len(w), -1).take(piv[0] * w.shape[2] + piv[1], axis=1)
-        head = at[0]
-        if not at[1:].any() and ((head == 1) | (head == -1)).all():
-            return 0.0
     plan = _det_plan(w)
     if plan.core is None and not w[1:, plan.pivots[0], plan.pivots[1]].any():
         dets = _dets(w[:1], plan)

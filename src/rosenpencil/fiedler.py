@@ -22,18 +22,46 @@ living in state rows is n-by-n; identities created on the feedthrough side
 are p-by-p after a consecution and m-by-m after an inversion.  The
 partition of every intermediate matrix is carried along and is the single
 source of truth for the structure checks.
+
+The recursion is operation-free: every entry of W is 0, 1, or plus or
+minus one coefficient entry, and the decision string alone decides
+which goes where.  So W's layout, its size law and its structure claims
+depend only on the cell shape (n, p, m, d_A, d_D) and the string, and W
+is walked once per process, shape and string, on a labelled probe: a
+stand-in for an instance of the shape whose K coefficient entries are
+the distinct integers 2..K+1 (``_Probe``, ``_Plan``).  The claims are
+taken on the labels, which is stronger than taking them on an
+instance's values, where two equal coefficients could stand in for each
+other.  An instance's tail is one gather from the vector
+[0, 1, c_1..c_K, -c_K..-c_1, -1] of its own coefficients (``_source``),
+bit for bit the matrix the recursion would write on it.  The plans live
+in an LRU keyed by the shape alone (``_plan``, 1,024 shapes, more than
+the acceptance grid's 675); a packed plan holds four small integer
+arrays, 0.42 MiB for the 225 cells of the ``grid_verify`` benchmark and
+0.17 MiB for its 8 ``deep_verify`` cells.  The first instance of a shape
+pays for the probe, the walk and the packing.  The probe is walked in
+the smallest integer type that holds its labels, which makes the walk a
+little cheaper than one on the instance's float64 values, so the whole
+costs a few percent of the instance's op more than that walk would;
+every later instance pays only for the gathers.
+``fiedler_pencil_rect``, ``build_w_sequence`` (each step keeps the
+tail's blocks that it or an earlier step inserted, since no step writes
+over its predecessor) and the CLI all take W from the plan.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
+from itertools import accumulate
+from typing import NamedTuple
 
 import numpy as np
 
-from ._gridops import Grid, eye, insert, schedule
+from ._gridops import Grid, _cuts, eye, insert, schedule
 from .blocks import BlockMatrix, Pencil
 from .errors import DimensionError
-from .rsmp import Rsmp
+from .rsmp import Coefficients, Rsmp
 from .sigma import SigmaSeq
 
 __all__ = [
@@ -181,6 +209,15 @@ def _w_base(r: Rsmp, dtype=complex) -> Grid:
     return Grid.base(stack, [n, r.p], [n, r.m])
 
 
+def _w_place(g: Grid, consec: bool, r: Rsmp, state: bool) -> tuple[int, int, int, int]:
+    """Where one side's step of W grows ``g``: its anchor, the new block row and column, and their size."""
+    if state:
+        a, size = 0, r.n
+    else:
+        a, size = g.a, (r.p if consec else r.m)
+    return (a, a, a + 1, size) if consec else (a, a + 1, a, size)
+
+
 def _w_step(g: Grid, consec: bool, r: Rsmp, i: int, state: bool) -> Grid:
     """One side's growth: a block row and column carrying -P_{i+1} and an identity.
 
@@ -189,29 +226,202 @@ def _w_step(g: Grid, consec: bool, r: Rsmp, i: int, state: bool) -> Grid:
     after an inversion) at the first feedthrough block (a, a).  -P_{i+1}
     lands on the anchor and the identity where the new row meets the new
     column: a consecution inserts the row at the anchor and the column
-    after it, an inversion the column at the anchor and the row after it.
-    Both come in the dtype of ``g``'s stack; -P_{i+1} is a slice of the
-    instance's kept negation (``Rsmp.negated``).
+    after it, an inversion the column at the anchor and the row after it
+    (``_w_place``).  Both come in the dtype of ``g``'s stack; -P_{i+1} is
+    a slice of the instance's kept negation (``Rsmp.negated``).
     """
     dtype = g.stack.dtype
     neg_a, neg_d = r.negated(dtype)
-    if state:
-        a, neg, size = 0, neg_a, r.n
-    else:
-        a, neg, size = g.a, neg_d, (r.p if consec else r.m)
-    new_r, new_c = (a, a + 1) if consec else (a + 1, a)
-    extra = [(a, a, neg[i + 1 : i + 2], 0), (new_r, new_c, eye(size, dtype), 0)]
+    a, new_r, new_c, size = _w_place(g, consec, r, state)
+    extra = [(a, a, (neg_a if state else neg_d)[i + 1 : i + 2], 0), (new_r, new_c, eye(size, dtype), 0)]
     return insert(g, new_r, new_c, size, extra, state)
 
 
-def _w_grids(r: Rsmp, s: SigmaSeq, memo: dict) -> list[Grid]:
-    return schedule(r, s, _w_base, _w_step, memo)
+# ---------------------------------------------------------------------------
+# the plan of a cell shape: W walked once, on a labelled probe
+# ---------------------------------------------------------------------------
 
 
-def _grid_to_blockmatrix(g: Grid, copy: bool = False) -> BlockMatrix:
-    """The grid's matrix: a read-only view of its stack, or with ``copy`` a writable copy for the public builders."""
-    data = g.stack[0]
-    return BlockMatrix(data.copy() if copy else data, g.rsz, g.csz)
+class Tail(NamedTuple):
+    """A pencil's tail matrix and its block partition."""
+
+    matrix: np.ndarray
+    rsz: list[int]
+    csz: list[int]
+
+
+class _Layout(NamedTuple):
+    """The block layout of a W prefix: its count of state blocks, and the step that inserted each block row and column
+    (0 for the base grid's, i + 1 for step i's)."""
+
+    a: int
+    rows: tuple[int, ...]
+    cols: tuple[int, ...]
+
+
+def _layout_base(r: Rsmp) -> _Layout:
+    return _Layout(1, (0, 0), (0, 0))
+
+
+def _layout_step(g: _Layout, consec: bool, r: Rsmp, i: int, state: bool) -> _Layout:
+    _, at_r, at_c, _ = _w_place(g, consec, r, state)
+    return _Layout(g.a + state, g.rows[:at_r] + (i + 1,) + g.rows[at_r:], g.cols[:at_c] + (i + 1,) + g.cols[at_c:])
+
+
+class _Probe:
+    """The labelled probe of a cell shape: what the walk of W reads of an instance, with coefficient entries 2..K+1.
+
+    The K entries are numbered A's first, then B's, C's and D's, each
+    row-major, in the smallest signed integer type that holds -(K+2)..K+2
+    (``dtype``), so the walk copies one or two bytes an entry and its
+    tails are the labels themselves.  It carries the dimensions, the
+    declared degrees and the arrays ``Rsmp.coefficients`` and
+    ``Rsmp.negated`` give, and nothing else: made in a few microseconds,
+    where an ``Rsmp`` checks and converts its arrays.
+    """
+
+    __slots__ = ("n", "p", "m", "d_a", "d_d", "degree", "top", "dtype", "_coeffs", "_negated")
+
+    def __init__(self, n: int, p: int, m: int, d_a: int, d_d: int):
+        self.n, self.p, self.m, self.d_a, self.d_d, self.degree = n, p, m, d_a, d_d, max(d_a, d_d)
+        ends = list(accumulate([(d_a + 1) * n * n, n * m, p * n, (d_d + 1) * p * m]))
+        self.top = 1 + ends[-1]  # the largest label
+        self.dtype = np.min_scalar_type(-self.top - 1)
+        labels = np.arange(2, 1 + self.top, dtype=self.dtype)
+        negated = -labels
+        labels.setflags(write=False)
+        negated.setflags(write=False)
+        a, b, c, _ = ends
+        self._coeffs = Coefficients(labels[:a].reshape(d_a + 1, n, n), labels[a:b].reshape(n, m),
+                                    labels[b:c].reshape(p, n), labels[c:].reshape(d_d + 1, p, m))
+        self._negated = (negated[:a].reshape(d_a + 1, n, n), negated[c:].reshape(d_d + 1, p, m))
+
+    def coefficients(self, dtype) -> Coefficients:
+        return self._coeffs
+
+    def negated(self, dtype) -> tuple[np.ndarray, np.ndarray]:
+        return self._negated
+
+
+def _probe_base(probe: _Probe) -> Grid:
+    """The degree-1 grid of W on ``probe``, in its integer type."""
+    return _w_base(probe, probe.dtype)
+
+
+def _source(r: Rsmp, dtype) -> np.ndarray:
+    """What a plan's labels read for ``r``: [0, 1, c_1..c_K, -c_K..-c_1, -1] over the K entries of ``coefficients(dtype)``.
+
+    The entries come in the probe's order, so label l + 1 reads c_l and,
+    as a negative index, label -(l + 1) reads -c_l, negated as
+    ``Rsmp.negated`` negates; 0 and 1 read themselves.
+    """
+    flat = np.concatenate([x.ravel() for x in r.coefficients(dtype)])
+    return np.concatenate(([0.0, 1.0], flat, np.negative(flat[::-1]), [-1.0]))
+
+
+_BITS = str.maketrans("CI", "01")
+
+
+class _Plan:
+    """W of every decision string of one cell shape, walked once on the shape's labelled probe.
+
+    A string is walked the first time it is asked for, by ``schedule`` over
+    one path memo with ``_w_step`` and a check that takes
+    ``_step_verdicts`` on each new prefix, so in lexicographic order each
+    prefix is built and checked once.  The check keeps, per depth of the
+    path the memo holds, whether that prefix and every shorter one meet
+    their size law and structure claims.  Of each string the plan keeps
+    its tail's block sizes, its two verdicts and, until every string is
+    walked, the probe's tail as it stands, whose entries are the labels.
+    The last string packs the plan and drops the probe and its memo: over
+    all strings, in lexicographic order, the positions of the tails'
+    nonzero entries (in each string's own tail) and their labels (0 is
+    never one, and 1 is the identity's) become one array each, one more
+    holds where each string's entries start, and the block sizes and
+    verdicts become one array with a row per string, each array in the
+    smallest integer type that holds it.  A packed plan holds no float
+    array.
+    """
+
+    __slots__ = ("degree", "blocks", "_probe", "_memo", "_open", "_oks", "_meta", "_pos", "_labels", "_cuts")
+
+    def __init__(self, n: int, p: int, m: int, d_a: int, d_d: int):
+        self.degree, self.blocks = max(d_a, d_d), d_a + d_d
+        self._probe, self._memo, self._open = _Probe(n, p, m, d_a, d_d), {}, {}  # the probe goes once packed
+        self._oks = [(True, True)] * self.degree  # the verdicts through each prefix of the memo's path, the base first
+
+    def _index(self, s: SigmaSeq) -> int:
+        """The place of string ``s`` among the strings, in lexicographic order."""
+        d = self.degree
+        if len(s) != d - 1:
+            raise DimensionError(f"need {d - 1} decisions for degree {d}, got {len(s)}")
+        return int("0" + s.decisions.translate(_BITS), 2)
+
+    def _check(self, g: Grid, r: _Probe, s: SigmaSeq, i: int) -> Grid:
+        """Take step i's verdicts on its grid ``g`` into the path's, as the prefix through decision i's, and pass ``g`` on."""
+        size_ok, structure_ok = _step_verdicts(g, r, s, i)
+        sizes, structure = self._oks[i]
+        self._oks[i + 1] = (sizes and size_ok, structure and structure_ok)
+        return g
+
+    def _keep(self, s: SigmaSeq) -> tuple[list, np.ndarray]:
+        """Walk string ``s`` on the probe and keep its row (block sizes and verdicts) and probe tail; the last string
+        packs the plan."""
+        probe = self._probe
+        if self.degree == 1:
+            self._index(s)  # raises unless ``s`` is empty
+            g = _probe_base(probe)
+        else:
+            g = schedule(probe, s, _probe_base, _w_step, self._memo, self._check)[-1]
+        entry = self._open[s.decisions] = (g.rsz + g.csz + list(self._oks[-1]), g.stack[0])
+        if len(self._open) == 1 << (self.degree - 1):
+            self._pack()
+        return entry
+
+    def _pack(self) -> None:
+        probe = self._probe
+        rows, tails = zip(*(self._open[k] for k in sorted(self._open)))
+        tails = [x.ravel() for x in tails]
+        flat = np.concatenate(tails)
+        nonzero = (flat != 0).nonzero()[0]
+        sizes = [x.size for x in tails]
+        starts = np.array([0, *accumulate(sizes)])
+        cuts = nonzero.searchsorted(starts)
+        self._pos = (nonzero - starts[:-1].repeat(cuts[1:] - cuts[:-1])).astype(np.min_scalar_type(max(sizes) - 1))
+        self._labels = flat[nonzero]
+        self._cuts = cuts.astype(np.min_scalar_type(len(nonzero)))
+        self._meta = np.array(rows, dtype=np.min_scalar_type(max(probe.n, probe.p, probe.m)))
+        self._probe = self._memo = self._open = self._oks = None
+
+    def tail(self, s: SigmaSeq, source: np.ndarray) -> tuple[Tail, bool, bool]:
+        """The tail of string ``s`` for the instance of ``source`` (``_source``), in its dtype, and the string's two verdicts.
+
+        The verdicts say whether every prefix meets its size law, and
+        whether every prefix meets its structure claims.
+        """
+        k = self.blocks
+        if self._open is not None:
+            row, labels = self._open.get(s.decisions) or self._keep(s)
+            matrix = source.take(labels)
+        else:
+            j = self._index(s)
+            row = self._meta[j].tolist()
+            rows, cols = sum(row[:k]), sum(row[k : 2 * k])
+            lo, hi = self._cuts[j : j + 2].tolist()
+            matrix = np.zeros(rows * cols, dtype=source.dtype)
+            matrix[self._pos[lo:hi]] = source.take(self._labels[lo:hi])
+            matrix = matrix.reshape(rows, cols)
+        return Tail(matrix, row[:k], row[k : 2 * k]), bool(row[2 * k]), bool(row[2 * k + 1])
+
+
+@lru_cache(maxsize=1024)
+def _plan(n: int, p: int, m: int, d_a: int, d_d: int) -> _Plan:
+    """The plan of a cell shape, one per process while the LRU over shapes keeps it."""
+    return _Plan(n, p, m, d_a, d_d)
+
+
+def _plan_of(r: Rsmp) -> _Plan:
+    return _plan(r.n, r.p, r.m, r.d_a, r.d_d)
 
 
 def build_w_sequence(r: Rsmp, s: SigmaSeq) -> list[BlockMatrix]:
@@ -221,9 +431,25 @@ def build_w_sequence(r: Rsmp, s: SigmaSeq) -> list[BlockMatrix]:
     the degree-1 system matrix: a state row/col pair while the declared
     state degree has coefficients left, then a feedthrough row/col pair
     while the feedthrough degree has.  The decision at each step picks
-    which of the two printed layouts is inserted.
+    which of the two printed layouts is inserted.  No step writes over an
+    entry of its predecessor, so each step's matrix is the tail, from the
+    plan of the system's shape in complex128, without the blocks that
+    later steps inserted; which step inserted each block comes from a walk
+    of the block layout alone (``_layout_step``).
     """
-    return [_grid_to_blockmatrix(g, copy=True) for g in _w_grids(r, s, {})]
+    tail, _, _ = _plan_of(r).tail(s, _source(r, complex))
+    if r.degree < 2:
+        raise DimensionError("the recursions need pencil degree >= 2")
+    layout = schedule(r, s, _layout_base, _layout_step, {})[-1]
+    rc, cc = _cuts(tail.rsz), _cuts(tail.csz)
+    out = []
+    for i in range(1, r.degree):
+        kr = [b for b, step in enumerate(layout.rows) if step <= i]
+        kc = [b for b, step in enumerate(layout.cols) if step <= i]
+        rows = np.concatenate([np.arange(rc[b], rc[b + 1]) for b in kr])
+        cols = np.concatenate([np.arange(cc[b], cc[b + 1]) for b in kc])
+        out.append(BlockMatrix(tail.matrix[np.ix_(rows, cols)], [tail.rsz[b] for b in kr], [tail.csz[b] for b in kc]))
+    return out
 
 
 def _rect_lead(r: Rsmp, row_sizes, dtype=complex) -> np.ndarray:
@@ -245,38 +471,34 @@ def fiedler_pencil_rect(r: Rsmp, s: SigmaSeq) -> Pencil:
     Size: ((p + p*c0 + m*i0) + d_A*n) rows by ((m + p*c0 + m*i0) + d_A*n)
     columns, where c0/i0 count consecutions/inversions among the decisions
     that grow the feedthrough side.  Degree-1 systems need no recursion:
-    the pencil is the system matrix itself split into lead and tail.
+    the pencil is the system matrix itself split into lead and tail.  The
+    tail comes from the plan of the system's shape, in complex128.
     """
-    if r.degree == 1:
-        if len(s) != 0:
-            raise DimensionError("degree-1 systems take an empty decision sequence")
-        return pencil_from_tail(r, _w_base(r), copy=True)
-    return pencil_from_tail(r, _w_grids(r, s, {})[-1], copy=True)
+    if r.degree == 1 and len(s) != 0:
+        raise DimensionError("degree-1 systems take an empty decision sequence")
+    tail, _, _ = _plan_of(r).tail(s, _source(r, complex))
+    return pencil_from_tail(r, tail)
 
 
-def pencil_from_tail(r: Rsmp, w: Grid, leads: dict | None = None, copy: bool = False) -> Pencil:
-    """The pencil whose tail is the last W grid of the recursion, or the degree-1 grid.
+def pencil_from_tail(r: Rsmp, tail: Tail, leads: dict | None = None) -> Pencil:
+    """The pencil of a tail from a plan (``_Plan.tail``).
 
-    The tail is the grid's degree-0 stack as it stands, read-only, or
-    with ``copy`` a writable copy, as the public builders give it.  The
-    lead of such a tail depends only on the system and the tail's shape,
-    and comes in the tail's dtype (complex128 for a complex system).  A
-    caller that builds many pencils of one system passes one ``leads``
-    dict for all of them; it keeps one read-only lead per shape and
-    dtype.
+    The lead of such a tail depends only on the system and the tail's
+    shape, and comes in the tail's dtype (complex128 for a complex
+    system).  A caller that builds many pencils of one system passes one
+    ``leads`` dict for all of them; it keeps one read-only lead per shape
+    and dtype.
     """
-    tail, rsz, csz = w.stack[0], w.rsz, w.csz
-    if copy:
-        tail = tail.copy()
-    dtype = np.result_type(tail, r.dtype)
-    key = (tail.shape, dtype)
+    matrix = tail.matrix
+    dtype = np.result_type(matrix, r.dtype)
+    key = (matrix.shape, dtype)
     lead = None if leads is None else leads.get(key)
     if lead is None:
-        lead = _rect_lead(r, rsz, dtype)
+        lead = _rect_lead(r, tail.rsz, dtype)
         if leads is not None:
             lead.setflags(write=False)
             leads[key] = lead
-    return Pencil(lead, tail, rsz, csz)
+    return Pencil(lead, matrix, tail.rsz, tail.csz)
 
 
 # ---------------------------------------------------------------------------

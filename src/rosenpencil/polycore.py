@@ -13,6 +13,8 @@ arrays of coefficients, low degree to high, mirroring
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
 
 from .errors import DimensionError
@@ -206,6 +208,13 @@ def _column_scales(x: np.ndarray) -> np.ndarray:
     return np.ldexp(1.0, -np.maximum(np.frexp(top)[1], -1021))
 
 
+@lru_cache(maxsize=16)
+def _regularity_points(trials: int, rng_seed: int) -> tuple[complex, ...]:
+    """The points ``is_regular`` samples, in its order, drawn once per process for each count and seed."""
+    rng = np.random.default_rng(rng_seed)
+    return tuple(2.0 * np.sqrt(rng.uniform()) * np.exp(2j * np.pi * rng.uniform()) for _ in range(trials))
+
+
 def is_regular(p: MatrixPolynomial, trials: int = 8, rng_seed: int = 0) -> bool:
     """Probabilistic regularity test: does det p(lambda) vanish identically?
 
@@ -227,9 +236,7 @@ def is_regular(p: MatrixPolynomial, trials: int = 8, rng_seed: int = 0) -> bool:
     if p.rows != p.cols:
         raise DimensionError("regularity is defined for square matrix polynomials")
     coeffs = p.coeffs * _column_scales(p.coeffs)
-    rng = np.random.default_rng(rng_seed)
-    for _ in range(max(1, trials)):
-        z = 2.0 * np.sqrt(rng.uniform()) * np.exp(2j * np.pi * rng.uniform())
+    for z in _regularity_points(max(1, trials), rng_seed):
         m = _horner(coeffs, z)
         m = m * _column_scales(m)
         m = m * _column_scales(m.T)[:, None]

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from rosenpencil import MatrixPolynomial, Rsmp
+from rosenpencil import MatrixPolynomial, Rsmp, fiedler
 
 
 @pytest.fixture
@@ -34,3 +34,11 @@ def overflowing_example() -> Rsmp:
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240809)
+
+
+@pytest.fixture
+def fresh_plans():
+    """No plan of a cell shape (``fiedler._plan``) is kept when the test starts, nor after it ends."""
+    fiedler._plan.cache_clear()
+    yield
+    fiedler._plan.cache_clear()

@@ -14,8 +14,13 @@ clustering that recomputes each cluster mean, as references for
 ``poly_roots`` and ``cluster_roots``; and ``det_poly_pointwise`` and
 ``clear_denominator_pointwise``, the determinant and the cleared
 denominator with each holdout evaluated on its own after its draw, as
-references, bit for bit, for the stacked forms.
+references, bit for bit, for the stacked forms; the per-instance walk of
+the pencil recursion W with its claims taken on the instance's values,
+and the W builders on it, the references for the plan of a cell shape;
+and the carried pivots of a witness grid as indices of its stack.
 """
+
+from typing import NamedTuple
 
 import numpy as np
 import scipy.linalg
@@ -31,6 +36,9 @@ from rosenpencil import (
     SigmaSeq,
     SingularInput,
 )
+from rosenpencil import fiedler
+from rosenpencil._gridops import Grid, schedule
+from rosenpencil.blocks import BlockMatrix, Pencil
 from rosenpencil.polycore import scalar_poly_eval, scalar_poly_trim
 from rosenpencil.rsmp import transfer_eval_stack
 from rosenpencil.sampling import random_bijection
@@ -473,3 +481,72 @@ def clear_denominator_pointwise(r, s, tol: float = 1e-8) -> MatrixPolynomial:
         else:
             return result
     raise InterpolationResidual("could not find pole-free sample points")
+
+
+class WPrefix(NamedTuple):
+    """One prefix of the per-instance W walk: its grid, and whether it meets its size law and its structure claims."""
+
+    w: Grid
+    size_ok: bool = True
+    structure_ok: bool = True
+
+
+def _w_prefix_base(r):
+    return WPrefix(fiedler._w_base(r, r.dtype))
+
+
+def _w_prefix_step(g, consec, r, i, state):
+    return WPrefix(fiedler._w_step(g.w, consec, r, i, state))
+
+
+def _w_prefix_check(g, r, s, i):
+    return WPrefix(g.w, *fiedler._step_verdicts(g.w, r, s, i))
+
+
+def w_walk(r, s, memo):
+    """W of one instance, walked on the instance itself in its dtype, every prefix checked on the instance's values.
+
+    The walk ``verify --all`` ran before W came from the plan of a cell
+    shape: ``fiedler._w_base`` and ``fiedler._w_step`` (looked up at each
+    call, so a patched step shows here too) over the path memo ``memo``,
+    and ``fiedler._step_verdicts`` on each new prefix.  At degree 1 the
+    base grid alone, with nothing to check.
+    """
+    if r.degree == 1:
+        return [_w_prefix_base(r)]
+    return schedule(r, s, _w_prefix_base, _w_prefix_step, memo, _w_prefix_check)
+
+
+def w_grids(r, s, memo):
+    """The grids of W for steps 0..d-2 of one instance in complex128, walked on the instance over ``memo``."""
+    return schedule(r, s, fiedler._w_base, fiedler._w_step, memo)
+
+
+def grid_matrix(g):
+    """A W grid's matrix, a read-only view of its stack, with its partition."""
+    return BlockMatrix(g.stack[0], g.rsz, g.csz)
+
+
+def build_w_sequence(r, s):
+    """``fiedler.build_w_sequence`` by the per-instance walk: writable complex128 copies of every step's matrix."""
+    return [BlockMatrix(g.stack[0].copy(), g.rsz, g.csz) for g in w_grids(r, s, {})]
+
+
+def fiedler_pencil_rect(r, s):
+    """``fiedler.fiedler_pencil_rect`` by the per-instance walk, in complex128."""
+    if r.degree == 1:
+        if len(s) != 0:
+            raise DimensionError("degree-1 systems take an empty decision sequence")
+        g = fiedler._w_base(r)
+    else:
+        g = w_grids(r, s, {})[-1]
+    return Pencil(fiedler._rect_lead(r, g.rsz), g.stack[0].copy(), g.rsz, g.csz)
+
+
+def pivot_indices(g, transpose=False):
+    """The (rows, cols) indices of a witness grid's carried pivots in its stack, or in the transposed stack; None if it carries none."""
+    if g.piv is None:
+        return None
+    cols = np.array([c for size, j in zip(g.rsz, g.piv) for c in range(g.cc[j], g.cc[j] + size)])
+    rows = np.arange(len(cols))
+    return (cols, rows) if transpose else (rows, cols)

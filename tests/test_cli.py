@@ -564,23 +564,18 @@ class TestEigWork:
 class TestCertifyWork:
     def test_the_walks_witnesses_are_trusted_by_identity(self, tmp_path, capsys, monkeypatch):
         # one verify --all of a deep_verify cell (64 strings): U and V are the
-        # walk's own arrays, so no pivot indices, no gather and no scan of
-        # them; only the pencil is scanned (a pivot gather per witness and a
-        # scan per factor would make 128, 128 and 192)
+        # walk's own arrays, so no determinant expansion and no scan of them;
+        # only the pencil is scanned (a pivot gather per witness and a scan
+        # per factor made 128, 128 and 192 before the walk's witnesses were
+        # trusted by identity; no pivot gather is left in the certificate)
         path = tmp_path / "deep.json"
         path.write_text(emit_rsmp(random_rsmp(np.random.default_rng(2301), *DEEP_CELLS[0])))
-        indices, gathers, scans = [], [], []
-        pivot_indices, unimodularity, top, certify = (
-            equivalence.pivot_indices, equivalence._unimodularity, equivalence._top, equivalence._certify)
+        expansions, scans = [], []
+        unimodularity, top, certify = equivalence._unimodularity, equivalence._top, equivalence._certify
 
-        def indices_spy(*args, **kwargs):
-            indices.append(1)
-            return pivot_indices(*args, **kwargs)
-
-        def unimodularity_spy(w, samples, piv=None):
-            if piv is not None:
-                gathers.append(1)
-            return unimodularity(w, samples, piv)
+        def unimodularity_spy(w, samples):
+            expansions.append(1)
+            return unimodularity(w, samples)
 
         def certify_spy(r, s, pencil, u, v, *args, **kwargs):
             scans.append((pencil, u, v, []))
@@ -590,12 +585,11 @@ class TestCertifyWork:
             scans[-1][3].append(x)
             return top(x)
 
-        for name, spy in [("pivot_indices", indices_spy), ("_unimodularity", unimodularity_spy), ("_top", top_spy),
-                          ("_certify", certify_spy)]:
+        for name, spy in [("_unimodularity", unimodularity_spy), ("_top", top_spy), ("_certify", certify_spy)]:
             monkeypatch.setattr(equivalence, name, spy)
         assert main(["verify", str(path), "--all"]) == 0
         capsys.readouterr()
-        assert len(indices) == 0 and len(gathers) == 0
+        assert len(expansions) == 0
         assert len(scans) == 64 and sum(len(scanned) for *_, scanned in scans) == 64
         for pencil, u, v, (x,) in scans:
             assert x is not u and x is not v and x.shape == (2, *pencil.shape)
@@ -660,6 +654,7 @@ class TestPerStringWork:
             assert main(["verify", str(path), *flags]) == 0
             return len(built)
 
+        constructions("--sigma", "CICI")  # the first instance of the shape makes the plan's probe
         one = constructions("--sigma", "CICI")
         every = constructions("--all")
         capsys.readouterr()
@@ -701,27 +696,34 @@ class TestPerStringWork:
         capsys.readouterr()
 
 
-    def test_one_walk_per_string(self, tmp_path, capsys, monkeypatch):
-        # W, N and H grow together: one schedule call per string on the
-        # eight deep_verify cells, wherever the package looks schedule up
+    def test_one_walk_per_string(self, tmp_path, capsys, monkeypatch, fresh_plans):
+        # N and H grow together: one schedule call per string on the eight
+        # deep_verify cells, wherever the package looks schedule up; the
+        # first instance of a cell shape also walks W on the plan's probe,
+        # one call per string, and a second instance of the shape none
         calls = []
 
-        def spy(schedule):
+        def spy(module):
+            schedule = module.schedule
+
             def counted(*args, **kwargs):
-                calls.append(args[1].decisions)
+                calls.append((module.__name__, args[1].decisions))
                 return schedule(*args, **kwargs)
 
             return counted
 
         for module in (cli, fiedler, equivalence):
-            monkeypatch.setattr(module, "schedule", spy(module.schedule))
+            monkeypatch.setattr(module, "schedule", spy(module))
         rng = np.random.default_rng(1901)
+        strings = [s.decisions for s in all_decision_strings(7)]
         for k, cell in enumerate(DEEP_CELLS):
-            path = tmp_path / f"{k}.json"
-            path.write_text(emit_rsmp(random_rsmp(rng, *cell)))
-            calls.clear()
-            assert main(["verify", str(path), "--all"]) == 0
-            assert calls == [s.decisions for s in all_decision_strings(7)], cell
+            for again in (False, True):
+                path = tmp_path / f"{k}-{again}.json"
+                path.write_text(emit_rsmp(random_rsmp(rng, *cell)))
+                calls.clear()
+                assert main(["verify", str(path), "--all"]) == 0
+                walks = [(name, s) for s in strings for name in ("rosenpencil.cli", "rosenpencil.fiedler")[: 2 - again]]
+                assert calls == walks, cell
         capsys.readouterr()
 
 
@@ -732,69 +734,85 @@ GRID = list(itertools.product((1, 2, 3), (1, 2, 3), (1, 2, 3), range(1, 6), rang
 def _faulted(g):
     """A copy of the W grid ``g`` whose (1,1) block, the claimed -A_{i+1}, is off by one."""
     stack = g.stack.copy()
-    stack[0, : g.rc[1], : g.cc[1]] += 1.0
+    stack[0, : g.rc[1], : g.cc[1]] += 1
     return Grid(stack, g.rsz, g.csz, g.a, g.cdeg, g.piv)
 
 
 class TestWalkVerdicts:
-    """The walk of ``verify --all`` checks each prefix on its W grid, against the public checks."""
+    """The records' size and structure verdicts come from the plan of the cell shape, against the public checks."""
 
     @pytest.mark.parametrize("draw", [random_rsmp, oracles.spread_rsmp], ids=["integer", "spread"])
     def test_prefix_verdicts_are_the_public_checks(self, draw):
-        # every prefix of every acceptance-grid cell: the walk's size and
-        # structure verdicts against expected_size and check_block_structure
-        # on the matrices of the W recursion alone
+        # every prefix of every acceptance-grid cell: the size and structure
+        # verdicts of the per-instance walk (on the instance's values)
+        # against expected_size and check_block_structure on its matrices,
+        # the plan's matrices (build_w_sequence) meeting both public checks,
+        # and each string's plan verdicts the conjunction over its prefixes
         rng = np.random.default_rng(1902)
         checked = 0
         for cell in GRID:
             r = draw(rng, *cell)
-            memo, w_memo, seen = {}, {}, set()
+            plan, source = fiedler._plan_of(r), fiedler._source(r, r.dtype)
+            memo, seen = {}, set()
             for s in all_decision_strings(r.degree):
-                path = cli._walk(r, s, memo)
+                path = oracles.w_walk(r, s, memo)
+                _, sizes_ok, structure_ok = plan.tail(s, source)
+                assert (sizes_ok, structure_ok) == (all(g.size_ok for g in path), all(g.structure_ok for g in path))
+                assert sizes_ok and structure_ok
                 if r.degree == 1:
                     assert len(path) == 1 and path[0].size_ok and path[0].structure_ok
                     continue
-                for i, (node, g) in enumerate(zip(path, fiedler._w_grids(r, s, w_memo))):
+                for i, (node, planned) in enumerate(zip(path, fiedler.build_w_sequence(r, s))):
                     if s.decisions[: i + 1] in seen:
                         continue
                     seen.add(s.decisions[: i + 1])
-                    w = fiedler._grid_to_blockmatrix(g)
+                    w = oracles.grid_matrix(node.w)
                     size_ok = w.shape == fiedler.expected_size(r.n, r.p, r.m, r.d_a, r.d_d, s, i)
                     assert (node.size_ok, node.structure_ok) == (size_ok, fiedler.check_block_structure(w, i, r, s).passed)
                     assert node.size_ok and node.structure_ok
+                    assert planned.shape == w.shape and fiedler.check_block_structure(planned, i, r, s).passed
                     checked += 1
         assert checked == 27 * sum(2 ** max(d_a, d_d) - 2 for d_a in range(1, 6) for d_d in range(1, 6))
 
     @pytest.mark.parametrize("draw", [random_rsmp, oracles.spread_rsmp], ids=["integer", "spread"])
     def test_a_fault_flips_only_its_prefix(self, monkeypatch, draw):
-        # one cell per degree pair; for every prefix P, a walk over all strings
-        # in which the check of P sees a faulted W grid: P's structure verdict
-        # is the only one to fail, every string through P carries it, and the
-        # public check fails on the faulted matrix too
-        check, target = cli._check, []
+        # one cell per degree pair; for every prefix P, a plan built with
+        # the check of P seeing a faulted W grid: the strings through P,
+        # and only they, fail their structure verdict, every size verdict
+        # holds, and the public check fails on the faulted matrix too
+        verdicts, target = fiedler._step_verdicts, []
 
-        def faulty_check(g, r, s, i):
+        def faulty(g, r, s, i):
             if s.decisions[: i + 1] == target[0]:
-                verdict = check(g._replace(w=_faulted(g.w)), r, s, i)
-                w = fiedler._grid_to_blockmatrix(_faulted(g.w))
-                assert not fiedler.check_block_structure(w, i, r, s).passed
-                return g._replace(size_ok=verdict.size_ok, structure_ok=verdict.structure_ok)
-            return check(g, r, s, i)
+                assert not fiedler.check_block_structure(oracles.grid_matrix(_faulted(g)), i, r, s).passed
+                return verdicts(_faulted(g), r, s, i)
+            return verdicts(g, r, s, i)
 
-        monkeypatch.setattr(cli, "_check", faulty_check)
+        monkeypatch.setattr(fiedler, "_step_verdicts", faulty)
         rng = np.random.default_rng(1903)
         shapes = list(itertools.product((1, 2, 3), repeat=3))
         for k, (d_a, d_d) in enumerate(itertools.product(range(1, 6), repeat=2)):
             r = draw(rng, *shapes[k], d_a, d_d)
+            source = fiedler._source(r, r.dtype)
             strings = list(all_decision_strings(r.degree))
             prefixes = {s.decisions[: i + 1] for s in strings for i in range(r.degree - 1)}
             for fault in sorted(prefixes):
                 target[:] = [fault]
-                memo = {}
+                plan = fiedler._Plan(r.n, r.p, r.m, r.d_a, r.d_d)  # not the cached one
                 for s in strings:
-                    for i, node in enumerate(cli._walk(r, s, memo)):
-                        assert node.size_ok
-                        assert node.structure_ok == (s.decisions[: i + 1] != fault), (d_a, d_d, fault, s.decisions)
+                    _, sizes_ok, structure_ok = plan.tail(s, source)
+                    assert sizes_ok
+                    assert structure_ok == (not s.decisions.startswith(fault)), (d_a, d_d, fault, s.decisions)
+
+
+def _same_tail(tail, public, dtype):
+    """Assert that a tail from a plan is in ``dtype``, has the partition of the complex builders' W grid ``public``,
+    and that its matrix is the real part of ``public``'s (a float64 instance), or the same bytes."""
+    assert tail.matrix.dtype == dtype and (tail.rsz, tail.csz) == (public.rsz, public.csz)
+    if dtype == np.float64:
+        assert not public.stack.imag.any() and np.array_equal(tail.matrix, public.stack[0].real)
+    else:
+        assert tail.matrix.tobytes() == public.stack[0].tobytes()
 
 
 def _same_grid(walked, public, dtype):
@@ -816,41 +834,46 @@ class TestRealWalk:
     @pytest.mark.parametrize("draw", [random_rsmp, oracles.spread_rsmp], ids=["integer", "spread"])
     def test_walk_grids_are_the_public_builders(self, draw):
         # every cell of the acceptance grid and every decision string: each
-        # prefix's W, N and H grids of the walk against the grids of the
-        # complex builders, and for the integer draw against the real parts
-        # of build_w_sequence, build_n_sequence and build_h_sequence
+        # prefix's N and H grids of the walk, and the tail the plan gives in
+        # the instance's dtype, against the grids of the complex builders,
+        # and for the integer draw against the real parts of
+        # build_w_sequence, build_n_sequence and build_h_sequence
         rng = np.random.default_rng(2001)
         dtype = np.float64 if draw is random_rsmp else np.complex128
         strings = 0
         for cell in GRID:
             r = draw(rng, *cell)
             assert r.real == (draw is random_rsmp) and r.dtype == dtype
+            plan, source = fiedler._plan_of(r), fiedler._source(r, dtype)
             memo, public, seen = {}, ({}, {}, {}), set()
             for s in all_decision_strings(r.degree):
                 path = cli._walk(r, s, memo)
+                tail, _, _ = plan.tail(s, source)
                 strings += 1
                 if r.degree == 1:
                     (node,) = path
-                    _same_grid(node.w, fiedler._w_base(r), dtype)
+                    _same_tail(tail, fiedler._w_base(r), dtype)
                     _same_grid(node.n, equivalence._n_base(r), dtype)
                     _same_grid(node.h, equivalence._n_base(r.transpose()), dtype)
                     continue
                 grids = (
-                    fiedler._w_grids(r, s, public[0]),
+                    oracles.w_grids(r, s, public[0]),
                     equivalence._n_grids(r, s, public[1]),
                     equivalence._n_grids(r.transpose(), s.flipped(), public[2]),
                 )
+                _same_tail(tail, grids[0][-1], dtype)
                 if dtype == np.float64:
                     ws, ns, hs = (build(r, s) for build in (fiedler.build_w_sequence, equivalence.build_n_sequence,
                                                              equivalence.build_h_sequence))
+                    assert np.array_equal(tail.matrix, ws[-1].data)
                 for i, node in enumerate(path):
                     if s.decisions[: i + 1] in seen:
                         continue
                     seen.add(s.decisions[: i + 1])
-                    for walked, g in zip((node.w, node.n, node.h), grids):
+                    for walked, g in zip((node.n, node.h), grids[1:]):
                         _same_grid(walked, g[i], dtype)
                     if dtype == np.float64:
-                        assert np.array_equal(node.w.stack[0], ws[i].data)
+                        assert np.array_equal(grids[0][i].stack[0], ws[i].data)
                         assert np.array_equal(node.n.stack, ns[i].poly.coeffs)
                         assert np.array_equal(node.h.stack.transpose(0, 2, 1), hs[i].poly.coeffs)
         assert strings == 6129
@@ -902,14 +925,14 @@ class TestRealWalk:
         r = random_rsmp(rng, 2, 3, 1, 4, 3)
         s = SigmaSeq("ICC")
         leads = {}
-        last = cli._walk(r, s, {})[-1]
-        real = fiedler.pencil_from_tail(r, last.w, leads)
+        tail, _, _ = fiedler._plan_of(r).tail(s, fiedler._source(r, r.dtype))
+        real = fiedler.pencil_from_tail(r, tail, leads)
         want = fiedler.fiedler_pencil_rect(r, s)
         assert real.lead.dtype == real.tail.dtype == np.float64
         assert np.array_equal(real.lead, want.lead.real) and np.array_equal(real.tail, want.tail.real)
-        again = fiedler.pencil_from_tail(r, last.w, leads)
+        again = fiedler.pencil_from_tail(r, tail, leads)
         assert again.lead is real.lead and not real.lead.flags.writeable
-        cplx = fiedler.pencil_from_tail(r, Grid.base(want.tail[None], want.row_sizes, want.col_sizes), leads)
+        cplx = fiedler.pencil_from_tail(r, fiedler.Tail(want.tail, list(want.row_sizes), list(want.col_sizes)), leads)
         assert cplx.lead.dtype == np.complex128 and cplx.lead.tobytes() == want.lead.tobytes()
         assert len(leads) == 2
 

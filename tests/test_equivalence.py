@@ -20,13 +20,13 @@ from rosenpencil import (
 )
 from rosenpencil.blocks import Pencil, PolyBlockMatrix
 from rosenpencil import cli, equivalence
-from rosenpencil._gridops import eye, insert, neg_eye, pivot_indices
+from rosenpencil._gridops import eye, insert, neg_eye
 from rosenpencil.equivalence import _mul
 from rosenpencil.sampling import random_rsmp
 
 
 import oracles
-from oracles import witness_sizes
+from oracles import pivot_indices, witness_sizes
 
 
 class TestSeeds:
@@ -681,11 +681,10 @@ class TestCarriedPivots:
     _DEEP = [(3, 3, 3, 7, 7), (2, 2, 2, 7, 7), (3, 2, 1, 7, 3), (3, 1, 2, 7, 5),
              (1, 2, 3, 7, 1), (2, 3, 1, 2, 7), (2, 3, 3, 4, 7), (1, 3, 3, 1, 7)]
 
-    def test_carried_figures_match_the_expansion_oracle(self, monkeypatch):
+    def test_carried_pivots_are_the_expansion_pivots(self):
         # every witness of the acceptance grid under both draws and of the
         # eight deep cells: the carried pivots are the oracle's expansion
-        # pivots, and the carried figure, taken with _det_plan forbidden, is
-        # the oracle's
+        # pivots, and the expansion's figure is 0.0
         rng = np.random.default_rng(1601)
         plan = equivalence._det_plan
         samples = equivalence._Samples(random_rsmp(rng, 1, 1, 1, 1, 1), 5, rng)
@@ -697,10 +696,7 @@ class TestCarriedPivots:
                 for s in all_decision_strings(r.degree):
                     u, v, (gu, gv) = _cli_witnesses(r, s, memo)
                     for w, piv in zip((u, v), (pivot_indices(gu), pivot_indices(gv, transpose=True))):
-                        monkeypatch.setattr(equivalence, "_det_plan", None)
-                        carried = equivalence._unimodularity(w, samples, piv)
-                        monkeypatch.setattr(equivalence, "_det_plan", plan)
-                        assert carried == equivalence._unimodularity(w, samples) == 0.0, (cell, s.decisions)
+                        assert equivalence._unimodularity(w, samples) == 0.0, (cell, s.decisions)
                         want = plan(w).pivots
                         assert set(zip(*piv)) == set(zip(*want)), (cell, s.decisions)
                         checked += 1
@@ -733,6 +729,32 @@ class TestCarriedPivots:
         wrapped = PolyBlockMatrix(MatrixPolynomial(varying), pv.row_sizes, pv.col_sizes)
         want = verify_theorem(r, s, pencil, pu, wrapped, rng=np.random.default_rng(7))
         assert got.v_unimodularity == want.v_unimodularity >= 0.2 and not got.verdict
+
+    def test_a_nonzero_beside_a_pivot_is_expanded(self):
+        # U of one instance as the CLI walks it; in a copy, one zero entry of a
+        # pivot row outside its pivot column, at degree 0, set to 3.0, for
+        # each such entry in turn: every pivot still reads +-1, but det U
+        # changes on 23 of them, and the figure is the _det_plan expansion's,
+        # as verify_theorem takes it, however the grids are passed along
+        r = random_rsmp(np.random.default_rng(4), 2, 3, 1, 4, 3)
+        s = SigmaSeq("CIC")
+        u, v, grids = _cli_witnesses(r, s, {})
+        pencil, pu, pv = linearization_with_witnesses(r, s)
+        real = _real_pencil(pencil)
+        samples = equivalence._Samples(r, 20, np.random.default_rng(7))
+        changed = []
+        for i, j in zip(*pivot_indices(grids[0])):
+            for c in np.flatnonzero(u[0, i] == 0):
+                if c == j:
+                    continue
+                bad = u.copy()
+                bad[0, i, c] = 3.0
+                got = equivalence._certify(r, s, real, bad, v, samples, 1e-8, grids=grids)
+                wrapped = PolyBlockMatrix(MatrixPolynomial(bad), pu.row_sizes, pu.col_sizes)
+                want = verify_theorem(r, s, pencil, wrapped, pv, rng=np.random.default_rng(7))
+                assert got.u_unimodularity == want.u_unimodularity, (i, c)
+                changed.append(got.u_unimodularity != 0.0)
+        assert len(changed) == 204 and sum(changed) == 23
 
     def test_a_step_without_a_unit_pivot_row_drops_the_pivots(self, rng):
         # an inserted row whose one cell is not the shared +-I breaks the claim

@@ -1,3 +1,7 @@
+import gc
+import json
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -25,7 +29,6 @@ from rosenpencil import (
     unimodular_pair,
 )
 from rosenpencil import cli
-from rosenpencil._gridops import Grid
 from rosenpencil.blocks import BlockMatrix, Pencil
 from rosenpencil.sampling import random_bijection, random_rsmp
 
@@ -403,10 +406,10 @@ def _grid_record(g, to_matrix):
 
 
 def _recursions(r, s):
-    """The three recursions of one string, as ``verify --all`` runs them: W and N of ``r``, N of its transpose."""
+    """The three recursions of one string: W of ``r`` (walked on ``r``, as the plan walks its probe), N of ``r`` and of its transpose."""
     rt = r.transpose()
     return [
-        (fiedler._w_grids, r, s, fiedler._grid_to_blockmatrix),
+        (oracles.w_grids, r, s, oracles.grid_matrix),
         (equivalence._n_grids, r, s, equivalence._grid_to_pbm),
         (equivalence._n_grids, rt, s.flipped(), equivalence._grid_to_pbm),
     ]
@@ -456,18 +459,21 @@ class TestPrefixMemo:
 
     @pytest.mark.parametrize("cell", [(2, 1, 3, 4, 2), (1, 2, 1, 2, 5)])
     def test_memoised_grids_are_read_only(self, rng, cell):
-        # the walk of verify --all: one path memo grows W, N and H of every
-        # string together; a shared stack written in place would change
-        # every string built on it
+        # the walk of verify --all: one path memo grows N and H of every
+        # string together, and one grows W (on a plan's probe, here on the
+        # instance); a shared stack written in place would change every
+        # string built on it
         r = random_rsmp(rng, *cell)
-        memo, seen = {}, {}
+        memo, w_memo, seen = {}, {}, {}
         for s in all_decision_strings(r.degree):
             cli._walk(r, s, memo)
-            ((walked, path),) = memo.values()  # one entry: the last string and its prefixes, the base first
-            assert walked == s.decisions and len(path) == r.degree
-            for node in path:
-                for kind, g in zip("wnh", node[:3]):
-                    seen[id(g)] = (kind, g)
+            oracles.w_walk(r, s, w_memo)
+            for kinds, entry in (("nh", memo), ("w", w_memo)):
+                ((walked, path),) = entry.values()  # one entry: the last string and its prefixes, the base first
+                assert walked == s.decisions and len(path) == r.degree
+                for node in path:
+                    for kind, g in zip(kinds, node):
+                        seen[id(g)] = (kind, g)
         assert len(seen) == 3 * (2 ** r.degree - 1)  # every prefix, and the base grid, built once
         for kind, g in seen.values():
             assert g.stack.ndim == 3 and not g.stack.flags.writeable
@@ -484,10 +490,12 @@ class TestPrefixMemo:
                     g.piv[0] = 0
 
     @pytest.mark.parametrize("cell", [(2, 2, 1, 5, 3), (1, 2, 3, 2, 5), (2, 1, 2, 4, 4), (1, 1, 1, 1, 3)])
-    def test_verify_all_builds_each_prefix_once(self, tmp_path, monkeypatch, capsys, cell):
+    def test_verify_all_builds_each_prefix_once(self, tmp_path, monkeypatch, capsys, fresh_plans, cell):
         # as many inserts as one per prefix and side of each of the three
-        # recursions: each prefix grows the state side while i < d_A - 1 and
-        # the feedthrough side while i < d_D - 1
+        # recursions the first time the shape is seen (W on the plan's
+        # probe), and of the two witness recursions after that: each prefix
+        # grows the state side while i < d_A - 1 and the feedthrough side
+        # while i < d_D - 1
         r = random_rsmp(np.random.default_rng(20261020), *cell)
         path = tmp_path / "inst.json"
         path.write_text(emit_rsmp(r))
@@ -503,9 +511,13 @@ class TestPrefixMemo:
         assert cli.main(["verify", str(path), "--all"]) == 0
         per_prefix = sum(2 ** (i + 1) * ((i < r.d_a - 1) + (i < r.d_d - 1)) for i in range(r.degree - 1))
         assert len(calls) == 3 * per_prefix
-        assert capsys.readouterr().out.count("\n") == 2 ** (r.degree - 1)
+        first = capsys.readouterr().out
+        assert first.count("\n") == 2 ** (r.degree - 1)
+        calls.clear()
+        assert cli.main(["verify", str(path), "--all"]) == 0
+        assert len(calls) == 2 * per_prefix and capsys.readouterr().out == first
 
-    def test_public_outputs_are_writable_copies(self, rng, monkeypatch):
+    def test_public_outputs_are_writable_copies(self, rng, monkeypatch, fresh_plans):
         # what the builders return is the caller's: BlockMatrix and Pencil
         # arrays are writable as before (a view of a read-only grid stack
         # would not be), and no output shares memory with a grid stack of the
@@ -515,7 +527,8 @@ class TestPrefixMemo:
         def keep(schedule):
             def spy(*args):
                 grids = schedule(*args)
-                stacks.extend(g.stack for g in grids)
+                # a plan's walk keeps nodes that hold grids; a walk of the block layout holds no stack
+                stacks.extend(g.stack for g in (getattr(x, "w", x) for x in grids) if hasattr(g, "stack"))
                 return grids
 
             return spy
@@ -568,9 +581,8 @@ class TestRectPencil:
     def test_tail_with_non_square_trailing_block_rejected(self, rng):
         # the leading matrix puts an identity on every trailing diagonal block
         r = random_rsmp(rng, 1, 1, 1, 1, 2)
-        w = Grid.base(np.zeros((1, 4, 5)), [1, 1, 2], [1, 1, 3])
         with pytest.raises(DimensionError):
-            fiedler.pencil_from_tail(r, w)
+            fiedler.pencil_from_tail(r, fiedler.Tail(np.zeros((4, 5)), [1, 1, 2], [1, 1, 3]))
 
     def test_degree_one_is_system_matrix(self, rng):
         r = random_rsmp(rng, 2, 1, 3, 1, 1)
@@ -774,3 +786,138 @@ class TestBlockStructure:
         ws = build_w_sequence(r, s)
         assert np.array_equal(ws[0].block(3, 3), -r.D.coeff(1))
         assert np.array_equal(ws[1].block(4, 4), -r.D.coeff(2))
+
+
+# the acceptance grid, and the cells of the grid_verify and deep_verify workloads
+_GRID_CELLS = [(n, p, m, d_a, d_d) for n in (1, 2, 3) for p in (1, 2, 3) for m in (1, 2, 3)
+               for d_a in range(1, 6) for d_d in range(1, 6)]
+_PAIRS = [(d_a, d_d) for d_a in range(1, 6) for d_d in range(1, 6)]
+_SHAPES = [(n, p, m) for n in (1, 2, 3) for p in (1, 2, 3) for m in (1, 2, 3)]
+_GRID_VERIFY_CELLS = [_SHAPES[(b + j) % 27] + pair for b in range(0, 27, 3) for j, pair in enumerate(_PAIRS)]
+_DEEP_VERIFY_CELLS = [(3, 3, 3, 7, 7), (2, 2, 2, 7, 7), (3, 2, 1, 7, 3), (3, 1, 2, 7, 5),
+                      (1, 2, 3, 7, 1), (2, 3, 1, 2, 7), (2, 3, 3, 4, 7), (1, 3, 3, 1, 7)]
+
+
+def _same_pencil(got, want):
+    assert got.tail.tobytes() == want.tail.tobytes() and got.lead.tobytes() == want.lead.tobytes()
+    assert (got.shape, got.row_sizes, got.col_sizes) == (want.shape, want.row_sizes, want.col_sizes)
+
+
+class TestPlan:
+    """W of a cell shape, walked once on a labelled probe, against the walk of W on each instance (``oracles``)."""
+
+    @pytest.mark.parametrize("draw", [random_rsmp, oracles.spread_rsmp], ids=["integer", "spread"])
+    def test_tails_are_the_per_instance_walks(self, draw, fresh_plans):
+        # every string of the acceptance grid, once while each plan is being
+        # walked and once after it is packed: the tail, byte for byte, in
+        # the instance's dtype and in complex128, its partition and the two
+        # verdicts are the per-instance walk's; the public builders' outputs
+        # are the per-instance builders' byte for byte
+        rng = np.random.default_rng(2401)
+        strings = 0
+        for cell in _GRID_CELLS:
+            r = draw(rng, *cell)
+            plan = fiedler._plan_of(r)
+            dtypes = (np.float64, np.complex128) if r.real else (np.complex128,)
+            sources = [fiedler._source(r, dtype) for dtype in dtypes]
+            for packed in (False, True):
+                memo = {}
+                for s in all_decision_strings(r.degree):
+                    path = oracles.w_walk(r, s, memo)
+                    want = (all(g.size_ok for g in path), all(g.structure_ok for g in path))
+                    complex_grid = fiedler._w_base(r) if r.degree == 1 else oracles.w_grids(r, s, {})[-1]
+                    for dtype, source in zip(dtypes, sources):
+                        tail, *verdicts = plan.tail(s, source)
+                        grid = path[-1].w if dtype == r.dtype else complex_grid
+                        assert grid.stack.dtype == tail.matrix.dtype == dtype
+                        assert tail.matrix.tobytes() == grid.stack[0].tobytes(), (cell, s.decisions)
+                        assert (tail.matrix.shape, tail.rsz, tail.csz) == (grid.stack.shape[1:], grid.rsz, grid.csz)
+                        assert tuple(verdicts) == want == (True, True)
+                    _same_pencil(fiedler_pencil_rect(r, s), oracles.fiedler_pencil_rect(r, s))
+                    if r.degree >= 2:
+                        got, exp = build_w_sequence(r, s), oracles.build_w_sequence(r, s)
+                        assert len(got) == len(exp) == r.degree - 1
+                        for x, y in zip(got, exp):
+                            assert x.data.tobytes() == y.data.tobytes() and x.data.flags.writeable
+                            assert (x.row_sizes, x.col_sizes) == (y.row_sizes, y.col_sizes)
+                    strings += not packed
+                assert plan._open is None  # every string walked: packed
+        assert strings == 6129
+
+    def test_the_probe_is_stronger_than_a_value_check(self, tmp_path, capsys, monkeypatch, fresh_plans):
+        # a defect that writes -P_i where -P_{i+1} belongs, on an instance
+        # whose A coefficients are all equal and whose D coefficients are
+        # too: the claims taken on the instance's values pass, the claims
+        # taken on the probe's distinct labels fail, and so does verify
+        step = fiedler._w_step
+        monkeypatch.setattr(fiedler, "_w_step", lambda g, consec, r, i, state: step(g, consec, r, i - 1, state))
+        rng = np.random.default_rng(2402)
+        n, p, m, d_a, d_d = 2, 2, 1, 4, 3
+        a0, d0 = rng.integers(-3, 4, size=(n, n)), rng.integers(-3, 4, size=(p, m))
+        r = Rsmp(MatrixPolynomial([a0 + 5 * np.eye(n)] * (d_a + 1)), rng.integers(-3, 4, size=(n, m)),
+                 rng.integers(-3, 4, size=(p, n)), MatrixPolynomial([d0] * (d_d + 1)))
+        strings = list(all_decision_strings(r.degree))
+        memo = {}
+        for s in strings:
+            assert all(g.size_ok and g.structure_ok for g in oracles.w_walk(r, s, memo)), s.decisions
+        plan, source = fiedler._plan_of(r), fiedler._source(r, r.dtype)
+        assert all(plan.tail(s, source)[1:] == (True, False) for s in strings)
+        path = tmp_path / "equal.json"
+        path.write_text(emit_rsmp(r))
+        assert cli.main(["verify", str(path), "--all"]) == 1
+        records = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+        assert len(records) == len(strings)
+        assert all(rec["sizes_ok"] and not rec["structure_ok"] and rec["verdict"] == "fail" for rec in records)
+
+    def test_one_plan_per_cell_and_no_float_in_it(self, fresh_plans):
+        # two instances of one cell share one plan object and get their own
+        # values; once every string is walked the plan holds integers only
+        rng = np.random.default_rng(2403)
+        cell = (2, 3, 1, 4, 3)
+        r1, r2 = random_rsmp(rng, *cell), oracles.spread_rsmp(rng, *cell)
+        plan = fiedler._plan_of(r1)
+        assert fiedler._plan_of(r2) is plan and fiedler._plan(*cell) is plan
+        for s in all_decision_strings(4):
+            t1 = plan.tail(s, fiedler._source(r1, np.float64))[0]
+            t2 = plan.tail(s, fiedler._source(r2, np.complex128))[0]
+            assert np.array_equal(t1.matrix, fiedler_pencil_rect(r1, s).tail.real)
+            assert t2.matrix.tobytes() == fiedler_pencil_rect(r2, s).tail.tobytes()
+            assert (t1.rsz, t1.csz) == (t2.rsz, t2.csz) and not np.array_equal(t1.matrix, t2.matrix)
+        held = [getattr(plan, name) for name in type(plan).__slots__]
+        assert all(x is None or isinstance(x, int) or x.dtype.kind in "iu" for x in held), held
+        assert sum(isinstance(x, np.ndarray) for x in held) == 4
+
+    @pytest.mark.parametrize("cells", [_GRID_VERIFY_CELLS, _DEEP_VERIFY_CELLS], ids=["grid_verify", "deep_verify"])
+    def test_plans_hold_at_most_half_a_mebibyte(self, cells, fresh_plans):
+        # the plans of one round of a workload's cells, every string walked,
+        # under tracemalloc: a first round fills the interpreter's caches, a
+        # second, after the plans are dropped, is measured
+        sources = {cell: fiedler._source(random_rsmp(np.random.default_rng(7), *cell), np.float64) for cell in cells}
+        strings = {d: list(all_decision_strings(d)) for d in range(1, 8)}
+
+        def one_round():
+            for cell in cells:
+                plan = fiedler._plan(*cell)
+                for s in strings[max(cell[3:])]:
+                    plan.tail(s, sources[cell])
+
+        tracemalloc.start()
+        try:
+            one_round()
+            fiedler._plan.cache_clear()
+            gc.collect()
+            before = tracemalloc.get_traced_memory()[0]
+            one_round()
+            gc.collect()
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert fiedler._plan.cache_info().currsize == len(set(cells))
+        assert 0 < held <= 2**19, held
+
+    def test_the_lru_holds_the_acceptance_grid(self, fresh_plans):
+        first = fiedler._plan(*_GRID_CELLS[0])
+        for cell in _GRID_CELLS + _DEEP_VERIFY_CELLS:
+            fiedler._plan(*cell)
+        assert fiedler._plan(*_GRID_CELLS[0]) is first
+        assert fiedler._plan.cache_info().currsize == len(_GRID_CELLS) + len(_DEEP_VERIFY_CELLS)

@@ -11,9 +11,13 @@ written once into a temporary directory.  Every op is a call of
 ``cli.main`` and runs K times on each side, alternating which side goes
 first.  Per op and side the tool keeps the minimum CPU time over the K
 runs and a SHA-256 of the exit code, stdout and stderr of every run.
+Apart from those minima it sums, per side, the CPU time of each cell's
+first op in the first run: the cost a cell shape pays the first time
+the process sees it, which a cache kept per shape does not cut.
 
 Prints the summed per-op minima of each side, their ratio (change over
-parent), the median per-op ratio, and every op whose outputs differ
+parent), the median per-op ratio, the first-sight sums and their ratio,
+and every op whose outputs differ
 between the sides or between runs; over the ``verify`` ops among them,
 which record keys differ and on how many records.  A separate pass, after
 the timed runs and not timed itself, runs every op once more on each side
@@ -23,8 +27,9 @@ what the package holds while it runs shows side by side.  Exits 1 if any
 op differs, else 0.  BLAS runs on one thread.
 
 With ``--out FILE`` the summary (the seed, op and run counts, the CPU
-totals and their ratio, the median per-op ratio, the count of identical
-ops and the two tracemalloc peaks of each side) is also written into FILE
+totals and their ratio, the median per-op ratio, the first-sight sums,
+cell count and ratio, the count of identical ops and the two tracemalloc
+peaks of each side) is also written into FILE
 under ``op_ab.W``, keeping whatever else FILE holds, as
 ``tools/bench_ab.py`` does for ``workloads.W``.
 """
@@ -115,9 +120,25 @@ def _ops(parent: Path, parent_modules: dict, workload: str, seed: int, work: Pat
     return [op for block in blocks for op in block]
 
 
-def summarize(best: dict, peaks: dict, identical: int, seed: int, reps: int) -> dict:
-    """The summary of one comparison: ``best`` and ``peaks`` map each side to its per-op CPU minima and tracemalloc peaks (bytes)."""
+def first_ops(ops) -> list[int]:
+    """The index of each cell's first op, in order: where the process first sees each cell shape."""
+    seen, out = set(), []
+    for k, op in enumerate(ops):
+        if op.cell not in seen:
+            seen.add(op.cell)
+            out.append(k)
+    return out
+
+
+def summarize(best: dict, peaks: dict, identical: int, seed: int, reps: int, first: dict) -> dict:
+    """The summary of one comparison.
+
+    ``best`` and ``peaks`` map each side to its per-op CPU minima and
+    tracemalloc peaks (bytes), ``first`` to the CPU times of each cell's
+    first op in the first run.
+    """
     total = {side: sum(best[side]) for side in best}
+    seen = {side: sum(first[side]) for side in first}
     ratios = [c / p for p, c in zip(best["parent"], best["change"]) if p > 0]
     mib = {}
     for label, reduce in (("sum_over_ops", sum), ("largest_op", max)):
@@ -130,6 +151,11 @@ def summarize(best: dict, peaks: dict, identical: int, seed: int, reps: int) -> 
         "cpu_s": {side: round(total[side], 4) for side in total},
         "cpu_ratio_change_over_parent": round(total["change"] / total["parent"], 4),
         "median_per_op_ratio": round(statistics.median(ratios), 4),
+        "first_sight": {
+            "cells": len(first["parent"]),
+            "cpu_s": {side: round(seen[side], 4) for side in seen},
+            "ratio": round(seen["change"] / seen["parent"], 4),
+        },
         "identical_ops": identical,
         "tracemalloc_peak_mib": mib,
     }
@@ -155,6 +181,8 @@ def main(argv=None) -> int:
         best = {side: [float("inf")] * len(ops) for side in sides}
         digests = {side: [set() for _ in ops] for side in sides}
         stdout = {side: [""] * len(ops) for side in sides}  # of the first run
+        first = {side: [] for side in sides}  # CPU of each cell's first op in the first run
+        new = set(first_ops(ops))
         for rep in range(args.reps):
             for k, op in enumerate(ops):
                 order = ("parent", "change") if (rep + k) % 2 == 0 else ("change", "parent")
@@ -164,6 +192,8 @@ def main(argv=None) -> int:
                     digests[side][k].add(digest)
                     if rep == 0:
                         stdout[side][k] = out
+                    if rep == 0 and k in new:
+                        first[side].append(spent)
         peaks = {side: [0] * len(ops) for side in sides}
         for k, op in enumerate(ops):
             for side in ("parent", "change") if k % 2 == 0 else ("change", "parent"):
@@ -178,12 +208,15 @@ def main(argv=None) -> int:
         joined = {side: "".join(stdout[side][k] for k in records) for side in sides}
         for line in record_diffs(joined["parent"], joined["change"]):
             print(f"  {line}")
-    summary = summarize(best, peaks, len(ops) - len(differ), args.seed, args.reps)
+    summary = summarize(best, peaks, len(ops) - len(differ), args.seed, args.reps, first)
     cpu = summary["cpu_s"]
     print(f"workload {args.workload}, seed {args.seed}: {len(ops)} ops, {args.reps} runs per op and side")
     print(f"CPU s, sum of per-op minima: parent {cpu['parent']:.4f}, change {cpu['change']:.4f}")
     print(f"total ratio change/parent: {summary['cpu_ratio_change_over_parent']:.4f}")
     print(f"median per-op ratio: {summary['median_per_op_ratio']:.4f}")
+    seen = summary["first_sight"]
+    print(f"CPU s of each cell's first op in the first run ({seen['cells']} cells): parent {seen['cpu_s']['parent']:.4f}, "
+          f"change {seen['cpu_s']['change']:.4f}, ratio {seen['ratio']:.4f}")
     print("tracemalloc peak per op, KiB (untimed pass):")
     for k, op in enumerate(ops):
         p, c = peaks["parent"][k], peaks["change"][k]
