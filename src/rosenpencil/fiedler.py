@@ -609,11 +609,14 @@ def _step_verdicts(g: Grid, r: Rsmp, s: SigmaSeq, i: int) -> tuple[bool, bool]:
 
     The claims read their blocks from the grid's matrix by its block
     offsets: no BlockMatrix is built, no claim is named, and the first
-    claim that fails settles the verdict.
+    claim that fails settles the verdict.  A block equals its ``want``
+    when their bytes do, which on the probe's integer labels is equality
+    and on any grid is equality bit for bit.
     """
     w, rc, cc = g.stack[0], g.rc, g.cc
     size_ok = w.shape == expected_size(r.n, r.p, r.m, r.d_a, r.d_d, s, i)
     for _, _, bi, bj, shape, want in _claims(i, r, s, len(rc) - 1, w.dtype):
-        if not _holds(w[rc[bi - 1] : rc[bi], cc[bj - 1] : cc[bj]], shape, want):
+        block = w[rc[bi - 1] : rc[bi], cc[bj - 1] : cc[bj]]
+        if block.shape != shape or (np.count_nonzero(block) if want is None else block.tobytes() != want.tobytes()):
             return size_ok, False
     return size_ok, True
