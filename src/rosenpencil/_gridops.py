@@ -27,18 +27,13 @@ decisions 0..i, so ``schedule`` keeps, per system and step function, the
 last decision string it walked and that string's grids in a memo, a path
 through the prefix trie: a string shares the grids of its common prefix
 with the last one and builds (and checks) the rest.  The witness
-builders pass a fresh memo and one recursion's step; the CLI passes one
-memo per instance and a step that grows both witness recursions
-together; the pencil recursion W is walked only on the labelled probe of
-a cell shape, with one memo per shape (``fiedler._Plan``: keyed by the
-shape, packed into small integer arrays once every string is walked,
-kept in an LRU of 1,024 shapes).  The probe's stacks are in the smallest
-integer type that holds its labels, so its walk, the first time a
-process sees the shape, costs a little less than a walk of W on an
-instance, and the packing a little more.  So in
-lexicographic order each prefix is built and checked once, with at most
-``degree`` prefixes held.  Stacks are never written after they are
-built, so a memoised grid can be shared.
+recursions N and H have one walk, ``equivalence._walk``, whose step
+grows both together: the public builders pass it a fresh memo and the
+CLI one memo per instance.  The pencil recursion W is walked only on the
+labelled probe of a cell shape, with one memo per shape
+(``fiedler._Plan``).  So in lexicographic order each prefix is built and
+checked once, with at most ``degree`` prefixes held.  Stacks are never
+written after they are built, so a memoised grid can be shared.
 
 A grid can carry the pivots of an exact Laplace expansion of its
 determinant, as one block column per block row: row i's pivot block is a

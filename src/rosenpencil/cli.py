@@ -13,37 +13,13 @@ kept out of the records for exactly that reason).
 ``verify`` and ``fuzz`` certify U L V = T coefficient by coefficient for
 every decision string of one instance (``equivalence.verify_theorem``).
 Sample points, drawn at most once per instance from the seed, serve only
-the determinant of a witness whose exact expansion is not one constant;
-the recursion's witnesses never need them.  Step i of the pencil
-recursion W and the witness recursions N and H (N of the transposed
-system under the flipped decisions), W's size law and its structure
-claims depend only on decisions 0..i.  W's entries are 0, 1 or plus or
-minus one coefficient entry, placed by the string alone, so W, its size
-law and its claims depend only on the cell shape and the string.  They
-come from the plan of the shape (``fiedler._Plan``): keyed by the shape
-alone, walked once per process on a labelled probe, one string at a
-time as the first instance of the shape asks for it, and kept packed in
-small integer arrays in an LRU of 1,024 shapes.  That first instance
-pays for the walk of W on the probe and the packing, a few percent of
-its op more than the walk of W on itself would cost; every later
-instance only gathers its tail from its coefficients, in its dtype.  N
-and H depend on the values and stay per instance: a real instance is
-walked in float64 and a complex one in complex128, and each string is
-one walk (``_walk``): one ``_gridops.schedule`` call whose step grows N
-and H together.  The walk keeps the prefixes of the last string walked,
-and a string builds only those past the prefix it shares with that
-one, so in the lexicographic order of ``--all`` and ``fuzz`` each
-decision prefix is built once per instance.  A grid is one coefficient
-stack, so the witness ``U`` costs no assembly, the tail goes to
-``fiedler.pencil_from_tail`` with no block matrix built, and ``V`` is
-one transposed copy that its grid keeps.  The certificate trusts the
-walk's own ``U`` and ``V`` by identity, with no entry scanned, and
-expands any other stack in full.  Per string what is left is the
-certificate (its two products ``U L`` and ``(U L) V``, the scan of the
-pencil and one subtraction of a target cast from the parsed arrays, not
-from the copy the walk reads) and the record, written around the
-instance's JSON text, made once per instance (``_Records``).  The
-records are those of the per-string public calls, byte for byte.
+the determinant of a witness whose exact expansion is not one constant.
+Each string's tail and its size and structure verdicts come from the plan
+of the instance's cell shape (``fiedler._Plan``); its witnesses come from
+the walk of N and H (``equivalence._walk``), one path memo per instance,
+and the certificate trusts them by identity.  Each record is written
+around the instance's JSON text, made once per instance (``_Records``),
+and reads byte for byte as the per-string public calls would write it.
 """
 
 from __future__ import annotations
@@ -59,7 +35,6 @@ from typing import NamedTuple
 import numpy as np
 
 from . import equivalence, fiedler, spectral
-from ._gridops import Grid, schedule
 from .errors import DimensionError, NumericalFailure, ParseError
 from .rsmp import Rsmp
 from .sampling import random_rsmp
@@ -151,39 +126,6 @@ def _sigma_for(r: Rsmp, text: str) -> SigmaSeq:
     return parse_sigma(text, degree=r.degree)
 
 
-class _Prefix(NamedTuple):
-    """One decision prefix of an instance: its grids of the witness recursions N and H."""
-
-    n: Grid
-    h: Grid
-
-
-def _base(r: Rsmp) -> _Prefix:
-    """The degree-1 grids of N and H in the instance's dtype, H's that of N for the transposed system."""
-    dtype = r.dtype
-    return _Prefix(equivalence._n_base(r, dtype), equivalence._n_base(r.transpose(), dtype))
-
-
-def _step(g: _Prefix, consec: bool, r: Rsmp, i: int, state: bool) -> _Prefix:
-    """One side's growth of N and H together; H is N of the transposed system under the flipped decision."""
-    return _Prefix(
-        equivalence._n_step(g.n, consec, r, i, state),
-        equivalence._n_step(g.h, not consec, r.transpose(), i, state),
-    )
-
-
-def _walk(r: Rsmp, s: SigmaSeq, memo: dict) -> list[_Prefix]:
-    """Every prefix of ``s``, each with its grids; at degree 1 the base grids alone.
-
-    One ``_gridops.schedule`` call grows N and H together; ``memo`` keeps
-    the path of the last string walked, so a string builds only the
-    prefixes past the one it shares with that string.
-    """
-    if r.degree == 1:
-        return [_base(r)]
-    return schedule(r, s, _base, _step, memo)
-
-
 class _Run(NamedTuple):
     """One decision string's verdict, "pass" or "fail", and its record line."""
 
@@ -200,20 +142,21 @@ def _verify_instance(r: Rsmp, sigmas, instance: dict, trials: int, tol: float, s
     structure verdicts come from the plan of the instance's shape, the
     tail gathered from the instance's coefficients in its dtype (float64
     when the instance is real).  Each string is one walk of N and H
-    (``_walk``) over the path memo, so strings in lexicographic order walk
-    the prefix trie depth first and build each prefix once.  The witnesses
-    are the stacks of the last prefix's grids and go to the certificate
-    with those grids: a witness that is still its grid's own array is
-    trusted by identity (no determinant expansion, no entry scanned, see
-    ``equivalence._certify``).  Strings of one pencil shape share one
-    pencil lead, in the tail's dtype.  Each record is written around the
-    instance's JSON text, made once (``_Records``).
+    (``equivalence._walk``) in that dtype over the path memo, so strings
+    in lexicographic order walk the prefix trie depth first and build
+    each prefix once.  The witnesses are the stacks of the last prefix's
+    grids and go to the certificate with those grids: a witness that is
+    still its grid's own array is trusted by identity (no determinant
+    expansion, no entry scanned, see ``equivalence._certify``).  Strings
+    of one pencil shape share one pencil lead, in the tail's dtype.  Each
+    record is written around the instance's JSON text, made once
+    (``_Records``).
     """
     memo, leads, records = {}, {}, _Records(instance)
     plan, source = fiedler._plan_of(r), fiedler._source(r, r.dtype)
     samples = equivalence._Samples(r, trials, seed)
     for s in sigmas:
-        last = _walk(r, s, memo)[-1]
+        last = equivalence._walk(r, s, memo, r.dtype)[-1]
         tail, sizes_ok, structure_ok = plan.tail(s, source)
         pencil = fiedler.pencil_from_tail(r, tail, leads)
         u, v, grids = equivalence._witnesses(last.n, last.h)

@@ -4,7 +4,8 @@ A companion recursion produces, step by step, the left witness sequence N
 of block matrix polynomials.  The right witness sequence H is the same
 recursion run on the transposed system (A^T, -C^T, -B^T, D^T) under the
 flipped decisions (C and I swapped), each element transposed: the
-transpose relation between Fiedler pencils of P and P^T.  The final
+transpose relation between Fiedler pencils of P and P^T.  One walk
+(``_walk``) grows N and H together for every caller.  The final
 elements U and V satisfy, for the pencil L of the same decision sequence,
 
     U(z) L(z) V(z) = [[I, 0, 0, 0], [0, A(z), 0, -B], [0, 0, I, 0], [0, C, 0, D(z)]]
@@ -22,11 +23,10 @@ entries of |U|, |L| and |V| cannot prove it finite (``_certify``).  The
 target is one coefficient stack per pencil shape, subtracted at once.  The
 products are formed in the dtype of the stacks certified: the CLI walks
 a real system's recursions, so its grids, witnesses and pencil, in
-float64 and a complex one's in complex128 (every grid is a stack in the
-instance's dtype), while the public builders return complex128 and
-``verify_theorem`` hands their real parts over when none has an
-imaginary part.  Near the float maximum each factor is scaled by a power
-of two of its own first.
+float64 and a complex one's in complex128, while the public builders
+walk in complex128 and ``verify_theorem`` hands their real parts over
+when none has an imaginary part.  Near the float maximum each factor is
+scaled by a power of two of its own first.
 
 Each recursion step adds one block row that holds only a constant +-I,
 so det N = +-det of the previous step's N: unimodularity is a fact about
@@ -51,7 +51,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, partial
 from typing import NamedTuple
 
 import numpy as np
@@ -140,13 +140,52 @@ def _grid_to_pbm(g: Grid, transpose: bool = False) -> PolyBlockMatrix:
     return PolyBlockMatrix(MatrixPolynomial(assemble(g, transpose)), rsz, csz)
 
 
-def _n_grids(r: Rsmp, s: SigmaSeq, memo: dict) -> list[Grid]:
-    return schedule(r, s, _n_base, _n_step, memo)
+class _Prefix(NamedTuple):
+    """One decision prefix: its grids of the witness recursions N and H."""
+
+    n: Grid
+    h: Grid
+
+
+def _base(r: Rsmp, dtype) -> _Prefix:
+    """The degree-1 grids of N and H in ``dtype``, H's that of N for the transposed system."""
+    return _Prefix(_n_base(r, dtype), _n_base(r.transpose(), dtype))
+
+
+def _step(g: _Prefix, consec: bool, r: Rsmp, i: int, state: bool) -> _Prefix:
+    """One side's growth of N and H together; H is N of the transposed system under the flipped decision."""
+    return _Prefix(_n_step(g.n, consec, r, i, state), _n_step(g.h, not consec, r.transpose(), i, state))
+
+
+def _walk(r: Rsmp, s: SigmaSeq, memo: dict, dtype) -> list[_Prefix]:
+    """Every prefix of ``s``, each with its grids in ``dtype``; at degree 1, for the empty string, the base grids alone.
+
+    The one walk of N and H: one ``_gridops.schedule`` call grows them
+    together (the CLI walks in the instance's dtype, float64 for a real
+    one, and the public builders in complex128).  ``memo`` keeps the path
+    of the last string walked, so a string builds only the prefixes past
+    the one it shares with that string.
+    """
+    if r.degree == 1 and not len(s):
+        return [_base(r, dtype)]
+    return schedule(r, s, partial(_base, dtype=dtype), _step, memo)
+
+
+def _path(r: Rsmp, s: SigmaSeq) -> list[_Prefix]:
+    """The walk of the sequence builders, in complex128 over a fresh memo; they need pencil degree >= 2."""
+    if r.degree == 1 and not len(s):
+        raise DimensionError("the recursions need pencil degree >= 2")
+    return _walk(r, s, {}, complex)
+
+
+def _pair(last: _Prefix) -> tuple[PolyBlockMatrix, PolyBlockMatrix]:
+    """(U, V) from the last prefix of a walk."""
+    return _grid_to_pbm(last.n), _grid_to_pbm(last.h, transpose=True)
 
 
 def build_n_sequence(r: Rsmp, s: SigmaSeq) -> list[PolyBlockMatrix]:
     """Left witness sequence; the final element is the left equivalence matrix."""
-    return [_grid_to_pbm(g) for g in _n_grids(r, s, {})]
+    return [_grid_to_pbm(g.n) for g in _path(r, s)]
 
 
 def build_h_sequence(r: Rsmp, s: SigmaSeq) -> list[PolyBlockMatrix]:
@@ -155,21 +194,12 @@ def build_h_sequence(r: Rsmp, s: SigmaSeq) -> list[PolyBlockMatrix]:
     Each element is the transpose of the left witness of the same step for
     the transposed system under the flipped decisions.
     """
-    return [_grid_to_pbm(g, transpose=True) for g in _n_grids(r.transpose(), s.flipped(), {})]
+    return [_grid_to_pbm(g.h, transpose=True) for g in _path(r, s)]
 
 
 def unimodular_pair(r: Rsmp, s: SigmaSeq) -> tuple[PolyBlockMatrix, PolyBlockMatrix]:
     """Final (U, V) witnesses for the decision sequence; needs degree >= 2."""
-    u = _grid_to_pbm(_n_grids(r, s, {})[-1])
-    v = _grid_to_pbm(_n_grids(r.transpose(), s.flipped(), {})[-1], transpose=True)
-    return u, v
-
-
-def _final_grids(r: Rsmp, s: SigmaSeq) -> tuple[Grid, Grid]:
-    """The last grids of the recursions for U and (transposed) V; at degree 1 the base grids, identities."""
-    if r.degree == 1:
-        return _n_base(r), _n_base(r.transpose())
-    return _n_grids(r, s, {})[-1], _n_grids(r.transpose(), s.flipped(), {})[-1]
+    return _pair(_path(r, s)[-1])
 
 
 def _witnesses(gu: Grid, gv: Grid) -> tuple[np.ndarray, np.ndarray, tuple[Grid, Grid]]:
@@ -187,8 +217,7 @@ def linearization_with_witnesses(r: Rsmp, s: SigmaSeq):
     from .fiedler import fiedler_pencil_rect
 
     pencil = fiedler_pencil_rect(r, s)
-    gu, gv = _final_grids(r, s)
-    return pencil, _grid_to_pbm(gu), _grid_to_pbm(gv, transpose=True)
+    return (pencil, *_pair(_walk(r, s, {}, complex)[-1]))
 
 
 # -- verification ------------------------------------------------------------

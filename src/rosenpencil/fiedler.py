@@ -37,13 +37,11 @@ other.  An instance's tail is one gather from the vector
 bit for bit the matrix the recursion would write on it.  The plans live
 in an LRU keyed by the shape alone (``_plan``, 1,024 shapes, more than
 the acceptance grid's 675); a packed plan holds four small integer
-arrays, 0.42 MiB for the 225 cells of the ``grid_verify`` benchmark and
-0.17 MiB for its 8 ``deep_verify`` cells.  The first instance of a shape
-pays for the probe, the walk and the packing.  The probe is walked in
-the smallest integer type that holds its labels, which makes the walk a
-little cheaper than one on the instance's float64 values, so the whole
-costs a few percent of the instance's op more than that walk would;
-every later instance pays only for the gathers.
+arrays and no float array.  A plan walks a string only when it is first
+asked for, so one string costs one walk, never one of every string.  The
+probe is walked in the smallest integer type that holds its labels; the
+first instance of a shape pays for the probe, the walk and the packing,
+and every later instance only for the gathers.
 ``fiedler_pencil_rect``, ``build_w_sequence`` (each step keeps the
 tail's blocks that it or an earlier step inserted, since no step writes
 over its predecessor) and the CLI all take W from the plan.

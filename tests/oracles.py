@@ -17,7 +17,8 @@ denominator with each holdout evaluated on its own after its draw, as
 references, bit for bit, for the stacked forms; the per-instance walk of
 the pencil recursion W with its claims taken on the instance's values,
 and the W builders on it, the references for the plan of a cell shape;
-and the carried pivots of a witness grid as indices of its stack.
+the single-recursion walk of N, the reference for the paired walk of N
+and H; and the carried pivots of a witness grid as indices of its stack.
 """
 
 from typing import NamedTuple
@@ -36,7 +37,7 @@ from rosenpencil import (
     SigmaSeq,
     SingularInput,
 )
-from rosenpencil import fiedler
+from rosenpencil import equivalence, fiedler
 from rosenpencil._gridops import Grid, schedule
 from rosenpencil.blocks import BlockMatrix, Pencil
 from rosenpencil.polycore import scalar_poly_eval, scalar_poly_trim
@@ -520,6 +521,15 @@ def w_walk(r, s, memo):
 def w_grids(r, s, memo):
     """The grids of W for steps 0..d-2 of one instance in complex128, walked on the instance over ``memo``."""
     return schedule(r, s, fiedler._w_base, fiedler._w_step, memo)
+
+
+def n_grids(r, s, memo):
+    """The grids of N alone for steps 0..d-2 of one system in complex128, over ``memo``: one recursion, not the paired walk.
+
+    ``equivalence._n_base`` and ``equivalence._n_step`` under ``schedule``;
+    H is this on the transposed system under the flipped decisions.
+    """
+    return schedule(r, s, equivalence._n_base, equivalence._n_step, memo)
 
 
 def grid_matrix(g):

@@ -698,9 +698,10 @@ class TestPerStringWork:
 
     def test_one_walk_per_string(self, tmp_path, capsys, monkeypatch, fresh_plans):
         # N and H grow together: one schedule call per string on the eight
-        # deep_verify cells, wherever the package looks schedule up; the
-        # first instance of a cell shape also walks W on the plan's probe,
-        # one call per string, and a second instance of the shape none
+        # deep_verify cells, wherever the package looks schedule up (the
+        # walk is equivalence's); the first instance of a cell shape also
+        # walks W on the plan's probe, one call per string, and a second
+        # instance of the shape none
         calls = []
 
         def spy(module):
@@ -712,7 +713,7 @@ class TestPerStringWork:
 
             return counted
 
-        for module in (cli, fiedler, equivalence):
+        for module in (fiedler, equivalence):
             monkeypatch.setattr(module, "schedule", spy(module))
         rng = np.random.default_rng(1901)
         strings = [s.decisions for s in all_decision_strings(7)]
@@ -722,8 +723,30 @@ class TestPerStringWork:
                 path.write_text(emit_rsmp(random_rsmp(rng, *cell)))
                 calls.clear()
                 assert main(["verify", str(path), "--all"]) == 0
-                walks = [(name, s) for s in strings for name in ("rosenpencil.cli", "rosenpencil.fiedler")[: 2 - again]]
+                walks = [(name, s) for s in strings
+                         for name in ("rosenpencil.equivalence", "rosenpencil.fiedler")[: 2 - again]]
                 assert calls == walks, cell
+        capsys.readouterr()
+
+    @pytest.mark.parametrize("command", ["verify", "pencil"])
+    def test_one_string_walks_one_string_on_the_probe(self, tmp_path, capsys, monkeypatch, fresh_plans, command):
+        # a plan walks a string when it is first asked for, never every
+        # string of its shape at first sight: at degree 20 that would be
+        # 2**19 walks of W for one --sigma call
+        calls = []
+        schedule = fiedler.schedule
+
+        def counted(*args, **kwargs):
+            calls.append(args[:2])
+            return schedule(*args, **kwargs)
+
+        monkeypatch.setattr(fiedler, "schedule", counted)
+        path = tmp_path / "deg20.json"
+        path.write_text(emit_rsmp(random_rsmp(np.random.default_rng(2501), 2, 2, 1, 20, 3)))
+        sigma = "CI" * 9 + "C"
+        assert main([command, str(path), "--sigma", sigma, "--out", str(tmp_path / "out")]) == 0
+        ((probe, s),) = calls
+        assert isinstance(probe, fiedler._Probe) and s.decisions == sigma
         capsys.readouterr()
 
 
@@ -847,7 +870,7 @@ class TestRealWalk:
             plan, source = fiedler._plan_of(r), fiedler._source(r, dtype)
             memo, public, seen = {}, ({}, {}, {}), set()
             for s in all_decision_strings(r.degree):
-                path = cli._walk(r, s, memo)
+                path = equivalence._walk(r, s, memo, r.dtype)
                 tail, _, _ = plan.tail(s, source)
                 strings += 1
                 if r.degree == 1:
@@ -858,8 +881,8 @@ class TestRealWalk:
                     continue
                 grids = (
                     oracles.w_grids(r, s, public[0]),
-                    equivalence._n_grids(r, s, public[1]),
-                    equivalence._n_grids(r.transpose(), s.flipped(), public[2]),
+                    oracles.n_grids(r, s, public[1]),
+                    oracles.n_grids(r.transpose(), s.flipped(), public[2]),
                 )
                 _same_tail(tail, grids[0][-1], dtype)
                 if dtype == np.float64:
@@ -882,11 +905,11 @@ class TestRealWalk:
     def test_every_witness_grid_carries_its_pivots(self, monkeypatch, draw):
         # verify --all on every cell of the acceptance grid: every N and H grid
         # the walk builds carries its pivots, so no determinant plan is made
-        walk, plans, walked = cli._walk, [], []
+        walk, plans, walked = equivalence._walk, [], []
         plan = equivalence._det_plan
 
-        def walk_spy(r, s, memo):
-            path = walk(r, s, memo)
+        def walk_spy(r, s, memo, dtype):
+            path = walk(r, s, memo, dtype)
             walked.extend(path)
             return path
 
@@ -894,7 +917,7 @@ class TestRealWalk:
             plans.append(stack.shape)
             return plan(stack)
 
-        monkeypatch.setattr(cli, "_walk", walk_spy)
+        monkeypatch.setattr(equivalence, "_walk", walk_spy)
         monkeypatch.setattr(equivalence, "_det_plan", plan_spy)
         rng = np.random.default_rng(2002)
         dtype = np.float64 if draw is random_rsmp else np.complex128

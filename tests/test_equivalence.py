@@ -19,7 +19,7 @@ from rosenpencil import (
     verify_theorem,
 )
 from rosenpencil.blocks import Pencil, PolyBlockMatrix
-from rosenpencil import cli, equivalence
+from rosenpencil import equivalence, fiedler
 from rosenpencil._gridops import eye, insert, neg_eye
 from rosenpencil.equivalence import _mul
 from rosenpencil.sampling import random_rsmp
@@ -185,6 +185,84 @@ class TestUnimodularity:
         r = random_rsmp(rng, 1, 1, 1, 1, 1)
         with pytest.raises(DimensionError):
             unimodular_pair(r, SigmaSeq(""))
+
+
+def _count_schedules(monkeypatch) -> list:
+    """Every ``schedule`` call the package makes from here on, as its decision string, wherever it is looked up."""
+    calls = []
+
+    def spy(schedule):
+        def counted(*args, **kwargs):
+            calls.append(args[1].decisions)
+            return schedule(*args, **kwargs)
+
+        return counted
+
+    for module in (fiedler, equivalence):
+        monkeypatch.setattr(module, "schedule", spy(module.schedule))
+    return calls
+
+
+class TestOneWalk:
+    """Every U and V of the public builders comes from the one walk of N and H (``equivalence._walk``)."""
+
+    @pytest.mark.parametrize("build", [unimodular_pair, linearization_with_witnesses])
+    @pytest.mark.parametrize("cell", [(2, 1, 3, 4, 2), (1, 2, 2, 2, 5), (2, 2, 1, 3, 3)])
+    def test_one_schedule_call_per_pair(self, rng, monkeypatch, build, cell):
+        # N and H grow together in one schedule call; the plan of the shape
+        # has walked every string already, so the pencil takes none
+        r = random_rsmp(rng, *cell)
+        strings = list(all_decision_strings(r.degree))
+        for s in strings:
+            fiedler_pencil_rect(r, s)
+        calls = _count_schedules(monkeypatch)
+        for s in strings:
+            calls.clear()
+            build(r, s)
+            assert calls == [s.decisions], (cell, s.decisions)
+
+    @pytest.mark.parametrize(
+        "cell, decisions, message",
+        [
+            ((1, 2, 1, 1, 1), "", "the recursions need pencil degree >= 2"),
+            ((1, 2, 1, 1, 1), "CI", "need 0 decisions for degree 1, got 2"),
+            ((2, 1, 2, 3, 2), "C", "need 2 decisions for degree 3, got 1"),
+            ((2, 1, 2, 3, 2), "CIC", "need 2 decisions for degree 3, got 3"),
+            ((1, 1, 2, 2, 5), "", "need 4 decisions for degree 5, got 0"),
+        ],
+    )
+    def test_rejections_keep_their_type_and_text(self, rng, fresh_plans, cell, decisions, message):
+        # the length check comes before the degree check; the witness
+        # builders reject as schedule does, and linearization_with_witnesses
+        # through its pencil first, on an open plan and on a packed one
+        r, s = random_rsmp(rng, *cell), SigmaSeq(decisions)
+        for build in (build_n_sequence, build_h_sequence, unimodular_pair):
+            with pytest.raises(DimensionError) as exc:
+                build(r, s)
+            assert type(exc.value) is DimensionError and str(exc.value) == message
+        if r.degree == 1:
+            message = "degree-1 systems take an empty decision sequence"
+            if not decisions:
+                return
+        for packed in (False, True):
+            if packed:
+                for good in all_decision_strings(r.degree):
+                    fiedler_pencil_rect(r, good)
+            with pytest.raises(DimensionError) as exc:
+                linearization_with_witnesses(r, s)
+            assert type(exc.value) is DimensionError and str(exc.value) == message
+
+    @pytest.mark.parametrize("cell", [(1, 1, 1, 1, 1), (2, 3, 1, 1, 1), (3, 1, 2, 1, 1)])
+    def test_degree_one_witnesses_are_complex_identities(self, rng, cell):
+        r = random_rsmp(rng, *cell)
+        s = SigmaSeq("")
+        pencil, u, v = linearization_with_witnesses(r, s)
+        for w, other in ((u, r.p), (v, r.m)):
+            k = r.n + other
+            assert w.poly.coeffs.dtype == np.complex128 and w.poly.coeffs.shape == (1, k, k)
+            assert w.poly.coeffs.tobytes() == np.eye(k, dtype=complex)[None].tobytes()
+            assert list(w.row_sizes) == list(w.col_sizes) == [r.n, other]
+        assert verify_theorem(r, s, pencil, u, v).verdict
 
 
 class TestVerify:
@@ -509,7 +587,7 @@ class TestNonFiniteResiduals:
 
 def _cli_witnesses(r, s, memo):
     """U, V and the grids they come from, as ``verify --all`` certifies them: from the last prefix of its walk over ``memo``."""
-    last = cli._walk(r, s, memo)[-1]
+    last = equivalence._walk(r, s, memo, r.dtype)[-1]
     return equivalence._witnesses(last.n, last.h)
 
 

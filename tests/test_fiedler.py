@@ -410,8 +410,8 @@ def _recursions(r, s):
     rt = r.transpose()
     return [
         (oracles.w_grids, r, s, oracles.grid_matrix),
-        (equivalence._n_grids, r, s, equivalence._grid_to_pbm),
-        (equivalence._n_grids, rt, s.flipped(), equivalence._grid_to_pbm),
+        (oracles.n_grids, r, s, equivalence._grid_to_pbm),
+        (oracles.n_grids, rt, s.flipped(), equivalence._grid_to_pbm),
     ]
 
 
@@ -466,7 +466,7 @@ class TestPrefixMemo:
         r = random_rsmp(rng, *cell)
         memo, w_memo, seen = {}, {}, {}
         for s in all_decision_strings(r.degree):
-            cli._walk(r, s, memo)
+            equivalence._walk(r, s, memo, r.dtype)
             oracles.w_walk(r, s, w_memo)
             for kinds, entry in (("nh", memo), ("w", w_memo)):
                 ((walked, path),) = entry.values()  # one entry: the last string and its prefixes, the base first
@@ -527,8 +527,9 @@ class TestPrefixMemo:
         def keep(schedule):
             def spy(*args):
                 grids = schedule(*args)
-                # a plan's walk keeps nodes that hold grids; a walk of the block layout holds no stack
-                stacks.extend(g.stack for g in (getattr(x, "w", x) for x in grids) if hasattr(g, "stack"))
+                # the witness walk keeps an N and an H grid per prefix; a walk of the block layout holds no stack
+                nodes = (g for x in grids for g in (x if isinstance(x, equivalence._Prefix) else (x,)))
+                stacks.extend(g.stack for g in nodes if hasattr(g, "stack"))
                 return grids
 
             return spy
